@@ -26,10 +26,10 @@ struct CellResult {
 };
 
 CellResult RunCell(std::vector<Model>& models, const Constraint& constraint,
-                   DeepXploreConfig config, const std::vector<Tensor>& seeds) {
+                   EngineConfig config, const std::vector<Tensor>& seeds) {
   config.rng_seed = 2024;
-  DeepXplore engine(bench::Pointers(models), &constraint, config);
-  const RunStats stats = engine.Run(seeds, RunOptions{});
+  Session session(bench::Pointers(models), &constraint, bench::PaperConfig(config));
+  const RunStats stats = session.Run(seeds, RunOptions{});
   return {static_cast<int>(stats.tests.size()), stats.seconds};
 }
 
@@ -46,12 +46,12 @@ int Run(int argc, char** argv) {
 
   // A: gradient normalization (MNIST, lighting).
   {
-    std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kMnist);
-    const auto constraint = bench::DefaultConstraint(Domain::kMnist);
-    const auto seeds = bench::SeedPool(Domain::kMnist, n);
+    std::vector<Model> models = ModelZoo::TrainedDomain("mnist");
+    const auto constraint = bench::DefaultConstraint("mnist");
+    const auto seeds = bench::SeedPool("mnist", n);
     TablePrinter table({"Gradient scaling", "Diffs found"});
-    DeepXploreConfig on = bench::DefaultConfig(Domain::kMnist);
-    DeepXploreConfig off = on;
+    EngineConfig on = bench::DefaultConfig("mnist");
+    EngineConfig off = on;
     off.normalize_gradient = false;
     table.AddRow({"RMS-normalized (default)", Fmt(RunCell(models, *constraint, on, seeds), n)});
     table.AddRow({"raw gradient", Fmt(RunCell(models, *constraint, off, seeds), n)});
@@ -62,9 +62,9 @@ int Run(int argc, char** argv) {
 
   // B: occlusion placement (Driving).
   {
-    std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kDriving);
-    const auto seeds = bench::SeedPool(Domain::kDriving, n);
-    DeepXploreConfig config = bench::DefaultConfig(Domain::kDriving);
+    std::vector<Model> models = ModelZoo::TrainedDomain("driving");
+    const auto seeds = bench::SeedPool("driving", n);
+    EngineConfig config = bench::DefaultConfig("driving");
     config.step = 25.0f / 255.0f;
     TablePrinter table({"Rectangle placement", "Diffs found"});
     const OcclusionConstraint greedy(10, 10,
@@ -78,12 +78,12 @@ int Run(int argc, char** argv) {
 
   // C: coverage objective weight (MNIST).
   {
-    std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kMnist);
-    const auto constraint = bench::DefaultConstraint(Domain::kMnist);
-    const auto seeds = bench::SeedPool(Domain::kMnist, n);
+    std::vector<Model> models = ModelZoo::TrainedDomain("mnist");
+    const auto constraint = bench::DefaultConstraint("mnist");
+    const auto seeds = bench::SeedPool("mnist", n);
     TablePrinter table({"lambda2", "Diffs found"});
     for (const float l2 : {0.0f, 0.1f, 1.0f}) {
-      DeepXploreConfig config = bench::DefaultConfig(Domain::kMnist);
+      EngineConfig config = bench::DefaultConfig("mnist");
       config.lambda2 = l2;
       table.AddRow({TablePrinter::Num(l2), Fmt(RunCell(models, *constraint, config, seeds), n)});
     }

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "src/core/domain.h"
-#include "src/util/timer.h"
 
 namespace dx::bench {
 
@@ -39,26 +38,24 @@ void PrintHeader(const std::string& experiment, const std::string& description,
             << "==================================================================\n";
 }
 
-std::unique_ptr<Constraint> DefaultConstraint(Domain domain) {
-  return DefaultConstraint(DomainKey(domain));
-}
-
 std::unique_ptr<Constraint> DefaultConstraint(const std::string& domain_key) {
   return MakeDomainConstraint(GetDomain(domain_key), "default");
 }
 
-DeepXploreConfig DefaultConfig(Domain domain) { return DefaultConfig(DomainKey(domain)); }
-
-DeepXploreConfig DefaultConfig(const std::string& domain_key) {
+EngineConfig DefaultConfig(const std::string& domain_key) {
   // The domain's Table 2 row lives in its DomainSpec (engine_defaults);
   // benches run the paper's longer per-seed budget on top of it.
-  DeepXploreConfig config = GetDomain(domain_key).engine_defaults;
+  EngineConfig config = GetDomain(domain_key).engine_defaults;
   config.max_iterations_per_seed = 100;
   return config;
 }
 
-SessionConfig DefaultSessionConfig(Domain domain, const std::string& metric, int workers) {
-  return DefaultSessionConfig(DomainKey(domain), metric, workers);
+SessionConfig PaperConfig(const EngineConfig& engine) {
+  SessionConfig config;
+  config.engine = engine;
+  config.batch_size = 1;
+  config.sync_interval = 1;
+  return config;
 }
 
 SessionConfig DefaultSessionConfig(const std::string& domain_key, const std::string& metric,
@@ -75,11 +72,9 @@ SessionConfig DefaultSessionConfig(const std::string& domain_key, const std::str
   return config;
 }
 
-std::string HyperparamString(const DeepXploreConfig& config, Domain domain) {
+std::string HyperparamString(const EngineConfig& config, const std::string& domain_key) {
   const std::string s =
-      domain == Domain::kDrebin
-          ? "N/A"
-          : (domain == Domain::kPdf ? "0.1" : "10/255");
+      domain_key == "drebin" ? "N/A" : (domain_key == "pdf" ? "0.1" : "10/255");
   std::string out = std::to_string(config.lambda1);
   out.erase(out.find_last_not_of('0') + 1);
   out.erase(out.find_last_not_of('.') + 1);
@@ -88,8 +83,6 @@ std::string HyperparamString(const DeepXploreConfig& config, Domain domain) {
   l2.erase(l2.find_last_not_of('.') + 1);
   return out + " / " + l2 + " / " + s + " / 0";
 }
-
-std::vector<Tensor> SeedPool(Domain domain, int n) { return SeedPool(DomainKey(domain), n); }
 
 std::vector<Tensor> SeedPool(const std::string& domain_key, int n) {
   const Dataset& test = ModelZoo::TestSet(domain_key);
@@ -111,23 +104,22 @@ std::vector<Model*> Pointers(std::vector<Model>& models) {
 }
 
 double MeanTimeToFirstDifference(std::vector<Model>& models, const Constraint& constraint,
-                                 const DeepXploreConfig& config,
+                                 const EngineConfig& config,
                                  const std::vector<Tensor>& pool, int runs) {
   double total = 0.0;
   for (int run = 0; run < runs; ++run) {
-    DeepXploreConfig run_config = config;
+    EngineConfig run_config = config;
     run_config.rng_seed = config.rng_seed + static_cast<uint64_t>(run) * 7919;
-    DeepXplore engine(Pointers(models), &constraint, run_config);
-    Timer timer;
-    bool found = false;
+    Session session(Pointers(models), &constraint, PaperConfig(run_config));
     // Scan a bounded window of the pool: a run that exhausts it contributes
     // its full scan time (an upper bound, like the paper's timeout handling).
-    const size_t window = std::min<size_t>(pool.size(), 8);
-    for (size_t i = 0; i < window && !found; ++i) {
-      const size_t index = (i + static_cast<size_t>(run) * 13) % pool.size();
-      found = engine.GenerateFromSeed(pool[index], static_cast<int>(index)).has_value();
+    std::vector<Tensor> window;
+    for (size_t i = 0; i < std::min<size_t>(pool.size(), 8); ++i) {
+      window.push_back(pool[(i + static_cast<size_t>(run) * 13) % pool.size()]);
     }
-    total += timer.ElapsedSeconds();
+    RunOptions options;
+    options.max_tests = 1;
+    total += session.Run(window, options).seconds;
   }
   return total / runs;
 }

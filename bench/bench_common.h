@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/constraints/constraint.h"
-#include "src/core/deepxplore.h"
 #include "src/core/session.h"
 #include "src/models/zoo.h"
 
@@ -33,27 +32,27 @@ void PrintHeader(const std::string& experiment, const std::string& description,
                  const BenchArgs& args);
 
 // The domain's default constraint, from its DomainSpec (lighting for the
-// vision domains, the feature rules for the malware domains, ...). The enum
-// overloads are the deprecated pre-registry spelling; both key any
-// registered domain through src/core/domain.h.
-std::unique_ptr<Constraint> DefaultConstraint(Domain domain);
+// vision domains, the feature rules for the malware domains, ...).
 std::unique_ptr<Constraint> DefaultConstraint(const std::string& domain_key);
 
 // Table 2's per-domain hyperparameters (λ1, λ2, s, t), from the DomainSpec.
-DeepXploreConfig DefaultConfig(Domain domain);
-DeepXploreConfig DefaultConfig(const std::string& domain_key);
+EngineConfig DefaultConfig(const std::string& domain_key);
+
+// Algorithm 1 as the paper runs it over `engine`: the default wiring (neuron
+// coverage, joint objective, round-robin, one worker) with one seed per sync
+// batch, so every seed's coverage objective sees the coverage of all seeds
+// before it and a run bounded by max_tests stops right after the last hit.
+SessionConfig PaperConfig(const EngineConfig& engine);
 
 // Session wiring over the domain's Table 2 defaults: named coverage metric
 // and worker count, joint objective, round-robin scheduling.
-SessionConfig DefaultSessionConfig(Domain domain, const std::string& metric, int workers);
 SessionConfig DefaultSessionConfig(const std::string& domain_key, const std::string& metric,
                                    int workers);
 
 // Human-readable hyperparameter string for table rows, e.g. "1 / 0.1 / 10 / 0".
-std::string HyperparamString(const DeepXploreConfig& config, Domain domain);
+std::string HyperparamString(const EngineConfig& config, const std::string& domain_key);
 
 // First n test-set inputs of the domain (deterministic seed pool).
-std::vector<Tensor> SeedPool(Domain domain, int n);
 std::vector<Tensor> SeedPool(const std::string& domain_key, int n);
 
 // Raw pointers into a trained-model vector.
@@ -66,7 +65,7 @@ std::string ArtifactDir();
 // `runs` runs with distinct engine seeds and disjoint seed-pool offsets (the
 // metric of Tables 9, 10, and 11).
 double MeanTimeToFirstDifference(std::vector<Model>& models, const Constraint& constraint,
-                                 const DeepXploreConfig& config,
+                                 const EngineConfig& config,
                                  const std::vector<Tensor>& pool, int runs);
 
 }  // namespace dx::bench

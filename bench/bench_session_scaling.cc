@@ -65,14 +65,14 @@ int main(int argc, char** argv) {
   PrintHeader("Session scaling",
               "tests/sec and coverage vs. worker count (MNIST pair)", args);
 
-  std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kMnist);
+  std::vector<Model> models = ModelZoo::TrainedDomain("mnist");
   std::vector<Model*> pair = {&models[0], &models[1]};
   LightingConstraint constraint;
-  const std::vector<Tensor> pool = SeedPool(Domain::kMnist, args.seeds);
+  const std::vector<Tensor> pool = SeedPool("mnist", args.seeds);
 
   std::vector<ScalingRow> rows;
   for (const int workers : {1, 2, 4, 8}) {
-    SessionConfig config = DefaultSessionConfig(Domain::kMnist, "neuron", workers);
+    SessionConfig config = DefaultSessionConfig("mnist", "neuron", workers);
     Session session(pair, &constraint, config);
     const RunStats stats = session.Run(pool, RunOptions{});
     ScalingRow row;

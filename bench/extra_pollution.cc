@@ -22,7 +22,7 @@ int Run(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
   bench::PrintHeader("Extra (7.3)", "training-data pollution detection via SSIM matching",
                      args);
-  const Dataset& clean_train = ModelZoo::TrainSet(Domain::kMnist);
+  const Dataset& clean_train = ModelZoo::TrainSet("mnist");
   Dataset polluted_train = clean_train;
   Rng pollution_rng(31337);
   const std::vector<int> polluted =
@@ -44,27 +44,23 @@ int Run(int argc, char** argv) {
   // Difference-inducing inputs where the models split exactly along the
   // pollution: clean: 9, polluted: 1.
   LightingConstraint constraint;
-  DeepXploreConfig config = bench::DefaultConfig(Domain::kMnist);
+  EngineConfig config = bench::DefaultConfig("mnist");
   config.forced_target_model = 1;
   config.rng_seed = 909;
-  DeepXplore engine({&clean_model, &polluted_model}, &constraint, config);
+  Session session({&clean_model, &polluted_model}, &constraint, bench::PaperConfig(config));
   // Seed from digit-9 test images: the pollution lives on the 9 -> 1 label
   // boundary, so that is where the two models' decision logic diverges.
-  std::vector<Tensor> attack_inputs;
-  const Dataset& test_set = ModelZoo::TestSet(Domain::kMnist);
+  const Dataset& test_set = ModelZoo::TestSet("mnist");
   std::vector<Tensor> pool;
   for (int i = 0; i < test_set.size(); ++i) {
     if (test_set.Label(i) == 9) {
       pool.push_back(test_set.inputs[static_cast<size_t>(i)]);
     }
   }
-  for (size_t i = 0; i < pool.size() && attack_inputs.size() < 25; ++i) {
-    const auto test = engine.GenerateFromSeed(pool[i], static_cast<int>(i));
-    if (!test.has_value()) {
-      continue;
-    }
-    if (test->labels[0] == 9 && test->labels[1] == 1) {
-      attack_inputs.push_back(test->input);
+  std::vector<Tensor> attack_inputs;
+  for (const GeneratedTest& test : session.Run(pool, RunOptions{}).tests) {
+    if (test.labels[0] == 9 && test.labels[1] == 1 && attack_inputs.size() < 25) {
+      attack_inputs.push_back(test.input);
     }
   }
   std::cout << "generated " << attack_inputs.size()

@@ -22,19 +22,19 @@ struct ConstraintCase {
   std::unique_ptr<Constraint> constraint;
 };
 
-std::vector<ConstraintCase> ConstraintsFor(Domain domain) {
+std::vector<ConstraintCase> ConstraintsFor(const std::string& domain) {
   std::vector<ConstraintCase> cases;
   cases.push_back({"light", std::make_unique<LightingConstraint>()});
-  const int occ = domain == Domain::kMnist ? 8 : 10;
+  const int occ = domain == "mnist" ? 8 : 10;
   cases.push_back({"occl", std::make_unique<OcclusionConstraint>(occ, occ)});
   cases.push_back({"blackout", std::make_unique<BlackRectsConstraint>(6, 3)});
   return cases;
 }
 
-std::string LabelString(Domain domain, const std::vector<int>& labels,
+std::string LabelString(const std::string& domain, const std::vector<int>& labels,
                         const std::vector<float>& outputs) {
   std::ostringstream out;
-  if (domain == Domain::kDriving) {
+  if (domain == "driving") {
     for (size_t k = 0; k < outputs.size(); ++k) {
       out << (k > 0 ? " / " : "")
           << (outputs[k] < -0.05f ? "left" : (outputs[k] > 0.05f ? "right" : "straight"))
@@ -44,7 +44,7 @@ std::string LabelString(Domain domain, const std::vector<int>& labels,
   }
   for (size_t k = 0; k < labels.size(); ++k) {
     out << (k > 0 ? " / " : "");
-    if (domain == Domain::kImageNet) {
+    if (domain == "imagenet") {
       out << TinyImageClassName(labels[k]);
     } else {
       out << labels[k];
@@ -76,21 +76,21 @@ int Run(int argc, char** argv) {
   const std::string dir = bench::ArtifactDir();
   int saved = 0;
 
-  for (const Domain domain : {Domain::kMnist, Domain::kImageNet, Domain::kDriving}) {
+  for (const std::string domain : {"mnist", "imagenet", "driving"}) {
     std::vector<Model> models = ModelZoo::TrainedDomain(domain);
     const auto names = DomainModelNames(domain);
     const std::vector<Tensor> pool = bench::SeedPool(domain, args.seeds);
     for (auto& [label, constraint] : ConstraintsFor(domain)) {
-      DeepXploreConfig config = bench::DefaultConfig(domain);
+      EngineConfig config = bench::DefaultConfig(domain);
       if (label != "light") {
         config.step = 25.0f / 255.0f;  // Occlusion edits need larger local steps.
         config.max_iterations_per_seed = 150;
       }
       config.rng_seed = 904;
-      DeepXplore engine(bench::Pointers(models), constraint.get(), config);
+      Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
       RunOptions opts;
       opts.max_tests = 1;
-      const RunStats stats = engine.Run(pool, opts);
+      const RunStats stats = session.Run(pool, opts);
       std::cout << "--- " << DomainName(domain) << " / " << label << " ---\n";
       if (stats.tests.empty()) {
         std::cout << "no difference found within budget (increase --seeds)\n";
@@ -100,15 +100,15 @@ int Run(int argc, char** argv) {
       const Tensor& seed = pool[static_cast<size_t>(test.seed_index)];
       const std::string base =
           dir + "/fig08_" + DomainName(domain) + "_" + label;
-      SaveImage(base + "_seed" + (domain == Domain::kMnist ? ".pgm" : ".ppm"), seed);
-      SaveImage(base + "_diff" + (domain == Domain::kMnist ? ".pgm" : ".ppm"), test.input);
+      SaveImage(base + "_seed" + (domain == "mnist" ? ".pgm" : ".ppm"), seed);
+      SaveImage(base + "_diff" + (domain == "mnist" ? ".pgm" : ".ppm"), test.input);
       saved += 2;
       std::vector<int> seed_labels;
       std::vector<float> seed_outputs;
-      if (domain == Domain::kDriving) {
-        seed_outputs = engine.PredictScalars(seed);
+      if (domain == "driving") {
+        seed_outputs = session.PredictScalars(seed);
       } else {
-        seed_labels = engine.PredictLabels(seed);
+        seed_labels = session.PredictLabels(seed);
       }
       std::cout << "seed: all -> " << LabelString(domain, seed_labels, seed_outputs)
                 << "\n"
@@ -116,7 +116,7 @@ int Run(int argc, char** argv) {
                 << names[static_cast<size_t>(test.deviating_model)] << " deviates, "
                 << test.iterations << " iterations)\n"
                 << "saved " << base << "_{seed,diff}\n";
-      if (domain == Domain::kMnist) {
+      if (domain == "mnist") {
         std::cout << "seed image:\n"
                   << AsciiArt(seed.values(), 28, 28, 1) << "generated image:\n"
                   << AsciiArt(test.input.values(), 28, 28, 1);

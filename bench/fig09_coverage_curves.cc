@@ -46,7 +46,7 @@ int Run(int argc, char** argv) {
   double adv_sum = 0.0;
   double rand_sum = 0.0;
   int cells = 0;
-  for (const Domain domain : AllDomains()) {
+  for (const std::string& domain : PaperDomainKeys()) {
     const Dataset& test = ModelZoo::TestSet(domain);
     // "1% of the original test set", floored to a usable sample size.
     const int k = std::max(20, test.size() / 100);
@@ -58,14 +58,14 @@ int Run(int argc, char** argv) {
     // the coverage-seeking term is what differentiates the generators — the
     // same reason the paper's Table 5 uses lambda2 = 1.
     const auto constraint = bench::DefaultConstraint(domain);
-    DeepXploreConfig config = bench::DefaultConfig(domain);
+    EngineConfig config = bench::DefaultConfig(domain);
     config.lambda2 = 1.0f;
     config.rng_seed = 905;
-    DeepXplore engine(bench::Pointers(models), constraint.get(), config);
+    Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
     RunOptions opts;
     opts.max_tests = k;
     opts.max_seed_passes = 4;
-    const RunStats stats = engine.Run(bench::SeedPool(domain, args.seeds), opts);
+    const RunStats stats = session.Run(bench::SeedPool(domain, args.seeds), opts);
     std::vector<Tensor> dx_inputs;
     for (const GeneratedTest& t : stats.tests) {
       dx_inputs.push_back(t.input);

@@ -46,24 +46,24 @@ int Run(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
   bench::PrintHeader("Figure 10", "retraining accuracy: DeepXplore vs adversarial vs random",
                      args);
-  const Dataset& train = ModelZoo::TrainSet(Domain::kMnist);
-  const Dataset& test = ModelZoo::TestSet(Domain::kMnist);
+  const Dataset& train = ModelZoo::TrainSet("mnist");
+  const Dataset& test = ModelZoo::TestSet("mnist");
   // A fresh pool of unlabeled-looking digits the base training never saw.
   const Dataset extra_pool = MakeSyntheticDigits(600, 999);
 
   double dx_final = 0.0;
   double adv_final = 0.0;
   double rand_final = 0.0;
-  for (const std::string& name : DomainModelNames(Domain::kMnist)) {
+  for (const std::string& name : DomainModelNames("mnist")) {
     // Voters for majority labeling: the full trained zoo trio.
-    std::vector<Model> voters = ModelZoo::TrainedDomain(Domain::kMnist);
+    std::vector<Model> voters = ModelZoo::TrainedDomain("mnist");
     std::vector<Model*> voter_ptrs = bench::Pointers(voters);
 
     // DeepXplore difference-inducing inputs grown from the extra pool.
-    const auto constraint = bench::DefaultConstraint(Domain::kMnist);
-    DeepXploreConfig config = bench::DefaultConfig(Domain::kMnist);
+    const auto constraint = bench::DefaultConstraint("mnist");
+    EngineConfig config = bench::DefaultConfig("mnist");
     config.rng_seed = 907;
-    DeepXplore engine(voter_ptrs, constraint.get(), config);
+    Session session(voter_ptrs, constraint.get(), bench::PaperConfig(config));
     std::vector<Tensor> pool;
     for (const Tensor& x : extra_pool.inputs) {
       pool.push_back(x);
@@ -71,7 +71,7 @@ int Run(int argc, char** argv) {
     RunOptions opts;
     opts.max_tests = kAugment;
     opts.max_seed_passes = 4;
-    const RunStats stats = engine.Run(pool, opts);
+    const RunStats stats = session.Run(pool, opts);
     std::vector<Tensor> dx_inputs;
     for (const GeneratedTest& t : stats.tests) {
       dx_inputs.push_back(t.input);

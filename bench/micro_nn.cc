@@ -20,11 +20,11 @@ Model& CachedModel(const std::string& name) {
   return it->second;
 }
 
-const Tensor& SampleInput(Domain domain) {
+const Tensor& SampleInput(const std::string& domain) {
   return ModelZoo::TestSet(domain).inputs[0];
 }
 
-void BM_Forward(benchmark::State& state, const std::string& name, Domain domain) {
+void BM_Forward(benchmark::State& state, const std::string& name, const std::string& domain) {
   Model& model = CachedModel(name);
   const Tensor& x = SampleInput(domain);
   for (auto _ : state) {
@@ -32,7 +32,8 @@ void BM_Forward(benchmark::State& state, const std::string& name, Domain domain)
   }
 }
 
-void BM_InputGradient(benchmark::State& state, const std::string& name, Domain domain) {
+void BM_InputGradient(benchmark::State& state, const std::string& name,
+                      const std::string& domain) {
   Model& model = CachedModel(name);
   const Tensor& x = SampleInput(domain);
   for (auto _ : state) {
@@ -43,7 +44,8 @@ void BM_InputGradient(benchmark::State& state, const std::string& name, Domain d
   }
 }
 
-void BM_TrainingStep(benchmark::State& state, const std::string& name, Domain domain) {
+void BM_TrainingStep(benchmark::State& state, const std::string& name,
+                     const std::string& domain) {
   // One example of forward + parameter backward — the unit of training cost.
   Model model = ModelZoo::Build(name, 1);
   const Dataset& train = ModelZoo::TrainSet(domain);
@@ -59,33 +61,35 @@ void BM_TrainingStep(benchmark::State& state, const std::string& name, Domain do
   }
 }
 
-void BM_JointOptimizationIteration(benchmark::State& state, Domain domain) {
-  static std::map<Domain, std::vector<Model>>* zoo =
-      new std::map<Domain, std::vector<Model>>();
+// One seed through the engine loop with a one-iteration budget: the
+// consensus forward, one joint-objective gradient, the constrained step, and
+// the forward that checks for a difference.
+void BM_JointOptimizationIteration(benchmark::State& state, const std::string& domain) {
+  static std::map<std::string, std::vector<Model>>* zoo =
+      new std::map<std::string, std::vector<Model>>();
   if (zoo->find(domain) == zoo->end()) {
     zoo->emplace(domain, ModelZoo::TrainedDomain(domain));
   }
   std::vector<Model>& models = zoo->at(domain);
   const auto constraint = bench::DefaultConstraint(domain);
-  DeepXplore engine(bench::Pointers(models), constraint.get(),
-                    bench::DefaultConfig(domain));
-  const Tensor& x = SampleInput(domain);
+  EngineConfig config = bench::DefaultConfig(domain);
+  config.max_iterations_per_seed = 1;
+  Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
+  const std::vector<Tensor> seed = {SampleInput(domain)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.JointGradient(x, 0, 0));
+    benchmark::DoNotOptimize(session.Run(seed, RunOptions{}));
   }
 }
 
 }  // namespace dx
 
 int main(int argc, char** argv) {
-  using dx::Domain;
-  const std::pair<const char*, Domain> models[] = {
-      {"MNI_C3", Domain::kMnist},   {"IMG_C1", Domain::kImageNet},
-      {"DRV_C1", Domain::kDriving}, {"PDF_C2", Domain::kPdf},
-      {"APP_C1", Domain::kDrebin}};
+  const std::pair<const char*, const char*> models[] = {
+      {"MNI_C3", "mnist"}, {"IMG_C1", "imagenet"}, {"DRV_C1", "driving"},
+      {"PDF_C2", "pdf"},   {"APP_C1", "drebin"}};
   for (const auto& [name_cstr, domain] : models) {
     const std::string name(name_cstr);
-    const Domain d = domain;
+    const std::string d = domain;
     benchmark::RegisterBenchmark(
         ("Forward/" + name).c_str(),
         [name, d](benchmark::State& state) { dx::BM_Forward(state, name, d); });
@@ -97,7 +101,7 @@ int main(int argc, char** argv) {
         [name, d](benchmark::State& state) { dx::BM_TrainingStep(state, name, d); });
   }
   for (const auto& [name_cstr, domain] : models) {
-    const Domain d = domain;
+    const std::string d = domain;
     benchmark::RegisterBenchmark(
         ("JointOptIteration/" + dx::DomainName(d)).c_str(),
         [d](benchmark::State& state) { dx::BM_JointOptimizationIteration(state, d); });

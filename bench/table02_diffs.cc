@@ -31,21 +31,21 @@ int Run(int argc, char** argv) {
                      "difference-inducing inputs per DNN (forced-deviator runs)", args);
   TablePrinter table({"DNN name", "Hyperparams (l1/l2/s/t)", "# Diffs found",
                       "# Diffs (paper, 2000 seeds)", "Diff rate"});
-  for (const Domain domain : AllDomains()) {
+  for (const std::string& domain : PaperDomainKeys()) {
     std::vector<Model> models = ModelZoo::TrainedDomain(domain);
     const auto names = DomainModelNames(domain);
     const auto constraint = bench::DefaultConstraint(domain);
     // The ImageNet stand-in costs ~10x more per iteration; scale its pool.
     const int domain_seeds =
-        domain == Domain::kImageNet ? std::min(args.seeds, 30) : args.seeds;
+        domain == "imagenet" ? std::min(args.seeds, 30) : args.seeds;
     const std::vector<Tensor> seeds = bench::SeedPool(domain, domain_seeds);
     for (int target = 0; target < static_cast<int>(models.size()); ++target) {
-      DeepXploreConfig config = bench::DefaultConfig(domain);
+      EngineConfig config = bench::DefaultConfig(domain);
       config.forced_target_model = target;
       config.rng_seed = 1000 + static_cast<uint64_t>(target);
-      DeepXplore engine(bench::Pointers(models), constraint.get(), config);
+      Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
       RunOptions opts;
-      const RunStats stats = engine.Run(seeds, opts);
+      const RunStats stats = session.Run(seeds, opts);
       table.AddRow({names[static_cast<size_t>(target)],
                     bench::HyperparamString(config, domain),
                     std::to_string(stats.tests.size()),

@@ -3,8 +3,8 @@
 // incorrectly mark as benign."
 //
 // Picks malware seeds the whole ensemble agrees are malware, runs the engine
-// with the Drebin add-only manifest constraint until one model flips to
-// benign, and prints the manifest features that were added (before=0 ->
+// over them with the Drebin add-only manifest constraint until two inputs
+// flip a model to benign, and prints the manifest features that were added (before=0 ->
 // after=1), top-3 first — the paper's exact presentation.
 #include <algorithm>
 #include <iostream>
@@ -21,52 +21,48 @@ int Run(int argc, char** argv) {
   bench::PrintHeader("Table 3", "manifest features added for malware->benign evasions",
                      args);
 
-  std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kDrebin);
-  const auto constraint = bench::DefaultConstraint(Domain::kDrebin);
-  DeepXploreConfig config = bench::DefaultConfig(Domain::kDrebin);
+  std::vector<Model> models = ModelZoo::TrainedDomain("drebin");
+  const auto constraint = bench::DefaultConstraint("drebin");
+  EngineConfig config = bench::DefaultConfig("drebin");
   config.max_iterations_per_seed = 200;
   config.rng_seed = 77;
-  DeepXplore engine(bench::Pointers(models), constraint.get(), config);
+  Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
 
-  const Dataset& test = ModelZoo::TestSet(Domain::kDrebin);
-  int produced = 0;
-  for (int i = 0; i < test.size() && produced < 2; ++i) {
-    if (test.Label(i) != kDrebinMalwareClass) {
-      continue;
-    }
+  // The evasion scenario: seeds that every model (correctly) calls malware.
+  const Dataset& test = ModelZoo::TestSet("drebin");
+  std::vector<Tensor> seeds;
+  std::vector<int> test_index;  // Test-set position of each seed.
+  for (int i = 0; i < test.size(); ++i) {
     const Tensor& seed = test.inputs[static_cast<size_t>(i)];
-    // The evasion scenario: everyone starts by (correctly) saying malware.
-    bool all_malware = true;
+    bool all_malware = test.Label(i) == kDrebinMalwareClass;
     for (const Model& m : models) {
       all_malware = all_malware && m.PredictClass(seed) == kDrebinMalwareClass;
     }
-    if (!all_malware) {
-      continue;
+    if (all_malware) {
+      seeds.push_back(seed);
+      test_index.push_back(i);
     }
-    const auto result = engine.GenerateFromSeed(seed, i);
-    if (!result.has_value()) {
-      continue;
-    }
-    // Some model now calls this app benign.
-    bool any_benign = false;
-    for (const int label : result->labels) {
-      any_benign = any_benign || label == kDrebinBenignClass;
-    }
-    if (!any_benign) {
-      continue;
-    }
+  }
+  // With two classes, every difference from an all-malware consensus has
+  // some model calling the app benign.
+  RunOptions options;
+  options.max_tests = 2;
+  const RunStats stats = session.Run(seeds, options);
+  int produced = 0;
+  for (const GeneratedTest& result : stats.tests) {
     ++produced;
+    const Tensor& seed = seeds[static_cast<size_t>(result.seed_index)];
     std::vector<int> added;
     for (int f = 0; f < kDrebinFeatureCount; ++f) {
-      if (seed[f] == 0.0f && result->input[f] == 1.0f) {
+      if (seed[f] == 0.0f && result.input[f] == 1.0f) {
         added.push_back(f);
       }
     }
-    std::cout << "input " << produced << " (seed #" << i << ", " << added.size()
-              << " manifest feature(s) added, " << result->iterations
+    std::cout << "input " << produced << " (seed #"
+              << test_index[static_cast<size_t>(result.seed_index)] << ", " << added.size()
+              << " manifest feature(s) added, " << result.iterations
               << " iterations, deviating model "
-              << DomainModelNames(Domain::kDrebin)[static_cast<size_t>(
-                     result->deviating_model)]
+              << DomainModelNames("drebin")[static_cast<size_t>(result.deviating_model)]
               << "):\n";
     TablePrinter table({"feature", "before", "after"});
     const size_t top = std::min<size_t>(3, added.size());

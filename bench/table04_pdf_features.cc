@@ -20,58 +20,56 @@ int Run(int argc, char** argv) {
   bench::PrintHeader("Table 4", "most-changed PDF features for malware->benign evasions",
                      args);
 
-  std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kPdf);
-  const auto constraint = bench::DefaultConstraint(Domain::kPdf);
-  DeepXploreConfig config = bench::DefaultConfig(Domain::kPdf);
+  std::vector<Model> models = ModelZoo::TrainedDomain("pdf");
+  const auto constraint = bench::DefaultConstraint("pdf");
+  EngineConfig config = bench::DefaultConfig("pdf");
   config.max_iterations_per_seed = 300;
   config.rng_seed = 78;
-  DeepXplore engine(bench::Pointers(models), constraint.get(), config);
+  Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
 
-  const Dataset& test = ModelZoo::TestSet(Domain::kPdf);
-  int produced = 0;
-  for (int i = 0; i < test.size() && produced < 2; ++i) {
-    if (test.Label(i) != kPdfMalwareClass) {
-      continue;
-    }
+  const Dataset& test = ModelZoo::TestSet("pdf");
+  std::vector<Tensor> seeds;
+  std::vector<int> test_index;  // Test-set position of each seed.
+  for (int i = 0; i < test.size(); ++i) {
     const Tensor& seed = test.inputs[static_cast<size_t>(i)];
-    bool all_malware = true;
+    bool all_malware = test.Label(i) == kPdfMalwareClass;
     for (const Model& m : models) {
       all_malware = all_malware && m.PredictClass(seed) == kPdfMalwareClass;
     }
-    if (!all_malware) {
-      continue;
+    if (all_malware) {
+      seeds.push_back(seed);
+      test_index.push_back(i);
     }
-    const auto result = engine.GenerateFromSeed(seed, i);
-    if (!result.has_value()) {
-      continue;
-    }
-    bool any_benign = false;
-    for (const int label : result->labels) {
-      any_benign = any_benign || label == kPdfBenignClass;
-    }
-    if (!any_benign) {
-      continue;
-    }
+  }
+  // With two classes, every difference from an all-malware consensus has
+  // some model calling the PDF benign.
+  RunOptions options;
+  options.max_tests = 2;
+  const RunStats stats = session.Run(seeds, options);
+  int produced = 0;
+  for (const GeneratedTest& result : stats.tests) {
     ++produced;
+    const Tensor& seed = seeds[static_cast<size_t>(result.seed_index)];
     // Rank features by |raw delta|.
     std::vector<std::pair<float, int>> deltas;
     for (int f = 0; f < kPdfFeatureCount; ++f) {
       const float before = PdfRawValue(f, seed[f]);
-      const float after = PdfRawValue(f, result->input[f]);
+      const float after = PdfRawValue(f, result.input[f]);
       if (before != after) {
         deltas.emplace_back(std::abs(after - before), f);
       }
     }
     std::sort(deltas.begin(), deltas.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
-    std::cout << "input " << produced << " (seed #" << i << ", " << deltas.size()
-              << " feature(s) changed, " << result->iterations << " iterations):\n";
+    std::cout << "input " << produced << " (seed #"
+              << test_index[static_cast<size_t>(result.seed_index)] << ", " << deltas.size()
+              << " feature(s) changed, " << result.iterations << " iterations):\n";
     TablePrinter table({"feature", "before", "after"});
     for (size_t k = 0; k < std::min<size_t>(3, deltas.size()); ++k) {
       const int f = deltas[k].second;
       table.AddRow({PdfFeatureSpecs()[static_cast<size_t>(f)].name,
                     TablePrinter::Num(PdfRawValue(f, seed[f]), 0),
-                    TablePrinter::Num(PdfRawValue(f, result->input[f]), 0)});
+                    TablePrinter::Num(PdfRawValue(f, result.input[f]), 0)});
     }
     std::cout << table.ToString();
   }

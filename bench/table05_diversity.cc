@@ -20,17 +20,17 @@ struct ExpResult {
 
 ExpResult RunOnce(std::vector<Model>& models, const Constraint& constraint,
                   const std::vector<Tensor>& seeds, float lambda2, uint64_t rng_seed) {
-  DeepXploreConfig config = bench::DefaultConfig(Domain::kMnist);
+  EngineConfig config = bench::DefaultConfig("mnist");
   config.lambda2 = lambda2;
   config.coverage.threshold = 0.25f;
   config.rng_seed = rng_seed;
-  DeepXplore engine(bench::Pointers(models), &constraint, config);
-  const RunStats stats = engine.Run(seeds, RunOptions{});
+  Session session(bench::Pointers(models), &constraint, bench::PaperConfig(config));
+  const RunStats stats = session.Run(seeds, RunOptions{});
   ExpResult result;
   // L1 over [0,1] pixels; the paper's absolute scale differs (0-255 pixels,
   // different seed pool) — the with/without-coverage *increase* is the claim.
   result.diversity = AverageSeedL1Diversity(stats.tests, seeds);
-  result.coverage = engine.MeanCoverage();
+  result.coverage = session.MeanCoverage();
   result.diffs = static_cast<int>(stats.tests.size());
   return result;
 }
@@ -39,9 +39,9 @@ int Run(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
   bench::PrintHeader(
       "Table 5", "diversity of MNIST difference-inducing inputs, lambda2 = 0 vs 1", args);
-  std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kMnist);
-  const auto constraint = bench::DefaultConstraint(Domain::kMnist);
-  const std::vector<Tensor> seeds = bench::SeedPool(Domain::kMnist, args.seeds);
+  std::vector<Model> models = ModelZoo::TrainedDomain("mnist");
+  const auto constraint = bench::DefaultConstraint("mnist");
+  const std::vector<Tensor> seeds = bench::SeedPool("mnist", args.seeds);
 
   TablePrinter table({"Exp. #", "Avg. diversity (l2=0)", "NC (l2=0)", "# Diffs (l2=0)",
                       "Avg. diversity (l2=1)", "NC (l2=1)", "# Diffs (l2=1)"});

@@ -24,7 +24,7 @@ int Run(int argc, char** argv) {
   TablePrinter table({"Dataset", "Code cov C1", "Code cov C2", "Code cov C3",
                       "Neuron cov C1", "Neuron cov C2", "Neuron cov C3"});
   bool shape_holds = true;
-  for (const Domain domain : AllDomains()) {
+  for (const std::string& domain : PaperDomainKeys()) {
     std::vector<std::string> row = {DomainName(domain)};
     std::vector<std::string> neuron_cells;
     Rng rng(42);

@@ -60,7 +60,7 @@ int Run(int argc, char** argv) {
   CoverageOptions opts;
   opts.threshold = 0.25f;
   NeuronCoverageTracker tracker(model, opts);
-  const Dataset& test = ModelZoo::TestSet(Domain::kMnist);
+  const Dataset& test = ModelZoo::TestSet("mnist");
   Rng rng(7);
   const PairStats diff = Measure(model, tracker, test, /*same_class=*/false, 100, rng);
   const PairStats same = Measure(model, tracker, test, /*same_class=*/true, 100, rng);

@@ -26,41 +26,37 @@ int Run(int argc, char** argv) {
                      args);
   TablePrinter table({"Dataset", "Time to 100% cov", "Coverage reached", "# seeds used",
                       "Paper time C1/C2/C3", "Paper #seeds"});
-  const std::map<Domain, std::string> paper_time = {
-      {Domain::kMnist, "6.6 / 6.8 / 7.6 s"},
-      {Domain::kImageNet, "43.6 / 45.3 / 42.7 s"},
-      {Domain::kDriving, "11.7 / 12.3 / 9.8 s"},
-      {Domain::kPdf, "31.1 / 29.7 / 23.2 s"},
-      {Domain::kDrebin, "180.2 / 196.4 / 152.9 s"}};
-  const std::map<Domain, int> paper_seeds = {{Domain::kMnist, 9},
-                                             {Domain::kImageNet, 35},
-                                             {Domain::kDriving, 12},
-                                             {Domain::kPdf, 6},
-                                             {Domain::kDrebin, 16}};
-  for (const Domain domain : AllDomains()) {
+  const std::map<std::string, std::string> paper_time = {
+      {"mnist", "6.6 / 6.8 / 7.6 s"},
+      {"imagenet", "43.6 / 45.3 / 42.7 s"},
+      {"driving", "11.7 / 12.3 / 9.8 s"},
+      {"pdf", "31.1 / 29.7 / 23.2 s"},
+      {"drebin", "180.2 / 196.4 / 152.9 s"}};
+  const std::map<std::string, int> paper_seeds = {
+      {"mnist", 9}, {"imagenet", 35}, {"driving", 12}, {"pdf", 6}, {"drebin", 16}};
+  for (const std::string& domain : PaperDomainKeys()) {
     std::vector<Model> models = ModelZoo::TrainedDomain(domain);
     const auto constraint = bench::DefaultConstraint(domain);
-    const bool vision = domain == Domain::kMnist || domain == Domain::kImageNet ||
-                        domain == Domain::kDriving;
+    const bool vision = domain == "mnist" || domain == "imagenet" || domain == "driving";
     double total_seconds = 0.0;
     double total_cov = 0.0;
     int total_seeds = 0;
     bool capped = false;
     for (int run = 0; run < args.runs; ++run) {
-      DeepXploreConfig config = bench::DefaultConfig(domain);
+      EngineConfig config = bench::DefaultConfig(domain);
       config.coverage.exclude_dense = vision;
       config.rng_seed = 500 + static_cast<uint64_t>(run);
-      DeepXplore engine(bench::Pointers(models), constraint.get(), config);
+      Session session(bench::Pointers(models), constraint.get(), bench::PaperConfig(config));
       const std::vector<Tensor> seeds = bench::SeedPool(domain, args.seeds);
       RunOptions opts;
       opts.coverage_goal = 1.0f;
       opts.max_seed_passes = 50;
       opts.max_seconds = kCapSeconds;
-      const RunStats stats = engine.Run(seeds, opts);
+      const RunStats stats = session.Run(seeds, opts);
       total_seconds += stats.seconds;
-      total_cov += engine.MeanCoverage();
+      total_cov += session.MeanCoverage();
       total_seeds += stats.seeds_tried;
-      capped = capped || (engine.MeanCoverage() < 1.0f && stats.seconds >= kCapSeconds);
+      capped = capped || (session.MeanCoverage() < 1.0f && stats.seconds >= kCapSeconds);
     }
     const double avg_s = total_seconds / args.runs;
     table.AddRow({DomainName(domain),

@@ -17,13 +17,13 @@ int Run(int argc, char** argv) {
   const std::vector<float> lambdas = {0.5f, 1.0f, 2.0f, 3.0f};
 
   TablePrinter table({"Dataset", "l1=0.5", "l1=1", "l1=2", "l1=3"});
-  for (const Domain domain : AllDomains()) {
+  for (const std::string& domain : PaperDomainKeys()) {
     std::vector<Model> models = ModelZoo::TrainedDomain(domain);
     const auto constraint = bench::DefaultConstraint(domain);
     const std::vector<Tensor> pool = bench::SeedPool(domain, args.seeds);
     std::vector<std::string> row = {DomainName(domain)};
     for (const float l1 : lambdas) {
-      DeepXploreConfig config = bench::DefaultConfig(domain);
+      EngineConfig config = bench::DefaultConfig(domain);
       config.lambda1 = l1;
       config.rng_seed = 901;
       const double secs =

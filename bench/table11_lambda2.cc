@@ -17,13 +17,13 @@ int Run(int argc, char** argv) {
   const std::vector<float> lambdas = {0.5f, 1.0f, 2.0f, 3.0f};
 
   TablePrinter table({"Dataset", "l2=0.5", "l2=1", "l2=2", "l2=3"});
-  for (const Domain domain : AllDomains()) {
+  for (const std::string& domain : PaperDomainKeys()) {
     std::vector<Model> models = ModelZoo::TrainedDomain(domain);
     const auto constraint = bench::DefaultConstraint(domain);
     const std::vector<Tensor> pool = bench::SeedPool(domain, args.seeds);
     std::vector<std::string> row = {DomainName(domain)};
     for (const float l2 : lambdas) {
-      DeepXploreConfig config = bench::DefaultConfig(domain);
+      EngineConfig config = bench::DefaultConfig(domain);
       config.lambda2 = l2;
       config.rng_seed = 902;
       const double secs =

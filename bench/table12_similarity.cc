@@ -46,27 +46,20 @@ double AvgIterations(Model& control, Model& variant, const std::vector<Tensor>& 
   // tiny input regions that the rigid lighting transform cannot reach.
   static const UnconstrainedImage constraint_obj;
   const Constraint* constraint = &constraint_obj;
-  DeepXploreConfig config = bench::DefaultConfig(Domain::kMnist);
+  EngineConfig config = bench::DefaultConfig("mnist");
   config.step = 2.0f / 255.0f;
   config.max_iterations_per_seed = kTimeoutIterations;
   config.forced_target_model = 1;  // Push the variant away from the control.
   config.rng_seed = 903;
-  DeepXplore engine({&control, &variant}, constraint, config);
-  int64_t total = 0;
-  int found = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const auto test = engine.GenerateFromSeed(pool[static_cast<size_t>(i)], i);
-    if (test.has_value()) {
-      total += test->iterations;
-      ++found;
-    } else {
-      total += kTimeoutIterations;
-    }
-  }
-  if (found == 0) {
+  Session session({&control, &variant}, constraint, bench::PaperConfig(config));
+  const std::vector<Tensor> window(pool.begin(), pool.begin() + seeds);
+  const RunStats stats = session.Run(window, RunOptions{});
+  if (stats.tests.empty()) {
     return -1.0;
   }
-  return static_cast<double>(total) / seeds;
+  // Seeds without a difference count as timeouts.
+  const int64_t timeouts = seeds - static_cast<int64_t>(stats.tests.size());
+  return static_cast<double>(stats.total_iterations + timeouts * kTimeoutIterations) / seeds;
 }
 
 std::string Cell(double avg) {
@@ -78,8 +71,8 @@ int Run(int argc, char** argv) {
   args.seeds = std::min(args.seeds, 12);  // Timeout rows cost 1000 iters/seed.
   bench::PrintHeader("Table 12", "iterations to first difference vs model similarity",
                      args);
-  const Dataset& train = ModelZoo::TrainSet(Domain::kMnist);
-  const std::vector<Tensor> pool = bench::SeedPool(Domain::kMnist, args.seeds);
+  const Dataset& train = ModelZoo::TrainSet("mnist");
+  const std::vector<Tensor> pool = bench::SeedPool("mnist", args.seeds);
 
   Model control = TrainLenet1Variant(train, 0, 0, 0);
 

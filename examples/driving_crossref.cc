@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "src/constraints/image_constraints.h"
-#include "src/core/deepxplore.h"
+#include "src/core/session.h"
 #include "src/data/road.h"
 #include "src/models/zoo.h"
 #include "src/util/image_io.h"
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   using namespace dx;
   const int wanted = argc > 1 ? std::atoi(argv[1]) : 2;
 
-  std::vector<Model> models = ModelZoo::TrainedDomain(Domain::kDriving);
+  std::vector<Model> models = ModelZoo::TrainedDomain("driving");
   std::vector<Model*> ptrs;
   for (Model& m : models) {
     ptrs.push_back(&m);
@@ -53,35 +53,37 @@ int main(int argc, char** argv) {
 
   // An attacker-style occlusion: a 10x10 patch anywhere on the camera image.
   OcclusionConstraint constraint(10, 10);
-  DeepXploreConfig config;
-  config.step = 25.0f / 255.0f;
-  config.steering_eps = kSteeringDisagreement;
-  config.max_iterations_per_seed = 150;
-  DeepXplore engine(ptrs, &constraint, config);
+  SessionConfig config;
+  config.engine.step = 25.0f / 255.0f;
+  config.engine.steering_eps = kSteeringDisagreement;
+  config.engine.max_iterations_per_seed = 150;
+  // One executor chunk per sync batch, so the run stops soon after the
+  // wanted number of cases.
+  config.sync_interval = config.batch_size;
+  Session session(ptrs, &constraint, config);
 
   std::filesystem::create_directories("example_artifacts");
-  const Dataset& test = ModelZoo::TestSet(Domain::kDriving);
+  const Dataset& test = ModelZoo::TestSet("driving");
+  RunOptions options;
+  options.max_tests = wanted;
   int found = 0;
-  for (int i = 0; i < test.size() && found < wanted; ++i) {
-    const Tensor& seed = test.inputs[static_cast<size_t>(i)];
-    const auto result = engine.GenerateFromSeed(seed, i);
-    if (!result.has_value()) {
-      continue;
-    }
+  for (const GeneratedTest& result : session.Run(test.inputs, options).tests) {
     ++found;
+    const int i = result.seed_index;
+    const Tensor& seed = test.inputs[static_cast<size_t>(i)];
     std::cout << "case " << found << " (seed #" << i << ", ground-truth steering "
               << test.Target(i) << "):\n";
-    const auto seed_angles = engine.PredictScalars(seed);
+    const auto seed_angles = session.PredictScalars(seed);
     for (size_t k = 0; k < models.size(); ++k) {
       std::cout << "  " << models[k].name() << ": " << Direction(seed_angles[k]) << " ("
                 << seed_angles[k] << ")  ->  "
-                << Direction(result->outputs[k]) << " (" << result->outputs[k] << ")"
-                << (static_cast<int>(k) == result->deviating_model ? "   <-- deviates" : "")
+                << Direction(result.outputs[k]) << " (" << result.outputs[k] << ")"
+                << (static_cast<int>(k) == result.deviating_model ? "   <-- deviates" : "")
                 << "\n";
     }
     const std::string base = "example_artifacts/driving_case" + std::to_string(found);
     SavePpm(base + "_seed.ppm", seed);
-    SavePpm(base + "_occluded.ppm", result->input);
+    SavePpm(base + "_occluded.ppm", result.input);
     std::cout << "  wrote " << base << "_{seed,occluded}.ppm\n";
   }
   if (found == 0) {

@@ -11,9 +11,7 @@
 //   $ ./quickstart
 //
 // (First run trains the three models and caches them under
-//  /tmp/deepxplore_model_cache; subsequent runs start instantly.
-//  The legacy DeepXplore facade in src/core/deepxplore.h still works for
-//  code written against the paper-shaped API.)
+//  /tmp/deepxplore_model_cache; subsequent runs start instantly.)
 #include <iostream>
 
 #include "src/core/domain.h"

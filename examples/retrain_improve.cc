@@ -7,7 +7,7 @@
 
 #include "src/analysis/retraining.h"
 #include "src/constraints/image_constraints.h"
-#include "src/core/deepxplore.h"
+#include "src/core/session.h"
 #include "src/data/synthetic_digits.h"
 #include "src/models/trainer.h"
 #include "src/models/zoo.h"
@@ -15,8 +15,8 @@
 
 int main() {
   using namespace dx;
-  const Dataset& train = ModelZoo::TrainSet(Domain::kMnist);
-  const Dataset& test = ModelZoo::TestSet(Domain::kMnist);
+  const Dataset& train = ModelZoo::TrainSet("mnist");
+  const Dataset& test = ModelZoo::TestSet("mnist");
 
   // A deliberately under-trained LeNet-1 (accuracy headroom).
   Model weak = ModelZoo::Build("MNI_C1", 31);
@@ -27,24 +27,23 @@ int main() {
   std::cout << "base accuracy: " << Trainer::Accuracy(weak, test) << "\n";
 
   // Generate corner cases with the full trio as cross-referencing oracles.
-  std::vector<Model> voters = ModelZoo::TrainedDomain(Domain::kMnist);
+  std::vector<Model> voters = ModelZoo::TrainedDomain("mnist");
   std::vector<Model*> voter_ptrs;
   for (Model& m : voters) {
     voter_ptrs.push_back(&m);
   }
   LightingConstraint constraint;
-  DeepXploreConfig config;
-  config.lambda1 = 2.0f;
-  config.step = 10.0f / 255.0f;
-  DeepXplore engine(voter_ptrs, &constraint, config);
+  SessionConfig config;
+  config.engine.lambda1 = 2.0f;
+  config.engine.step = 10.0f / 255.0f;
+  Session session(voter_ptrs, &constraint, config);
 
   const Dataset pool = MakeSyntheticDigits(400, 777);
+  RunOptions options;
+  options.max_tests = 100;
   std::vector<Tensor> corner_cases;
-  for (int i = 0; i < pool.size() && corner_cases.size() < 100; ++i) {
-    const auto result = engine.GenerateFromSeed(pool.inputs[static_cast<size_t>(i)], i);
-    if (result.has_value()) {
-      corner_cases.push_back(result->input);
-    }
+  for (const GeneratedTest& result : session.Run(pool.inputs, options).tests) {
+    corner_cases.push_back(result.input);
   }
   std::cout << "generated " << corner_cases.size()
             << " difference-inducing inputs; labeling by majority vote\n";

@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "src/core/deepxplore.h"
+#include "src/core/session.h"
 #include "src/tensor/tensor.h"
 
 namespace dx {

@@ -110,15 +110,6 @@ Executor::Executor(std::vector<Model*> models, const Constraint* constraint,
 
 Executor::~Executor() = default;
 
-std::vector<BatchTrace> Executor::ForwardAll(const Tensor& batch_input) const {
-  std::vector<BatchTrace> traces;
-  traces.reserve(models_.size());
-  for (const Model* m : models_) {
-    traces.push_back(m->ForwardBatch(batch_input));
-  }
-  return traces;
-}
-
 std::unique_ptr<Executor::ChunkState> Executor::AcquireState(int width) const {
   std::unique_ptr<ChunkState> state;
   {

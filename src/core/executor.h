@@ -26,10 +26,9 @@
 // through non-owning views (tests/alloc_test.cc enforces this).
 //
 // Batch invariance: per-task state (RNG stream, coverage trackers) stays
-// isolated exactly as in the per-seed path, and every batched layer kernel
-// is bit-identical to its scalar counterpart, so results are independent of
-// the chunk composition — any batch size reproduces the per-sample path's
-// output bit for bit.
+// isolated per task, and every plan kernel computes each sample exactly as
+// it would in a width-1 chunk, so results are independent of the chunk
+// composition — any batch size reproduces a one-seed chunk bit for bit.
 #ifndef DX_SRC_CORE_EXECUTOR_H_
 #define DX_SRC_CORE_EXECUTOR_H_
 
@@ -72,8 +71,8 @@ struct ExecutorProfile {
 class Executor {
  public:
   // One seed's unit of work. All pointers are non-owning and must outlive
-  // the Run call; `rng` and `metrics` are task-private (clones under a
-  // parallel run, the session's own state on the serial path).
+  // the Run call; `rng` and `metrics` are task-private (the session hands
+  // every task its own RNG stream and coverage clones).
   struct SeedTask {
     const Tensor* seed = nullptr;
     int seed_index = 0;
@@ -90,19 +89,13 @@ class Executor {
            const EngineConfig* engine);
   ~Executor();  // Out of line: ChunkState is an incomplete type here.
 
-  // Lockstep gradient ascent over the chunk. result[i] corresponds to
-  // tasks[i] and matches the per-seed GenerateFromSeed semantics: nullopt
-  // when the seed has no consensus or the iteration budget runs out; on
-  // success tasks[i].metrics has been updated with the generated input's
-  // activations. Thread-safe: concurrent Run calls each borrow their own
-  // pooled ChunkState.
+  // Lockstep gradient ascent over the chunk (Algorithm 1's inner loop per
+  // task). result[i] corresponds to tasks[i]: nullopt when the seed has no
+  // consensus or the iteration budget runs out; on success tasks[i].metrics
+  // has been updated with the generated input's activations. Thread-safe:
+  // concurrent Run calls each borrow their own pooled ChunkState.
   std::vector<std::optional<GeneratedTest>> Run(const std::vector<SeedTask>& tasks,
                                                 const Objective& objective) const;
-
-  // Forwards every model over one stacked [B, ...] input batch (the
-  // allocating by-value building block, kept for profiling and benches; Run
-  // itself goes through pooled ExecutionPlans).
-  std::vector<BatchTrace> ForwardAll(const Tensor& batch_input) const;
 
   // Per-phase wall-time collection (off by default; ~no overhead when off).
   void EnableProfiling(bool enabled) { profiling_ = enabled; }

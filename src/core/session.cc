@@ -1,7 +1,6 @@
 #include "src/core/session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -10,32 +9,27 @@
 #include "src/corpus/corpus.h"
 #include "src/corpus/maintenance.h"
 #include "src/tensor/ops.h"
+#include "src/util/rng.h"
 #include "src/util/serialize.h"
 #include "src/util/timer.h"
 
 namespace dx {
 
-namespace {
-
 // SplitMix64 finalizer over (base seed, task index): decorrelated per-task
-// RNG streams that depend only on the global task counter, never on which
-// worker runs the task.
-uint64_t TaskSeed(uint64_t base, uint64_t task) {
-  uint64_t z = base + 0x9e3779b97f4a7c15ULL * (task + 1);
+// RNG streams that depend only on the global task counter.
+uint64_t TaskRngSeed(uint64_t rng_seed, uint64_t ordinal) {
+  uint64_t z = rng_seed + 0x9e3779b97f4a7c15ULL * (ordinal + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-}  // namespace
 
 Session::Session(std::vector<Model*> models, const Constraint* constraint,
                  SessionConfig config)
     : models_(std::move(models)),
       constraint_(constraint),
       config_(std::move(config)),
-      regression_(false),
-      rng_(config_.engine.rng_seed) {
+      regression_(false) {
   if (models_.size() < 2) {
     throw std::invalid_argument("Session: differential testing needs >= 2 models");
   }
@@ -58,9 +52,8 @@ Session::Session(std::vector<Model*> models, const Constraint* constraint,
   for (Model* m : models_) {
     metrics_.push_back(MakeCoverageMetric(config_.metric, *m, config_.engine.coverage));
   }
-  if (config_.sync_interval <= 0 && config_.workers != 1) {
-    throw std::invalid_argument(
-        "Session: legacy serial mode (sync_interval = 0) requires workers == 1");
+  if (config_.sync_interval < 1) {
+    throw std::invalid_argument("Session: sync_interval must be >= 1");
   }
   if (config_.batch_size < 1) {
     throw std::invalid_argument("Session: batch_size must be >= 1");
@@ -117,53 +110,6 @@ bool Session::IsDifference(const Tensor& x) const {
                      [&](int l) { return l != labels[0]; });
 }
 
-Tensor Session::ObjectiveGradient(
-    const Tensor& x, int target_model, int consensus, Rng& rng,
-    const std::vector<std::unique_ptr<CoverageMetric>>& metrics) const {
-  Tensor grad(x.shape());
-  ObjectiveContext ctx;
-  ctx.models = &models_;
-  ctx.metrics = &metrics;
-  ctx.target_model = target_model;
-  ctx.consensus = consensus;
-  ctx.regression = regression_;
-  ctx.lambda1 = config_.engine.lambda1;
-  ctx.lambda2 = config_.engine.lambda2;
-  ctx.rng = &rng;
-  const ForwardTrace no_trace;
-  for (int k = 0; k < num_models(); ++k) {
-    if (objective_->NeedsTrace(ctx, k)) {
-      const ForwardTrace trace = models_[static_cast<size_t>(k)]->Forward(x);
-      objective_->Accumulate(ctx, k, trace, &grad);
-    } else {
-      objective_->Accumulate(ctx, k, no_trace, &grad);
-    }
-  }
-  return grad;
-}
-
-Tensor Session::ObjectiveGradient(const Tensor& x, int target_model, int consensus) {
-  return ObjectiveGradient(x, target_model, consensus, rng_, metrics_);
-}
-
-std::optional<GeneratedTest> Session::GenerateFromSeed(
-    const Tensor& seed, int seed_index, Rng& rng,
-    std::vector<std::unique_ptr<CoverageMetric>>& metrics) {
-  // A single-seed chunk of the batched executor: same values, same RNG
-  // stream, but one forward per (model, iteration) instead of two or three.
-  Executor::SeedTask task;
-  task.seed = &seed;
-  task.seed_index = seed_index;
-  task.rng = &rng;
-  task.metrics = &metrics;
-  return executor_->Run({task}, *objective_)[0];
-}
-
-std::optional<GeneratedTest> Session::GenerateFromSeed(const Tensor& seed,
-                                                       int seed_index) {
-  return GenerateFromSeed(seed, seed_index, rng_, metrics_);
-}
-
 std::vector<std::unique_ptr<CoverageMetric>> Session::CloneMetrics() const {
   std::vector<std::unique_ptr<CoverageMetric>> clones;
   clones.reserve(metrics_.size());
@@ -182,7 +128,7 @@ int Session::EffectiveWorkers() const {
 }
 
 void Session::ProfileSeeds(const std::vector<Tensor>& seeds) {
-  const size_t width = static_cast<size_t>(std::max(1, config_.batch_size));
+  const size_t width = static_cast<size_t>(config_.batch_size);
   for (int k = 0; k < num_models(); ++k) {
     CoverageMetric& metric = *metrics_[static_cast<size_t>(k)];
     if (!metric.WantsSeedProfile()) {
@@ -254,13 +200,9 @@ struct Session::ReplayCursor {
   }
 };
 
-RunStats Session::Run(const std::vector<Tensor>& seeds, const RunOptions& options) {
-  return RunImpl(seeds, options, nullptr, nullptr);
-}
-
 RunStats Session::Run(const std::vector<Tensor>& seeds, const RunOptions& options,
                       Corpus* corpus) {
-  return RunImpl(seeds, options, corpus, nullptr);
+  return RunLoop(seeds, options, corpus, nullptr);
 }
 
 ReplayResult Session::Replay(const Corpus& corpus) {
@@ -286,7 +228,7 @@ ReplayResult Session::Replay(const Corpus& corpus) {
   ReplayResult result;
   ReplayCursor cursor;
   cursor.corpus = &corpus;
-  result.stats = RunImpl(meta.seeds, options, nullptr, &cursor);
+  result.stats = RunLoop(meta.seeds, options, nullptr, &cursor);
   result.ok = cursor.ok;
   result.mismatch = std::move(cursor.mismatch);
   if (!result.ok) {
@@ -460,79 +402,17 @@ void Session::ResetRunState() {
   profiled_ = false;
 }
 
-RunStats Session::RunImpl(const std::vector<Tensor>& seeds, const RunOptions& options,
+RunStats Session::RunLoop(const std::vector<Tensor>& seeds, const RunOptions& options,
                           Corpus* corpus, ReplayCursor* replay) {
-  if (corpus != nullptr && config_.sync_interval <= 0) {
-    throw std::invalid_argument(
-        "Session: corpus recording requires sync batches (sync_interval > 0)");
+  // All run state lives in the SessionRun; this loop (like any other caller
+  // that steps one) just applies the per-leg bounds.
+  SessionRun run(this, &seeds, options, corpus, replay);
+  int64_t leg_batches = 0;
+  while (!run.done() && run.active_seconds() <= options.max_seconds &&
+         leg_batches < options.max_sync_batches && run.Step()) {
+    ++leg_batches;
   }
-  if (config_.sync_interval > 0) {
-    // The batched path: all run state lives in a SessionRun, and this loop
-    // (like any other SessionRun driver) just applies the per-leg bounds.
-    SessionRun run(this, &seeds, options, corpus, replay);
-    int64_t leg_batches = 0;
-    while (!run.done() && run.active_seconds() <= options.max_seconds &&
-           leg_batches < options.max_sync_batches && run.Step()) {
-      ++leg_batches;
-    }
-    return run.Snapshot();
-  }
-
-  RunStats stats;
-  Timer timer;
-  int64_t forward_base = 0;
-  for (const Model* m : models_) {
-    forward_base += m->forward_passes();
-  }
-
-  if (config_.profile_from_seeds && !profiled_) {
-    ProfileSeeds(seeds);
-  }
-  scheduler_->Reset(static_cast<int>(seeds.size()), options.max_seed_passes);
-
-  {
-    // Legacy serial mode: the session RNG is threaded through the whole seed
-    // stream and the global trackers are updated in place — the exact
-    // pre-Session DeepXplore behavior, preserved for the facade.
-    for (;;) {
-      if (static_cast<int>(stats.tests.size()) >= options.max_tests ||
-          timer.ElapsedSeconds() > options.max_seconds) {
-        break;
-      }
-      const int index = scheduler_->Next();
-      if (index < 0) {
-        break;
-      }
-      ++stats.seeds_tried;
-      const float before = MeanCoverage();
-      auto test = GenerateFromSeed(seeds[static_cast<size_t>(index)], index);
-      if (!test.has_value()) {
-        ++stats.seeds_skipped;
-        scheduler_->Report(index, false, 0.0f);
-        continue;
-      }
-      scheduler_->Report(index, true, MeanCoverage() - before);
-      stats.total_iterations += test->iterations;
-      stats.tests.push_back(std::move(*test));
-      if (options.coverage_goal <= 1.0f) {
-        bool all_reached = true;
-        for (const auto& metric : metrics_) {
-          all_reached = all_reached && metric->Coverage() >= options.coverage_goal;
-        }
-        if (all_reached) {
-          break;
-        }
-      }
-    }
-    stats.seconds = timer.ElapsedSeconds();
-    stats.mean_coverage = MeanCoverage();
-    for (const Model* m : models_) {
-      stats.forward_passes += m->forward_passes();
-    }
-    stats.forward_passes -= forward_base;
-    return stats;
-  }
-
+  return run.Snapshot();
 }
 
 std::unique_ptr<SessionRun> Session::BeginRun(const std::vector<Tensor>& seeds,
@@ -551,10 +431,6 @@ SessionRun::SessionRun(Session* session, const std::vector<Tensor>* seeds,
       corpus_(corpus),
       replay_(replay) {
   Session& s = *session_;
-  if (s.config_.sync_interval <= 0) {
-    throw std::invalid_argument(
-        "SessionRun: stepping requires sync batches (sync_interval > 0)");
-  }
   Timer timer;
   for (const Model* m : s.models_) {
     forward_base_ += m->forward_passes();
@@ -643,7 +519,7 @@ bool SessionRun::Step() {
     }
     pool = s.pool_.get();
   }
-  const int batch_size = std::max(1, s.config_.sync_interval);
+  const int batch_size = s.config_.sync_interval;
 
   std::vector<int> batch;
   batch.reserve(static_cast<size_t>(batch_size));
@@ -685,20 +561,20 @@ bool SessionRun::Step() {
     std::vector<std::unique_ptr<CoverageMetric>> metrics;
   };
 
-  // Every task keeps its own RNG stream and tracker clones (exactly as in
-  // the per-seed path), then contiguous runs of `batch_size` tasks ascend
-  // in lockstep on the executor. Chunk boundaries depend only on
-  // batch_size — never on the worker count — and chunk composition cannot
-  // change any task's values, so results stay invariant to both knobs.
+  // Every task keeps its own RNG stream and tracker clones, then contiguous
+  // runs of `batch_size` tasks ascend in lockstep on the executor. Chunk
+  // boundaries depend only on batch_size — never on the worker count — and
+  // chunk composition cannot change any task's values, so results stay
+  // invariant to both knobs.
   std::vector<TaskResult> results(batch.size());
   std::vector<Rng> task_rngs;
   task_rngs.reserve(batch.size());
   for (size_t t = 0; t < batch.size(); ++t) {
-    task_rngs.emplace_back(TaskSeed(s.config_.engine.rng_seed,
-                                    task_counter_ + static_cast<uint64_t>(t)));
+    task_rngs.emplace_back(TaskRngSeed(s.config_.engine.rng_seed,
+                                       task_counter_ + static_cast<uint64_t>(t)));
     results[t].metrics = s.CloneMetrics();
   }
-  const size_t chunk_width = static_cast<size_t>(std::max(1, s.config_.batch_size));
+  const size_t chunk_width = static_cast<size_t>(s.config_.batch_size);
   const int64_t num_chunks =
       static_cast<int64_t>((batch.size() + chunk_width - 1) / chunk_width);
   const auto run_chunk = [&](int64_t c) {

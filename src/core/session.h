@@ -10,26 +10,26 @@
 // exactly one forward per (seed, model, iteration). Results are
 // bit-identical for any batch size.
 //
-// With `workers` > 1, seeds are processed in fixed-size batches
-// (`sync_interval`) on a thread pool: every task in a batch runs against
-// Clone()d coverage trackers frozen at the batch start and its own RNG
-// derived from (rng_seed, global task index); after the batch barrier the
-// task-local trackers are Merge()d into the session trackers and outcomes
-// are reported to the scheduler — all in schedule order. Because neither the
-// batch composition, the per-task RNG streams, nor the merge order depend on
-// the worker count, a run's results (tests found, coverage, scheduler
-// feedback) are identical for any `workers` value given a fixed rng_seed.
+// Seeds are processed in fixed-size sync batches (`sync_interval`),
+// optionally on a thread pool: every task in a batch runs against Clone()d
+// coverage trackers frozen at the batch start and its own RNG stream
+// (TaskRngSeed); after the batch barrier the task-local trackers are
+// Merge()d into the session trackers and outcomes are reported to the
+// scheduler — all in schedule order. Because neither the batch composition,
+// the per-task RNG streams, nor the merge order depend on the worker count,
+// a run's results (tests found, coverage, scheduler feedback) are identical
+// for any `workers` value given a fixed rng_seed. Every run — Run, Replay,
+// and the service's stepped campaigns — is a loop over SessionRun::Step.
 //
-// The legacy DeepXplore class (deepxplore.h) is a thin facade over Session
-// with the paper's fixed wiring (neuron coverage + joint objective +
-// round-robin scheduling, serial).
+// The default SessionConfig is the paper's wiring (neuron coverage + joint
+// objective + round-robin scheduling, one worker); tests/reference/ holds a
+// plain per-seed Algorithm 1 loop that the engine is checked against.
 #ifndef DX_SRC_CORE_SESSION_H_
 #define DX_SRC_CORE_SESSION_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +38,6 @@
 #include "src/core/seed_scheduler.h"
 #include "src/coverage/coverage_metric.h"
 #include "src/nn/model.h"
-#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace dx {
@@ -47,8 +46,7 @@ class Corpus;
 class Executor;
 struct ExecutorProfile;
 
-// The paper's per-run hyperparameters (Algorithm 1 / Table 2). Kept under
-// its historical name via the DeepXploreConfig alias below.
+// The paper's per-run hyperparameters (Algorithm 1 / Table 2).
 struct EngineConfig {
   // λ1: how hard model j's consensus confidence is pushed down relative to
   // keeping the other models up (Equation 2).
@@ -74,8 +72,6 @@ struct EngineConfig {
   uint64_t rng_seed = 1234;
 };
 
-using DeepXploreConfig = EngineConfig;
-
 // Full session wiring: engine hyperparameters plus the pluggable components
 // (by factory name) and the parallelism knobs.
 struct SessionConfig {
@@ -99,10 +95,9 @@ struct SessionConfig {
   // `workers`) so results are invariant to the worker count; sized to hold
   // sync_interval / batch_size executor chunks, which is the parallel
   // granularity — the default supports 8 workers at the default batch_size.
-  // Smaller values tighten scheduler/coverage feedback, larger values expose
-  // more parallelism. 0 selects the legacy serial mode: one session RNG
-  // threaded through the seed stream and trackers updated in place (the
-  // pre-Session DeepXplore semantics, bit-for-bit); requires workers == 1.
+  // Smaller values tighten scheduler/coverage feedback (1 makes every seed
+  // see the coverage of all seeds before it), larger values expose more
+  // parallelism. Must be >= 1.
   int sync_interval = 64;
   // Run the metric's ProfileSeed pass over the seed pool at the start of
   // Run (k-multisection range profiling); no-op for metrics that don't ask.
@@ -165,8 +160,7 @@ struct RunOptions {
   int64_t max_sync_batches = int64_t{1} << 60;
   // Called after every completed sync batch with a progress snapshot. Purely
   // observational — never affects results and is not part of the corpus
-  // manifest (requires sync_interval > 0; the legacy serial mode has no
-  // batch boundaries to report).
+  // manifest.
   std::function<void(const RunProgress&)> on_batch;
 };
 
@@ -198,6 +192,13 @@ struct ReplayResult {
   RunStats stats;
 };
 
+// Seed of the RNG stream owned by the task at global schedule position
+// `ordinal` (GeneratedTest::task_ordinal) in a campaign with engine
+// `rng_seed`. It depends on nothing else — not the worker, chunk, or batch
+// width that runs the task — so results are invariant to those knobs and a
+// corpus entry's provenance pins its stream.
+uint64_t TaskRngSeed(uint64_t rng_seed, uint64_t ordinal);
+
 class SessionRun;
 
 class Session {
@@ -206,7 +207,7 @@ class Session {
   // Classification models must end in softmax; a 1-element output without
   // softmax is treated as regression. Metric/objective/scheduler are built
   // from the factory names in `config`; throws std::invalid_argument on
-  // unknown names or invalid model sets.
+  // unknown names, invalid model sets, or sync_interval / batch_size < 1.
   Session(std::vector<Model*> models, const Constraint* constraint, SessionConfig config);
   ~Session();  // Out of line: Executor is an incomplete type here.
 
@@ -229,7 +230,6 @@ class Session {
   const CoverageMetric& metric(int model_index) const {
     return *metrics_[static_cast<size_t>(model_index)];
   }
-  const std::vector<std::unique_ptr<CoverageMetric>>& metrics() const { return metrics_; }
 
   // Per-model predictions for an input (argmax labels or scalar outputs).
   std::vector<int> PredictLabels(const Tensor& x) const;
@@ -238,51 +238,29 @@ class Session {
   // True when the models disagree on x.
   bool IsDifference(const Tensor& x) const;
 
-  // One gradient of the configured objective at x, drawing stochastic
-  // choices from `rng` and reading coverage state from `metrics` (pass
-  // session metrics() for the serial path, worker-local clones otherwise).
-  Tensor ObjectiveGradient(const Tensor& x, int target_model, int consensus, Rng& rng,
-                           const std::vector<std::unique_ptr<CoverageMetric>>& metrics) const;
-  // Serial convenience: session RNG + session-global trackers.
-  Tensor ObjectiveGradient(const Tensor& x, int target_model, int consensus);
-
-  // Algorithm 1's inner loop for one seed against explicit trackers + RNG,
-  // executed as a single-seed chunk of the batched Executor (one forward
-  // per model per iteration, shared by objective, difference check, and
-  // coverage update). Returns nullopt when the seed has no consensus or the
-  // iteration budget runs out. On success `metrics` is updated with the
-  // generated input's activations.
-  std::optional<GeneratedTest> GenerateFromSeed(
-      const Tensor& seed, int seed_index, Rng& rng,
-      std::vector<std::unique_ptr<CoverageMetric>>& metrics);
-  // Serial convenience: session RNG + session-global trackers.
-  std::optional<GeneratedTest> GenerateFromSeed(const Tensor& seed, int seed_index);
-
   // Runs the scheduler's seed stream (in parallel for workers > 1) until an
   // option bound is hit. Results are identical for any worker count.
-  RunStats Run(const std::vector<Tensor>& seeds, const RunOptions& options);
-
-  // Durable variant: records every difference-inducing input (with
-  // provenance), the scheduler journal, and per-batch coverage checkpoints
-  // into `corpus` (src/corpus/corpus.h). An uninitialized corpus starts a
+  //
+  // With a `corpus` the run is durable: it records every difference-inducing
+  // input (with provenance), the scheduler journal, and per-batch coverage
+  // checkpoints (src/corpus/corpus.h). An uninitialized corpus starts a
   // new campaign (the manifest captures config + options + seeds); a corpus
   // with a checkpoint RESUMES it — coverage state, scheduler position, and
   // counters are restored and the run continues at the next sync batch,
   // producing results bit-identical to an uninterrupted run (forward_passes
   // and coverage are cumulative, never double-counted). The session should
   // be freshly constructed when recording or resuming; config and seeds
-  // must match the manifest (std::invalid_argument otherwise). Requires
-  // sync_interval > 0. batch_size and workers may differ freely between
-  // legs — results are invariant to both.
+  // must match the manifest (std::invalid_argument otherwise). batch_size
+  // and workers may differ freely between legs — results are invariant to
+  // both.
   RunStats Run(const std::vector<Tensor>& seeds, const RunOptions& options,
-               Corpus* corpus);
+               Corpus* corpus = nullptr);
 
   // Opens an incrementally steppable run (see SessionRun below): the same
   // semantics as Run(seeds, options, corpus) but the caller drives the sync
   // batches one Step() at a time and may pause indefinitely between them.
-  // `seeds` must outlive the returned run. Requires sync_interval > 0 (the
-  // legacy serial mode has no batch boundaries to step at); throws
-  // std::invalid_argument otherwise, or on a corpus/config mismatch.
+  // `seeds` must outlive the returned run. Throws std::invalid_argument on a
+  // corpus/config mismatch.
   std::unique_ptr<SessionRun> BeginRun(const std::vector<Tensor>& seeds,
                                        const RunOptions& options, Corpus* corpus);
 
@@ -328,10 +306,11 @@ class Session {
 
   std::vector<std::unique_ptr<CoverageMetric>> CloneMetrics() const;
   int EffectiveWorkers() const;
-  // The one run loop behind Run/Replay: `corpus` (optional) receives
-  // entries/journal/checkpoints, `replay` (optional) verifies generated
-  // tests against a recorded corpus as they appear.
-  RunStats RunImpl(const std::vector<Tensor>& seeds, const RunOptions& options,
+  // The one run loop behind Run/Replay: steps a SessionRun until a bound is
+  // hit. `corpus` (optional) receives entries/journal/checkpoints, `replay`
+  // (optional) verifies generated tests against a recorded corpus as they
+  // appear.
+  RunStats RunLoop(const std::vector<Tensor>& seeds, const RunOptions& options,
                    Corpus* corpus, ReplayCursor* replay);
   // Throws std::invalid_argument unless the corpus manifest matches this
   // session's result-affecting config, the campaign bounds, and the seeds.
@@ -350,8 +329,7 @@ class Session {
   std::vector<std::unique_ptr<CoverageMetric>> metrics_;
   std::unique_ptr<Objective> objective_;
   std::unique_ptr<SeedScheduler> scheduler_;
-  std::unique_ptr<Executor> executor_;  // Batched execution engine (default path).
-  Rng rng_;  // Serial-path RNG (facade compatibility).
+  std::unique_ptr<Executor> executor_;  // Batched execution engine.
   std::unique_ptr<ThreadPool> pool_;
   ThreadPool* external_pool_ = nullptr;  // Borrowed via SetWorkerPool.
   bool profiled_ = false;

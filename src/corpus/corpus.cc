@@ -13,7 +13,6 @@ namespace {
 
 constexpr uint32_t kManifestMagic = 0x44584d46;    // "DXMF"
 constexpr uint32_t kEntryMagic = 0x44584554;       // "DXET"
-constexpr uint32_t kCheckpointMagic = 0x44584350;  // "DXCP"
 
 // Segmented checkpoint chain (checkpoints.bin).
 constexpr uint32_t kChainMagic = 0x44584343;   // "DXCC"
@@ -133,7 +132,6 @@ Corpus::Corpus(std::string dir) : dir_(std::move(dir)) {
 std::string Corpus::ManifestPath() const { return dir_ + "/manifest.bin"; }
 std::string Corpus::EntriesPath() const { return dir_ + "/entries.bin"; }
 std::string Corpus::JournalPath() const { return dir_ + "/journal.bin"; }
-std::string Corpus::CheckpointPath() const { return dir_ + "/checkpoint.bin"; }
 std::string Corpus::ChainPath() const { return dir_ + "/checkpoints.bin"; }
 
 void Corpus::SetSnapshotInterval(int every) {
@@ -251,27 +249,17 @@ void Corpus::Load() {
     initialized_ = true;
   }
 
-  // The segmented chain is authoritative when it holds a valid snapshot
-  // (a crash between "rename chain" and "delete legacy checkpoint.bin" can
-  // leave both; the chain is the newer state). A chain without any valid
-  // snapshot restores nothing and is discarded.
+  // A pre-chain corpus keeps its resume point in a monolithic
+  // checkpoint.bin. Opening it as checkpoint-less would trim away its
+  // entries, so refuse it instead.
+  const std::string legacy = dir_ + "/checkpoint.bin";
+  if (std::filesystem::exists(legacy)) {
+    throw std::runtime_error("Corpus: " + legacy +
+                             " is a pre-chain checkpoint, which is no longer supported");
+  }
+  // A chain without any valid snapshot restores nothing and is discarded.
   if (std::filesystem::exists(ChainPath())) {
     LoadChain();
-  }
-  if (!has_checkpoint_ && std::filesystem::exists(CheckpointPath())) {
-    std::ifstream in(CheckpointPath(), std::ios::binary);
-    BinaryReader r(in);
-    if (r.ReadU32() != kCheckpointMagic) {
-      throw std::runtime_error("Corpus: bad checkpoint magic in " + CheckpointPath());
-    }
-    ReadCheckpointCounters(r, checkpoint_);
-    const uint64_t num_blobs = r.ReadU64();
-    checkpoint_.metric_blobs.clear();
-    for (uint64_t i = 0; i < num_blobs; ++i) {
-      checkpoint_.metric_blobs.push_back(r.ReadString());
-    }
-    checkpoint_.scheduler_blob.clear();  // v1 never carries scheduler state.
-    has_checkpoint_ = true;
   }
 
   // Entries and journal are only meaningful up to the checkpoint's
@@ -457,8 +445,7 @@ void Corpus::LoadChain() {
   }
 
   if (!have_snapshot) {
-    // Nothing restorable (e.g. first snapshot write was interrupted). The
-    // legacy checkpoint.bin — if any — becomes the fallback in Load().
+    // Nothing restorable (e.g. first snapshot write was interrupted).
     std::filesystem::remove(ChainPath());
     return;
   }
@@ -503,8 +490,6 @@ void Corpus::WriteSnapshot(const CorpusCheckpoint& checkpoint) {
     }
   }
   std::filesystem::rename(tmp, ChainPath());
-  // The chain supersedes the legacy monolithic file (upgrade path).
-  std::filesystem::remove(CheckpointPath());
   chain_has_snapshot_ = true;
   chain_deltas_ = 0;
   chain_dirty_ = false;
@@ -536,47 +521,19 @@ void Corpus::WriteCheckpoint(const CorpusCheckpoint& checkpoint) {
       checkpoint.num_batches != journal_.size()) {
     throw std::logic_error("Corpus: checkpoint high-water marks disagree with appends");
   }
-  if (format_ == CheckpointFormat::kMonolithic) {
-    const std::string tmp = CheckpointPath() + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      BinaryWriter w(out);
-      w.WriteU32(kCheckpointMagic);
-      WriteCheckpointCounters(w, checkpoint);
-      w.WriteU64(checkpoint.metric_blobs.size());
-      for (const std::string& blob : checkpoint.metric_blobs) {
-        w.WriteString(blob);
-      }
-      // The v1 layout ends here: scheduler_blob is a segmented-chain-only
-      // field, so monolithic corpora always resume via journal replay.
-      if (!out) {
-        throw std::runtime_error("Corpus: failed writing " + tmp);
-      }
-    }
-    std::filesystem::rename(tmp, CheckpointPath());
-    // A monolithic write supersedes any segmented chain left by a previous
-    // format choice — a stale chain would win on the next open.
-    std::filesystem::remove(ChainPath());
-    chain_has_snapshot_ = false;
-    chain_deltas_ = 0;
-    chain_dirty_ = false;
+  const bool snapshot = checkpoint.complete || !chain_has_snapshot_ ||
+                        chain_deltas_ + 1 >= static_cast<uint64_t>(snapshot_interval_);
+  if (snapshot) {
+    WriteSnapshot(checkpoint);
   } else {
-    const bool snapshot = checkpoint.complete || !chain_has_snapshot_ ||
-                          chain_deltas_ + 1 >=
-                              static_cast<uint64_t>(snapshot_interval_);
-    if (snapshot) {
-      WriteSnapshot(checkpoint);
-    } else {
-      AppendDelta(checkpoint);
-    }
+    AppendDelta(checkpoint);
   }
   checkpoint_ = checkpoint;
   has_checkpoint_ = true;
 }
 
 void Corpus::Sync() {
-  if (!has_checkpoint_ || format_ == CheckpointFormat::kMonolithic ||
-      !chain_dirty_) {
+  if (!has_checkpoint_ || !chain_dirty_) {
     return;
   }
   WriteSnapshot(checkpoint_);
@@ -617,15 +574,12 @@ CorpusStats Corpus::Stats() const {
   s.manifest_bytes = size_of(ManifestPath());
   s.entries_bytes = size_of(EntriesPath());
   s.journal_bytes = size_of(JournalPath());
-  s.checkpoint_bytes = size_of(CheckpointPath()) + size_of(ChainPath());
+  s.checkpoint_bytes = size_of(ChainPath());
   s.total_bytes =
       s.manifest_bytes + s.entries_bytes + s.journal_bytes + s.checkpoint_bytes;
-  s.segmented = chain_has_snapshot_;
   if (chain_has_snapshot_) {
     s.chain_snapshots = 1;
     s.chain_deltas = chain_deltas_;
-  } else if (has_checkpoint_) {
-    s.chain_snapshots = 1;  // Monolithic checkpoint.bin counts as one.
   }
   if (has_checkpoint_) {
     s.complete = checkpoint_.complete;

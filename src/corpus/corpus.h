@@ -19,12 +19,11 @@
 //                   outcomes reported back. Replaying this stream through a
 //                   freshly Reset scheduler reconstructs its exact state
 //                   without requiring schedulers to be serializable.
-//   checkpoints.bin segmented checkpoint chain (the default since format
-//                   version 2): an append-only sequence of framed records —
-//                   periodic FULL snapshots (RunStats counters, entry/journal
-//                   high-water marks, serialized per-model coverage state via
-//                   CoverageMetric::Serialize, and an optional scheduler
-//                   state blob) interleaved with cheap DELTA records that
+//   checkpoints.bin segmented checkpoint chain: an append-only sequence of
+//                   framed records — periodic FULL snapshots (RunStats
+//                   counters, entry/journal high-water marks, serialized
+//                   per-model coverage state via CoverageMetric::Serialize,
+//                   and an optional scheduler state blob) interleaved with cheap DELTA records that
 //                   carry only the scalar counters. Writing a snapshot
 //                   atomically rewrites the chain down to that single
 //                   snapshot (tmp + rename), so the chain never grows past
@@ -32,13 +31,9 @@
 //                   checkpoint I/O is therefore O(counters), not O(coverage
 //                   state), and resume cost is O(delta since the last
 //                   snapshot) — the resumed run re-executes at most
-//                   snapshot_interval batches deterministically.
-//   checkpoint.bin  the legacy (format v1) monolithic resume point,
-//                   atomically replaced at every sync batch. Still read
-//                   (old corpora open fine) and still written when
-//                   SetCheckpointFormat(kMonolithic) is selected; a corpus
-//                   upgraded to the segmented chain deletes it on the first
-//                   snapshot write.
+//                   snapshot_interval batches deterministically. A
+//                   monolithic checkpoint.bin (the pre-chain format) is
+//                   refused on open.
 //
 // Crash safety (process level): entries and journal batches are appended
 // and flushed BEFORE the checkpoint record that covers them is written, so
@@ -123,15 +118,8 @@ struct CorpusCheckpoint {
   // One CoverageMetric::Serialize blob per model, session order.
   std::vector<std::string> metric_blobs;
   // SeedScheduler::SaveState blob (empty when the scheduler doesn't support
-  // snapshots — resume then falls back to replaying the journal). Stored in
-  // segmented-chain snapshots only; the v1 monolithic file never carries it.
+  // snapshots — resume then falls back to replaying the journal).
   std::string scheduler_blob;
-};
-
-// How Corpus::WriteCheckpoint persists resume points.
-enum class CheckpointFormat {
-  kMonolithic,  // Format v1: rewrite checkpoint.bin in full every time.
-  kSegmented,   // Format v2 chain: periodic snapshots + cheap deltas.
 };
 
 // A read-only summary of a corpus directory (see Corpus::Stats). The
@@ -152,12 +140,10 @@ struct CorpusStats {
   uint64_t manifest_bytes = 0;
   uint64_t entries_bytes = 0;
   uint64_t journal_bytes = 0;
-  uint64_t checkpoint_bytes = 0;  // checkpoint.bin + checkpoints.bin.
+  uint64_t checkpoint_bytes = 0;  // checkpoints.bin.
   uint64_t total_bytes = 0;
   // Checkpoint chain shape: snapshots is 0 or 1 (a snapshot write compacts
-  // the chain), deltas counts records appended since. Monolithic corpora
-  // report snapshots=1, deltas=0 when checkpoint.bin exists.
-  bool segmented = false;
+  // the chain), deltas counts records appended since.
   uint64_t chain_snapshots = 0;
   uint64_t chain_deltas = 0;
   bool complete = false;
@@ -170,7 +156,7 @@ class Corpus {
   // existing manifest is loaded along with the checkpoint, entries, and
   // journal — trimmed back to the checkpoint's high-water marks (see the
   // crash-safety note above). Throws std::runtime_error on corrupt or
-  // version-mismatched files.
+  // version-mismatched files, including a pre-chain checkpoint.bin.
   explicit Corpus(std::string dir);
 
   const std::string& dir() const { return dir_; }
@@ -200,32 +186,23 @@ class Corpus {
   }
 
   // Persists a resume point. The checkpoint's high-water marks must match
-  // the entries/journal already appended. In kSegmented mode (the default)
-  // this writes a full snapshot when the checkpoint is complete, when the
-  // chain has no snapshot yet, or every snapshot_interval-th call — and a
-  // cheap counters-only delta otherwise. In kMonolithic mode it atomically
-  // replaces checkpoint.bin (the v1 format) every time. The in-memory
-  // checkpoint() always reflects the full `checkpoint` passed here,
-  // regardless of what was thinned on disk.
+  // the entries/journal already appended. Writes a full snapshot when the
+  // checkpoint is complete, when the chain has no snapshot yet, or every
+  // snapshot_interval-th call — and a cheap counters-only delta otherwise.
+  // The in-memory checkpoint() always reflects the full `checkpoint` passed
+  // here, regardless of what was thinned on disk.
   void WriteCheckpoint(const CorpusCheckpoint& checkpoint);
   bool has_checkpoint() const { return has_checkpoint_; }
   const CorpusCheckpoint& checkpoint() const;
 
   // Forces the current checkpoint state to be durable as a full snapshot
-  // (no-op when there is no checkpoint, in monolithic mode, or when the
-  // chain is already exactly at the latest checkpoint). Sessions call this
-  // at the end of every run leg so a clean shutdown never loses batches to
-  // the delta window.
+  // (no-op when there is no checkpoint or when the chain is already exactly
+  // at the latest checkpoint). Sessions call this at the end of every run
+  // leg so a clean shutdown never loses batches to the delta window.
   void Sync();
 
-  // Selects the on-disk checkpoint format for subsequent WriteCheckpoint
-  // calls (default kSegmented). Switching to kSegmented on a corpus with a
-  // legacy checkpoint.bin upgrades it at the next snapshot write.
-  void SetCheckpointFormat(CheckpointFormat format) { format_ = format; }
-  CheckpointFormat checkpoint_format() const { return format_; }
-
-  // Every how-many WriteCheckpoint calls a segmented chain takes a full
-  // snapshot (default 8; min 1 = snapshot every time).
+  // Every how-many WriteCheckpoint calls the chain takes a full snapshot
+  // (default 8; min 1 = snapshot every time).
   void SetSnapshotInterval(int every);
 
   // Summarizes the corpus (entry counts, on-disk bytes, checkpoint chain
@@ -243,7 +220,6 @@ class Corpus {
   std::string ManifestPath() const;
   std::string EntriesPath() const;
   std::string JournalPath() const;
-  std::string CheckpointPath() const;
   std::string ChainPath() const;
 
   std::string dir_;
@@ -255,7 +231,6 @@ class Corpus {
   std::vector<std::vector<CorpusCheckpoint::JournalRecord>> journal_;
   std::vector<std::pair<std::string, std::string>> pending_metadata_;
 
-  CheckpointFormat format_ = CheckpointFormat::kSegmented;
   int snapshot_interval_ = 8;
   bool chain_has_snapshot_ = false;  // checkpoints.bin holds a snapshot.
   uint64_t chain_deltas_ = 0;        // Delta records since that snapshot.

@@ -1,6 +1,5 @@
 #include "src/models/zoo.h"
 
-#include <array>
 #include <list>
 #include <map>
 #include <mutex>
@@ -323,21 +322,14 @@ void RegisterPaperDomains() {
 
 }  // namespace domains
 
-const std::string& DomainKey(Domain domain) {
-  static const std::array<std::string, kNumDomains> keys = {"mnist", "imagenet", "driving",
-                                                            "pdf", "drebin"};
-  return keys[static_cast<size_t>(domain)];
+const std::vector<std::string>& PaperDomainKeys() {
+  static const std::vector<std::string> keys = {"mnist", "imagenet", "driving", "pdf",
+                                                "drebin"};
+  return keys;
 }
-
-const std::string& DomainName(Domain domain) { return DomainName(DomainKey(domain)); }
 
 const std::string& DomainName(const std::string& domain_key) {
   return GetDomain(domain_key).display_name;
-}
-
-std::vector<Domain> AllDomains() {
-  return {Domain::kMnist, Domain::kImageNet, Domain::kDriving, Domain::kPdf,
-          Domain::kDrebin};
 }
 
 std::vector<ModelInfo> ZooModels() {
@@ -357,10 +349,6 @@ std::vector<std::string> DomainModelNames(const std::string& domain_key) {
     names.push_back(m.name);
   }
   return names;
-}
-
-std::vector<std::string> DomainModelNames(Domain domain) {
-  return DomainModelNames(DomainKey(domain));
 }
 
 ModelInfo FindModel(const std::string& name) {
@@ -413,9 +401,6 @@ const Dataset& ModelZoo::TestSet(const std::string& domain_key) {
   return CachedDomainSet(domain_key, 1, &DomainTraining::test_samples);
 }
 
-const Dataset& ModelZoo::TrainSet(Domain domain) { return TrainSet(DomainKey(domain)); }
-const Dataset& ModelZoo::TestSet(Domain domain) { return TestSet(DomainKey(domain)); }
-
 Model ModelZoo::Build(const std::string& name, uint64_t seed) {
   return FindModelSpec(name).model->build(seed);
 }
@@ -451,10 +436,6 @@ std::vector<Model> ModelZoo::TrainedDomain(const std::string& domain_key) {
     models.push_back(Trained(m.name));
   }
   return models;
-}
-
-std::vector<Model> ModelZoo::TrainedDomain(Domain domain) {
-  return TrainedDomain(DomainKey(domain));
 }
 
 Model ModelZoo::BuildCustomLenet1(int conv1_filters, int conv2_filters, uint64_t seed) {

@@ -28,26 +28,14 @@
 
 namespace dx {
 
-// DEPRECATED alias layer: the closed enum the registry replaced. It still
-// names the five paper domains so pre-registry call sites (examples/,
-// bench/table*.cc) compile unchanged; new code should use registry keys
-// ("mnist", ...) and src/core/domain.h directly.
-enum class Domain : int { kMnist = 0, kImageNet = 1, kDriving = 2, kPdf = 3, kDrebin = 4 };
+// Registry keys of the five paper domains, Table 1 order: "mnist",
+// "imagenet", "driving", "pdf", "drebin" (the registry may hold more —
+// DomainKeys()).
+const std::vector<std::string>& PaperDomainKeys();
 
-// The paper domains only — the registry may hold more (DomainKeys()).
-inline constexpr int kNumDomains = 5;
-
-// Registry key of a legacy enum value ("mnist", "imagenet", "driving",
-// "pdf", "drebin").
-const std::string& DomainKey(Domain domain);
-
-// Paper-style dataset label: "MNIST", "ImageNet", "Driving", "VirusTotal",
-// "Drebin" for the enum; any registered domain's display name by key.
-const std::string& DomainName(Domain domain);
+// Paper-style dataset label of a registered domain: "MNIST", "ImageNet",
+// "Driving", "VirusTotal", "Drebin", ...
 const std::string& DomainName(const std::string& domain_key);
-
-// The five paper domains, Table 1 order (deprecated; registry holds more).
-std::vector<Domain> AllDomains();
 
 struct ModelInfo {
   std::string name;        // e.g. "MNI_C1"
@@ -61,7 +49,6 @@ struct ModelInfo {
 std::vector<ModelInfo> ZooModels();
 // The model names of one domain.
 std::vector<std::string> DomainModelNames(const std::string& domain_key);
-std::vector<std::string> DomainModelNames(Domain domain);
 // Info lookup across all registered domains; throws std::out_of_range for
 // unknown names.
 ModelInfo FindModel(const std::string& name);
@@ -71,8 +58,6 @@ class ModelZoo {
   // Deterministic shared datasets (generated once per process per domain).
   static const Dataset& TrainSet(const std::string& domain_key);
   static const Dataset& TestSet(const std::string& domain_key);
-  static const Dataset& TrainSet(Domain domain);
-  static const Dataset& TestSet(Domain domain);
 
   // Freshly initialized (untrained) model by zoo name.
   static Model Build(const std::string& name, uint64_t seed);
@@ -82,7 +67,6 @@ class ModelZoo {
 
   // All trained models of a domain.
   static std::vector<Model> TrainedDomain(const std::string& domain_key);
-  static std::vector<Model> TrainedDomain(Domain domain);
 
   // LeNet-1 with custom conv filter counts / training-set size / epochs —
   // used by the Table 12 model-similarity experiment.

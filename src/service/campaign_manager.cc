@@ -90,8 +90,7 @@ uint64_t CampaignManager::Submit(CampaignSpec spec) {
       throw std::invalid_argument("submit: seeds must be >= 1");
     }
     if (spec.sync_interval < 1) {
-      throw std::invalid_argument(
-          "submit: the service requires sync batches (sync_interval >= 1)");
+      throw std::invalid_argument("submit: sync_interval must be >= 1");
     }
   }
   bool fresh_dir_initialized = false;

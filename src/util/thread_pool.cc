@@ -106,8 +106,11 @@ void ThreadPool::RunChunk(ChunkTask* task) {
       ctx->first_error = std::current_exception();
     }
   }
+  // Decrement under done_mutex: the caller may return (destroying ctx, which
+  // lives on its stack) as soon as it sees remaining == 0, so the last
+  // chunk must not touch ctx after releasing the lock.
+  std::lock_guard<std::mutex> done_lock(ctx->done_mutex);
   if (ctx->remaining.fetch_sub(1) == 1) {
-    std::lock_guard<std::mutex> done_lock(ctx->done_mutex);
     ctx->done_cv.notify_all();
   }
 }

@@ -326,8 +326,8 @@ TEST_F(BatchSessionTest, EachSeedModelIterationForwardsExactlyOnce) {
     for (Model* m : ModelPtrs()) {
       m->ResetForwardPasses();
     }
-    const auto result = session.GenerateFromSeed((*seeds_)[i], static_cast<int>(i));
-    if (!result.has_value()) {
+    const RunStats stats = session.Run({(*seeds_)[i]}, RunOptions{});
+    if (stats.tests.empty()) {
       continue;
     }
     ++checked;
@@ -335,7 +335,7 @@ TEST_F(BatchSessionTest, EachSeedModelIterationForwardsExactlyOnce) {
     // the objective gradient, the difference check, and the coverage update
     // all consumed the same shared trace.
     for (Model* m : ModelPtrs()) {
-      EXPECT_EQ(m->forward_passes(), result->iterations + 1)
+      EXPECT_EQ(m->forward_passes(), stats.tests[0].iterations + 1)
           << m->name() << " seed " << i;
     }
   }

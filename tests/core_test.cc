@@ -1,19 +1,22 @@
-// DeepXplore engine tests on small, quickly trained models: objective
-// gradients, Algorithm 1's inner loop, difference predicates, coverage
-// updates, and the Run driver.
+// Engine tests on small, quickly trained models: objective gradients,
+// Algorithm 1's inner loop, difference predicates, coverage updates,
+// Session::Run, and agreement with the Algorithm 1 reference loop
+// (tests/reference/algorithm1.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
 #include "src/constraints/constraint.h"
-#include "src/core/deepxplore.h"
+#include "src/core/session.h"
 #include "src/data/dataset.h"
 #include "src/models/trainer.h"
 #include "src/nn/dense.h"
 #include "src/nn/model.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
+#include "tests/reference/algorithm1.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -43,6 +46,44 @@ Model MakeToyClassifier(const std::string& name, int hidden, uint64_t seed) {
   m.Emplace<Dense>(hidden, 2).InitParams(rng);
   m.Emplace<SoftmaxLayer>();
   return m;
+}
+
+// Seeds near (but not on) the shared decision boundary, where gradient
+// ascent has room to separate the three models.
+std::vector<Tensor> BoundarySeeds(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> seeds;
+  while (static_cast<int>(seeds.size()) < n) {
+    Tensor x({2});
+    x[0] = rng.NextFloat();
+    x[1] = rng.NextFloat();
+    const float margin = std::abs(x[0] - x[1]);
+    if (margin > 0.1f && margin < 0.3f) {
+      seeds.push_back(std::move(x));
+    }
+  }
+  return seeds;
+}
+
+// In 2-D with three near-identical decision boundaries, the keep-consensus
+// terms of Equation 2 dominate at lambda1 = 1 (they outnumber the push term
+// 2:1), so the toy setting needs lambda1 > n - 1; the paper likewise tunes
+// lambda1 per dataset (Table 10).
+SessionConfig ToyConfig(uint64_t rng_seed) {
+  SessionConfig config;
+  config.engine.lambda1 = 2.5f;
+  config.engine.step = 0.05f;
+  config.engine.max_iterations_per_seed = 150;
+  config.engine.rng_seed = rng_seed;
+  return config;
+}
+
+reference::Metrics FreshMetrics(std::vector<Model>& models, const CoverageOptions& options) {
+  reference::Metrics metrics;
+  for (Model& m : models) {
+    metrics.push_back(MakeCoverageMetric("neuron", m, options));
+  }
+  return metrics;
 }
 
 class DeepXploreToyTest : public ::testing::Test {
@@ -78,6 +119,16 @@ class DeepXploreToyTest : public ::testing::Test {
     return ptrs;
   }
 
+  // The oracle's view of a session over the toy trio.
+  reference::Setup ReferenceSetup(const EngineConfig& engine, const Objective& objective) {
+    reference::Setup setup;
+    setup.models = ModelPtrs();
+    setup.constraint = &constraint_;
+    setup.objective = &objective;
+    setup.engine = engine;
+    return setup;
+  }
+
   static Dataset* train_;
   static std::vector<Model>* models_;
   UnconstrainedImage constraint_;
@@ -87,37 +138,44 @@ Dataset* DeepXploreToyTest::train_ = nullptr;
 std::vector<Model>* DeepXploreToyTest::models_ = nullptr;
 
 TEST_F(DeepXploreToyTest, ConstructorValidation) {
-  DeepXploreConfig cfg;
+  const SessionConfig cfg;
   auto ptrs = ModelPtrs();
-  EXPECT_THROW(DeepXplore({ptrs[0]}, &constraint_, cfg), std::invalid_argument);
-  EXPECT_THROW(DeepXplore(ptrs, nullptr, cfg), std::invalid_argument);
+  EXPECT_THROW(Session({ptrs[0]}, &constraint_, cfg), std::invalid_argument);
+  EXPECT_THROW(Session(ptrs, nullptr, cfg), std::invalid_argument);
   Model other("odd", {3});
   Rng rng(1);
   other.Emplace<Dense>(3, 2).InitParams(rng);
   other.Emplace<SoftmaxLayer>();
-  EXPECT_THROW(DeepXplore({ptrs[0], &other}, &constraint_, cfg), std::invalid_argument);
+  EXPECT_THROW(Session({ptrs[0], &other}, &constraint_, cfg), std::invalid_argument);
+  SessionConfig no_sync = cfg;
+  no_sync.sync_interval = 0;
+  EXPECT_THROW(Session(ptrs, &constraint_, no_sync), std::invalid_argument);
+  SessionConfig no_batch = cfg;
+  no_batch.batch_size = 0;
+  EXPECT_THROW(Session(ptrs, &constraint_, no_batch), std::invalid_argument);
 }
 
 TEST_F(DeepXploreToyTest, ClassifiersAreNotRegression) {
-  DeepXplore engine(ModelPtrs(), &constraint_, DeepXploreConfig{});
-  EXPECT_FALSE(engine.regression());
-  EXPECT_EQ(engine.num_models(), 3);
+  const Session session(ModelPtrs(), &constraint_, SessionConfig{});
+  EXPECT_FALSE(session.regression());
+  EXPECT_EQ(session.num_models(), 3);
 }
 
 TEST_F(DeepXploreToyTest, PredictionsAndDifferencePredicate) {
-  DeepXplore engine(ModelPtrs(), &constraint_, DeepXploreConfig{});
+  const Session session(ModelPtrs(), &constraint_, SessionConfig{});
   // A point deep inside class 0 territory: everyone agrees.
   Tensor easy({2}, std::vector<float>{0.9f, 0.1f});
-  const auto labels = engine.PredictLabels(easy);
+  const auto labels = session.PredictLabels(easy);
   EXPECT_EQ(labels.size(), 3u);
   EXPECT_EQ(labels[0], 0);
-  EXPECT_FALSE(engine.IsDifference(easy));
+  EXPECT_FALSE(session.IsDifference(easy));
 }
 
 TEST_F(DeepXploreToyTest, JointGradientIncreasesObjective) {
-  DeepXploreConfig cfg;
+  EngineConfig cfg;
   cfg.lambda2 = 0.0f;  // Isolate obj1.
-  DeepXplore engine(ModelPtrs(), &constraint_, cfg);
+  const auto joint = MakeJointObjective();
+  const reference::Setup setup = ReferenceSetup(cfg, *joint);
   Tensor x({2}, std::vector<float>{0.7f, 0.3f});
   const int c = (*models_)[0].PredictClass(x);
   const int j = 1;
@@ -132,90 +190,110 @@ TEST_F(DeepXploreToyTest, JointGradientIncreasesObjective) {
   };
 
   const double before = obj1(x);
-  Tensor grad = engine.JointGradient(x, j, c);
+  Rng rng(1);
+  const reference::Metrics metrics = FreshMetrics(*models_, cfg.coverage);
+  Tensor grad = reference::ObjectiveGradient(setup, x, j, c, rng, metrics);
   ASSERT_GT(grad.L2Norm(), 0.0f);
   Tensor stepped = x;
   stepped.Axpy(0.01f / grad.L2Norm(), grad);
   EXPECT_GT(obj1(stepped), before);
 }
 
-TEST_F(DeepXploreToyTest, GenerateFromSeedFindsDifference) {
-  DeepXploreConfig cfg;
-  // In 2-D with three near-identical decision boundaries, the keep-consensus
-  // terms of Equation 2 dominate at lambda1 = 1 (they outnumber the push
-  // term 2:1), so the toy setting needs lambda1 > n - 1; the paper likewise
-  // tunes lambda1 per dataset (Table 10).
-  cfg.lambda1 = 2.5f;
-  cfg.step = 0.05f;
-  cfg.lambda2 = 0.1f;
-  cfg.max_iterations_per_seed = 200;
-  cfg.rng_seed = 5;
-  DeepXplore engine(ModelPtrs(), &constraint_, cfg);
+TEST_F(DeepXploreToyTest, SingleSeedFindsDifference) {
+  SessionConfig cfg = ToyConfig(2);
+  cfg.engine.max_iterations_per_seed = 200;
+  Session session(ModelPtrs(), &constraint_, cfg);
   // A seed near the decision boundary but with consensus.
-  Tensor seed({2}, std::vector<float>{0.60f, 0.40f});
-  ASSERT_FALSE(engine.IsDifference(seed));
-  const auto test = engine.GenerateFromSeed(seed, 0);
-  ASSERT_TRUE(test.has_value());
-  EXPECT_TRUE(engine.IsDifference(test->input));
-  EXPECT_GE(test->iterations, 1);
-  EXPECT_EQ(test->labels.size(), 3u);
+  const std::vector<Tensor> seeds = {Tensor({2}, std::vector<float>{0.60f, 0.40f})};
+  ASSERT_FALSE(session.IsDifference(seeds[0]));
+  const RunStats stats = session.Run(seeds, RunOptions{});
+  ASSERT_EQ(stats.tests.size(), 1u);
+  const GeneratedTest& test = stats.tests[0];
+  EXPECT_TRUE(session.IsDifference(test.input));
+  EXPECT_GE(test.iterations, 1);
+  EXPECT_EQ(test.labels.size(), 3u);
   // Deviating model really is in the minority.
   int agree = 0;
-  for (const int l : test->labels) {
-    agree += l == test->labels[static_cast<size_t>(test->deviating_model)] ? 1 : 0;
+  for (const int l : test.labels) {
+    agree += l == test.labels[static_cast<size_t>(test.deviating_model)] ? 1 : 0;
   }
   EXPECT_EQ(agree, 1);
   // Inputs stay in the valid domain.
-  EXPECT_GE(test->input.Min(), 0.0f);
-  EXPECT_LE(test->input.Max(), 1.0f);
+  EXPECT_GE(test.input.Min(), 0.0f);
+  EXPECT_LE(test.input.Max(), 1.0f);
   // Coverage updated.
-  EXPECT_GT(engine.MeanCoverage(), 0.0f);
+  EXPECT_GT(session.MeanCoverage(), 0.0f);
 }
 
 TEST_F(DeepXploreToyTest, RunGeneratesManyTestsAndRespectsBudget) {
-  DeepXploreConfig cfg;
-  cfg.lambda1 = 2.5f;
-  cfg.step = 0.05f;
-  cfg.max_iterations_per_seed = 150;
-  cfg.rng_seed = 9;
-  DeepXplore engine(ModelPtrs(), &constraint_, cfg);
-
-  // Seeds near (but not on) the shared decision boundary, where gradient
-  // ascent has room to separate the three models.
-  Rng rng(10);
-  std::vector<Tensor> seeds;
-  while (seeds.size() < 40) {
-    Tensor x({2});
-    x[0] = rng.NextFloat();
-    x[1] = rng.NextFloat();
-    const float margin = std::abs(x[0] - x[1]);
-    if (margin > 0.1f && margin < 0.3f) {
-      seeds.push_back(std::move(x));
-    }
-  }
+  Session session(ModelPtrs(), &constraint_, ToyConfig(2));
   RunOptions opts;
   opts.max_tests = 5;
-  const RunStats stats = engine.Run(seeds, opts);
+  const RunStats stats = session.Run(BoundarySeeds(40, 10), opts);
   EXPECT_EQ(static_cast<int>(stats.tests.size()), 5);
   EXPECT_GT(stats.total_iterations, 0);
   EXPECT_LE(stats.seeds_tried, 40);
   for (const GeneratedTest& t : stats.tests) {
-    EXPECT_TRUE(engine.IsDifference(t.input));
+    EXPECT_TRUE(session.IsDifference(t.input));
   }
 }
 
 TEST_F(DeepXploreToyTest, LambdaTwoZeroDisablesCoverageObjective) {
-  DeepXploreConfig cfg;
+  EngineConfig cfg;
   cfg.lambda2 = 0.0f;
-  cfg.step = 0.05f;
-  cfg.rng_seed = 3;
-  DeepXplore engine(ModelPtrs(), &constraint_, cfg);
+  const auto joint = MakeJointObjective();
+  const reference::Setup setup = ReferenceSetup(cfg, *joint);
+  const reference::Metrics metrics = FreshMetrics(*models_, cfg.coverage);
   // Gradient must be identical on repeated calls (no stochastic neuron pick).
+  Rng rng(3);
   Tensor x({2}, std::vector<float>{0.55f, 0.45f});
-  const Tensor g1 = engine.JointGradient(x, 0, 0);
-  const Tensor g2 = engine.JointGradient(x, 0, 0);
+  const Tensor g1 = reference::ObjectiveGradient(setup, x, 0, 0, rng, metrics);
+  const Tensor g2 = reference::ObjectiveGradient(setup, x, 0, 0, rng, metrics);
   for (int64_t i = 0; i < g1.numel(); ++i) {
     EXPECT_FLOAT_EQ(g1[i], g2[i]);
+  }
+}
+
+// The engine must agree with the paper's Algorithm 1 run seed by seed: the
+// same seeds yield tests after the same iteration counts, with the same
+// predictions, and the final coverage matches. Only the kernels' float
+// accumulation order differs, so inputs match within kernel tolerance.
+void ExpectMatchesReference(const RunStats& got, const RunStats& want) {
+  ASSERT_GT(want.tests.size(), 0u);
+  ASSERT_EQ(got.tests.size(), want.tests.size());
+  EXPECT_EQ(got.seeds_tried, want.seeds_tried);
+  EXPECT_EQ(got.seeds_skipped, want.seeds_skipped);
+  EXPECT_EQ(got.total_iterations, want.total_iterations);
+  EXPECT_FLOAT_EQ(got.mean_coverage, want.mean_coverage);
+  for (size_t i = 0; i < want.tests.size(); ++i) {
+    const GeneratedTest& g = got.tests[i];
+    const GeneratedTest& w = want.tests[i];
+    EXPECT_EQ(g.seed_index, w.seed_index) << "test " << i;
+    EXPECT_EQ(g.task_ordinal, w.task_ordinal) << "test " << i;
+    EXPECT_EQ(g.iterations, w.iterations) << "test " << i;
+    EXPECT_EQ(g.deviating_model, w.deviating_model) << "test " << i;
+    EXPECT_EQ(g.labels, w.labels) << "test " << i;
+    EXPECT_EQ(g.outputs.size(), w.outputs.size()) << "test " << i;
+    testing::ExpectTensorsNear(g.input, w.input, testing::kKernelBackwardTolerance,
+                               "test " + std::to_string(i) + " input");
+  }
+}
+
+TEST_F(DeepXploreToyTest, SessionAgreesWithAlgorithm1Reference) {
+  const std::vector<Tensor> seeds = BoundarySeeds(24, 10);
+  const auto joint = MakeJointObjective();
+  for (const int sync_interval : {1, 8}) {
+    SCOPED_TRACE("sync_interval=" + std::to_string(sync_interval));
+    SessionConfig config = ToyConfig(9);
+    config.sync_interval = sync_interval;
+    config.batch_size = 4;
+    Session session(ModelPtrs(), &constraint_, config);
+    const RunStats got = session.Run(seeds, RunOptions{});
+
+    reference::Metrics metrics = FreshMetrics(*models_, config.engine.coverage);
+    const RunStats want = reference::Run(ReferenceSetup(config.engine, *joint), seeds,
+                                         sync_interval, metrics);
+    ExpectMatchesReference(got, want);
   }
 }
 
@@ -263,24 +341,42 @@ TEST(DeepXploreRegressionTest, FindsSteeringDisagreements) {
   }
 
   UnconstrainedImage constraint;
-  DeepXploreConfig cfg;
-  cfg.step = 0.03f;
-  cfg.steering_eps = 0.1f;
-  cfg.max_iterations_per_seed = 300;
-  cfg.rng_seed = 21;
-  DeepXplore engine({&models[0], &models[1]}, &constraint, cfg);
-  EXPECT_TRUE(engine.regression());
+  SessionConfig cfg;
+  cfg.engine.step = 0.03f;
+  cfg.engine.steering_eps = 0.1f;
+  cfg.engine.max_iterations_per_seed = 300;
+  cfg.engine.rng_seed = 21;
+  Session session({&models[0], &models[1]}, &constraint, cfg);
+  EXPECT_TRUE(session.regression());
 
-  int found = 0;
-  for (int i = 0; i < 20 && found == 0; ++i) {
-    const auto test = engine.GenerateFromSeed(train.inputs[static_cast<size_t>(i)], i);
-    if (test.has_value()) {
-      ++found;
-      ASSERT_EQ(test->outputs.size(), 2u);
-      EXPECT_GT(std::abs(test->outputs[0] - test->outputs[1]), cfg.steering_eps);
-    }
+  const std::vector<Tensor> seeds(train.inputs.begin(), train.inputs.begin() + 20);
+  const RunStats stats = session.Run(seeds, RunOptions{});
+  ASSERT_GT(stats.tests.size(), 0u) << "no steering disagreement found in 20 seeds";
+  for (const GeneratedTest& test : stats.tests) {
+    ASSERT_EQ(test.outputs.size(), 2u);
+    EXPECT_GT(std::abs(test.outputs[0] - test.outputs[1]), cfg.engine.steering_eps);
   }
-  EXPECT_GT(found, 0) << "no steering disagreement found in 20 seeds";
+
+  // The regression predicate agrees with the reference. (With two models
+  // both sit equally far from their mean, so the deviator is decided by
+  // rounding and is not compared.)
+  const auto joint = MakeJointObjective();
+  reference::Setup setup;
+  setup.models = {&models[0], &models[1]};
+  setup.constraint = &constraint;
+  setup.objective = joint.get();
+  setup.engine = cfg.engine;
+  setup.regression = true;
+  reference::Metrics metrics = FreshMetrics(models, cfg.engine.coverage);
+  const RunStats want = reference::Run(setup, seeds, cfg.sync_interval, metrics);
+  ASSERT_EQ(stats.tests.size(), want.tests.size());
+  EXPECT_EQ(stats.total_iterations, want.total_iterations);
+  for (size_t i = 0; i < want.tests.size(); ++i) {
+    EXPECT_EQ(stats.tests[i].seed_index, want.tests[i].seed_index);
+    EXPECT_EQ(stats.tests[i].iterations, want.tests[i].iterations);
+    testing::ExpectTensorsNear(stats.tests[i].input, want.tests[i].input,
+                               testing::kKernelBackwardTolerance, "regression input");
+  }
 }
 
 }  // namespace

@@ -354,7 +354,7 @@ TEST(CorpusDeduperRegistry, L2AndFeatureBoxClassifyNearAndFarInputs) {
 
 // ---- Segmented checkpoints ---------------------------------------------------------------
 
-TEST_F(MaintenanceTest, SegmentedResumeBitIdenticalToMonolithic) {
+TEST_F(MaintenanceTest, ResumeEveryBatchIsBitIdentical) {
   RunStats reference;
   {
     UnconstrainedImage constraint;
@@ -363,49 +363,34 @@ TEST_F(MaintenanceTest, SegmentedResumeBitIdenticalToMonolithic) {
     ASSERT_GT(reference.tests.size(), 0u);
   }
 
-  // Interrupt after every sync batch in BOTH formats, resuming each leg with
-  // a different worker count and batch size.
-  auto run_legs = [&](const std::string& dir, CheckpointFormat format) {
-    RunStats final_stats;
-    for (int legs = 0;; ++legs) {
-      EXPECT_LT(legs, 64) << "campaign did not converge";
-      SessionConfig config = BaseConfig();
-      config.workers = (legs % 2 == 0) ? 1 : 4;
-      config.batch_size = (legs % 3) + 1;
-      UnconstrainedImage constraint;
-      Session session(ModelPtrs(), &constraint, config);
-      Corpus corpus(dir);
-      corpus.SetCheckpointFormat(format);
-      corpus.SetSnapshotInterval(2);
-      RunOptions options = Bounds();
-      options.max_sync_batches = 1;
-      final_stats = session.Run(*seeds_, options, &corpus);
-      if (corpus.checkpoint().complete) {
-        return final_stats;
-      }
+  // Interrupt after every sync batch, resuming each leg with a different
+  // worker count and batch size.
+  const std::string dir = TempCorpusDir("legs");
+  RunStats final_stats;
+  for (int legs = 0;; ++legs) {
+    ASSERT_LT(legs, 64) << "campaign did not converge";
+    SessionConfig config = BaseConfig();
+    config.workers = (legs % 2 == 0) ? 1 : 4;
+    config.batch_size = (legs % 3) + 1;
+    UnconstrainedImage constraint;
+    Session session(ModelPtrs(), &constraint, config);
+    Corpus corpus(dir);
+    corpus.SetSnapshotInterval(2);
+    RunOptions options = Bounds();
+    options.max_sync_batches = 1;
+    final_stats = session.Run(*seeds_, options, &corpus);
+    if (corpus.checkpoint().complete) {
+      break;
     }
-  };
+  }
+  ExpectSameResults(final_stats, reference);
 
-  const std::string mono_dir = TempCorpusDir("mono");
-  const std::string seg_dir = TempCorpusDir("seg");
-  const RunStats mono = run_legs(mono_dir, CheckpointFormat::kMonolithic);
-  const RunStats seg = run_legs(seg_dir, CheckpointFormat::kSegmented);
-  ExpectSameResults(mono, reference);
-  ExpectSameResults(seg, reference);
-
-  // The v1 monolithic corpus (legacy format) still opens and reports its
-  // checkpoint as a single pseudo-snapshot; the segmented chain holds one
-  // compacted snapshot after the final Sync.
-  const CorpusStats mono_stats = Corpus(mono_dir).Stats();
-  EXPECT_FALSE(mono_stats.segmented);
-  EXPECT_EQ(mono_stats.chain_snapshots, 1u);
-  EXPECT_TRUE(mono_stats.complete);
-  const CorpusStats seg_stats = Corpus(seg_dir).Stats();
-  EXPECT_TRUE(seg_stats.segmented);
-  EXPECT_EQ(seg_stats.chain_snapshots, 1u);
-  EXPECT_EQ(seg_stats.chain_deltas, 0u);
-  EXPECT_TRUE(seg_stats.complete);
-  EXPECT_EQ(mono_stats.num_entries, seg_stats.num_entries);
+  // The chain holds one compacted snapshot after the final Sync.
+  const CorpusStats stats = Corpus(dir).Stats();
+  EXPECT_EQ(stats.chain_snapshots, 1u);
+  EXPECT_EQ(stats.chain_deltas, 0u);
+  EXPECT_TRUE(stats.complete);
+  EXPECT_EQ(stats.num_entries, reference.tests.size());
 }
 
 TEST_F(MaintenanceTest, TruncatedChainTrimsToLastSnapshotAndResumesBitIdentically) {
@@ -513,7 +498,7 @@ TEST_F(MaintenanceTest, StatsSummarizeEntriesChainAndManifest) {
   EXPECT_EQ(stats.num_entries, recorded.tests.size());
   EXPECT_EQ(stats.num_seeds, seeds_->size());
   EXPECT_EQ(stats.journal_batches, corpus.journal().size());
-  EXPECT_TRUE(stats.segmented);
+  EXPECT_EQ(stats.chain_snapshots, 1u);
   EXPECT_TRUE(stats.complete);
   EXPECT_FLOAT_EQ(stats.mean_coverage, recorded.mean_coverage);
   ASSERT_EQ(stats.entries_per_model.size(), 3u);

@@ -367,13 +367,18 @@ TEST_F(CorpusTest, MismatchedConfigIsRejected) {
   EXPECT_THROW(diff_constraint.Run(*seeds_, Bounds(), &corpus), std::invalid_argument);
 }
 
-TEST_F(CorpusTest, LegacySerialModeCannotRecord) {
-  SessionConfig config = BaseConfig();
-  config.sync_interval = 0;
-  UnconstrainedImage constraint;
-  Session session(ModelPtrs(), &constraint, config);
-  Corpus corpus(TempCorpusDir("legacy"));
-  EXPECT_THROW(session.Run(*seeds_, Bounds(), &corpus), std::invalid_argument);
+TEST_F(CorpusTest, PreChainCheckpointIsRejected) {
+  // A corpus whose resume point is a pre-chain checkpoint.bin must fail to
+  // open rather than silently drop its entries as checkpoint-less.
+  const std::string dir = TempCorpusDir("prechain");
+  {
+    UnconstrainedImage constraint;
+    Session session(ModelPtrs(), &constraint, BaseConfig());
+    Corpus corpus(dir);
+    session.Run(*seeds_, Bounds(), &corpus);
+  }
+  std::ofstream(dir + "/checkpoint.bin") << "v1";
+  EXPECT_THROW(Corpus{dir}, std::runtime_error);
 }
 
 // ---- Coverage snapshot round trip --------------------------------------------------------

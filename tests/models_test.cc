@@ -34,10 +34,6 @@ TEST(ZooRegistryTest, ThreeModelsPerBuiltinDomain) {
        {"mnist", "imagenet", "driving", "pdf", "drebin", "speech", "tabular"}) {
     EXPECT_EQ(DomainModelNames(key).size(), 3u) << key;
   }
-  // The deprecated enum overloads keep answering for the paper domains.
-  for (const Domain d : AllDomains()) {
-    EXPECT_EQ(DomainModelNames(d), DomainModelNames(DomainKey(d)));
-  }
 }
 
 TEST(ZooRegistryTest, FindModelResolvesAndThrows) {
@@ -50,13 +46,13 @@ TEST(ZooRegistryTest, FindModelResolvesAndThrows) {
 }
 
 TEST(ZooRegistryTest, DomainNames) {
-  EXPECT_EQ(DomainName(Domain::kMnist), "MNIST");
-  EXPECT_EQ(DomainName(Domain::kPdf), "VirusTotal");
+  EXPECT_EQ(DomainName("mnist"), "MNIST");
+  EXPECT_EQ(DomainName("pdf"), "VirusTotal");
   EXPECT_EQ(DomainName("speech"), "Speech");
-  EXPECT_EQ(DomainKey(Domain::kPdf), "pdf");
-  EXPECT_EQ(AllDomains().size(), static_cast<size_t>(kNumDomains));
+  EXPECT_EQ(PaperDomainKeys(),
+            (std::vector<std::string>{"mnist", "imagenet", "driving", "pdf", "drebin"}));
   // The registry holds the paper domains plus the out-of-paper ones.
-  EXPECT_GE(DomainKeys().size(), AllDomains().size() + 2);
+  EXPECT_GE(DomainKeys().size(), PaperDomainKeys().size() + 2);
 }
 
 // ---- Builders ----------------------------------------------------------------------------

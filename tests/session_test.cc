@@ -1,6 +1,6 @@
 // Session engine tests: parallel worker determinism (workers=4 must equal
-// workers=1 exactly for a fixed seed), metric/objective/scheduler plug-in
-// wiring, and the DeepXplore facade over the session.
+// workers=1 exactly for a fixed seed) and metric/objective/scheduler plug-in
+// wiring.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "src/baselines/adversarial.h"
 #include "src/baselines/random_testing.h"
 #include "src/constraints/constraint.h"
-#include "src/core/deepxplore.h"
 #include "src/core/session.h"
 #include "src/coverage/kmultisection_coverage.h"
 #include "src/data/dataset.h"
@@ -247,24 +246,6 @@ TEST_F(SessionToyTest, InvalidPluginNamesThrow) {
   config = ToyConfig();
   config.scheduler = "no-such-scheduler";
   EXPECT_THROW(Session(ptrs, &constraint_, config), std::invalid_argument);
-  // Legacy serial mode is incompatible with parallel workers.
-  config = ToyConfig();
-  config.sync_interval = 0;
-  config.workers = 4;
-  EXPECT_THROW(Session(ptrs, &constraint_, config), std::invalid_argument);
-}
-
-TEST_F(SessionToyTest, FacadeExposesItsSession) {
-  DeepXploreConfig config;
-  config.lambda1 = 2.5f;
-  config.step = 0.05f;
-  config.rng_seed = 9;
-  DeepXplore engine(ModelPtrs(), &constraint_, config);
-  EXPECT_EQ(engine.session().config().metric, "neuron");
-  EXPECT_EQ(engine.session().config().objective, "joint");
-  EXPECT_EQ(engine.num_models(), 3);
-  // The facade's tracker() downcast targets the session's "neuron" metric.
-  EXPECT_EQ(engine.tracker(0).total_neurons(), engine.session().metric(0).total_items());
 }
 
 }  // namespace

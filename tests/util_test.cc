@@ -250,6 +250,19 @@ TEST(ThreadPoolTest, ConcurrentIndependentParallelForsShareOnePool) {
   EXPECT_EQ(sum.load(), 4 * 5050);
 }
 
+// Regression test for the loop-completion race: the worker finishing the
+// last chunk used to lock the caller's stack-held completion mutex after the
+// caller could already have returned. Many short loops make that window
+// likely; the ThreadSanitizer job reports it as a data race.
+TEST(ThreadPoolTest, BackToBackShortLoopsComplete) {
+  ThreadPool pool(3);
+  std::atomic<int64_t> sum{0};
+  for (int r = 0; r < 20000; ++r) {
+    pool.ParallelFor(4, [&](int64_t i) { sum.fetch_add(i, std::memory_order_relaxed); });
+  }
+  EXPECT_EQ(sum.load(), 20000 * 6);
+}
+
 // ---- Image IO ----------------------------------------------------------------------------
 
 TEST(ImageIoTest, PgmRoundTrip) {

@@ -297,7 +297,6 @@ int CorpusMain(int argc, char** argv) {
     }
     table.AddRow({"seeds", std::to_string(s.num_seeds)});
     table.AddRow({"journal batches", std::to_string(s.journal_batches)});
-    table.AddRow({"checkpoint format", s.segmented ? "segmented chain" : "monolithic"});
     table.AddRow({"chain snapshots", std::to_string(s.chain_snapshots)});
     table.AddRow({"chain deltas", std::to_string(s.chain_deltas)});
     table.AddRow({"complete", s.complete ? "yes" : "no (resumable)"});
@@ -656,16 +655,14 @@ int Main(int argc, char** argv) {
     } else {
       std::cerr << "replay DIVERGED: " << result.mismatch << "\n";
     }
-  } else if (corpus != nullptr) {
-    if (!corpus->initialized()) {
+  } else {
+    if (corpus != nullptr && !corpus->initialized()) {
       // Registry keys, not CLI aliases: "default" was resolved above, so a
       // later resume/replay rebuilds the exact same constraint by key.
       corpus->SetMetadata("domain", domain.key);
       corpus->SetMetadata("constraint", constraint_key);
     }
     stats = engine.Run(pool, opts, corpus.get());
-  } else {
-    stats = engine.Run(pool, opts);
   }
 
   if (!out_dir.empty()) {
