@@ -1,17 +1,14 @@
 // Steady-state execution-plan throughput: the compiled zero-allocation path
-// (Model::Compile + plan-backed ForwardBatch / BackwardInputBatch /
-// BackwardSample) against the allocating by-value API, on one conv-heavy
-// model (MNI_C1) and one dense-heavy model (PDF_C1). Ops: "forward",
-// "forward+backward", and "backward" (gradient sweep alone over warm
-// activations — the gradient-ascent inner-loop shape).
+// (Model::Compile + ExecutionPlan::ForwardBatch / BackwardInputBatch) on one
+// conv-heavy model (MNI_C1) and one dense-heavy model (PDF_C1). Ops:
+// "forward", "forward+backward", and "backward" (gradient sweep alone over
+// warm activations — the gradient-ascent inner-loop shape).
 //
-// This is the bench behind the PR-4 refactor: once the plan is warm, an
-// iteration touches only pre-sized slabs and arena scratch — and since the
-// SIMD/GEMM kernel rewrite, the plan path also runs the im2col+GEMM kernels
-// while the by-value path stays on the scalar oracle. The two paths are
-// checked inline before timing under the same ULP/abs tolerances the test
-// suite uses (they accumulate in different orders, so bit-identity is not
-// the contract here).
+// Once the plan is warm, an iteration touches only pre-sized slabs and arena
+// scratch, and runs the im2col+GEMM kernels. Before timing, the plan is
+// checked inline against the per-sample scalar oracle (Model::Forward /
+// BackwardInput) under the same ULP/abs tolerances the test suite uses (they
+// accumulate in different orders, so bit-identity is not the contract here).
 //
 // Emits a JSON record (stdout and <artifact dir>/plan_steady_state.json);
 // the checked-in baseline lives at bench/baselines/plan_steady_state.json.
@@ -53,11 +50,9 @@ const char* OpName(Op op) {
 
 struct Row {
   std::string model;
-  std::string op;           // "forward", "forward+backward", or "backward"
+  std::string op;         // "forward", "forward+backward", or "backward"
   int batch = 8;
-  double byvalue_sps = 0.0;  // samples/sec, allocating by-value API
-  double plan_sps = 0.0;     // samples/sec, compiled plan
-  double speedup = 0.0;
+  double plan_sps = 0.0;  // samples/sec, compiled plan
 };
 
 // Minimal mirror of the test suite's ULP/abs tolerance check (the bench can
@@ -97,28 +92,31 @@ Row BenchOne(const Model& model, int batch, Op op, int reps) {
   ExecutionPlan plan = model.Compile(batch);
 
   // Correctness before timing: the plan (GEMM/SIMD) path must reproduce the
-  // by-value scalar oracle within the kernel tolerances (forward 512 ULP /
+  // per-sample scalar oracle within the kernel tolerances (forward 512 ULP /
   // 1e-5 abs, backward 8192 ULP / 1e-4 abs — see tests/test_util.h).
   {
-    const BatchTrace want = model.ForwardBatch(stacked);
-    const BatchTrace& got = model.ForwardBatch(stacked, plan);
-    for (int l = 0; l < model.num_layers(); ++l) {
-      const Tensor& g = got.outputs[static_cast<size_t>(l)];
-      const Tensor& w = want.outputs[static_cast<size_t>(l)];
-      if (g.numel() != w.numel() ||
-          !BuffersNear(g.data(), w.data(), w.numel(), 512, 1e-5f)) {
-        std::cerr << "ERROR: plan forward diverges from by-value (" << model.name()
-                  << ", layer " << l << ")\n";
+    const BatchTrace& got = plan.ForwardBatch(stacked, batch);
+    const Tensor& got_g = plan.BackwardInputBatch(last, seed);
+    for (int b = 0; b < batch; ++b) {
+      const ForwardTrace want = model.Forward(SliceSample(stacked, b));
+      for (int l = 0; l < model.num_layers(); ++l) {
+        const Tensor g = got.SampleOutput(l, b);
+        const Tensor& w = want.outputs[static_cast<size_t>(l)];
+        if (g.numel() != w.numel() ||
+            !BuffersNear(g.data(), w.data(), w.numel(), 512, 1e-5f)) {
+          std::cerr << "ERROR: plan forward diverges from the scalar oracle ("
+                    << model.name() << ", sample " << b << ", layer " << l << ")\n";
+          std::exit(1);
+        }
+      }
+      const Tensor want_g = model.BackwardInput(want, last, SliceSample(seed, b));
+      const Tensor got_gb = SliceSample(got_g, b);
+      if (got_gb.numel() != want_g.numel() ||
+          !BuffersNear(got_gb.data(), want_g.data(), want_g.numel(), 8192, 1e-4f)) {
+        std::cerr << "ERROR: plan backward diverges from the scalar oracle ("
+                  << model.name() << ", sample " << b << ")\n";
         std::exit(1);
       }
-    }
-    const Tensor want_g = model.BackwardInputBatch(want, last, seed);
-    const Tensor& got_g = model.BackwardInputBatch(plan, last, seed);
-    if (got_g.numel() != want_g.numel() ||
-        !BuffersNear(got_g.data(), want_g.data(), want_g.numel(), 8192, 1e-4f)) {
-      std::cerr << "ERROR: plan backward diverges from by-value (" << model.name()
-                << ")\n";
-      std::exit(1);
     }
   }
 
@@ -126,54 +124,22 @@ Row BenchOne(const Model& model, int batch, Op op, int reps) {
   row.model = model.name();
   row.op = OpName(op);
   row.batch = batch;
-  if (op == Op::kBackward) {
-    // Backward phase in isolation: activations stay warm from one forward and
-    // only the gradient sweep is timed — the shape of the gradient-ascent
-    // inner loop, which reuses each forward across several ascent steps.
-    const BatchTrace trace = model.ForwardBatch(stacked);
-    {
-      Timer timer;
-      for (int r = 0; r < reps; ++r) {
-        const Tensor g = model.BackwardInputBatch(trace, last, seed);
-        (void)g;
-      }
-      row.byvalue_sps = static_cast<double>(reps) * batch / timer.ElapsedSeconds();
+  // The backward op times the gradient sweep alone: activations stay warm
+  // from one forward — the shape of the gradient-ascent inner loop, which
+  // reuses each forward across several ascent steps.
+  const bool forward = op != Op::kBackward;
+  const bool backward = op != Op::kForward;
+  plan.ForwardBatch(stacked, batch);  // Warm the slabs at this width.
+  Timer timer;
+  for (int r = 0; r < reps; ++r) {
+    if (forward) {
+      plan.ForwardBatch(stacked, batch);
     }
-    model.ForwardBatch(stacked, plan);  // Warm the slabs at this width.
-    {
-      Timer timer;
-      for (int r = 0; r < reps; ++r) {
-        model.BackwardInputBatch(plan, last, seed);
-      }
-      row.plan_sps = static_cast<double>(reps) * batch / timer.ElapsedSeconds();
+    if (backward) {
+      plan.BackwardInputBatch(last, seed);
     }
-    row.speedup = row.byvalue_sps > 0.0 ? row.plan_sps / row.byvalue_sps : 0.0;
-    return row;
   }
-  const bool backward = op == Op::kForwardBackward;
-  {
-    Timer timer;
-    for (int r = 0; r < reps; ++r) {
-      const BatchTrace trace = model.ForwardBatch(stacked);
-      if (backward) {
-        const Tensor g = model.BackwardInputBatch(trace, last, seed);
-        (void)g;
-      }
-    }
-    row.byvalue_sps = static_cast<double>(reps) * batch / timer.ElapsedSeconds();
-  }
-  {
-    model.ForwardBatch(stacked, plan);  // Warm the slabs at this width.
-    Timer timer;
-    for (int r = 0; r < reps; ++r) {
-      model.ForwardBatch(stacked, plan);
-      if (backward) {
-        model.BackwardInputBatch(plan, last, seed);
-      }
-    }
-    row.plan_sps = static_cast<double>(reps) * batch / timer.ElapsedSeconds();
-  }
-  row.speedup = row.byvalue_sps > 0.0 ? row.plan_sps / row.byvalue_sps : 0.0;
+  row.plan_sps = static_cast<double>(reps) * batch / timer.ElapsedSeconds();
   return row;
 }
 
@@ -187,10 +153,8 @@ std::string ToJson(const std::vector<Row>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"model\": \"" << r.model << "\", \"op\": \"" << r.op
-        << "\", \"batch\": " << r.batch << ", \"byvalue_samples_per_sec\": "
-        << r.byvalue_sps << ", \"plan_samples_per_sec\": " << r.plan_sps
-        << ", \"speedup\": " << r.speedup << "}" << (i + 1 < rows.size() ? "," : "")
-        << "\n";
+        << "\", \"batch\": " << r.batch << ", \"plan_samples_per_sec\": " << r.plan_sps
+        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   return out.str();
@@ -200,11 +164,9 @@ std::string ToJson(const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseArgs(argc, argv);
-  PrintHeader("Plan steady state",
-              "compiled ExecutionPlan vs allocating by-value execution", args);
+  PrintHeader("Plan steady state", "compiled ExecutionPlan throughput", args);
 
   std::vector<Row> rows;
-  bool plan_wins = true;
   for (const char* name : {"MNI_C1", "PDF_C1"}) {
     const Model model = ModelZoo::Build(name, 7);
     for (const Op op : {Op::kForward, Op::kForwardBackward, Op::kBackward}) {
@@ -218,21 +180,15 @@ int main(int argc, char** argv) {
             std::max(3, static_cast<int>(0.3 / (per_sample * batch * cost_factor)));
         rows.push_back(BenchOne(model, batch, op, reps));
         const Row& r = rows.back();
-        std::cerr << r.model << " " << r.op << " batch=" << r.batch << ": "
-                  << r.byvalue_sps << " -> " << r.plan_sps << " samples/s ("
-                  << r.speedup << "x)\n";
-        if (r.speedup < 0.95) {
-          plan_wins = false;  // The plan must never lose to the allocating path.
-        }
+        std::cerr << r.model << " " << r.op << " batch=" << r.batch << ": " << r.plan_sps
+                  << " samples/s\n";
       }
     }
   }
 
-  TablePrinter table({"Model", "Op", "Batch", "By-value s/s", "Plan s/s", "Speedup"});
+  TablePrinter table({"Model", "Op", "Batch", "Plan s/s"});
   for (const Row& r : rows) {
-    table.AddRow({r.model, r.op, std::to_string(r.batch),
-                  TablePrinter::Num(r.byvalue_sps, 0), TablePrinter::Num(r.plan_sps, 0),
-                  TablePrinter::Num(r.speedup, 2) + "x"});
+    table.AddRow({r.model, r.op, std::to_string(r.batch), TablePrinter::Num(r.plan_sps, 0)});
   }
   std::cout << table.ToString();
 
@@ -242,8 +198,5 @@ int main(int argc, char** argv) {
   std::ofstream file(path);
   file << json;
   std::cout << "json written to " << path << "\n";
-  if (!plan_wins) {
-    std::cerr << "WARNING: plan path slower than the by-value path on some row\n";
-  }
   return 0;
 }

@@ -8,6 +8,7 @@
 #include "src/core/executor.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/maintenance.h"
+#include "src/nn/execution_plan.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/serialize.h"
@@ -135,6 +136,10 @@ void Session::ProfileSeeds(const std::vector<Tensor>& seeds) {
       continue;
     }
     const Model& model = *models_[static_cast<size_t>(k)];
+    // The executor's plan kernels: profiled ranges come from the same
+    // activations the campaign later buckets.
+    ExecutionPlan plan =
+        model.Compile(static_cast<int>(std::max<size_t>(1, std::min(width, seeds.size()))));
     for (size_t begin = 0; begin < seeds.size(); begin += width) {
       const size_t end = std::min(seeds.size(), begin + width);
       std::vector<const Tensor*> chunk;
@@ -142,7 +147,8 @@ void Session::ProfileSeeds(const std::vector<Tensor>& seeds) {
       for (size_t i = begin; i < end; ++i) {
         chunk.push_back(&seeds[i]);
       }
-      const BatchTrace trace = model.ForwardBatch(StackSamples(chunk));
+      const BatchTrace& trace =
+          plan.ForwardBatch(StackSamples(chunk), static_cast<int>(end - begin));
       for (int b = 0; b < trace.batch; ++b) {
         metric.ProfileSeed(model, trace.Sample(b));
       }

@@ -283,8 +283,10 @@ class Session {
   ReplayResult Replay(const Corpus& corpus);
 
   // Feeds every seed's trace to the metrics' ProfileSeed (k-multisection
-  // range calibration). Run() calls this automatically once when the metric
-  // asks for it and config().profile_from_seeds is set.
+  // range calibration). The traces come from a compiled ExecutionPlan — the
+  // kernels the executor later buckets with — so the profile is the same at
+  // any batch_size. Run() calls this automatically once when the metric asks
+  // for it and config().profile_from_seeds is set.
   void ProfileSeeds(const std::vector<Tensor>& seeds);
 
   // Mean coverage across the per-model trackers.

@@ -35,6 +35,9 @@ class KMultisectionCoverage : public NeuronValueMetric {
   bool WantsSeedProfile() const override { return true; }
   // True once at least one seed has been profiled.
   bool profiled() const { return profiled_; }
+  // Profiled per-neuron range, indexed like NeuronValues (exposed for tests).
+  const std::vector<float>& low() const { return low_; }
+  const std::vector<float>& high() const { return high_; }
 
   void Update(const Model& model, const ForwardTrace& trace) override;
 

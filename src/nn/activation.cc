@@ -14,7 +14,7 @@ using simd::VecF;
 // lane-parallel ops of src/tensor/simd.h. Each lane performs the exact
 // operation sequence of the old scalar loop (one correctly-rounded IEEE op
 // per step, no reassociation), so results are bit-identical to the scalar
-// code at every SIMD width — these helpers are shared by the by-value
+// code at every SIMD width — these helpers are shared by the per-sample
 // oracle and the ExecutionPlan kernels without forking numerics. The
 // transcendental activations (tanh, sigmoid forward) stay scalar: libm has
 // no vector counterpart here and their cost is dominated by the exp/tanh

@@ -122,27 +122,6 @@ Tensor BatchNorm::Forward(const Tensor& input, bool /*training*/, Rng* /*rng*/,
   return out;
 }
 
-Tensor BatchNorm::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
-                               Rng* /*rng*/, Tensor* /*aux*/) const {
-  const Shape sample_shape = Shape(input.shape().begin() + 1, input.shape().end());
-  OutputShape(sample_shape);
-  const int64_t sample = input.numel() / batch;
-  const int64_t plane = sample / num_features_;
-  Tensor out = input;
-  float* p = out.data();
-  for (int c = 0; c < num_features_; ++c) {
-    const float scale = gamma_[c] / std::sqrt(var_[c] + eps_);
-    const float shift = beta_[c] - mu_[c] * scale;
-    for (int b = 0; b < batch; ++b) {
-      float* row = p + static_cast<size_t>(b) * sample + static_cast<size_t>(c) * plane;
-      for (int64_t i = 0; i < plane; ++i) {
-        row[i] = row[i] * scale + shift;
-      }
-    }
-  }
-  return out;
-}
-
 void BatchNorm::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
                                  Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
                                  Workspace* /*ws*/) const {
@@ -200,24 +179,6 @@ Tensor BatchNorm::Backward(const Tensor& input, const Tensor& /*output*/,
   BatchNormBackwardKernel(px, pg, pgi, gamma_.data(), mu_.data(), var_.data(), eps_,
                           channels, plane, GradData(param_grads, 0),
                           GradData(param_grads, 1));
-  return grad_in;
-}
-
-Tensor BatchNorm::BackwardBatch(const Tensor& input, const Tensor& /*output*/,
-                                const Tensor& grad_output, const Tensor& /*aux*/, int batch,
-                                std::vector<Tensor>* param_grads) const {
-  const int64_t sample = input.numel() / batch;
-  const int64_t plane = sample / num_features_;
-  Tensor grad_in(input.shape());
-  CheckParamGrads(param_grads, "BatchNorm::BackwardBatch");
-  float* g_gamma = GradData(param_grads, 0);
-  float* g_beta = GradData(param_grads, 1);
-  for (int b = 0; b < batch; ++b) {
-    const size_t offset = static_cast<size_t>(b) * sample;
-    BatchNormBackwardKernel(input.data() + offset, grad_output.data() + offset,
-                            grad_in.data() + offset, gamma_.data(), mu_.data(),
-                            var_.data(), eps_, num_features_, plane, g_gamma, g_beta);
-  }
   return grad_in;
 }
 

@@ -35,12 +35,6 @@ class BatchNorm : public Layer {
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
   // Batch kernels: the frozen-statistics affine is applied per sample slice
   // with per-channel scale/shift hoisted across the batch.
-  Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                      Tensor* aux) const override;
-  Tensor BackwardBatch(const Tensor& input, const Tensor& output, const Tensor& grad_output,
-                       const Tensor& aux, int batch,
-                       std::vector<Tensor>* param_grads) const override;
-  // Zero-allocation variants of the frozen-statistics affine and its grad.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

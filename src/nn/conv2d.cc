@@ -29,8 +29,8 @@ struct ConvGeom {
   int64_t out_size() const { return static_cast<int64_t>(out_channels) * out_h * out_w; }
 };
 
-// The convolution proper for one sample (pre-activation). Both Forward and
-// ForwardBatch run exactly this code, so batching cannot change a result.
+// The convolution proper for one sample (pre-activation): the scalar
+// reference Forward.
 void ConvForwardKernel(const ConvGeom& g, const float* px, const float* pw,
                        const float* pb, float* py) {
   for (int oc = 0; oc < g.out_channels; ++oc) {
@@ -214,26 +214,6 @@ Tensor Conv2D::Forward(const Tensor& input, bool /*training*/, Rng* /*rng*/,
   return out;
 }
 
-Tensor Conv2D::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
-                            Rng* /*rng*/, Tensor* /*aux*/) const {
-  if (input.ndim() != 4 || input.dim(0) != batch) {
-    throw std::invalid_argument("Conv2D::ForwardBatch: expected [B, C, H, W] input");
-  }
-  const Shape sample_shape = {input.dim(1), input.dim(2), input.dim(3)};
-  const Shape out_shape = OutputShape(sample_shape);
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,    kernel_w_,
-                   stride_,      padding_,      input.dim(2), input.dim(3),
-                   out_shape[1], out_shape[2]};
-  Tensor out({batch, out_shape[0], out_shape[1], out_shape[2]});
-  for (int b = 0; b < batch; ++b) {
-    ConvForwardKernel(g, input.data() + static_cast<size_t>(b) * g.in_size(),
-                      weight_.data(), bias_.data(),
-                      out.data() + static_cast<size_t>(b) * g.out_size());
-  }
-  ApplyActivation(act_, &out);
-  return out;
-}
-
 void Conv2D::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
                               Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
                               Workspace* ws) const {
@@ -245,17 +225,6 @@ void Conv2D::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
   const ConvGeom g{in_channels_,    out_channels_,   kernel_h_,    kernel_w_,
                    stride_,         padding_,        input.dim(2), input.dim(3),
                    output->dim(2),  output->dim(3)};
-  if (ws == nullptr) {
-    // No arena for the im2col patch matrix (out-of-tree caller): run the
-    // scalar reference kernel rather than allocate in what may be a hot loop.
-    for (int b = 0; b < batch; ++b) {
-      ConvForwardKernel(g, input.data() + static_cast<size_t>(b) * g.in_size(),
-                        weight_.data(), bias_.data(),
-                        output->data() + static_cast<size_t>(b) * g.out_size());
-    }
-    ApplyActivation(act_, output);
-    return;
-  }
   // im2col + GEMM: weights [OC, IC*KH*KW] are already the A matrix row-major;
   // each sample's patches unpack into B = [IC*KH*KW, OH*OW] in the arena.
   // The GEMM contract (ascending-k FMA per element, partitioning only over
@@ -299,26 +268,6 @@ Tensor Conv2D::Backward(const Tensor& input, const Tensor& output, const Tensor&
   CheckParamGrads(param_grads, "Conv2D::Backward");
   ConvBackwardKernel(g, input.data(), weight_.data(), grad_pre.data(), grad_in.data(),
                      GradData(param_grads, 0), GradData(param_grads, 1));
-  return grad_in;
-}
-
-Tensor Conv2D::BackwardBatch(const Tensor& input, const Tensor& output,
-                             const Tensor& grad_output, const Tensor& /*aux*/, int batch,
-                             std::vector<Tensor>* param_grads) const {
-  Tensor grad_pre = grad_output;  // [B, C, H, W]
-  ApplyActivationGrad(act_, output, &grad_pre);
-  const ConvGeom g{in_channels_, out_channels_, kernel_h_,     kernel_w_,
-                   stride_,      padding_,      input.dim(2),  input.dim(3),
-                   output.dim(2), output.dim(3)};
-  Tensor grad_in(input.shape());
-  CheckParamGrads(param_grads, "Conv2D::BackwardBatch");
-  for (int b = 0; b < batch; ++b) {
-    ConvBackwardKernel(g, input.data() + static_cast<size_t>(b) * g.in_size(),
-                       weight_.data(),
-                       grad_pre.data() + static_cast<size_t>(b) * g.out_size(),
-                       grad_in.data() + static_cast<size_t>(b) * g.in_size(),
-                       GradData(param_grads, 0), GradData(param_grads, 1));
-  }
   return grad_in;
 }
 
@@ -394,7 +343,7 @@ void Conv2D::BackwardBatchInto(const Tensor& input, const Tensor& output,
   }
   if (gb != nullptr) {
     // db[oc] = Σ_b Σ_plane grad_pre: per-sample double plane sums in batch
-    // order — the exact reduction of the by-value oracle, so the bias
+    // order — the exact reduction of the scalar Backward oracle, so the bias
     // gradient stays bit-identical to it.
     for (int b = 0; b < batch; ++b) {
       const float* pre_b = grad_pre->data() + static_cast<size_t>(b) * g.out_size();

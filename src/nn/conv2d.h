@@ -28,14 +28,7 @@ class Conv2D : public Layer {
   Tensor Forward(const Tensor& input, bool training, Rng* rng, Tensor* aux) const override;
   Tensor Backward(const Tensor& input, const Tensor& output, const Tensor& grad_output,
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
-  // Batch kernels: run the per-sample convolution over contiguous slices of
-  // one [B, C, H, W] allocation (no per-sample tensors or shape checks).
-  Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                      Tensor* aux) const override;
-  Tensor BackwardBatch(const Tensor& input, const Tensor& output, const Tensor& grad_output,
-                       const Tensor& aux, int batch,
-                       std::vector<Tensor>* param_grads) const override;
-  // Zero-allocation variants: same per-sample kernels over caller slabs.
+  // Batch kernels: im2col / Col2Im + SIMD GEMM over arena scratch.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

@@ -13,7 +13,7 @@ namespace dx {
 namespace {
 
 // One sample's pre-activation matvec: py = W px + b, each output a double
-// accumulation in ascending i. Shared by Forward and ForwardBatch tails.
+// accumulation in ascending i (the scalar reference Forward).
 void DenseForwardSample(const float* px, float* py, const float* pw, const float* pb,
                         int in_features, int out_features) {
   for (int o = 0; o < out_features; ++o) {
@@ -26,9 +26,8 @@ void DenseForwardSample(const float* px, float* py, const float* pw, const float
   }
 }
 
-// Shared gradient kernel: dL/dinput (and parameter grads) for one sample.
-// Used by both the per-sample and the batched backward so the two paths run
-// the exact same float operations.
+// Scalar reference gradient kernel: dL/dinput (and parameter grads) for one
+// sample.
 void DenseBackwardKernel(const float* pg, const float* pw, const float* px, float* pgi,
                          float* gw, float* gb, int in_features, int out_features) {
   for (int o = 0; o < out_features; ++o) {
@@ -57,56 +56,6 @@ void DenseBackwardKernel(const float* pg, const float* pw, const float* px, floa
         grow[i] += g * px[i];
       }
     }
-  }
-}
-
-// Pre-activation batch matvec shared by ForwardBatch and ForwardBatchInto.
-// Full blocks of kLanes samples run a transposed kernel with fixed-size
-// accumulator arrays: the compiler keeps the lanes in registers, each weight
-// row is read once for the whole block, and the matvec's serial double-add
-// chain becomes kLanes independent chains. Each lane still computes
-// bias + Σ_i w[i]·x[i] in ascending i — the scalar kernel's exact operation
-// sequence — so results are bit-identical; leftover samples just run the
-// scalar kernel. `xt` is scratch for the [in, batch] transpose, required
-// (and only read) when batch >= kLanes.
-constexpr int kDenseLanes = 8;
-
-void DenseForwardBatchKernel(const float* px, float* py, const float* pw, const float* pb,
-                             int in_features, int out_features, int batch, float* xt) {
-  int b0 = 0;
-  if (batch >= kDenseLanes) {
-    // Transpose to [in, batch] for contiguous batch-inner loads.
-    for (int b = 0; b < batch; ++b) {
-      const float* x_row = px + static_cast<size_t>(b) * in_features;
-      for (int i = 0; i < in_features; ++i) {
-        xt[static_cast<size_t>(i) * batch + b] = x_row[i];
-      }
-    }
-    for (; b0 + kDenseLanes <= batch; b0 += kDenseLanes) {
-      double acc[kDenseLanes];
-      for (int o = 0; o < out_features; ++o) {
-        const float* row = pw + static_cast<size_t>(o) * in_features;
-        const double bias = pb[o];
-        for (int j = 0; j < kDenseLanes; ++j) {
-          acc[j] = bias;
-        }
-        for (int i = 0; i < in_features; ++i) {
-          const double w = row[i];
-          const float* x_col = xt + static_cast<size_t>(i) * batch + b0;
-          for (int j = 0; j < kDenseLanes; ++j) {
-            acc[j] += w * static_cast<double>(x_col[j]);
-          }
-        }
-        for (int j = 0; j < kDenseLanes; ++j) {
-          py[static_cast<size_t>(b0 + j) * out_features + o] = static_cast<float>(acc[j]);
-        }
-      }
-    }
-  }
-  for (; b0 < batch; ++b0) {
-    DenseForwardSample(px + static_cast<size_t>(b0) * in_features,
-                       py + static_cast<size_t>(b0) * out_features, pw, pb, in_features,
-                       out_features);
   }
 }
 
@@ -196,22 +145,6 @@ Tensor Dense::Backward(const Tensor& input, const Tensor& output, const Tensor& 
   return grad_in;
 }
 
-Tensor Dense::ForwardBatch(const Tensor& input, int batch, bool /*training*/, Rng* /*rng*/,
-                           Tensor* /*aux*/) const {
-  if (input.numel() != static_cast<int64_t>(batch) * in_features_) {
-    throw std::invalid_argument("Dense::ForwardBatch: bad input size");
-  }
-  Tensor out({batch, out_features_});
-  std::vector<float> xt;
-  if (batch >= kDenseLanes) {
-    xt.resize(static_cast<size_t>(batch) * in_features_);
-  }
-  DenseForwardBatchKernel(input.data(), out.data(), weight_.data(), bias_.data(),
-                          in_features_, out_features_, batch, xt.data());
-  ApplyActivation(act_, &out);
-  return out;
-}
-
 void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
                              Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
                              Workspace* ws) const {
@@ -221,18 +154,11 @@ void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
   // GEMM path (shared with Conv2D's im2col): C[o, b] = bias[o] +
   // Σ_i W[o, i]·xt[i, b], an ascending-i FMA chain per element, so results
   // are invariant to batch width, SIMD width, and thread count. They differ
-  // from the by-value oracle (double accumulation) only within tolerance.
+  // from the scalar Forward oracle (double accumulation) only within tolerance.
   if (batch == 1) {
     // [in, 1] needs no transpose and C == the output row directly.
     GemmBias(out_features_, 1, in_features_, weight_.data(), in_features_,
              input.data(), 1, bias_.data(), output->data(), 1);
-  } else if (ws == nullptr) {
-    // No arena for the transpose scratch (out-of-tree caller): scalar path.
-    for (int b = 0; b < batch; ++b) {
-      DenseForwardSample(input.data() + static_cast<size_t>(b) * in_features_,
-                         output->data() + static_cast<size_t>(b) * out_features_,
-                         weight_.data(), bias_.data(), in_features_, out_features_);
-    }
   } else {
     // Transpose x to [in, batch] for contiguous column loads, GEMM into
     // [out, batch] scratch, transpose back into the [batch, out] output.
@@ -254,24 +180,6 @@ void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
     }
   }
   ApplyActivation(act_, output);
-}
-
-Tensor Dense::BackwardBatch(const Tensor& input, const Tensor& output,
-                            const Tensor& grad_output, const Tensor& /*aux*/, int batch,
-                            std::vector<Tensor>* param_grads) const {
-  Tensor grad_pre = grad_output;  // [batch, out]
-  ApplyActivationGrad(act_, output, &grad_pre);
-  Tensor grad_in({batch, in_features_});
-  CheckParamGrads(param_grads, "Dense::BackwardBatch");
-  for (int b = 0; b < batch; ++b) {
-    DenseBackwardKernel(grad_pre.data() + static_cast<size_t>(b) * out_features_,
-                        weight_.data(),
-                        input.data() + static_cast<size_t>(b) * in_features_,
-                        grad_in.data() + static_cast<size_t>(b) * in_features_,
-                        GradData(param_grads, 0), GradData(param_grads, 1),
-                        in_features_, out_features_);
-  }
-  return grad_in;
 }
 
 void Dense::BackwardBatchInto(const Tensor& input, const Tensor& output,
@@ -318,7 +226,7 @@ void Dense::BackwardBatchInto(const Tensor& input, const Tensor& output,
   }
   if (gb != nullptr) {
     // db[o] = Σ_b gpre[b, o], accumulated in batch order — the exact adds of
-    // the by-value oracle, so the bias gradient stays bit-identical to it.
+    // the scalar Backward oracle, so the bias gradient stays bit-identical to it.
     for (int o = 0; o < out_features_; ++o) {
       const float* row = gt + static_cast<size_t>(o) * batch;
       for (int b = 0; b < batch; ++b) {

@@ -26,16 +26,7 @@ class Dense : public Layer {
   Tensor Forward(const Tensor& input, bool training, Rng* rng, Tensor* aux) const override;
   Tensor Backward(const Tensor& input, const Tensor& output, const Tensor& grad_output,
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
-  // Batch kernel: streams each weight row once for all samples and
-  // accumulates batch-inner (vectorizable, no serial dependency chain),
-  // keeping every sample's i-ascending double reduction — bit-identical to
-  // the per-sample matvec.
-  Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                      Tensor* aux) const override;
-  Tensor BackwardBatch(const Tensor& input, const Tensor& output, const Tensor& grad_output,
-                       const Tensor& aux, int batch,
-                       std::vector<Tensor>* param_grads) const override;
-  // Zero-allocation variants: same kernels, arena-backed transpose/scratch.
+  // Batch kernels: transpose + SIMD GEMM over arena scratch.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

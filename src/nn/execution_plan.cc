@@ -233,24 +233,4 @@ ExecutionPlan Model::Compile(int max_batch) const {
   return ExecutionPlan(*this, max_batch);
 }
 
-const BatchTrace& Model::ForwardBatch(const Tensor& input, ExecutionPlan& plan) const {
-  if (&plan.model() != this) {
-    throw std::invalid_argument("Model::ForwardBatch: plan compiled for another model");
-  }
-  if (input.ndim() < 1) {
-    throw std::invalid_argument("Model::ForwardBatch: input has no batch dimension");
-  }
-  return plan.ForwardBatch(input, input.dim(0));
-}
-
-const Tensor& Model::BackwardInputBatch(ExecutionPlan& plan, int from_layer,
-                                        const Tensor& seed,
-                                        std::vector<Tensor>* param_grads) const {
-  if (&plan.model() != this) {
-    throw std::invalid_argument(
-        "Model::BackwardInputBatch: plan compiled for another model");
-  }
-  return plan.BackwardInputBatch(from_layer, seed, param_grads);
-}
-
 }  // namespace dx

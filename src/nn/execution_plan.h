@@ -1,6 +1,5 @@
 // ExecutionPlan: a compiled, pre-sized execution context for one
-// (model, max batch) pair — the zero-allocation counterpart of
-// Model::ForwardBatch / BackwardInputBatch.
+// (model, max batch) pair — the one batched execution path of a Model.
 //
 // Model::Compile(max_batch) sizes every buffer the batched forward and
 // backward passes will ever touch up front:
@@ -30,9 +29,9 @@
 // directions — the backward runs grad-input as a transposed-weight GEMM
 // (conv scatters the column gradient back through Col2Im) and grad-weight as
 // a GEMM against the im2col patch matrix. Plan results therefore match the
-// by-value scalar oracle within the kernel ULP/abs tolerances of
-// tests/test_util.h (forward tolerance forward, backward tolerance backward)
-// rather than bit-for-bit. Plan results ARE bit-identical across SIMD
+// per-sample scalar oracle (Model::Forward / BackwardInput) within the kernel
+// ULP/abs tolerances of tests/test_util.h (forward tolerance forward,
+// backward tolerance backward) rather than bit-for-bit. Plan results ARE bit-identical across SIMD
 // backends, batch widths, worker counts, and intra-op thread counts — every
 // output element is one fixed-order FMA chain and threading only partitions
 // independent output rows (or samples), so the batch/worker determinism
@@ -75,15 +74,16 @@ class ExecutionPlan {
 
   // Runs the model over `input` ([width, ...input_shape] data; only numel is
   // inspected) into the plan-owned trace and returns it. Counts `width`
-  // forward passes on the model, exactly like Model::ForwardBatch.
+  // forward passes on the model, exactly like `width` Model::Forward calls.
   const BatchTrace& ForwardBatch(const Tensor& input, int width);
   // The current trace (valid after ForwardBatch; width() samples wide).
   const BatchTrace& trace() const { return trace_; }
 
   // Batched backward through the current trace: d(seed·out_from)/d(input),
   // seed shaped like trace().outputs[from_layer]. Returns a reused
-  // [width, ...input_shape] buffer matching Model::BackwardInputBatch within
-  // the kernel backward tolerance (see the numerics note above).
+  // [width, ...input_shape] buffer whose sample b matches Model::BackwardInput
+  // on sample b within the kernel backward tolerance (see the numerics note
+  // above).
   //
   // `param_grads` selects the gradient mode. The default (nullptr) is
   // INPUT-ONLY: no parameter gradient is computed or allocated anywhere in
@@ -106,14 +106,13 @@ class ExecutionPlan {
   // width-1 copy of sample `pos` of the current trace (cached across calls
   // for the same pos). `seed` needs out-numel elements (shape free, e.g. an
   // AcquireSeed buffer). Returns a reused input-shaped buffer matching
-  // Model::BackwardInput on trace().Sample(pos) within the kernel backward
+  // Model::BackwardInput on sample `pos` within the kernel backward
   // tolerance — and bit-identical to BackwardInputBatch's slice for this
   // sample at any width.
   const Tensor& BackwardSample(int pos, int from_layer, const Tensor& seed);
 
-  // Width-1 trace holding sample `pos` of the current trace — the reused
-  // replacement for trace().Select({pos}) (feeds CoverageMetric::UpdateBatch
-  // without allocating).
+  // Width-1 trace holding sample `pos` of the current trace (feeds
+  // CoverageMetric::UpdateBatch without allocating).
   const BatchTrace& SampleTrace(int pos);
 
   // ---- Profiling ---------------------------------------------------------

@@ -27,18 +27,7 @@ class Flatten : public Layer {
                   const Tensor& /*aux*/, std::vector<Tensor>* /*param_grads*/) const override {
     return grad_output.Reshape(input.shape());
   }
-  // Flattening a batch is a pure reshape: [B, ...] -> [B, prod(...)].
-  Tensor ForwardBatch(const Tensor& input, int batch, bool /*training*/, Rng* /*rng*/,
-                      Tensor* /*aux*/) const override {
-    return input.Reshape({batch, static_cast<int>(input.numel() / batch)});
-  }
-  Tensor BackwardBatch(const Tensor& input, const Tensor& /*output*/,
-                       const Tensor& grad_output, const Tensor& /*aux*/, int /*batch*/,
-                       std::vector<Tensor>* /*param_grads*/) const override {
-    return grad_output.Reshape(input.shape());
-  }
-  // Zero-allocation variants: a flatten between distinct slabs is a memcpy
-  // (the by-value path's reshape must deep-copy anyway).
+  // Flattening a batch between distinct slabs is a memcpy.
   void ForwardBatchInto(const Tensor& input, int /*batch*/, bool /*training*/,
                         Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
                         Workspace* /*ws*/) const override {

@@ -19,7 +19,7 @@
 // accumulation, and intra-op threading partitions only over m — so results
 // are bit-identical at any SIMD width (src/tensor/simd.h), any thread count,
 // and any n (callers may grow or shrink the batch dimension freely). They are
-// NOT bit-identical to the by-value scalar kernels, which accumulate in a
+// NOT bit-identical to the per-sample scalar kernels, which accumulate in a
 // different order; tests compare the two within ULP/abs tolerances.
 #ifndef DX_SRC_NN_GEMM_H_
 #define DX_SRC_NN_GEMM_H_

@@ -53,48 +53,29 @@ class Layer {
                           const Tensor& grad_output, const Tensor& aux,
                           std::vector<Tensor>* param_grads) const = 0;
 
-  // Batched forward: `input` is [batch, ...sample_shape]; returns
-  // [batch, ...output_shape], with `*aux` batched the same way (or left
-  // empty when the per-sample pass records no aux). Every sample's result is
-  // bit-identical to Forward on that sample alone — batching amortizes
-  // per-layer overhead, it never reorders a per-scalar reduction. The base
-  // implementation loops Forward over sample slices; hot layers override it
-  // with a single-allocation batch kernel.
-  virtual Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                              Tensor* aux) const;
-
-  // Batched counterpart of Backward over [batch, ...] tensors. Parameter
-  // gradients (when requested) accumulate across samples in batch order,
-  // matching a sequential per-sample loop.
-  virtual Tensor BackwardBatch(const Tensor& input, const Tensor& output,
-                               const Tensor& grad_output, const Tensor& aux, int batch,
-                               std::vector<Tensor>* param_grads) const;
-
-  // ---- In-place batch kernels (zero-allocation execution path) ----------------------------
+  // ---- Batch kernels: the one batched API ----------------------------------
   //
-  // The `*Into` variants write into caller-provided storage instead of
-  // returning fresh tensors; they are the currency of ExecutionPlan
-  // (src/nn/execution_plan.h), whose slabs are reused across gradient-ascent
-  // iterations. Contract:
-  //   * Numerics: the by-value API is the scalar reference oracle. BOTH
-  //     directions of the hot layers (Dense, Conv2D) run the im2col/GEMM +
-  //     SIMD path (src/nn/gemm.h, src/tensor/simd.h), which accumulates in a
-  //     different order than the oracle — forward results match within the
-  //     kernel forward tolerance of tests/test_util.h and backward results
-  //     (grad-input via transposed-weight GEMM + Col2Im, grad-weight via
-  //     GEMM-against-im2col) within the kernel backward tolerance, not
-  //     bit-for-bit. They ARE bit-identical across SIMD backends, batch
-  //     widths, and thread counts (ascending-k FMA per output element at
-  //     every width; threading partitions only over independent output rows
-  //     / samples). All other layers' kernels remain bit-identical to the
-  //     by-value path.
-  //   * `ws` supplies scratch buffers (never null on the plan path; see
+  // `ForwardBatchInto`/`BackwardBatchInto` run a whole [batch, ...] slab and
+  // write into caller-provided storage instead of returning fresh tensors;
+  // they are the currency of ExecutionPlan (src/nn/execution_plan.h), whose
+  // slabs are reused across gradient-ascent iterations. Contract:
+  //   * Numerics: the per-sample Forward/Backward above are the scalar
+  //     reference oracle. BOTH directions of the hot layers (Dense, Conv2D)
+  //     run the im2col/GEMM + SIMD path (src/nn/gemm.h, src/tensor/simd.h),
+  //     which accumulates in a different order than the oracle — forward
+  //     results match within the kernel forward tolerance of
+  //     tests/test_util.h and backward results (grad-input via
+  //     transposed-weight GEMM + Col2Im, grad-weight via GEMM-against-im2col)
+  //     within the kernel backward tolerance, not bit-for-bit. A width-B call
+  //     IS bit-identical to B width-1 calls, and across SIMD backends and
+  //     thread counts (ascending-k FMA per output element at every width;
+  //     threading partitions only over independent output rows / samples).
+  //     All other layers' kernels are bit-identical to the per-sample oracle.
+  //   * `ws` supplies scratch buffers and is never null (see
   //     src/tensor/workspace.h). Acquire in a deterministic order so the
   //     arena reaches a stable slot layout.
-  //   * The default adapters below call the by-value API and move the result
-  //     into the destination tensors — correct for any out-of-tree layer,
-  //     but allocating. Built-in layers override both with kernels that only
-  //     touch pre-existing storage.
+  //   * Built-in kernels only touch pre-existing storage once warm; an
+  //     out-of-tree layer must implement both.
 
   // `output` is pre-shaped to [batch, ...OutputShape]; every element is
   // overwritten. When the layer records aux state it ResizeInPlace's `*aux`
@@ -102,19 +83,19 @@ class Layer {
   // has seen that capacity); layers without aux leave `*aux` untouched, so
   // callers should pass a tensor whose emptiness reflects "no aux recorded".
   virtual void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
-                                Tensor* output, Tensor* aux, Workspace* ws) const;
+                                Tensor* output, Tensor* aux, Workspace* ws) const = 0;
 
   // Writes dLoss/dInput into `grad_input`, which holds batch * |input
   // sample| elements; implementations treat it (and `grad_output`, which
   // only promises numel == output.numel()) as flat storage — geometry comes
   // from `input`/`output`. This shape looseness lets a plan run a batch-1
   // backward whose seed and final gradient are per-sample-shaped. Every
-  // element of `grad_input` is overwritten; param grads accumulate exactly
-  // as in BackwardBatch.
+  // element of `grad_input` is overwritten; param grads (same convention as
+  // Backward) accumulate across the batch.
   virtual void BackwardBatchInto(const Tensor& input, const Tensor& output,
                                  const Tensor& grad_output, const Tensor& aux, int batch,
                                  Tensor* grad_input, Workspace* ws,
-                                 std::vector<Tensor>* param_grads) const;
+                                 std::vector<Tensor>* param_grads) const = 0;
 
   // Trainable parameters (empty for parameterless layers).
   virtual std::vector<Tensor*> MutableParams() { return {}; }
@@ -165,7 +146,7 @@ struct ForwardTrace {
 
 // One recorded *batched* forward pass: every tensor carries a leading batch
 // dimension, so outputs[l] holds layer l's activations for all `batch`
-// inputs of one Model::ForwardBatch call. This is the currency of the
+// inputs of one ExecutionPlan::ForwardBatch call. This is the currency of the
 // batched execution path: computed once per (input batch, model) and shared
 // by the objective gradient, the difference check, and the coverage update.
 struct BatchTrace {
@@ -183,8 +164,6 @@ struct BatchTrace {
   // bridge: objectives and metrics written against ForwardTrace consume the
   // shared batch activations through this instead of re-forwarding).
   ForwardTrace Sample(int index) const;
-  // Copies the selected samples into a smaller BatchTrace.
-  BatchTrace Select(const std::vector<int>& indices) const;
   // Copy of sample `index` of layer `layer`'s output.
   Tensor SampleOutput(int layer, int index) const;
 };

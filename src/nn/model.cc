@@ -1,6 +1,5 @@
 #include "src/nn/model.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,73 +40,6 @@ void Layer::CheckParamGrads(const std::vector<Tensor>* param_grads,
   }
 }
 
-Tensor Layer::ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                           Tensor* aux) const {
-  // Generic fallback: per-sample Forward over slices. Bit-identical to the
-  // scalar path by construction; overriding layers must preserve that.
-  Tensor out;
-  Tensor batched_aux;
-  for (int b = 0; b < batch; ++b) {
-    Tensor sample_aux;
-    const Tensor sample_out = Forward(SliceSample(input, b), training, rng, &sample_aux);
-    if (b == 0) {
-      out = Tensor(BatchedShape(batch, sample_out.shape()));
-      if (!sample_aux.empty()) {
-        batched_aux = Tensor(BatchedShape(batch, sample_aux.shape()));
-      }
-    }
-    CopySampleInto(&out, b, sample_out);
-    if (!batched_aux.empty()) {
-      CopySampleInto(&batched_aux, b, sample_aux);
-    }
-  }
-  if (aux != nullptr && !batched_aux.empty()) {
-    *aux = std::move(batched_aux);
-  }
-  return out;
-}
-
-Tensor Layer::BackwardBatch(const Tensor& input, const Tensor& output,
-                            const Tensor& grad_output, const Tensor& aux, int batch,
-                            std::vector<Tensor>* param_grads) const {
-  Tensor grad_in(input.shape());
-  for (int b = 0; b < batch; ++b) {
-    const Tensor aux_b = aux.empty() ? Tensor() : SliceSample(aux, b);
-    CopySampleInto(&grad_in, b,
-                   Backward(SliceSample(input, b), SliceSample(output, b),
-                            SliceSample(grad_output, b), aux_b, param_grads));
-  }
-  return grad_in;
-}
-
-void Layer::ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
-                             Tensor* output, Tensor* aux, Workspace* /*ws*/) const {
-  // Compatibility adapter: by-value kernel, then move into the caller's
-  // slots. Out-of-tree layers keep working (at the old allocation cost);
-  // built-in layers override with storage-reusing kernels.
-  Tensor batched_aux;
-  *output = ForwardBatch(input, batch, training, rng, &batched_aux);
-  if (!batched_aux.empty()) {
-    *aux = std::move(batched_aux);
-  }
-}
-
-void Layer::BackwardBatchInto(const Tensor& input, const Tensor& output,
-                              const Tensor& grad_output, const Tensor& aux, int batch,
-                              Tensor* grad_input, Workspace* /*ws*/,
-                              std::vector<Tensor>* param_grads) const {
-  // grad_output only promises numel: restore the batched shape before
-  // handing it to the shape-checking by-value kernel.
-  Tensor reshaped;
-  const Tensor* go = &grad_output;
-  if (grad_output.shape() != output.shape()) {
-    reshaped = grad_output.Reshape(output.shape());
-    go = &reshaped;
-  }
-  const Tensor g = BackwardBatch(input, output, *go, aux, batch, param_grads);
-  std::copy(g.data(), g.data() + g.numel(), grad_input->data());
-}
-
 // ---- BatchTrace --------------------------------------------------------------------------
 
 ForwardTrace BatchTrace::Sample(int index) const {
@@ -119,33 +51,6 @@ ForwardTrace BatchTrace::Sample(int index) const {
     trace.outputs.push_back(SliceSample(outputs[l], index));
     if (!aux[l].empty()) {
       trace.aux[l] = SliceSample(aux[l], index);
-    }
-  }
-  return trace;
-}
-
-BatchTrace BatchTrace::Select(const std::vector<int>& indices) const {
-  const int n = static_cast<int>(indices.size());
-  BatchTrace trace;
-  trace.batch = n;
-  trace.input = Tensor(BatchedShape(n, SampleShape(input.shape())));
-  for (int i = 0; i < n; ++i) {
-    CopySampleInto(&trace.input, i, SliceSample(input, indices[static_cast<size_t>(i)]));
-  }
-  trace.outputs.reserve(outputs.size());
-  trace.aux.resize(outputs.size());
-  for (size_t l = 0; l < outputs.size(); ++l) {
-    Tensor out(BatchedShape(n, SampleShape(outputs[l].shape())));
-    for (int i = 0; i < n; ++i) {
-      CopySampleInto(&out, i, SliceSample(outputs[l], indices[static_cast<size_t>(i)]));
-    }
-    trace.outputs.push_back(std::move(out));
-    if (!aux[l].empty()) {
-      Tensor a(BatchedShape(n, SampleShape(aux[l].shape())));
-      for (int i = 0; i < n; ++i) {
-        CopySampleInto(&a, i, SliceSample(aux[l], indices[static_cast<size_t>(i)]));
-      }
-      trace.aux[l] = std::move(a);
     }
   }
   return trace;
@@ -215,28 +120,6 @@ ForwardTrace Model::Forward(const Tensor& input, bool training, Rng* rng) const 
   return trace;
 }
 
-BatchTrace Model::ForwardBatch(const Tensor& input, bool training, Rng* rng) const {
-  if (input.ndim() != static_cast<int>(input_shape_.size()) + 1 ||
-      SampleShape(input.shape()) != input_shape_) {
-    throw std::invalid_argument("Model::ForwardBatch: input shape " +
-                                ShapeToString(input.shape()) + " != batched " +
-                                ShapeToString(input_shape_));
-  }
-  const int batch = input.dim(0);
-  BatchTrace trace;
-  trace.batch = batch;
-  trace.input = input;
-  trace.outputs.reserve(layers_.size());
-  trace.aux.resize(layers_.size());
-  const Tensor* cur = &trace.input;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    trace.outputs.push_back(layers_[l]->ForwardBatch(*cur, batch, training, rng, &trace.aux[l]));
-    cur = &trace.outputs.back();
-  }
-  forward_passes_.fetch_add(batch, std::memory_order_relaxed);
-  return trace;
-}
-
 Tensor Model::Predict(const Tensor& input) const { return Forward(input).Output(); }
 
 int Model::PredictClass(const Tensor& input) const {
@@ -247,23 +130,6 @@ float Model::PredictScalar(const Tensor& input) const { return Predict(input)[0]
 
 Tensor Model::BackwardInput(const ForwardTrace& trace, int from_layer, Tensor seed) const {
   return BackwardParams(trace, from_layer, std::move(seed), nullptr);
-}
-
-Tensor Model::BackwardInputBatch(const BatchTrace& trace, int from_layer, Tensor seed) const {
-  if (from_layer < 0 || from_layer >= num_layers()) {
-    throw std::out_of_range("Model::BackwardInputBatch: bad from_layer");
-  }
-  if (seed.shape() != trace.outputs[static_cast<size_t>(from_layer)].shape()) {
-    throw std::invalid_argument("Model::BackwardInputBatch: seed shape mismatch at layer " +
-                                std::to_string(from_layer));
-  }
-  Tensor grad = std::move(seed);
-  for (int l = from_layer; l >= 0; --l) {
-    grad = layers_[static_cast<size_t>(l)]->BackwardBatch(
-        trace.LayerInput(l), trace.outputs[static_cast<size_t>(l)], grad,
-        trace.aux[static_cast<size_t>(l)], trace.batch, nullptr);
-  }
-  return grad;
 }
 
 Tensor Model::BackwardParams(const ForwardTrace& trace, int from_layer, Tensor seed,
@@ -470,10 +336,17 @@ Model Model::Deserialize(const std::string& blob) {
     if (num_params != params.size()) {
       throw std::runtime_error("Model::Deserialize: param count mismatch for " + kind);
     }
-    for (Tensor* p : params) {
+    for (size_t i = 0; i < params.size(); ++i) {
       const std::vector<int> shape = reader.ReadInts();
       std::vector<float> values = reader.ReadFloats();
-      *p = Tensor(shape, std::move(values));
+      // The layer's kernels index its parameters by the constructed shape.
+      if (shape != params[i]->shape()) {
+        throw std::runtime_error("Model::Deserialize: layer " + std::to_string(l) + " (" +
+                                 kind + ") param " + std::to_string(i) + " has shape " +
+                                 ShapeToString(shape) + ", expected " +
+                                 ShapeToString(params[i]->shape()));
+      }
+      *params[i] = Tensor(shape, std::move(values));
     }
     model.Add(std::move(layer));
   }

@@ -57,22 +57,14 @@ class Model {
   // Runs the network, recording every layer's output (and aux state).
   ForwardTrace Forward(const Tensor& input, bool training = false, Rng* rng = nullptr) const;
 
-  // Batched forward: `input` is [B, ...input_shape] (B >= 1); records every
-  // layer's batched output in one pass. Each sample's activations are
-  // bit-identical to a per-sample Forward, so one BatchTrace can serve the
-  // objective gradient, the difference check, and the coverage update for
-  // all B inputs without re-forwarding any of them.
-  BatchTrace ForwardBatch(const Tensor& input, bool training = false,
-                          Rng* rng = nullptr) const;
-
-  // Counts per-sample forward passes through this model (Forward adds 1,
-  // ForwardBatch adds B). Thread-safe; used by tests and RunStats to assert
-  // the single-pass guarantee of the batched execution path.
+  // Counts per-sample forward passes through this model (Forward adds 1, a
+  // width-B ExecutionPlan::ForwardBatch adds B). Thread-safe; used by tests
+  // and RunStats to assert the single-pass guarantee of the batched path.
   int64_t forward_passes() const { return forward_passes_.load(std::memory_order_relaxed); }
   void ResetForwardPasses() const { forward_passes_.store(0, std::memory_order_relaxed); }
   // Adds `n` passes to the counter — for execution engines (ExecutionPlan)
-  // whose layer loops bypass Model::ForwardBatch but must keep the
-  // single-pass accounting exact.
+  // whose layer loops bypass Model::Forward but must keep the single-pass
+  // accounting exact.
   void CountForwardPasses(int64_t n) const {
     forward_passes_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -82,17 +74,6 @@ class Model {
   // storage reused across iterations (src/nn/execution_plan.h). The plan
   // borrows this model and is invalidated by structural changes (Add).
   ExecutionPlan Compile(int max_batch) const;
-
-  // Plan-backed overloads: same math as the by-value ForwardBatch /
-  // BackwardInputBatch (within the kernel tolerances — see
-  // execution_plan.h's numerics note) but reusing the plan's buffers (the
-  // returned references live in the plan and are overwritten by its next
-  // call). `param_grads` defaults to input-only gradients; pass a vector
-  // aligned with MutableParams() to also accumulate parameter gradients
-  // (see ExecutionPlan::BackwardInputBatch).
-  const BatchTrace& ForwardBatch(const Tensor& input, ExecutionPlan& plan) const;
-  const Tensor& BackwardInputBatch(ExecutionPlan& plan, int from_layer, const Tensor& seed,
-                                   std::vector<Tensor>* param_grads = nullptr) const;
 
   // Convenience: final output tensor for an input (inference mode).
   Tensor Predict(const Tensor& input) const;
@@ -104,11 +85,6 @@ class Model {
   // Backpropagates `seed` (shaped like layer `from_layer`'s output) down to
   // the model input and returns d<seed·output_{from_layer}>/d(input).
   Tensor BackwardInput(const ForwardTrace& trace, int from_layer, Tensor seed) const;
-
-  // Batched counterpart: `seed` is [B, ...layer_output_shape] with one seed
-  // gradient per sample of `trace`; returns [B, ...input_shape]. Sample b's
-  // result is bit-identical to BackwardInput on trace.Sample(b).
-  Tensor BackwardInputBatch(const BatchTrace& trace, int from_layer, Tensor seed) const;
 
   // Same, but also accumulates parameter gradients into `param_grads`, which
   // must be aligned with MutableParams() (see InitParamGrads).

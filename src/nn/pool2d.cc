@@ -141,33 +141,6 @@ Tensor Pool2D::Forward(const Tensor& input, bool /*training*/, Rng* /*rng*/,
   return out;
 }
 
-Tensor Pool2D::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
-                            Rng* /*rng*/, Tensor* aux) const {
-  if (input.ndim() != 4 || input.dim(0) != batch) {
-    throw std::invalid_argument("Pool2D::ForwardBatch: expected [B, C, H, W] input");
-  }
-  const Shape sample_shape = {input.dim(1), input.dim(2), input.dim(3)};
-  const Shape out_shape = OutputShape(sample_shape);
-  const PoolGeom g{out_shape[0], input.dim(2), input.dim(3),
-                   out_shape[1], out_shape[2], kernel_,      stride_};
-  Tensor out({batch, out_shape[0], out_shape[1], out_shape[2]});
-  Tensor argmax;
-  if (mode_ == PoolMode::kMax) {
-    argmax = Tensor(out.shape());
-  }
-  for (int b = 0; b < batch; ++b) {
-    PoolForwardKernel(
-        g, mode_, input.data() + static_cast<size_t>(b) * g.in_size(),
-        out.data() + static_cast<size_t>(b) * g.out_size(),
-        mode_ == PoolMode::kMax ? argmax.data() + static_cast<size_t>(b) * g.out_size()
-                                : nullptr);
-  }
-  if (aux != nullptr && mode_ == PoolMode::kMax) {
-    *aux = std::move(argmax);
-  }
-  return out;
-}
-
 void Pool2D::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
                               Rng* /*rng*/, Tensor* output, Tensor* aux,
                               Workspace* /*ws*/) const {
@@ -201,25 +174,6 @@ Tensor Pool2D::Backward(const Tensor& input, const Tensor& output, const Tensor&
   const PoolGeom g{input.dim(0), input.dim(1), input.dim(2),
                    output.dim(1), output.dim(2), kernel_,    stride_};
   PoolBackwardKernel(g, mode_, grad_output.data(), aux.data(), grad_in.data());
-  return grad_in;
-}
-
-Tensor Pool2D::BackwardBatch(const Tensor& input, const Tensor& output,
-                             const Tensor& grad_output, const Tensor& aux, int batch,
-                             std::vector<Tensor>* /*param_grads*/) const {
-  Tensor grad_in(input.shape());
-  if (mode_ == PoolMode::kMax && aux.numel() != output.numel()) {
-    throw std::invalid_argument("Pool2D::BackwardBatch: missing argmax aux tensor");
-  }
-  const PoolGeom g{input.dim(1), input.dim(2), input.dim(3),
-                   output.dim(2), output.dim(3), kernel_,    stride_};
-  for (int b = 0; b < batch; ++b) {
-    PoolBackwardKernel(
-        g, mode_, grad_output.data() + static_cast<size_t>(b) * g.out_size(),
-        mode_ == PoolMode::kMax ? aux.data() + static_cast<size_t>(b) * g.out_size()
-                                : nullptr,
-        grad_in.data() + static_cast<size_t>(b) * g.in_size());
-  }
   return grad_in;
 }
 

@@ -25,14 +25,8 @@ class Pool2D : public Layer {
   Tensor Forward(const Tensor& input, bool training, Rng* rng, Tensor* aux) const override;
   Tensor Backward(const Tensor& input, const Tensor& output, const Tensor& grad_output,
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
-  // Batch kernels over [B, C, H, W] slices; argmax aux offsets stay
-  // sample-relative, exactly as in the per-sample pass.
-  Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                      Tensor* aux) const override;
-  Tensor BackwardBatch(const Tensor& input, const Tensor& output, const Tensor& grad_output,
-                       const Tensor& aux, int batch,
-                       std::vector<Tensor>* param_grads) const override;
-  // Zero-allocation variants; max mode resizes *aux in place for its argmax map.
+  // Batch kernels over [B, C, H, W] slices; max mode resizes *aux in place for
+  // its argmax map, whose offsets stay sample-relative as in the per-sample pass.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

@@ -9,6 +9,44 @@
 #include "src/util/rng.h"
 
 namespace dx {
+namespace {
+
+// Moves a block's flat param-grad vector into per-child views (conv1: 0-1,
+// conv2: 2-3, proj: 4-5) and back again on destruction. A null vector gives
+// null views, so the input-gradient-only mode allocates nothing.
+class ChildGrads {
+ public:
+  explicit ChildGrads(std::vector<Tensor>* flat) : flat_(flat) {
+    if (flat_ != nullptr) {
+      for (size_t i = 0; i < flat_->size(); ++i) {
+        views_[i / 2].push_back(std::move((*flat_)[i]));
+      }
+    }
+  }
+  ~ChildGrads() {
+    if (flat_ != nullptr) {
+      for (size_t i = 0; i < flat_->size(); ++i) {
+        (*flat_)[i] = std::move(views_[i / 2][i % 2]);
+      }
+    }
+  }
+  ChildGrads(const ChildGrads&) = delete;
+  ChildGrads& operator=(const ChildGrads&) = delete;
+
+  std::vector<Tensor>* conv1() { return View(0); }
+  std::vector<Tensor>* conv2() { return View(1); }
+  std::vector<Tensor>* proj() { return View(2); }
+
+ private:
+  std::vector<Tensor>* View(int child) {
+    return flat_ != nullptr ? &views_[child] : nullptr;
+  }
+
+  std::vector<Tensor>* flat_;
+  std::vector<Tensor> views_[3];
+};
+
+}  // namespace
 
 ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride)
     : in_channels_(in_channels),
@@ -56,17 +94,6 @@ Tensor ResidualBlock::Forward(const Tensor& input, bool /*training*/, Rng* /*rng
   return y2;
 }
 
-Tensor ResidualBlock::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
-                                   Rng* /*rng*/, Tensor* /*aux*/) const {
-  const Tensor y1 = conv1_.ForwardBatch(input, batch, false, nullptr, nullptr);
-  Tensor y2 = conv2_.ForwardBatch(y1, batch, false, nullptr, nullptr);
-  const Tensor skip =
-      proj_ != nullptr ? proj_->ForwardBatch(input, batch, false, nullptr, nullptr) : input;
-  y2.AddInPlace(skip);
-  ApplyActivation(Activation::kRelu, &y2);
-  return y2;
-}
-
 void ResidualBlock::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
                                      Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
                                      Workspace* ws) const {
@@ -87,21 +114,13 @@ void ResidualBlock::ForwardBatchInto(const Tensor& input, int batch, bool /*trai
 }
 
 void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
-                                      const Tensor& grad_output, const Tensor& aux,
+                                      const Tensor& grad_output, const Tensor& /*aux*/,
                                       int batch, Tensor* grad_input, Workspace* ws,
                                       std::vector<Tensor>* param_grads) const {
-  if (param_grads != nullptr) {
-    // Parameter gradients must accumulate in the per-sample order of the
-    // inherited BackwardBatch (sample-major, not layer-major); the adapter
-    // preserves that. The zero-allocation path below is input-grad only —
-    // which is all the gradient-ascent hot loop asks for.
-    Layer::BackwardBatchInto(input, output, grad_output, aux, batch, grad_input, ws,
-                             param_grads);
-    return;
-  }
-  // Recompute the intermediates batched (same per-sample conv kernels as the
-  // scalar recompute, so gradients stay bit-identical). y1 shares the block
-  // output's shape — see ForwardBatchInto.
+  CheckParamGrads(param_grads, "ResidualBlock::BackwardBatchInto");
+  ChildGrads grads(param_grads);
+  // Recompute the intermediates batched. y1 shares the block output's shape
+  // — see ForwardBatchInto.
   Tensor* y1 = ws->Acquire(output.shape());
   conv1_.ForwardBatchInto(input, batch, false, nullptr, y1, nullptr, ws);
   Tensor* y2 = ws->Acquire(output.shape());
@@ -114,8 +133,9 @@ void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
 
   // Main path.
   Tensor* g_y1 = ws->Acquire(output.shape());
-  conv2_.BackwardBatchInto(*y1, *y2, *g_sum, Tensor(), batch, g_y1, ws, nullptr);
-  conv1_.BackwardBatchInto(input, *y1, *g_y1, Tensor(), batch, grad_input, ws, nullptr);
+  conv2_.BackwardBatchInto(*y1, *y2, *g_sum, Tensor(), batch, g_y1, ws, grads.conv2());
+  conv1_.BackwardBatchInto(input, *y1, *g_y1, Tensor(), batch, grad_input, ws,
+                           grads.conv1());
 
   // Skip path (flat adds: grad_input may be per-sample-shaped).
   float* gi = grad_input->data();
@@ -123,7 +143,7 @@ void ResidualBlock::BackwardBatchInto(const Tensor& input, const Tensor& output,
     Tensor* skip = ws->Acquire(output.shape());
     proj_->ForwardBatchInto(input, batch, false, nullptr, skip, nullptr, ws);
     Tensor* g_skip = ws->Acquire(input.shape());
-    proj_->BackwardBatchInto(input, *skip, *g_sum, Tensor(), batch, g_skip, ws, nullptr);
+    proj_->BackwardBatchInto(input, *skip, *g_sum, Tensor(), batch, g_skip, ws, grads.proj());
     const float* gs = g_skip->data();
     for (int64_t i = 0; i < grad_input->numel(); ++i) {
       gi[i] += gs[i];
@@ -147,49 +167,21 @@ Tensor ResidualBlock::Backward(const Tensor& input, const Tensor& output,
   Tensor g_sum = grad_output;
   ApplyActivationGrad(Activation::kRelu, output, &g_sum);
 
-  std::vector<Tensor>* g_conv1 = nullptr;
-  std::vector<Tensor>* g_conv2 = nullptr;
-  std::vector<Tensor>* g_proj = nullptr;
-  std::vector<Tensor> slice1;
-  std::vector<Tensor> slice2;
-  std::vector<Tensor> slice3;
   CheckParamGrads(param_grads, "ResidualBlock::Backward");
-  if (param_grads != nullptr) {
-    slice1.push_back(std::move((*param_grads)[0]));
-    slice1.push_back(std::move((*param_grads)[1]));
-    slice2.push_back(std::move((*param_grads)[2]));
-    slice2.push_back(std::move((*param_grads)[3]));
-    g_conv1 = &slice1;
-    g_conv2 = &slice2;
-    if (proj_ != nullptr) {
-      slice3.push_back(std::move((*param_grads)[4]));
-      slice3.push_back(std::move((*param_grads)[5]));
-      g_proj = &slice3;
-    }
-  }
+  ChildGrads grads(param_grads);
 
   // Main path.
-  const Tensor g_y1 = conv2_.Backward(y1, y2, g_sum, Tensor(), g_conv2);
-  Tensor g_in = conv1_.Backward(input, y1, g_y1, Tensor(), g_conv1);
+  const Tensor g_y1 = conv2_.Backward(y1, y2, g_sum, Tensor(), grads.conv2());
+  Tensor g_in = conv1_.Backward(input, y1, g_y1, Tensor(), grads.conv1());
 
   // Skip path.
   if (proj_ != nullptr) {
     const Tensor skip = proj_->Forward(input, false, nullptr, nullptr);
-    g_in.AddInPlace(proj_->Backward(input, skip, g_sum, Tensor(), g_proj));
+    g_in.AddInPlace(proj_->Backward(input, skip, g_sum, Tensor(), grads.proj()));
   } else {
     g_in.AddInPlace(g_sum);
   }
 
-  if (param_grads != nullptr) {
-    (*param_grads)[0] = std::move(slice1[0]);
-    (*param_grads)[1] = std::move(slice1[1]);
-    (*param_grads)[2] = std::move(slice2[0]);
-    (*param_grads)[3] = std::move(slice2[1]);
-    if (proj_ != nullptr) {
-      (*param_grads)[4] = std::move(slice3[0]);
-      (*param_grads)[5] = std::move(slice3[1]);
-    }
-  }
   return g_in;
 }
 

@@ -33,14 +33,8 @@ class ResidualBlock : public Layer {
   Tensor Forward(const Tensor& input, bool training, Rng* rng, Tensor* aux) const override;
   Tensor Backward(const Tensor& input, const Tensor& output, const Tensor& grad_output,
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
-  // Composes the sub-convolutions' batch kernels (the backward keeps the
-  // base per-sample loop: it recomputes intermediates either way).
-  Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                      Tensor* aux) const override;
-  // Zero-allocation variants: sub-convolution Into kernels with arena-backed
-  // intermediates. The input-grad-only backward (param_grads == nullptr)
-  // runs batched; with param grads it defers to the per-sample adapter so
-  // accumulation order matches BackwardBatch.
+  // Batch kernels: the sub-convolutions' kernels with arena-backed
+  // intermediates. Parameter gradients route to each child's kernel.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

@@ -22,10 +22,10 @@ Tensor SoftmaxLayer::Forward(const Tensor& input, bool /*training*/, Rng* /*rng*
 namespace {
 
 // g_in = y * (g_out - <g_out, y>) for one row; shared by the scalar and
-// batched backward (by-value AND *Into), so every path computes the exact
-// same JVP. The dot product runs kJvpLanes fixed double partial sums — lane
-// j accumulates indices ≡ j (mod kJvpLanes) in ascending order and the lanes
-// combine in one fixed sequence. The lane count is a source-level constant
+// batched backward, so both compute the exact same JVP. The dot product runs
+// kJvpLanes fixed double partial sums — lane j accumulates indices
+// ≡ j (mod kJvpLanes) in ascending order and the lanes combine in one fixed
+// sequence. The lane count is a source-level constant
 // (NOT simd::kLanes), so the operation sequence — and therefore every bit of
 // the result — is identical across SIMD backends and build flags; the
 // compiler is free to vectorize the lane-parallel inner loop.
@@ -59,27 +59,6 @@ Tensor SoftmaxLayer::Backward(const Tensor& /*input*/, const Tensor& output,
                               std::vector<Tensor>* /*param_grads*/) const {
   Tensor grad_in(output.shape());
   SoftmaxBackwardRow(output.data(), grad_output.data(), grad_in.data(), output.numel());
-  return grad_in;
-}
-
-Tensor SoftmaxLayer::ForwardBatch(const Tensor& input, int batch, bool /*training*/,
-                                  Rng* /*rng*/, Tensor* /*aux*/) const {
-  if (input.ndim() != 2 || input.dim(0) != batch) {
-    throw std::invalid_argument("SoftmaxLayer::ForwardBatch: expected [B, C] logits");
-  }
-  return Softmax(input);  // Row-wise: identical to per-sample softmax.
-}
-
-Tensor SoftmaxLayer::BackwardBatch(const Tensor& /*input*/, const Tensor& output,
-                                   const Tensor& grad_output, const Tensor& /*aux*/,
-                                   int batch, std::vector<Tensor>* /*param_grads*/) const {
-  Tensor grad_in(output.shape());
-  const int64_t cols = output.numel() / batch;
-  for (int b = 0; b < batch; ++b) {
-    const size_t offset = static_cast<size_t>(b) * cols;
-    SoftmaxBackwardRow(output.data() + offset, grad_output.data() + offset,
-                       grad_in.data() + offset, cols);
-  }
   return grad_in;
 }
 

@@ -23,12 +23,6 @@ class SoftmaxLayer : public Layer {
   Tensor Backward(const Tensor& input, const Tensor& output, const Tensor& grad_output,
                   const Tensor& aux, std::vector<Tensor>* param_grads) const override;
   // Row-wise over [B, C]: each row runs the identical stable softmax / JVP.
-  Tensor ForwardBatch(const Tensor& input, int batch, bool training, Rng* rng,
-                      Tensor* aux) const override;
-  Tensor BackwardBatch(const Tensor& input, const Tensor& output, const Tensor& grad_output,
-                       const Tensor& aux, int batch,
-                       std::vector<Tensor>* param_grads) const override;
-  // Zero-allocation variants: stable row softmax / JVP over caller storage.
   void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                         Tensor* output, Tensor* aux, Workspace* ws) const override;
   void BackwardBatchInto(const Tensor& input, const Tensor& output,

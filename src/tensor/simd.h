@@ -13,14 +13,14 @@
 // rounding) at every width — _mm256_fmadd_ps, vfmaq_f32, and std::fma are all
 // correctly-rounded — so kernel results are BIT-IDENTICAL across backends.
 // Widening or disabling SIMD changes speed, never bits. Tolerances in tests
-// exist for comparing the GEMM path against the by-value scalar oracle
+// exist for comparing the GEMM path against the per-sample scalar oracle
 // (different accumulation order), not for comparing backends.
 //
 // The elementwise ops (Add/Sub/Mul, Relu, ReluGrad) carry the same guarantee
 // trivially: they are single correctly-rounded IEEE operations per lane, so
 // a loop written with them produces the exact bits of the equivalent scalar
 // loop. This is what lets the activation-gradient glue (src/nn/activation.cc)
-// vectorize WITHOUT forking the numerics between the by-value oracle and the
+// vectorize WITHOUT forking the numerics between the per-sample oracle and the
 // plan path — both call the same vectorized helpers.
 //
 // The active backend is reported at runtime by SimdBackendName()/SimdLanes()

@@ -2,7 +2,7 @@
 // kernel speed) — the gradient mirror of tests/gemm_kernel_test.cc:
 //
 //   1. Dense/Conv2D BackwardBatchInto (transposed-weight GEMM + Col2Im,
-//      GEMM-against-im2col parameter grads) match the by-value scalar oracle
+//      GEMM-against-im2col parameter grads) match the per-sample scalar oracle
 //      within the kernel backward tolerance across random shapes at batch 1
 //      and 8, with and without parameter gradients.
 //   2. Col2Im is the exact adjoint of Im2Col: it matches a naive
@@ -64,16 +64,16 @@ std::vector<float> RandVec(Rng& rng, int64_t n) {
   return v;
 }
 
-// Backward of the *Into path against the by-value oracle, both fed the SAME
-// by-value forward results so the comparison isolates the backward kernels.
+// Backward of the *Into path against the per-sample oracle, both fed the SAME
+// oracle forward results so the comparison isolates the backward kernels.
 // `with_params` also checks dW/db accumulation (both sides start from the
 // same random running sum, pinning the += semantics).
-void ExpectBackwardIntoNearByValue(const Layer& layer, const Shape& in_shape, int batch,
-                                   uint64_t seed, bool with_params) {
+void ExpectBackwardIntoNearOracle(const Layer& layer, const Shape& in_shape, int batch,
+                                  uint64_t seed, bool with_params) {
   Rng rng(seed);
   const Tensor input = Tensor::RandUniform(BatchedShape(batch, in_shape), rng, -1.0f, 1.0f);
   Tensor aux;
-  const Tensor output = layer.ForwardBatch(input, batch, false, nullptr, &aux);
+  const Tensor output = testing::OracleForward(layer, input, batch, &aux);
   const Tensor grad_out = Tensor::RandUniform(output.shape(), rng, -1.0f, 1.0f);
 
   std::vector<Tensor> want_pg;
@@ -82,8 +82,8 @@ void ExpectBackwardIntoNearByValue(const Layer& layer, const Shape& in_shape, in
     want_pg.push_back(Tensor::RandUniform(p->shape(), rng, -0.1f, 0.1f));
     got_pg.emplace_back(want_pg.back());
   }
-  const Tensor want_gin = layer.BackwardBatch(input, output, grad_out, aux, batch,
-                                              with_params ? &want_pg : nullptr);
+  const Tensor want_gin = testing::OracleBackward(layer, input, output, grad_out, aux, batch,
+                                                  with_params ? &want_pg : nullptr);
   Workspace ws;
   Tensor got_gin(input.shape());
   layer.BackwardBatchInto(input, output, grad_out, aux, batch, &got_gin, &ws,
@@ -107,8 +107,8 @@ TEST(BackwardKernelTest, DenseBackwardIntoSweepsRandomShapes) {
                 static_cast<Activation>(RandInt(rng, 0, 3)));
     layer.InitParams(rng);
     for (const int batch : {1, 8}) {
-      ExpectBackwardIntoNearByValue(layer, {layer.in_features()}, batch, rng.NextU64(),
-                                    /*with_params=*/t % 2 == 0);
+      ExpectBackwardIntoNearOracle(layer, {layer.in_features()}, batch, rng.NextU64(),
+                                   /*with_params=*/t % 2 == 0);
     }
   }
 }
@@ -130,8 +130,8 @@ TEST(BackwardKernelTest, Conv2DBackwardIntoSweepsRandomShapes) {
                  static_cast<Activation>(RandInt(rng, 0, 3)));
     layer.InitParams(rng);
     for (const int batch : {1, 8}) {
-      ExpectBackwardIntoNearByValue(layer, {in_ch, in_h, in_w}, batch, rng.NextU64(),
-                                    /*with_params=*/t % 2 == 0);
+      ExpectBackwardIntoNearOracle(layer, {in_ch, in_h, in_w}, batch, rng.NextU64(),
+                                   /*with_params=*/t % 2 == 0);
     }
   }
 }
@@ -247,7 +247,7 @@ void ExpectBackwardBitIdenticalAcrossWidthsAndThreads(MakeLayer make_layer,
   Rng rng(seed);
   const Tensor input = Tensor::RandUniform(BatchedShape(batch, in_shape), rng, -1.0f, 1.0f);
   Tensor aux;
-  const Tensor output = layer->ForwardBatch(input, batch, false, nullptr, &aux);
+  const Tensor output = testing::OracleForward(*layer, input, batch, &aux);
   const Tensor grad_out = Tensor::RandUniform(output.shape(), rng, -1.0f, 1.0f);
 
   Workspace ws;
@@ -326,17 +326,18 @@ TEST(BackwardKernelTest, ParamGradContractSkipThrowAndInputOnlyIdentity) {
   const int batch = 4;
   const Tensor input = Tensor::RandUniform(BatchedShape(batch, Shape{24}), rng, -1.0f, 1.0f);
   Tensor aux;
-  const Tensor output = layer.ForwardBatch(input, batch, false, nullptr, &aux);
+  const Tensor output = testing::OracleForward(layer, input, batch, &aux);
   const Tensor grad_out = Tensor::RandUniform(output.shape(), rng, -1.0f, 1.0f);
   Workspace ws;
   Tensor gin(input.shape());
 
-  // Wrong-sized vector throws (by-value and Into alike).
+  // Wrong-sized vector throws (batch kernel and per-sample oracle alike).
   std::vector<Tensor> too_few(1);
   EXPECT_THROW(layer.BackwardBatchInto(input, output, grad_out, aux, batch, &gin, &ws,
                                        &too_few),
                std::invalid_argument);
-  EXPECT_THROW(layer.BackwardBatch(input, output, grad_out, aux, batch, &too_few),
+  EXPECT_THROW(layer.Backward(SliceSample(input, 0), SliceSample(output, 0),
+                              SliceSample(grad_out, 0), Tensor(), &too_few),
                std::invalid_argument);
 
   // Full vector: reference result.
@@ -391,7 +392,7 @@ TEST(BackwardKernelTest, PlanParamGradsMatchPerSampleBackwardParams) {
         BatchedShape(width, model.output_shape()), rng, -1.0f, 1.0f);
     const int last = model.num_layers() - 1;
 
-    // Oracle: per-sample by-value BackwardParams, summed over the batch.
+    // Oracle: per-sample BackwardParams, summed over the batch.
     std::vector<Tensor> want_pg = model.InitParamGrads();
     const int64_t in_stride = input.numel() / width;
     const int64_t out_stride = seed.numel() / width;
@@ -407,8 +408,8 @@ TEST(BackwardKernelTest, PlanParamGradsMatchPerSampleBackwardParams) {
     }
 
     std::vector<Tensor> got_pg = model.InitParamGrads();
-    model.ForwardBatch(input, plan);
-    const Tensor& gin = model.BackwardInputBatch(plan, last, seed, &got_pg);
+    plan.ForwardBatch(input, width);
+    const Tensor& gin = plan.BackwardInputBatch(last, seed, &got_pg);
     EXPECT_EQ(gin.numel(), input.numel());
     ASSERT_EQ(got_pg.size(), want_pg.size());
     for (size_t p = 0; p < want_pg.size(); ++p) {
@@ -419,7 +420,7 @@ TEST(BackwardKernelTest, PlanParamGradsMatchPerSampleBackwardParams) {
 
     // Wrong-sized vector throws before any work.
     std::vector<Tensor> bad(got_pg.size() + 1);
-    EXPECT_THROW(model.BackwardInputBatch(plan, last, seed, &bad), std::invalid_argument);
+    EXPECT_THROW(plan.BackwardInputBatch(last, seed, &bad), std::invalid_argument);
   }
 }
 
@@ -439,11 +440,11 @@ TEST(BackwardKernelTest, PlanBackwardMatchesCentralDifferencesOnStack) {
     const Tensor seed = Tensor::RandUniform(
         BatchedShape(width, model.output_shape()), rng, -1.0f, 1.0f);
 
-    model.ForwardBatch(x, plan);
-    const Tensor analytic = model.BackwardInputBatch(plan, last, seed);
+    plan.ForwardBatch(x, width);
+    const Tensor analytic = plan.BackwardInputBatch(last, seed);
 
     const auto f = [&](const Tensor& xx) {
-      const BatchTrace& trace = model.ForwardBatch(xx, plan);
+      const BatchTrace& trace = plan.ForwardBatch(xx, width);
       const Tensor& out = trace.outputs.back();
       double acc = 0.0;
       for (int64_t i = 0; i < out.numel(); ++i) {

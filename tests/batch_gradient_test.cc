@@ -1,4 +1,4 @@
-// Numerical gradient check for Model::BackwardInputBatch on conv /
+// Numerical gradient check for ExecutionPlan::BackwardInputBatch on conv /
 // batch-norm / residual stacks: the batched reverse pass that drives the
 // executor's objective gradients must match central differences per sample,
 // filling the gap left by tests/zoo_gradient_test.cc (which only covers the
@@ -14,6 +14,7 @@
 #include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
+#include "src/nn/execution_plan.h"
 #include "src/nn/flatten.h"
 #include "src/nn/model.h"
 #include "src/nn/pool2d.h"
@@ -62,7 +63,7 @@ Model MakeResidualStack(uint64_t seed) {
   return m;
 }
 
-// Checks d(seed_b . output)/d(input_b) from BackwardInputBatch against
+// Checks d(seed_b . output)/d(input_b) from the plan's BackwardInputBatch against
 // central differences on a random subset of input coordinates per sample.
 void CheckBatchedInputGradient(const Model& model, uint64_t seed) {
   Rng rng(seed);
@@ -80,9 +81,10 @@ void CheckBatchedInputGradient(const Model& model, uint64_t seed) {
     seed_ptrs.push_back(&grad_seeds[static_cast<size_t>(b)]);
   }
 
-  const BatchTrace trace = model.ForwardBatch(StackSamples(input_ptrs));
-  const Tensor analytic = model.BackwardInputBatch(trace, model.num_layers() - 1,
-                                                   StackSamples(seed_ptrs));
+  ExecutionPlan plan = model.Compile(kBatch);
+  plan.ForwardBatch(StackSamples(input_ptrs), kBatch);
+  const Tensor analytic =
+      plan.BackwardInputBatch(model.num_layers() - 1, StackSamples(seed_ptrs));
 
   const float eps = 5e-3f;
   for (int b = 0; b < kBatch; ++b) {
@@ -128,9 +130,10 @@ TEST(BatchGradientTest, ResidualStack) {
   CheckBatchedInputGradient(MakeResidualStack(33), 133);
 }
 
-// The batched reverse pass must also agree with the scalar reverse pass bit
-// for bit (the numerical check above is tolerance-bounded; this one is not).
-TEST(BatchGradientTest, BatchedBackwardMatchesScalarBitwise) {
+// The batched reverse pass must also agree with the scalar reverse pass
+// (within the kernel backward tolerance: the plan runs GEMM kernels) and,
+// bit for bit, with the plan's own width-1 per-sample backward.
+TEST(BatchGradientTest, BatchedBackwardMatchesScalar) {
   for (const uint64_t seed : {41u, 42u, 43u}) {
     const Model model = seed == 41u   ? MakeConvStack(seed)
                         : seed == 42u ? MakeBatchNormStack(seed)
@@ -148,15 +151,20 @@ TEST(BatchGradientTest, BatchedBackwardMatchesScalarBitwise) {
       input_ptrs.push_back(&inputs[static_cast<size_t>(b)]);
       seed_ptrs.push_back(&grad_seeds[static_cast<size_t>(b)]);
     }
-    const BatchTrace trace = model.ForwardBatch(StackSamples(input_ptrs));
-    const Tensor batched = model.BackwardInputBatch(trace, model.num_layers() - 1,
-                                                    StackSamples(seed_ptrs));
+    const int last = model.num_layers() - 1;
+    ExecutionPlan plan = model.Compile(kBatch);
+    plan.ForwardBatch(StackSamples(input_ptrs), kBatch);
+    const Tensor batched = plan.BackwardInputBatch(last, StackSamples(seed_ptrs));
     for (int b = 0; b < kBatch; ++b) {
+      const std::string what = model.name() + " sample " + std::to_string(b);
       const ForwardTrace scalar = model.Forward(inputs[static_cast<size_t>(b)]);
-      const Tensor scalar_grad = model.BackwardInput(scalar, model.num_layers() - 1,
-                                                     grad_seeds[static_cast<size_t>(b)]);
-      EXPECT_EQ(SliceSample(batched, b).values(), scalar_grad.values())
-          << model.name() << " sample " << b;
+      const Tensor scalar_grad =
+          model.BackwardInput(scalar, last, grad_seeds[static_cast<size_t>(b)]);
+      testing::ExpectTensorsNear(SliceSample(batched, b), scalar_grad,
+                                 testing::kKernelBackwardTolerance, what);
+      const Tensor& sample_grad =
+          plan.BackwardSample(b, last, grad_seeds[static_cast<size_t>(b)]);
+      EXPECT_EQ(SliceSample(batched, b).values(), sample_grad.values()) << what;
     }
   }
 }

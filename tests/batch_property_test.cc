@@ -1,7 +1,8 @@
-// Randomized batch-kernel property tests: for EVERY layer type, the batched
-// kernels (ForwardBatch / BackwardBatch) must be bit-identical to the
-// per-sample path over random layer configurations, random input shapes, and
-// random batch sizes — generalizing the hand-picked shapes of
+// Randomized batch-kernel property tests: for EVERY layer type, the batch
+// kernels (ForwardBatchInto / BackwardBatchInto) must be bit-identical across
+// batch widths and match the per-sample oracle over random layer
+// configurations, random input shapes, and random batch sizes — generalizing
+// the hand-picked shapes of
 // tests/batch_exec_test.cc. The RNG seed is fixed, so every run checks the
 // same (reproducible) sample of the configuration space.
 #include <gtest/gtest.h>
@@ -33,8 +34,9 @@ Activation RandAct(Rng& rng) {
   return static_cast<Activation>(RandInt(rng, 0, 3));  // kNone..kSigmoid.
 }
 
-// Batch sizes straddle the 8-lane dense blocking: singletons, partial
-// blocks, exact blocks, and blocks-plus-tail all occur across trials.
+// Batch sizes straddle the 8-float SIMD vector (Dense runs the batch as the
+// GEMM's column dimension): singletons, partial vectors, exact vectors, and
+// vectors-plus-tail all occur across trials.
 int RandBatch(Rng& rng) { return RandInt(rng, 1, 19); }
 
 TEST(BatchPropertyTest, Dense) {

@@ -11,11 +11,11 @@
 //   3. every constraint variant is idempotent (Apply(Apply(g)) == Apply(g)
 //      under identical RNG streams) and its projection is a retraction
 //      (Project(Project(x)) == Project(x));
-//   4. the compiled ExecutionPlan path matches the by-value path for every
-//      zoo model (forward trace and input gradient) within the kernel
-//      tolerances of tests/test_util.h — the plan path runs the SIMD/GEMM
-//      conv2d/dense kernels, whose accumulation order differs from the
-//      by-value scalar oracle.
+//   4. the compiled ExecutionPlan path matches the per-sample scalar oracle
+//      for every zoo model (forward trace and input gradient) within the
+//      kernel tolerances of tests/test_util.h — the plan path runs the
+//      SIMD/GEMM conv2d/dense kernels, whose accumulation order differs
+//      from the oracle's.
 //
 // Plus registry-level tests: lookup error messages (the CLI surfaces them
 // verbatim) and the corpus-manifest hardening guarantee — a manifest whose
@@ -116,8 +116,8 @@ TEST_P(DomainConformanceTest, ModelsForwardAndBackwardOnABatch) {
       EXPECT_EQ(m.layer(m.num_layers() - 1).Kind(), "softmax") << mspec.name;
     }
 
-    const BatchTrace trace = m.ForwardBatch(stacked);
-    const Tensor& out = trace.outputs.back();
+    ExecutionPlan plan = m.Compile(kBatch);
+    const Tensor& out = plan.ForwardBatch(stacked, kBatch).outputs.back();
     ASSERT_EQ(out.shape(), BatchedShape(kBatch, m.output_shape())) << mspec.name;
     for (int64_t i = 0; i < out.numel(); ++i) {
       ASSERT_TRUE(std::isfinite(out[i])) << mspec.name;
@@ -125,7 +125,7 @@ TEST_P(DomainConformanceTest, ModelsForwardAndBackwardOnABatch) {
 
     Tensor seed(out.shape());
     seed.Fill(1.0f);
-    const Tensor grad = m.BackwardInputBatch(trace, m.num_layers() - 1, std::move(seed));
+    const Tensor& grad = plan.BackwardInputBatch(m.num_layers() - 1, seed);
     ASSERT_EQ(grad.shape(), BatchedShape(kBatch, m.input_shape())) << mspec.name;
     for (int64_t i = 0; i < grad.numel(); ++i) {
       ASSERT_TRUE(std::isfinite(grad[i])) << mspec.name;
@@ -163,29 +163,28 @@ TEST_P(DomainConformanceTest, ConstraintsAreIdempotentAndProjectionsRetract) {
   }
 }
 
-TEST_P(DomainConformanceTest, ExecutionPlanMatchesByValuePath) {
+TEST_P(DomainConformanceTest, ExecutionPlanMatchesPerSampleOracle) {
   const Dataset ds = spec().make_dataset(kBatch, 9);
   const Tensor stacked = StackFirst(ds, kBatch);
   for (const DomainModelSpec& mspec : spec().models) {
     const Model m = mspec.build(13);
     ExecutionPlan plan = m.Compile(kBatch);
 
-    const BatchTrace by_value = m.ForwardBatch(stacked);
-    const BatchTrace& planned = m.ForwardBatch(stacked, plan);
-    ASSERT_EQ(planned.outputs.size(), by_value.outputs.size()) << mspec.name;
-    for (size_t l = 0; l < by_value.outputs.size(); ++l) {
-      dx::testing::ExpectTensorsNear(planned.outputs[l], by_value.outputs[l],
+    const BatchTrace oracle = dx::testing::OracleForwardBatch(m, stacked);
+    const BatchTrace& planned = plan.ForwardBatch(stacked, kBatch);
+    ASSERT_EQ(planned.outputs.size(), oracle.outputs.size()) << mspec.name;
+    for (size_t l = 0; l < oracle.outputs.size(); ++l) {
+      dx::testing::ExpectTensorsNear(planned.outputs[l], oracle.outputs[l],
                                      dx::testing::kKernelForwardTolerance,
                                      mspec.name + " layer " + std::to_string(l));
     }
 
-    Tensor seed(by_value.outputs.back().shape());
+    Tensor seed(oracle.outputs.back().shape());
     seed.Fill(0.5f);
-    const Tensor grad_by_value =
-        m.BackwardInputBatch(by_value, m.num_layers() - 1, seed);
-    const Tensor& grad_planned =
-        m.BackwardInputBatch(plan, m.num_layers() - 1, seed);
-    dx::testing::ExpectTensorsNear(grad_planned, grad_by_value,
+    const Tensor grad_oracle =
+        dx::testing::OracleBackwardBatch(m, oracle, m.num_layers() - 1, seed);
+    const Tensor& grad_planned = plan.BackwardInputBatch(m.num_layers() - 1, seed);
+    dx::testing::ExpectTensorsNear(grad_planned, grad_oracle,
                                    dx::testing::kKernelBackwardTolerance,
                                    mspec.name);
   }

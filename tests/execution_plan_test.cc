@@ -1,12 +1,12 @@
 // ExecutionPlan equivalence: the compiled zero-allocation path must match
-// the by-value Model API — forward traces (outputs AND aux), batched input
-// gradients, per-sample objective backprop, and the width-1 sample trace —
-// across layer types, widths, and width changes (the plan's buffers are
-// reused in place between calls).
+// the per-sample scalar oracle (tests/test_util.h) — forward traces (outputs
+// AND aux), batched input gradients, per-sample objective backprop, and the
+// width-1 sample trace — across layer types, widths, and width changes (the
+// plan's buffers are reused in place between calls).
 //
-// Since the SIMD/GEMM kernel rewrite the plan path runs conv2d and dense
-// forward through im2col + GemmBias (src/nn/gemm.h), which accumulates in a
-// different order than the by-value scalar kernels — the reference oracle.
+// The plan path runs conv2d and dense through im2col + GemmBias
+// (src/nn/gemm.h), which accumulates in a different order than the scalar
+// kernels — the reference oracle.
 // Comparisons against the oracle are therefore tolerance-checked (ULP + abs
 // floor, tests/test_util.h); layers without SIMD kernels stay bit-exact.
 // The plan path remains bit-identical to ITSELF at any batch width, worker
@@ -29,18 +29,19 @@
 #include "src/nn/residual.h"
 #include "src/nn/softmax_layer.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/workspace.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace dx {
 namespace {
 
+using testing::ExpectBatchMatchesScalar;
 using testing::ExpectTensorsNear;
 using testing::FloatTolerance;
-using testing::kExactTolerance;
 using testing::kKernelBackwardTolerance;
 using testing::kKernelForwardTolerance;
+using testing::OracleBackwardBatch;
+using testing::OracleForwardBatch;
 
 Model MakeConvModel(uint64_t seed) {
   Model m("conv", {1, 10, 10});
@@ -90,15 +91,15 @@ void ExpectTracesNear(const BatchTrace& got, const BatchTrace& want,
   }
 }
 
-TEST(ExecutionPlanTest, ForwardMatchesByValueAcrossWidths) {
+TEST(ExecutionPlanTest, ForwardMatchesOracleAcrossWidths) {
   for (const auto& model : {MakeConvModel(7), MakeResidualModel(8)}) {
     ExecutionPlan plan = model.Compile(8);
     // Widths vary across calls: slabs shrink and grow in place.
     int round = 0;
     for (const int width : {8, 3, 1, 8, 5}) {
       const Tensor input = RandomBatch(model, width, 100 + static_cast<uint64_t>(round));
-      const BatchTrace want = model.ForwardBatch(input);
-      const BatchTrace& got = model.ForwardBatch(input, plan);
+      const BatchTrace want = OracleForwardBatch(model, input);
+      const BatchTrace& got = plan.ForwardBatch(input, width);
       ExpectTracesNear(got, want, kKernelForwardTolerance,
                        model.name() + " width " + std::to_string(width));
       EXPECT_EQ(SliceSample(got.input, width - 1).values(),
@@ -112,7 +113,7 @@ TEST(ExecutionPlanTest, ForwardCountsForwardPasses) {
   const Model model = MakeConvModel(7);
   ExecutionPlan plan = model.Compile(4);
   model.ResetForwardPasses();
-  model.ForwardBatch(RandomBatch(model, 3, 1), plan);
+  plan.ForwardBatch(RandomBatch(model, 3, 1), 3);
   EXPECT_EQ(model.forward_passes(), 3);
 }
 
@@ -120,14 +121,14 @@ TEST(ExecutionPlanTest, ForwardCountsForwardPasses) {
 // sample's forward depends only on that sample (GEMM accumulates each output
 // element over a fixed ascending-k chain regardless of the batch dimension).
 // This is the invariant that keeps Session results independent of batch size
-// and worker count now that the plan path is no longer bit-equal to the
-// by-value oracle.
+// and worker count, since the plan path is not bit-equal to the scalar
+// oracle.
 TEST(ExecutionPlanTest, ForwardBitIdenticalAcrossWidths) {
   for (const auto& model : {MakeConvModel(21), MakeResidualModel(22)}) {
     ExecutionPlan plan = model.Compile(8);
     const Tensor input = RandomBatch(model, 8, 300);
     // Forward the full batch, snapshot every layer output.
-    const BatchTrace& full = model.ForwardBatch(input, plan);
+    const BatchTrace& full = plan.ForwardBatch(input, 8);
     std::vector<std::vector<float>> full_outputs;
     for (const Tensor& out : full.outputs) {
       full_outputs.push_back(out.values());
@@ -145,7 +146,7 @@ TEST(ExecutionPlanTest, ForwardBitIdenticalAcrossWidths) {
     for (const int width : {1, 3, 5}) {
       Tensor prefix(BatchedShape(width, model.input_shape()));
       std::copy(input.data(), input.data() + prefix.numel(), prefix.data());
-      const BatchTrace& got = model.ForwardBatch(prefix, plan2);
+      const BatchTrace& got = plan2.ForwardBatch(prefix, width);
       for (size_t l = 0; l < got.outputs.size(); ++l) {
         const std::vector<float> got_vals = got.outputs[l].values();
         for (size_t i = 0; i < got_vals.size(); ++i) {
@@ -158,19 +159,19 @@ TEST(ExecutionPlanTest, ForwardBitIdenticalAcrossWidths) {
   }
 }
 
-TEST(ExecutionPlanTest, BackwardInputBatchMatchesByValue) {
+TEST(ExecutionPlanTest, BackwardInputBatchMatchesOracle) {
   for (const auto& model : {MakeConvModel(9), MakeResidualModel(10)}) {
     ExecutionPlan plan = model.Compile(6);
     for (const int width : {6, 2, 6}) {
       const Tensor input = RandomBatch(model, width, 55 + static_cast<uint64_t>(width));
-      const BatchTrace want_trace = model.ForwardBatch(input);
-      model.ForwardBatch(input, plan);
+      const BatchTrace want_trace = OracleForwardBatch(model, input);
+      plan.ForwardBatch(input, width);
       for (const int from : {model.num_layers() - 1, 0}) {
         Rng rng(17);
         const Tensor seed = Tensor::RandUniform(
             want_trace.outputs[static_cast<size_t>(from)].shape(), rng, -1.0f, 1.0f);
-        const Tensor want = model.BackwardInputBatch(want_trace, from, seed);
-        const Tensor& got = model.BackwardInputBatch(plan, from, seed);
+        const Tensor want = OracleBackwardBatch(model, want_trace, from, seed);
+        const Tensor& got = plan.BackwardInputBatch(from, seed);
         EXPECT_EQ(got.shape(), want.shape()) << model.name();
         ExpectTensorsNear(got, want, kKernelBackwardTolerance,
                           model.name() + " width " + std::to_string(width) +
@@ -184,14 +185,13 @@ TEST(ExecutionPlanTest, BackwardSampleMatchesScalarBackward) {
   for (const auto& model : {MakeConvModel(11), MakeResidualModel(12)}) {
     ExecutionPlan plan = model.Compile(4);
     const Tensor input = RandomBatch(model, 4, 99);
-    const BatchTrace batch_trace = model.ForwardBatch(input);
-    model.ForwardBatch(input, plan);
+    plan.ForwardBatch(input, 4);
     // Seed from the last layer (differential objective) and from an interior
     // layer (coverage objective picks arbitrary layers).
     for (const int from : {model.num_layers() - 1, 1, 0}) {
       for (int pos = 0; pos < 4; ++pos) {
         Rng rng(200 + static_cast<uint64_t>(from * 4 + pos));
-        const ForwardTrace sample = batch_trace.Sample(pos);
+        const ForwardTrace sample = model.Forward(SliceSample(input, pos));
         const Tensor scalar_seed = Tensor::RandUniform(
             sample.outputs[static_cast<size_t>(from)].shape(), rng, -1.0f, 1.0f);
         const Tensor want = model.BackwardInput(sample, from, scalar_seed);
@@ -209,14 +209,14 @@ TEST(ExecutionPlanTest, BackwardSampleMatchesScalarBackward) {
   }
 }
 
-TEST(ExecutionPlanTest, SampleTraceMatchesSelect) {
+TEST(ExecutionPlanTest, SampleTraceMatchesOracle) {
   const Model model = MakeResidualModel(13);
   ExecutionPlan plan = model.Compile(3);
   const Tensor input = RandomBatch(model, 3, 42);
-  const BatchTrace want_trace = model.ForwardBatch(input);
-  model.ForwardBatch(input, plan);
+  plan.ForwardBatch(input, 3);
   for (int pos = 0; pos < 3; ++pos) {
-    const BatchTrace want = want_trace.Select({pos});
+    const BatchTrace want = OracleForwardBatch(
+        model, SliceSample(input, pos).Reshape(BatchedShape(1, model.input_shape())));
     const BatchTrace& got = plan.SampleTrace(pos);
     ExpectTracesNear(got, want, kKernelForwardTolerance,
                      "sample " + std::to_string(pos));
@@ -235,84 +235,43 @@ TEST(ExecutionPlanTest, AcquireSeedIsZeroed) {
   }
 }
 
-// Per-layer: the *Into kernels must match the by-value kernels — bit for bit
-// for layers without SIMD kernels (tol == kExactTolerance), within ULP/abs
-// tolerance for conv2d/dense/residual, whose Into path runs im2col + GEMM.
-void ExpectIntoMatchesByValue(const Layer& layer, const Shape& in_shape, int batch,
-                              uint64_t seed,
-                              const FloatTolerance& fwd_tol = kExactTolerance,
-                              const FloatTolerance& bwd_tol = kExactTolerance) {
-  Rng rng(seed);
-  const Tensor input = Tensor::RandUniform(BatchedShape(batch, in_shape), rng, -1.0f, 1.0f);
-  Tensor want_aux;
-  const Tensor want_out = layer.ForwardBatch(input, batch, false, nullptr, &want_aux);
-
-  Workspace ws;
-  Tensor got_out(want_out.shape());
-  Tensor got_aux;
-  layer.ForwardBatchInto(input, batch, false, nullptr, &got_out, &got_aux, &ws);
-  ExpectTensorsNear(got_out, want_out, fwd_tol, layer.Describe() + " forward");
-  ExpectTensorsNear(got_aux, want_aux, fwd_tol, layer.Describe() + " aux");
-
-  const Tensor grad_out =
-      Tensor::RandUniform(want_out.shape(), rng, -1.0f, 1.0f);
-  const size_t num_params = layer.Params().size();
-  std::vector<Tensor> want_pg;
-  std::vector<Tensor> got_pg;
-  for (const Tensor* p : layer.Params()) {
-    want_pg.emplace_back(p->shape());
-    got_pg.emplace_back(p->shape());
-  }
-  const Tensor want_gin = layer.BackwardBatch(input, want_out, grad_out, want_aux, batch,
-                                              num_params > 0 ? &want_pg : nullptr);
-  Tensor got_gin(input.shape());
-  layer.BackwardBatchInto(input, got_out, grad_out, got_aux, batch, &got_gin, &ws,
-                          num_params > 0 ? &got_pg : nullptr);
-  ExpectTensorsNear(got_gin, want_gin, bwd_tol, layer.Describe() + " backward");
-  for (size_t p = 0; p < num_params; ++p) {
-    ExpectTensorsNear(got_pg[p], want_pg[p], bwd_tol,
-                      layer.Describe() + " param grad " + std::to_string(p));
-  }
-}
-
-TEST(LayerIntoTest, AllLayersMatchByValueKernels) {
+// Per-layer: the *Into kernels against the per-sample oracle, bit for bit
+// for layers without SIMD kernels and within ULP/abs tolerance for
+// conv2d/dense/residual, whose Into path runs im2col + GEMM.
+TEST(LayerIntoTest, AllLayersMatchOracle) {
   Rng rng(31);
   for (const int batch : {1, 3, 8, 9}) {
     {
       Dense dense(10, 7, Activation::kRelu);
       dense.InitParams(rng);
-      ExpectIntoMatchesByValue(dense, {10}, batch, 1000 + static_cast<uint64_t>(batch),
-                               kKernelForwardTolerance, kKernelBackwardTolerance);
+      ExpectBatchMatchesScalar(dense, {10}, batch, 1000 + static_cast<uint64_t>(batch));
     }
     {
       Conv2D conv(2, 3, 3, 3, 1, 1, Activation::kTanh);
       conv.InitParams(rng);
-      ExpectIntoMatchesByValue(conv, {2, 6, 6}, batch, 2000 + static_cast<uint64_t>(batch),
-                               kKernelForwardTolerance, kKernelBackwardTolerance);
+      ExpectBatchMatchesScalar(conv, {2, 6, 6}, batch, 2000 + static_cast<uint64_t>(batch));
     }
-    ExpectIntoMatchesByValue(Pool2D(PoolMode::kMax, 2), {3, 6, 6}, batch,
+    ExpectBatchMatchesScalar(Pool2D(PoolMode::kMax, 2), {3, 6, 6}, batch,
                              3000 + static_cast<uint64_t>(batch));
-    ExpectIntoMatchesByValue(Pool2D(PoolMode::kAvg, 2), {3, 6, 6}, batch,
+    ExpectBatchMatchesScalar(Pool2D(PoolMode::kAvg, 2), {3, 6, 6}, batch,
                              4000 + static_cast<uint64_t>(batch));
-    ExpectIntoMatchesByValue(Flatten(), {2, 4, 4}, batch,
+    ExpectBatchMatchesScalar(Flatten(), {2, 4, 4}, batch,
                              5000 + static_cast<uint64_t>(batch));
-    ExpectIntoMatchesByValue(SoftmaxLayer(), {9}, batch,
+    ExpectBatchMatchesScalar(SoftmaxLayer(), {9}, batch,
                              6000 + static_cast<uint64_t>(batch));
     {
       BatchNorm bn(5);
       bn.SetStatistics(std::vector<float>(5, 0.2f), std::vector<float>(5, 2.0f));
-      ExpectIntoMatchesByValue(bn, {5, 4, 4}, batch, 7000 + static_cast<uint64_t>(batch));
+      ExpectBatchMatchesScalar(bn, {5, 4, 4}, batch, 7000 + static_cast<uint64_t>(batch));
     }
-    ExpectIntoMatchesByValue(Dropout(0.4f), {12}, batch,
+    ExpectBatchMatchesScalar(Dropout(0.4f), {12}, batch,
                              8000 + static_cast<uint64_t>(batch));
     {
-      // Input-grad-only path (param_grads == nullptr) is the batched one;
-      // exercised via the model-level tests above. Here: full adapter path.
+      // Parameter gradients route through each child convolution's kernel.
       ResidualBlock res(3, 6, 2);
       Rng r2(77);
       res.InitParams(r2);
-      ExpectIntoMatchesByValue(res, {3, 8, 8}, batch, 9000 + static_cast<uint64_t>(batch),
-                               kKernelForwardTolerance, kKernelBackwardTolerance);
+      ExpectBatchMatchesScalar(res, {3, 8, 8}, batch, 9000 + static_cast<uint64_t>(batch));
     }
   }
 }
@@ -342,8 +301,7 @@ TEST(LayerIntoTest, SimdVsScalarSweepAllLayerShapes) {
       for (const Activation act : {Activation::kRelu, Activation::kNone}) {
         Conv2D conv(c.in_c, c.out_c, c.kh, c.kw, c.stride, c.padding, act);
         conv.InitParams(rng);
-        ExpectIntoMatchesByValue(conv, {c.in_c, c.in_h, c.in_w}, batch, rng.NextU64(),
-                                 kKernelForwardTolerance, kKernelBackwardTolerance);
+        ExpectBatchMatchesScalar(conv, {c.in_c, c.in_h, c.in_w}, batch, rng.NextU64());
       }
     }
   }
@@ -362,8 +320,7 @@ TEST(LayerIntoTest, SimdVsScalarSweepAllLayerShapes) {
     for (const int batch : {1, 8}) {
       Dense dense(d.in, d.out, Activation::kRelu);
       dense.InitParams(rng);
-      ExpectIntoMatchesByValue(dense, {d.in}, batch, rng.NextU64(),
-                               kKernelForwardTolerance, kKernelBackwardTolerance);
+      ExpectBatchMatchesScalar(dense, {d.in}, batch, rng.NextU64());
     }
   }
 }

@@ -7,12 +7,12 @@
 //
 //   1. GemmBias matches a naive scalar reference within the kernel forward
 //      tolerance (the reference uses separate mul+add, the kernel fused
-//      ascending-k FMA — same contract as the by-value oracle comparison).
+//      ascending-k FMA — same contract as the scalar oracle comparison).
 //   2. GemmBias is BIT-identical however the N dimension is partitioned
 //      (whole call vs per-column calls) — the width-invariance guarantee
 //      the executor's batch determinism rests on.
 //   3. Conv2D / Dense ForwardBatchInto (the im2col+GEMM plan path) match
-//      the by-value scalar oracle within tolerance at batch 1 and 8, and
+//      the per-sample scalar oracle within tolerance at batch 1 and 8, and
 //      Im2Col itself matches a direct gather exactly (pure data movement).
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ std::vector<float> RandVec(Rng& rng, int64_t n) {
 }
 
 // Naive reference: separate multiply and add, ascending k (the same
-// per-element order the scalar by-value kernels use).
+// per-element order the scalar oracle kernels use).
 std::vector<float> NaiveGemmBias(int M, int N, int K, const float* A, int lda,
                                  const float* B, int ldb, const float* bias) {
   std::vector<float> C(static_cast<size_t>(M) * N);
@@ -167,13 +167,13 @@ TEST(GemmKernelTest, Im2ColMatchesDirectGatherExactly) {
 }
 
 // The integrated plan path: Conv2D/Dense ForwardBatchInto (im2col + GEMM +
-// SIMD, workspace-backed) against the by-value scalar oracle.
-void ExpectForwardIntoNearByValue(const Layer& layer, const Shape& in_shape, int batch,
-                                  uint64_t seed) {
+// SIMD, workspace-backed) against the per-sample scalar oracle.
+void ExpectForwardIntoNearOracle(const Layer& layer, const Shape& in_shape, int batch,
+                                 uint64_t seed) {
   Rng rng(seed);
   const Tensor input = Tensor::RandUniform(BatchedShape(batch, in_shape), rng, -1.0f, 1.0f);
   Tensor want_aux;
-  const Tensor want = layer.ForwardBatch(input, batch, false, nullptr, &want_aux);
+  const Tensor want = testing::OracleForward(layer, input, batch, &want_aux);
   Workspace ws;
   Tensor got(want.shape());
   Tensor got_aux;
@@ -202,7 +202,7 @@ TEST(GemmKernelTest, Conv2DForwardIntoSweepsRandomShapes) {
                  static_cast<Activation>(RandInt(rng, 0, 3)));
     layer.InitParams(rng);
     for (const int batch : {1, 8}) {
-      ExpectForwardIntoNearByValue(layer, {in_ch, in_h, in_w}, batch, rng.NextU64());
+      ExpectForwardIntoNearOracle(layer, {in_ch, in_h, in_w}, batch, rng.NextU64());
     }
   }
 }
@@ -214,7 +214,7 @@ TEST(GemmKernelTest, DenseForwardIntoSweepsRandomShapes) {
                 static_cast<Activation>(RandInt(rng, 0, 3)));
     layer.InitParams(rng);
     for (const int batch : {1, 8}) {
-      ExpectForwardIntoNearByValue(layer, {layer.in_features()}, batch, rng.NextU64());
+      ExpectForwardIntoNearOracle(layer, {layer.in_features()}, batch, rng.NextU64());
     }
   }
 }

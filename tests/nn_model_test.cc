@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
@@ -13,6 +16,7 @@
 #include "src/nn/pool2d.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
+#include "src/util/serialize.h"
 #include "tests/test_util.h"
 
 namespace dx {
@@ -221,6 +225,34 @@ TEST(ModelTest, SerializationPreservesBatchNormAndDropout) {
 
 TEST(ModelTest, DeserializeRejectsGarbage) {
   EXPECT_THROW(Model::Deserialize("not a model"), std::runtime_error);
+}
+
+// A self-consistent blob whose Dense(4, 2) weight is stored as {1, 1}: the
+// shape and value count agree with each other but not with the layer, whose
+// kernels would read past the weight buffer.
+TEST(ModelTest, DeserializeRejectsParamShapeMismatch) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter writer(out);
+  writer.WriteU32(0x44585031);  // "DXP1"
+  writer.WriteString("bad_dense");
+  writer.WriteInts({4});
+  writer.WriteU64(1);
+  writer.WriteString("dense");
+  Dense(4, 2).SerializeConfig(writer);
+  writer.WriteU64(2);
+  writer.WriteInts({1, 1});
+  writer.WriteFloats({0.5f});
+  writer.WriteInts({2});
+  writer.WriteFloats({0.0f, 0.0f});
+  try {
+    Model::Deserialize(out.str());
+    FAIL() << "mis-shaped weight accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("layer 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("dense"), std::string::npos) << what;
+    EXPECT_NE(what.find("param 0"), std::string::npos) << what;
+  }
 }
 
 TEST(ModelTest, DropoutTraceBackwardIsConsistent) {

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "src/baselines/adversarial.h"
 #include "src/baselines/random_testing.h"
@@ -14,10 +16,12 @@
 #include "src/data/dataset.h"
 #include "src/models/trainer.h"
 #include "src/nn/dense.h"
+#include "src/nn/execution_plan.h"
 #include "src/nn/model.h"
 #include "src/nn/softmax_layer.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "src/util/serialize.h"
 
 namespace dx {
 namespace {
@@ -183,6 +187,42 @@ TEST_F(SessionToyTest, KMultisectionProfilesFromTheSeedPool) {
   session.Run(*seeds_, RunOptions{});
   const auto& metric = dynamic_cast<const KMultisectionCoverage&>(session.metric(0));
   EXPECT_TRUE(metric.profiled());
+}
+
+// Profiled ranges come from the plan path the executor buckets with: every
+// seed's plan-path neuron values lie inside [low, high], and the serialized
+// profile is byte-identical at any batch width.
+TEST_F(SessionToyTest, KMultisectionProfilesComeFromThePlanPath) {
+  std::string reference;
+  for (const int batch_size : {1, 3, 8}) {
+    SessionConfig config = ToyConfig();
+    config.metric = "kmultisection";
+    config.batch_size = batch_size;
+    Session session(ModelPtrs(), &constraint_, config);
+    session.ProfileSeeds(*seeds_);
+    std::ostringstream blob(std::ios::binary);
+    BinaryWriter writer(blob);
+    for (int k = 0; k < session.num_models(); ++k) {
+      const auto& metric = dynamic_cast<const KMultisectionCoverage&>(session.metric(k));
+      ASSERT_TRUE(metric.profiled());
+      const Model& model = session.model(k);
+      ExecutionPlan plan = model.Compile(1);
+      for (const Tensor& seed : *seeds_) {
+        const std::vector<float> values =
+            metric.NeuronValues(model, plan.ForwardBatch(seed, 1).Sample(0));
+        for (size_t i = 0; i < values.size(); ++i) {
+          EXPECT_GE(values[i], metric.low()[i]) << model.name() << " neuron " << i;
+          EXPECT_LE(values[i], metric.high()[i]) << model.name() << " neuron " << i;
+        }
+      }
+      metric.Serialize(writer);
+    }
+    if (reference.empty()) {
+      reference = blob.str();
+    } else {
+      EXPECT_EQ(blob.str(), reference) << "batch_size " << batch_size;
+    }
+  }
 }
 
 TEST_F(SessionToyTest, BaselineObjectivesRunThroughTheEngineLoop) {

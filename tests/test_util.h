@@ -1,6 +1,6 @@
-// Shared test helpers: numerical differentiation for gradient checking, the
-// batched-kernel vs scalar-kernel bit-identity harness, and ULP/abs float
-// tolerances for comparing the SIMD/GEMM plan path against the scalar oracle.
+// Shared test helpers: numerical differentiation for gradient checking, ULP/abs
+// float tolerances, the per-sample scalar oracle over batches, and the harness
+// that checks a layer's batch kernels against it.
 #ifndef DX_TESTS_TEST_UTIL_H_
 #define DX_TESTS_TEST_UTIL_H_
 
@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "src/nn/layer.h"
+#include "src/nn/model.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
+#include "src/tensor/workspace.h"
 #include "src/util/rng.h"
 
 namespace dx::testing {
@@ -82,7 +84,7 @@ struct FloatTolerance {
 inline constexpr FloatTolerance kExactTolerance{};
 
 // Default bound for comparing the GEMM/SIMD forward kernels (ascending-k FMA
-// accumulation) against the by-value scalar oracle (per-element partial-sum
+// accumulation) against the per-sample scalar oracle (per-element partial-sum
 // order, double accumulation in dense). Reassociation error grows with the
 // reduction length; 512 ULP ≈ 3e-5 relative covers the zoo's largest layers
 // with ~10x headroom.
@@ -151,81 +153,159 @@ inline float RelErrorQuantile(const Tensor& a, const Tensor& b, float q) {
   return errors[index];
 }
 
-// Runs `layer` over a random batch twice — once per sample, once batched —
-// and asserts outputs, aux, input gradients, and accumulated parameter
-// gradients are bit-identical. The single-pass guarantee of the batched
-// executor rests on this equivalence holding for EVERY layer kernel at
-// every batch size.
-inline void ExpectBatchMatchesScalar(const Layer& layer, const Shape& in_shape, int batch,
-                                     uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Tensor> inputs;
-  std::vector<const Tensor*> input_ptrs;
-  for (int b = 0; b < batch; ++b) {
-    inputs.push_back(Tensor::RandUniform(in_shape, rng, -1.0f, 1.0f));
-  }
-  for (const Tensor& t : inputs) {
-    input_ptrs.push_back(&t);
-  }
-  const Tensor batched_in = StackSamples(input_ptrs);
+// ---- Per-sample oracle ------------------------------------------------------------------
+//
+// The scalar Layer::Forward / Backward pair is the reference every batch
+// kernel is judged against. These helpers run it over a [batch, ...] slab
+// one sample at a time and stack the results.
 
-  Tensor batched_aux;
-  const Tensor batched_out =
-      layer.ForwardBatch(batched_in, batch, false, nullptr, &batched_aux);
-
-  std::vector<Tensor> scalar_outs;
-  std::vector<Tensor> scalar_auxes;
+// Layer::Forward on each sample of `input`, stacked; `*aux` receives the
+// stacked aux state (left untouched when the layer records none).
+inline Tensor OracleForward(const Layer& layer, const Tensor& input, int batch, Tensor* aux) {
+  Tensor out;
   for (int b = 0; b < batch; ++b) {
-    Tensor aux;
-    scalar_outs.push_back(layer.Forward(inputs[static_cast<size_t>(b)], false, nullptr, &aux));
-    scalar_auxes.push_back(std::move(aux));
-  }
-  ASSERT_EQ(batched_out.shape(), BatchedShape(batch, scalar_outs[0].shape()));
-  for (int b = 0; b < batch; ++b) {
-    EXPECT_EQ(SliceSample(batched_out, b).values(),
-              scalar_outs[static_cast<size_t>(b)].values())
-        << layer.Describe() << " forward sample " << b << " of " << batch;
-    if (!scalar_auxes[static_cast<size_t>(b)].empty()) {
-      ASSERT_FALSE(batched_aux.empty()) << layer.Describe();
-      EXPECT_EQ(SliceSample(batched_aux, b).values(),
-                scalar_auxes[static_cast<size_t>(b)].values())
-          << layer.Describe() << " aux sample " << b << " of " << batch;
+    Tensor sample_aux;
+    const Tensor sample_out = layer.Forward(SliceSample(input, b), false, nullptr, &sample_aux);
+    if (b == 0) {
+      out = Tensor(BatchedShape(batch, sample_out.shape()));
+      if (!sample_aux.empty()) {
+        *aux = Tensor(BatchedShape(batch, sample_aux.shape()));
+      }
+    }
+    CopySampleInto(&out, b, sample_out);
+    if (!sample_aux.empty()) {
+      CopySampleInto(aux, b, sample_aux);
     }
   }
+  return out;
+}
 
-  // Gradients: per-sample sequential accumulation vs one batched call.
-  std::vector<Tensor> grads;
-  std::vector<const Tensor*> grad_ptrs;
+// Layer::Backward on each sample, stacked; parameter gradients (when
+// requested) accumulate in batch order.
+inline Tensor OracleBackward(const Layer& layer, const Tensor& input, const Tensor& output,
+                             const Tensor& grad_output, const Tensor& aux, int batch,
+                             std::vector<Tensor>* param_grads) {
+  Tensor grad_in(input.shape());
   for (int b = 0; b < batch; ++b) {
-    grads.push_back(Tensor::RandUniform(scalar_outs[0].shape(), rng, -1.0f, 1.0f));
+    const Tensor aux_b = aux.empty() ? Tensor() : SliceSample(aux, b);
+    CopySampleInto(&grad_in, b,
+                   layer.Backward(SliceSample(input, b), SliceSample(output, b),
+                                  SliceSample(grad_output, b), aux_b, param_grads));
   }
-  for (const Tensor& t : grads) {
-    grad_ptrs.push_back(&t);
-  }
-  const Tensor batched_grad_out = StackSamples(grad_ptrs);
+  return grad_in;
+}
 
-  const size_t num_params = layer.Params().size();
-  std::vector<Tensor> scalar_param_grads;
-  std::vector<Tensor> batched_param_grads;
+// Model-level oracle: the per-sample forward of every layer over
+// `input` ([B, ...input_shape]), recorded as a BatchTrace.
+inline BatchTrace OracleForwardBatch(const Model& model, const Tensor& input) {
+  BatchTrace trace;
+  trace.batch = input.dim(0);
+  trace.input = input;
+  trace.aux.resize(static_cast<size_t>(model.num_layers()));
+  const Tensor* cur = &trace.input;
+  for (int l = 0; l < model.num_layers(); ++l) {
+    trace.outputs.push_back(
+        OracleForward(model.layer(l), *cur, trace.batch, &trace.aux[static_cast<size_t>(l)]));
+    cur = &trace.outputs.back();
+  }
+  return trace;
+}
+
+// d(seed·out_from)/d(input) per sample of `trace`, stacked; `seed` is
+// [B, ...layer_output_shape].
+inline Tensor OracleBackwardBatch(const Model& model, const BatchTrace& trace, int from_layer,
+                                  Tensor seed) {
+  for (int l = from_layer; l >= 0; --l) {
+    seed = OracleBackward(model.layer(l), trace.LayerInput(l),
+                          trace.outputs[static_cast<size_t>(l)], seed,
+                          trace.aux[static_cast<size_t>(l)], trace.batch, nullptr);
+  }
+  return seed;
+}
+
+// How closely a layer's batch kernels must track the oracle: exactly,
+// except for the GEMM-backed layers (Dense, Conv2D and the Conv2D-composed
+// ResidualBlock), whose accumulation order differs.
+struct OracleTolerance {
+  FloatTolerance forward;
+  FloatTolerance backward;
+};
+
+inline OracleTolerance OracleToleranceFor(const Layer& layer) {
+  const std::string kind = layer.Kind();
+  if (kind == "dense" || kind == "conv2d" || kind == "residual") {
+    return {kKernelForwardTolerance, kKernelBackwardTolerance};
+  }
+  return {kExactTolerance, kExactTolerance};
+}
+
+// Runs `layer`'s batch kernels over a random batch as one width-`batch`
+// call and as `batch` width-1 calls, and checks them against the oracle:
+//   * outputs, aux and input gradients of the wide call are bit-identical
+//     to the width-1 calls — results never depend on batch width, which is
+//     what keeps Session results invariant to batch size and worker count;
+//   * outputs and input gradients match the oracle within
+//     OracleToleranceFor(layer);
+//   * accumulated parameter gradients match both within the backward
+//     tolerance (Dense reduces dW over the batch in one GEMM chain).
+// Both backward paths are fed the oracle's forward results, isolating the
+// backward kernels from forward rounding.
+inline void ExpectBatchMatchesScalar(const Layer& layer, const Shape& in_shape, int batch,
+                                     uint64_t seed) {
+  const OracleTolerance tol = OracleToleranceFor(layer);
+  const std::string what = layer.Describe() + " batch " + std::to_string(batch);
+  const Shape out_shape = layer.OutputShape(in_shape);
+  Rng rng(seed);
+  const Tensor input = Tensor::RandUniform(BatchedShape(batch, in_shape), rng, -1.0f, 1.0f);
+  const Tensor grad_out =
+      Tensor::RandUniform(BatchedShape(batch, out_shape), rng, -1.0f, 1.0f);
+
+  Tensor want_aux;
+  const Tensor want_out = OracleForward(layer, input, batch, &want_aux);
+  Workspace ws;
+  Tensor out(want_out.shape());
+  Tensor aux;
+  layer.ForwardBatchInto(input, batch, false, nullptr, &out, &aux, &ws);
+  ExpectTensorsNear(out, want_out, tol.forward, what + " forward");
+  ExpectTensorsNear(aux, want_aux, kExactTolerance, what + " aux");
+
+  std::vector<Tensor> want_pg;
   for (const Tensor* p : layer.Params()) {
-    scalar_param_grads.emplace_back(p->shape());
-    batched_param_grads.emplace_back(p->shape());
+    want_pg.emplace_back(p->shape());
   }
+  std::vector<Tensor> wide_pg = want_pg;
+  std::vector<Tensor> narrow_pg = want_pg;
+  const bool params = !want_pg.empty();
+  const Tensor want_gin = OracleBackward(layer, input, want_out, grad_out, want_aux, batch,
+                                         params ? &want_pg : nullptr);
+  Tensor gin(input.shape());
+  layer.BackwardBatchInto(input, want_out, grad_out, want_aux, batch, &gin, &ws,
+                          params ? &wide_pg : nullptr);
+  ExpectTensorsNear(gin, want_gin, tol.backward, what + " backward");
 
-  const Tensor batched_grad_in = layer.BackwardBatch(
-      batched_in, batched_out, batched_grad_out, batched_aux, batch,
-      num_params > 0 ? &batched_param_grads : nullptr);
   for (int b = 0; b < batch; ++b) {
-    const Tensor scalar_grad_in = layer.Backward(
-        inputs[static_cast<size_t>(b)], scalar_outs[static_cast<size_t>(b)],
-        grads[static_cast<size_t>(b)], scalar_auxes[static_cast<size_t>(b)],
-        num_params > 0 ? &scalar_param_grads : nullptr);
-    EXPECT_EQ(SliceSample(batched_grad_in, b).values(), scalar_grad_in.values())
-        << layer.Describe() << " backward sample " << b << " of " << batch;
+    const std::string sample = what + " sample " + std::to_string(b);
+    const Tensor x1 = SliceSample(input, b).Reshape(BatchedShape(1, in_shape));
+    Workspace ws1;
+    Tensor out1(BatchedShape(1, out_shape));
+    Tensor aux1;
+    layer.ForwardBatchInto(x1, 1, false, nullptr, &out1, &aux1, &ws1);
+    EXPECT_EQ(SliceSample(out, b).values(), out1.values()) << sample << " forward";
+    if (!aux1.empty()) {
+      EXPECT_EQ(SliceSample(aux, b).values(), aux1.values()) << sample << " aux";
+    }
+    const Tensor y1 = SliceSample(want_out, b).Reshape(out1.shape());
+    const Tensor aux_b = want_aux.empty() ? Tensor() : SliceSample(want_aux, b);
+    Tensor gin1(x1.shape());
+    layer.BackwardBatchInto(x1, y1, SliceSample(grad_out, b), aux_b, 1, &gin1, &ws1,
+                            params ? &narrow_pg : nullptr);
+    EXPECT_EQ(SliceSample(gin, b).values(), gin1.values()) << sample << " backward";
   }
-  for (size_t p = 0; p < num_params; ++p) {
-    EXPECT_EQ(batched_param_grads[p].values(), scalar_param_grads[p].values())
-        << layer.Describe() << " param grad " << p;
+  for (size_t p = 0; p < want_pg.size(); ++p) {
+    ExpectTensorsNear(wide_pg[p], want_pg[p], tol.backward,
+                      what + " param grad " + std::to_string(p));
+    ExpectTensorsNear(wide_pg[p], narrow_pg[p], tol.backward,
+                      what + " param grad " + std::to_string(p) + " vs width 1");
   }
 }
 

@@ -75,12 +75,10 @@ cmake -B "$BUILD_DIR" -S . ${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}
 if [ "$MODE" = "release" ]; then
   echo "==> build (Release: bench suite)"
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target bench_plan_steady_state bench_batch_forward bench_session_scaling
+    --target bench_plan_steady_state bench_session_scaling
   ARTIFACTS="$BUILD_DIR/bench_artifacts"
   echo "==> smoke: plan steady-state bench (Release)"
   DEEPXPLORE_ARTIFACT_DIR="$ARTIFACTS" "$BUILD_DIR/bench_plan_steady_state"
-  echo "==> smoke: batched forward bench (Release)"
-  DEEPXPLORE_ARTIFACT_DIR="$ARTIFACTS" "$BUILD_DIR/bench_batch_forward"
   echo "==> smoke: session scaling bench (Release)"
   DEEPXPLORE_ARTIFACT_DIR="$ARTIFACTS" "$BUILD_DIR/bench_session_scaling" --seeds 10
   echo "==> baseline vs current comparison (strict)"
@@ -395,10 +393,6 @@ fi
 echo "==> smoke: session scaling bench"
 DEEPXPLORE_ARTIFACT_DIR="$BUILD_DIR/bench_artifacts" \
   "$BUILD_DIR/bench_session_scaling" --seeds 10
-
-echo "==> smoke: batched forward bench"
-DEEPXPLORE_ARTIFACT_DIR="$BUILD_DIR/bench_artifacts" \
-  "$BUILD_DIR/bench_batch_forward"
 
 echo "==> smoke: plan steady-state bench"
 DEEPXPLORE_ARTIFACT_DIR="$BUILD_DIR/bench_artifacts" \
