@@ -7,6 +7,8 @@
 #include <iostream>
 
 #include "src/core/domain.h"
+#include "src/nn/execution_plan.h"
+#include "src/tensor/ops.h"
 
 namespace dx::bench {
 
@@ -101,6 +103,17 @@ std::vector<Model*> Pointers(std::vector<Model>& models) {
     ptrs.push_back(&m);
   }
   return ptrs;
+}
+
+BatchTrace PlanTrace(const Model& model, const std::vector<Tensor>& inputs) {
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(inputs.size());
+  for (const Tensor& x : inputs) {
+    ptrs.push_back(&x);
+  }
+  const int width = static_cast<int>(inputs.size());
+  ExecutionPlan plan = model.Compile(width);
+  return plan.ForwardBatch(StackSamples(ptrs), width);
 }
 
 double MeanTimeToFirstDifference(std::vector<Model>& models, const Constraint& constraint,

@@ -58,6 +58,10 @@ std::vector<Tensor> SeedPool(const std::string& domain_key, int n);
 // Raw pointers into a trained-model vector.
 std::vector<Model*> Pointers(std::vector<Model>& models);
 
+// `inputs` (non-empty) forwarded through a compiled plan of `model`: the
+// kernels whose activations the executor feeds to coverage metrics.
+BatchTrace PlanTrace(const Model& model, const std::vector<Tensor>& inputs);
+
 // Directory for generated artifacts (images); created on demand.
 std::string ArtifactDir();
 

@@ -29,8 +29,8 @@ float MeanCoverageOf(std::vector<Model>& models, const std::vector<Tensor>& inpu
     opts.threshold = threshold;
     opts.scale_per_layer = true;
     NeuronCoverageTracker tracker(model, opts);
-    for (const Tensor& x : inputs) {
-      tracker.Update(model, model.Forward(x));
+    if (!inputs.empty()) {
+      tracker.UpdateBatch(model, bench::PlanTrace(model, inputs));
     }
     total += tracker.Coverage();
   }

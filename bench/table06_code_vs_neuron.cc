@@ -39,8 +39,8 @@ int Run(int argc, char** argv) {
       NeuronCoverageTracker neurons(model, opts);
       for (const Tensor& x : inputs) {
         code.RecordForward(model, x);
-        neurons.Update(model, model.Forward(x));
       }
+      neurons.UpdateBatch(model, bench::PlanTrace(model, inputs));
       row.push_back(TablePrinter::Percent(code.Coverage(), 0));
       neuron_cells.push_back(TablePrinter::Percent(neurons.Coverage()));
       shape_holds = shape_holds && code.Coverage() == 1.0f && neurons.Coverage() < 0.75f;

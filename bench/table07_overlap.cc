@@ -10,6 +10,8 @@
 
 #include "bench/bench_common.h"
 #include "src/coverage/neuron_coverage.h"
+#include "src/nn/execution_plan.h"
+#include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
 
@@ -26,6 +28,7 @@ int64_t Key(const NeuronId& id) { return static_cast<int64_t>(id.layer) * 100000
 PairStats Measure(const Model& model, const NeuronCoverageTracker& tracker,
                   const Dataset& data, bool same_class, int pairs, Rng& rng) {
   PairStats stats;
+  ExecutionPlan plan = model.Compile(2);
   int done = 0;
   while (done < pairs) {
     const int a = static_cast<int>(rng.UniformInt(0, data.size() - 1));
@@ -33,8 +36,11 @@ PairStats Measure(const Model& model, const NeuronCoverageTracker& tracker,
     if (a == b || (data.Label(a) == data.Label(b)) != same_class) {
       continue;
     }
-    const auto act_a = tracker.Activated(model, model.Forward(data.inputs[static_cast<size_t>(a)]));
-    const auto act_b = tracker.Activated(model, model.Forward(data.inputs[static_cast<size_t>(b)]));
+    const BatchTrace& trace = plan.ForwardBatch(
+        StackSamples({&data.inputs[static_cast<size_t>(a)], &data.inputs[static_cast<size_t>(b)]}),
+        2);
+    const auto act_a = tracker.Activated(model, trace, 0);
+    const auto act_b = tracker.Activated(model, trace, 1);
     std::set<int64_t> set_a;
     for (const NeuronId& id : act_a) {
       set_a.insert(Key(id));

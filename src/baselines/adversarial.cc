@@ -50,36 +50,19 @@ std::vector<Tensor> AdversarialInputs(const Model& model, const Dataset& data, i
   return out;
 }
 
-void FgsmObjective::Accumulate(const ObjectiveContext& ctx, int k,
-                               const ForwardTrace& trace, Tensor* grad) const {
+void FgsmObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
+                               int pos, Tensor* grad) const {
   if (k != ctx.target_model) {
     return;
   }
-  const Model& model = *(*ctx.models)[static_cast<size_t>(k)];
-  const int last = model.num_layers() - 1;
-  Tensor seed(trace.outputs[static_cast<size_t>(last)].shape());
+  const int last = plan.model().num_layers() - 1;
+  Tensor& seed = plan.AcquireSeed(last);
   if (ctx.regression) {
     // Push the output up; the engine's difference predicate fires as soon as
     // the target drifts steering_eps away from the (unmoved) other models.
     seed[0] = 1.0f;
   } else {
     // Ascend the loss on the consensus class == descend its confidence.
-    seed[ctx.consensus] = -1.0f;
-  }
-  grad->AddInPlace(model.BackwardInput(trace, last, std::move(seed)));
-}
-
-void FgsmObjective::AccumulatePlanned(const ObjectiveContext& ctx, int k,
-                                      ExecutionPlan& plan, int pos, Tensor* grad) const {
-  if (k != ctx.target_model) {
-    return;
-  }
-  const Model& model = plan.model();
-  const int last = model.num_layers() - 1;
-  Tensor& seed = plan.AcquireSeed(last);
-  if (ctx.regression) {
-    seed[0] = 1.0f;
-  } else {
     seed[ctx.consensus] = -1.0f;
   }
   grad->AddInPlace(plan.BackwardSample(pos, last, seed));

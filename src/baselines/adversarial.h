@@ -37,13 +37,8 @@ std::vector<Tensor> AdversarialInputs(const Model& model, const Dataset& data, i
 class FgsmObjective : public Objective {
  public:
   std::string name() const override { return "fgsm"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, const ForwardTrace& trace,
+  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
                   Tensor* grad) const override;
-  void AccumulatePlanned(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                         Tensor* grad) const override;
-  bool NeedsTrace(const ObjectiveContext& ctx, int k) const override {
-    return k == ctx.target_model;
-  }
 };
 
 }  // namespace dx

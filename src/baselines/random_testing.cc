@@ -20,12 +20,11 @@ std::vector<Tensor> RandomInputs(const Dataset& data, int k, Rng& rng) {
 }
 
 void RandomPerturbationObjective::Accumulate(const ObjectiveContext& ctx, int k,
-                                             const ForwardTrace& trace,
+                                             ExecutionPlan& /*plan*/, int /*pos*/,
                                              Tensor* grad) const {
   if (k != 0) {
     return;  // One direction per iteration, whatever the model count.
   }
-  (void)trace;
   for (int64_t i = 0; i < grad->numel(); ++i) {
     (*grad)[i] += static_cast<float>(ctx.rng->Uniform(-1.0, 1.0));
   }

@@ -29,13 +29,9 @@ std::vector<Tensor> RandomInputs(const Dataset& data, int k, Rng& rng);
 class RandomPerturbationObjective : public Objective {
  public:
   std::string name() const override { return "random"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, const ForwardTrace& trace,
+  // Gradient-free: the direction ignores the plan and its trace.
+  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
                   Tensor* grad) const override;
-  bool NeedsTrace(const ObjectiveContext& ctx, int k) const override {
-    (void)ctx;
-    (void)k;
-    return false;  // Gradient-free: the random direction ignores the models.
-  }
 };
 
 }  // namespace dx

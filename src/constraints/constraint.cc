@@ -2,23 +2,9 @@
 
 #include <algorithm>
 
-#include "src/util/rng.h"
-
 namespace dx {
 
-void Constraint::ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
-                           Tensor* direction) const {
-  // Compatibility adapter: by-value Apply, result moved into the caller's
-  // buffer (allocating — built-in constraints override this).
-  *direction = Apply(grad, x, rng);
-}
-
 void Constraint::ProjectInput(Tensor* x) const { x->ClampInPlace(0.0f, 1.0f); }
-
-Tensor UnconstrainedImage::Apply(const Tensor& grad, const Tensor& /*x*/,
-                                 Rng& /*rng*/) const {
-  return grad;
-}
 
 void UnconstrainedImage::ApplyInto(const Tensor& grad, const Tensor& /*x*/, Rng& /*rng*/,
                                    Tensor* direction) const {

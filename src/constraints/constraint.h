@@ -22,18 +22,13 @@ class Constraint {
 
   virtual std::string name() const = 0;
 
-  // Maps the raw gradient to a constrained update direction. `x` is the
-  // current input; `rng` supports stochastic placement choices.
-  virtual Tensor Apply(const Tensor& grad, const Tensor& x, Rng& rng) const = 0;
-
-  // In-place variant for the zero-allocation executor: writes the direction
-  // into `*direction`, which the caller has pre-shaped like `grad`; every
-  // element is overwritten. Must be bit-identical to Apply (same float ops,
-  // same rng draw order). The default adapter calls Apply and moves the
-  // result in — correct for out-of-tree constraints, but allocating;
-  // built-in constraints override it allocation-free.
+  // Maps the raw gradient to a constrained update direction, written into
+  // `*direction`, which the caller has pre-shaped like `grad`; every element
+  // is overwritten. `x` is the current input; `rng` supports stochastic
+  // placement choices. The executor reuses one direction buffer across
+  // iterations, so the built-in constraints allocate nothing.
   virtual void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
-                         Tensor* direction) const;
+                         Tensor* direction) const = 0;
 
   // Projects x onto the valid input domain after x += s * direction.
   // Default: clamp to [0, 1] (valid for all image domains).
@@ -44,7 +39,6 @@ class Constraint {
 class UnconstrainedImage : public Constraint {
  public:
   std::string name() const override { return "unconstrained"; }
-  Tensor Apply(const Tensor& grad, const Tensor& x, Rng& rng) const override;
   void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
                  Tensor* direction) const override;
 };

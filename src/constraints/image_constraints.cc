@@ -17,12 +17,6 @@ void CheckChw(const Tensor& t, const char* who) {
 
 }  // namespace
 
-Tensor LightingConstraint::Apply(const Tensor& grad, const Tensor& x, Rng& rng) const {
-  Tensor out(grad.shape());
-  ApplyInto(grad, x, rng, &out);
-  return out;
-}
-
 void LightingConstraint::ApplyInto(const Tensor& grad, const Tensor& /*x*/, Rng& /*rng*/,
                                    Tensor* direction) const {
   direction->Fill(grad.Mean() >= 0.0f ? 1.0f : -1.0f);
@@ -33,12 +27,6 @@ OcclusionConstraint::OcclusionConstraint(int height, int width, Placement placem
   if (height <= 0 || width <= 0) {
     throw std::invalid_argument("OcclusionConstraint: rectangle must be non-empty");
   }
-}
-
-Tensor OcclusionConstraint::Apply(const Tensor& grad, const Tensor& x, Rng& rng) const {
-  Tensor out(grad.shape());
-  ApplyInto(grad, x, rng, &out);
-  return out;
 }
 
 void OcclusionConstraint::ApplyInto(const Tensor& grad, const Tensor& /*x*/, Rng& rng,
@@ -125,12 +113,6 @@ BlackRectsConstraint::BlackRectsConstraint(int count, int size)
   if (count <= 0 || size <= 0) {
     throw std::invalid_argument("BlackRectsConstraint: bad count/size");
   }
-}
-
-Tensor BlackRectsConstraint::Apply(const Tensor& grad, const Tensor& x, Rng& rng) const {
-  Tensor out(grad.shape());
-  ApplyInto(grad, x, rng, &out);
-  return out;
 }
 
 void BlackRectsConstraint::ApplyInto(const Tensor& grad, const Tensor& /*x*/, Rng& rng,

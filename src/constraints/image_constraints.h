@@ -3,9 +3,9 @@
 //  1. Lighting: every pixel moves by the same signed amount, direction given
 //     by sign(mean(G)) — simulates uniform darkening/brightening.
 //  2. Occlusion: the gradient is applied only inside a single m x n rectangle
-//     R; DeepXplore is free to place R anywhere, so Apply picks the position
-//     with the largest gradient mass (an effective instantiation of the
-//     paper's "any arbitrary position").
+//     R; DeepXplore is free to place R anywhere, so ApplyInto picks the
+//     position with the largest gradient mass (an effective instantiation of
+//     the paper's "any arbitrary position").
 //  3. BlackRects: several tiny m x m patches ("dirt on the lens"); within each
 //     selected patch the gradient is kept only if its mean is negative, i.e.
 //     pixel values may only decrease.
@@ -23,7 +23,6 @@ namespace dx {
 class LightingConstraint : public Constraint {
  public:
   std::string name() const override { return "light"; }
-  Tensor Apply(const Tensor& grad, const Tensor& x, Rng& rng) const override;
   void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
                  Tensor* direction) const override;
 };
@@ -40,7 +39,6 @@ class OcclusionConstraint : public Constraint {
   OcclusionConstraint(int height, int width,
                       Placement placement = Placement::kMaxGradientMass);
   std::string name() const override { return "occl"; }
-  Tensor Apply(const Tensor& grad, const Tensor& x, Rng& rng) const override;
   // Allocation-free in steady state (the gradient-mass prefix sums live in
   // thread-local scratch that is reused across iterations).
   void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
@@ -57,7 +55,6 @@ class BlackRectsConstraint : public Constraint {
   // `count` patches of `size` x `size` pixels, re-sampled each iteration.
   BlackRectsConstraint(int count, int size);
   std::string name() const override { return "blackout"; }
-  Tensor Apply(const Tensor& grad, const Tensor& x, Rng& rng) const override;
   void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
                  Tensor* direction) const override;
 

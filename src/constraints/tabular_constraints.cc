@@ -17,12 +17,6 @@ FeatureBoxConstraint::FeatureBoxConstraint(std::vector<FeatureBox> boxes, std::s
   }
 }
 
-Tensor FeatureBoxConstraint::Apply(const Tensor& grad, const Tensor& x, Rng& rng) const {
-  Tensor out(grad.shape());
-  ApplyInto(grad, x, rng, &out);
-  return out;
-}
-
 void FeatureBoxConstraint::ApplyInto(const Tensor& grad, const Tensor& x, Rng& /*rng*/,
                                      Tensor* direction) const {
   if (grad.numel() != static_cast<int64_t>(boxes_.size())) {

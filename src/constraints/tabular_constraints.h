@@ -2,7 +2,7 @@
 //
 // Generalizes the malware-domain feature rules (§6.2) into a reusable
 // constraint any tabular domain can parameterize: every feature carries a
-// [lo, hi] box in normalized input space plus a frozen flag. Apply zeroes
+// [lo, hi] box in normalized input space plus a frozen flag. ApplyInto zeroes
 // the gradient of frozen features and of features already saturated at the
 // box edge in the gradient's direction; ProjectInput clamps each feature to
 // its box. Both operations are idempotent (certified per domain by
@@ -30,7 +30,6 @@ class FeatureBoxConstraint : public Constraint {
   FeatureBoxConstraint(std::vector<FeatureBox> boxes, std::string name = "feature-box");
 
   std::string name() const override { return name_; }
-  Tensor Apply(const Tensor& grad, const Tensor& x, Rng& rng) const override;
   void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
                  Tensor* direction) const override;
   // Clamps each feature to its box.

@@ -286,7 +286,6 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
     cs.active.push_back(t);
   }
 
-  const ForwardTrace no_trace;
   for (int iter = 1; iter <= engine_->max_iterations_per_seed && !cs.active.empty();
        ++iter) {
     // 1. Objective gradients against the shared plan traces — backward only,
@@ -299,7 +298,6 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
       Tensor& grad = cs.grads[static_cast<size_t>(t)];
       grad.Fill(0.0f);
       ObjectiveContext ctx;
-      ctx.models = &models_;
       ctx.metrics = task.metrics;
       ctx.target_model = state.target;
       ctx.consensus = state.consensus;
@@ -308,12 +306,7 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
       ctx.lambda2 = engine_->lambda2;
       ctx.rng = task.rng;
       for (int k = 0; k < num_k; ++k) {
-        if (objective.NeedsTrace(ctx, k)) {
-          objective.AccumulatePlanned(ctx, k, cs.plans[static_cast<size_t>(k)], state.pos,
-                                      &grad);
-        } else {
-          objective.Accumulate(ctx, k, no_trace, &grad);
-        }
+        objective.Accumulate(ctx, k, cs.plans[static_cast<size_t>(k)], state.pos, &grad);
       }
       if (engine_->normalize_gradient) {
         // RMS-normalize (as in the reference implementation) so the step
@@ -388,10 +381,8 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
       test.task_ordinal = task.ordinal;
       test.iterations = iter;
       test.seconds = timer.ElapsedSeconds();
-      // Route through the metric's batch entry point via the plan's reused
-      // width-1 sample trace (same bits as the old one-sample Select copy,
-      // without the allocations) so metrics that override UpdateBatch see
-      // the batched trace format.
+      // The metric reads the finisher's sample through the plan's reused
+      // width-1 sample trace (the other chunk samples are not its own).
       for (int k = 0; k < num_k; ++k) {
         (*task.metrics)[static_cast<size_t>(k)]->UpdateBatch(
             *models_[static_cast<size_t>(k)],

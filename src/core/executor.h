@@ -6,7 +6,8 @@
 // shares the resulting traces between the three consumers that historically
 // each re-forwarded the same input:
 //
-//   1. the objective gradient (AccumulatePlanned reads a sample of the trace),
+//   1. the objective gradient (Objective::Accumulate reads a sample of the
+//      trace),
 //   2. the difference check (per-model argmax / scalar outputs), and
 //   3. the coverage update of a finished seed (CoverageMetric::UpdateBatch).
 //

@@ -11,31 +11,8 @@
 
 namespace dx {
 
-void Objective::AccumulatePlanned(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
-                                  int pos, Tensor* grad) const {
-  // Compatibility adapter: materialize the sample as a ForwardTrace and run
-  // the by-value path. Allocating, but correct for any objective.
-  const ForwardTrace trace = plan.trace().Sample(pos);
-  Accumulate(ctx, k, trace, grad);
-}
-
-void DifferentialObjective::Accumulate(const ObjectiveContext& ctx, int k,
-                                       const ForwardTrace& trace, Tensor* grad) const {
-  const Model& model = *(*ctx.models)[static_cast<size_t>(k)];
-  const float weight = k == ctx.target_model ? -ctx.lambda1 : 1.0f;
-  const int last = model.num_layers() - 1;
-  Tensor seed(trace.outputs[static_cast<size_t>(last)].shape());
-  if (ctx.regression) {
-    seed[0] = weight;
-  } else {
-    seed[ctx.consensus] = weight;
-  }
-  grad->AddInPlace(model.BackwardInput(trace, last, std::move(seed)));
-}
-
-void DifferentialObjective::AccumulatePlanned(const ObjectiveContext& ctx, int k,
-                                              ExecutionPlan& plan, int pos,
-                                              Tensor* grad) const {
+void DifferentialObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
+                                       int pos, Tensor* grad) const {
   const Model& model = plan.model();
   const float weight = k == ctx.target_model ? -ctx.lambda1 : 1.0f;
   const int last = model.num_layers() - 1;
@@ -48,36 +25,18 @@ void DifferentialObjective::AccumulatePlanned(const ObjectiveContext& ctx, int k
   grad->AddInPlace(plan.BackwardSample(pos, last, seed));
 }
 
-void CoverageObjective::Accumulate(const ObjectiveContext& ctx, int k,
-                                   const ForwardTrace& trace, Tensor* grad) const {
+void CoverageObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
+                                   int pos, Tensor* grad) const {
   if (ctx.lambda2 == 0.0f) {
     return;  // Disabled: no gradient and, crucially, no rng draw.
   }
-  const Model& model = *(*ctx.models)[static_cast<size_t>(k)];
   const CoverageMetric& metric = *(*ctx.metrics)[static_cast<size_t>(k)];
   NeuronId id;
   if (!metric.PickUncovered(*ctx.rng, &id)) {
     return;  // Everything covered: nothing to add (Algorithm 1 line 33).
   }
-  Tensor seed(trace.outputs[static_cast<size_t>(id.layer)].shape());
-  model.layer(id.layer).AddNeuronSeed(&seed, id.index, ctx.lambda2);
-  grad->AddInPlace(model.BackwardInput(trace, id.layer, std::move(seed)));
-}
-
-void CoverageObjective::AccumulatePlanned(const ObjectiveContext& ctx, int k,
-                                          ExecutionPlan& plan, int pos,
-                                          Tensor* grad) const {
-  if (ctx.lambda2 == 0.0f) {
-    return;
-  }
-  const Model& model = plan.model();
-  const CoverageMetric& metric = *(*ctx.metrics)[static_cast<size_t>(k)];
-  NeuronId id;
-  if (!metric.PickUncovered(*ctx.rng, &id)) {
-    return;
-  }
   Tensor& seed = plan.AcquireSeed(id.layer);
-  model.layer(id.layer).AddNeuronSeed(&seed, id.index, ctx.lambda2);
+  plan.model().layer(id.layer).AddNeuronSeed(&seed, id.index, ctx.lambda2);
   grad->AddInPlace(plan.BackwardSample(pos, id.layer, seed));
 }
 
@@ -85,27 +44,10 @@ CompositeObjective::CompositeObjective(std::string name,
                                        std::vector<std::unique_ptr<Objective>> parts)
     : name_(std::move(name)), parts_(std::move(parts)) {}
 
-void CompositeObjective::Accumulate(const ObjectiveContext& ctx, int k,
-                                    const ForwardTrace& trace, Tensor* grad) const {
+void CompositeObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
+                                    int pos, Tensor* grad) const {
   for (const auto& part : parts_) {
-    part->Accumulate(ctx, k, trace, grad);
-  }
-}
-
-bool CompositeObjective::NeedsTrace(const ObjectiveContext& ctx, int k) const {
-  for (const auto& part : parts_) {
-    if (part->NeedsTrace(ctx, k)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void CompositeObjective::AccumulatePlanned(const ObjectiveContext& ctx, int k,
-                                           ExecutionPlan& plan, int pos,
-                                           Tensor* grad) const {
-  for (const auto& part : parts_) {
-    part->AccumulatePlanned(ctx, k, plan, pos, grad);
+    part->Accumulate(ctx, k, plan, pos, grad);
   }
 }
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/coverage/coverage_metric.h"
-#include "src/nn/model.h"
 
 namespace dx {
 
@@ -35,9 +34,8 @@ class Rng;
 // Everything an objective may read for one gradient evaluation. Pointers are
 // non-owning and valid only for the duration of the Accumulate call.
 struct ObjectiveContext {
-  const std::vector<Model*>* models = nullptr;
-  // Per-model coverage trackers, aligned with `models` (the worker-local
-  // clones under a parallel run).
+  // Per-model coverage trackers, indexed like the session's models (the
+  // task-local clones under a parallel run).
   const std::vector<std::unique_ptr<CoverageMetric>>* metrics = nullptr;
   int target_model = 0;  // j: the model pushed away from the consensus.
   int consensus = 0;     // c: the seed-time consensus class (classification).
@@ -53,31 +51,14 @@ class Objective {
 
   virtual std::string name() const = 0;
 
-  // Adds this objective's gradient contribution for model `k`, evaluated at
-  // `trace` (model k's forward pass of the current input), into `grad`
-  // (shaped like the model input).
-  virtual void Accumulate(const ObjectiveContext& ctx, int k, const ForwardTrace& trace,
+  // Adds this objective's gradient contribution for model `k` into `grad`
+  // (per-sample, shaped like the model input), evaluated at sample `pos` of
+  // `plan`'s current trace — model k's forward pass of the current input.
+  // The executor calls it for every model on every iteration. Backprop runs
+  // through the plan's reused buffers (ExecutionPlan::AcquireSeed /
+  // BackwardSample), so the built-in objectives allocate nothing.
+  virtual void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
                           Tensor* grad) const = 0;
-
-  // True when Accumulate(ctx, k, ...) reads model k's forward trace. The
-  // session skips the forward pass (and passes an empty trace) when no part
-  // of the objective needs it — e.g. FGSM only traces the target model.
-  virtual bool NeedsTrace(const ObjectiveContext& ctx, int k) const {
-    (void)ctx;
-    (void)k;
-    return true;
-  }
-
-  // Plan-aware variant used by the zero-allocation executor: contributes the
-  // same gradient as Accumulate, evaluated at sample `pos` of model k's
-  // current plan trace, with backprop running through the plan's reused
-  // buffers (ExecutionPlan::AcquireSeed / BackwardSample). The default
-  // adapter copies the sample out as a ForwardTrace and calls Accumulate —
-  // correct for any out-of-tree objective, but allocating; built-in
-  // objectives override it allocation-free. Results must be bit-identical to
-  // Accumulate. `grad` is per-sample input-shaped, as in Accumulate.
-  virtual void AccumulatePlanned(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
-                                 int pos, Tensor* grad) const;
 };
 
 // Equation 2: push every model's consensus confidence up except model j's,
@@ -86,10 +67,8 @@ class Objective {
 class DifferentialObjective : public Objective {
  public:
   std::string name() const override { return "differential"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, const ForwardTrace& trace,
+  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
                   Tensor* grad) const override;
-  void AccumulatePlanned(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                         Tensor* grad) const override;
 };
 
 // Equation 3: λ2 · d(neuron)/d(input) for one currently-uncovered neuron of
@@ -98,10 +77,8 @@ class DifferentialObjective : public Objective {
 class CoverageObjective : public Objective {
  public:
   std::string name() const override { return "coverage"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, const ForwardTrace& trace,
+  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
                   Tensor* grad) const override;
-  void AccumulatePlanned(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                         Tensor* grad) const override;
 };
 
 // Sum of sub-objectives (the λ weights live inside the parts, via ctx).
@@ -110,11 +87,8 @@ class CompositeObjective : public Objective {
   CompositeObjective(std::string name, std::vector<std::unique_ptr<Objective>> parts);
 
   std::string name() const override { return name_; }
-  void Accumulate(const ObjectiveContext& ctx, int k, const ForwardTrace& trace,
+  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
                   Tensor* grad) const override;
-  bool NeedsTrace(const ObjectiveContext& ctx, int k) const override;
-  void AccumulatePlanned(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                         Tensor* grad) const override;
 
  private:
   std::string name_;

@@ -150,7 +150,7 @@ void Session::ProfileSeeds(const std::vector<Tensor>& seeds) {
       const BatchTrace& trace =
           plan.ForwardBatch(StackSamples(chunk), static_cast<int>(end - begin));
       for (int b = 0; b < trace.batch; ++b) {
-        metric.ProfileSeed(model, trace.Sample(b));
+        metric.ProfileSeed(model, trace, b);
       }
     }
   }

@@ -56,11 +56,10 @@ std::vector<CoverageFootprint> ComputeFootprints(
     ExecutionPlan plan = model.Compile(static_cast<int>(std::min(width, inputs.size())));
     for (size_t begin = 0; begin < inputs.size(); begin += width) {
       const size_t end = std::min(inputs.size(), begin + width);
-      const BatchTrace& trace =
-          plan.ForwardBatch(StackRange(inputs, begin, end), static_cast<int>(end - begin));
+      plan.ForwardBatch(StackRange(inputs, begin, end), static_cast<int>(end - begin));
       for (size_t b = begin; b < end; ++b) {
-        footprints[b][static_cast<size_t>(k)]->Update(
-            model, trace.Sample(static_cast<int>(b - begin)));
+        footprints[b][static_cast<size_t>(k)]->UpdateBatch(
+            model, plan.SampleTrace(static_cast<int>(b - begin)));
       }
     }
   }
@@ -201,7 +200,7 @@ ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus) {
   }
 
   // Re-derive coverage from scratch: fresh trackers, seed calibration, then
-  // one Update per (entry, model) in entry order — exactly what the
+  // every entry's activations per model in entry order — exactly what the
   // maintenance pass serialized into the checkpoint.
   session.ResetRunState();
   if (meta.profile_from_seeds) {
@@ -237,8 +236,8 @@ ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus) {
           } else {
             labels[b].push_back(static_cast<int>(out.Argmax()));
           }
-          session.metric(k).Update(model, trace.Sample(static_cast<int>(b - begin)));
         }
+        session.metric(k).UpdateBatch(model, trace);
       }
     }
   }

@@ -43,8 +43,9 @@ std::vector<CandidateEval> EvaluateCandidates(
       std::vector<const Tensor*> chunk(
           candidates.begin() + static_cast<ptrdiff_t>(begin),
           candidates.begin() + static_cast<ptrdiff_t>(end));
-      const BatchTrace& trace = plans[static_cast<size_t>(k)].ForwardBatch(
-          StackSamples(chunk), static_cast<int>(end - begin));
+      ExecutionPlan& plan = plans[static_cast<size_t>(k)];
+      const BatchTrace& trace =
+          plan.ForwardBatch(StackSamples(chunk), static_cast<int>(end - begin));
       for (size_t b = begin; b < end; ++b) {
         const int pos = static_cast<int>(b - begin);
         const Tensor out = trace.SampleOutput(last, pos);
@@ -53,7 +54,7 @@ std::vector<CandidateEval> EvaluateCandidates(
         } else {
           evals[b].labels.push_back(static_cast<int>(out.Argmax()));
         }
-        evals[b].fp[static_cast<size_t>(k)]->Update(model, trace.Sample(pos));
+        evals[b].fp[static_cast<size_t>(k)]->UpdateBatch(model, plan.SampleTrace(pos));
       }
     }
   }

@@ -10,15 +10,10 @@
 
 namespace dx {
 
-void CoverageMetric::ProfileSeed(const Model& model, const ForwardTrace& trace) {
+void CoverageMetric::ProfileSeed(const Model& model, const BatchTrace& trace, int b) {
   (void)model;
   (void)trace;
-}
-
-void CoverageMetric::UpdateBatch(const Model& model, const BatchTrace& trace) {
-  for (int b = 0; b < trace.batch; ++b) {
-    Update(model, trace.Sample(b));
-  }
+  (void)b;
 }
 
 void CoverageMetric::Serialize(BinaryWriter& writer) const {
@@ -61,7 +56,10 @@ NeuronValueMetric::NeuronValueMetric(const Model& model, CoverageOptions options
 }
 
 std::vector<float> NeuronValueMetric::NeuronValues(const Model& model,
-                                                   const ForwardTrace& trace) const {
+                                                   const BatchTrace& trace, int b) const {
+  if (b < 0 || b >= trace.batch) {
+    throw std::out_of_range("NeuronValueMetric::NeuronValues: sample out of range");
+  }
   std::vector<float> values(static_cast<size_t>(total_), 0.0f);
   for (int l = 0; l < model.num_layers(); ++l) {
     const int offset = layer_offset_[static_cast<size_t>(l)];
@@ -70,7 +68,12 @@ std::vector<float> NeuronValueMetric::NeuronValues(const Model& model,
     }
     const Layer& layer = model.layer(l);
     const int n = layer.NumNeurons();
-    const Tensor& out = trace.outputs[static_cast<size_t>(l)];
+    // Sample b's rows of the layer's [batch, ...] slab, read in place.
+    const Shape& shape = model.layer_output_shape(l);
+    const int64_t cols = NumElements(shape);
+    const ConstTensorView out(
+        trace.outputs[static_cast<size_t>(l)].data() + static_cast<int64_t>(b) * cols, &shape,
+        cols);
     float lo = 0.0f;
     float hi = 0.0f;
     for (int i = 0; i < n; ++i) {

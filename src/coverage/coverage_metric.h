@@ -1,10 +1,11 @@
 // CoverageMetric: the pluggable coverage-criterion interface of the engine.
 //
-// A metric observes forward traces (`Update`), reports a saturation fraction
-// (`Coverage`), and feeds the coverage objective by nominating an uncovered
-// neuron to push (`PickUncovered`). Parallel workers run on `Clone()`d
-// metrics that are `Merge()`d back at sync points; Merge is commutative and
-// idempotent, so merged results are independent of worker count and order.
+// A metric observes batched forward traces (`UpdateBatch`), reports a
+// saturation fraction (`Coverage`), and feeds the coverage objective by
+// nominating an uncovered neuron to push (`PickUncovered`). Parallel workers
+// run on `Clone()`d metrics that are `Merge()`d back at sync points; Merge is
+// commutative and idempotent, so merged results are independent of worker
+// count and order.
 //
 // Implementations are selected by name through a string-keyed factory
 // (`MakeCoverageMetric`); built-ins:
@@ -60,14 +61,10 @@ class CoverageMetric {
   // Factory key of this metric ("neuron", "kmultisection", ...).
   virtual std::string name() const = 0;
 
-  // Observes one forward trace; coverage grows monotonically.
-  virtual void Update(const Model& model, const ForwardTrace& trace) = 0;
-
-  // Batch-profiling entry point: observes every sample of one batched
-  // forward pass. Default-implemented via the scalar path (one Update per
-  // sample, in batch order); metrics may override it to scan the batched
-  // activations directly.
-  virtual void UpdateBatch(const Model& model, const BatchTrace& trace);
+  // Observes every sample of one batched forward pass (a plan trace, or a
+  // width-1 ExecutionPlan::SampleTrace); coverage grows monotonically.
+  // Implementations read each sample's rows of the trace slabs in place.
+  virtual void UpdateBatch(const Model& model, const BatchTrace& trace) = 0;
 
   // Covered fraction in [0, 1] of this metric's coverage items.
   virtual float Coverage() const = 0;
@@ -88,11 +85,12 @@ class CoverageMetric {
   // Deep copy, used to give each parallel worker task its own tracker.
   virtual std::unique_ptr<CoverageMetric> Clone() const = 0;
 
-  // Observes one seed-corpus trace for calibration (k-multisection profiles
-  // per-neuron activation ranges here). Default: no-op.
-  virtual void ProfileSeed(const Model& model, const ForwardTrace& trace);
+  // Observes sample `b` of a seed-corpus trace for calibration
+  // (k-multisection profiles per-neuron activation ranges here). Default:
+  // no-op.
+  virtual void ProfileSeed(const Model& model, const BatchTrace& trace, int b);
   // True when the metric needs a ProfileSeed pass over the seed corpus
-  // before Update calls are meaningful (lets the session skip the profiling
+  // before updates are meaningful (lets the session skip the profiling
   // forward passes for metrics that don't).
   virtual bool WantsSeedProfile() const { return false; }
 
@@ -116,9 +114,9 @@ class NeuronValueMetric : public CoverageMetric {
 
   int total_neurons() const { return total_; }
 
-  // Neuron values of one trace, scaled per options (exposed for analysis).
-  // Each entry parallels TrackedNeurons().
-  std::vector<float> NeuronValues(const Model& model, const ForwardTrace& trace) const;
+  // Neuron values of sample `b` of `trace`, scaled per options (exposed for
+  // analysis). Each entry parallels TrackedNeurons().
+  std::vector<float> NeuronValues(const Model& model, const BatchTrace& trace, int b) const;
   // All tracked neuron ids in canonical order.
   const std::vector<NeuronId>& TrackedNeurons() const { return neurons_; }
 

@@ -24,8 +24,8 @@ KMultisectionCoverage::KMultisectionCoverage(const Model& model, CoverageOptions
   covered_.assign(static_cast<size_t>(total_) * static_cast<size_t>(k_), false);
 }
 
-void KMultisectionCoverage::ProfileSeed(const Model& model, const ForwardTrace& trace) {
-  const std::vector<float> values = NeuronValues(model, trace);
+void KMultisectionCoverage::ProfileSeed(const Model& model, const BatchTrace& trace, int b) {
+  const std::vector<float> values = NeuronValues(model, trace, b);
   for (int i = 0; i < total_; ++i) {
     const float v = values[static_cast<size_t>(i)];
     low_[static_cast<size_t>(i)] = std::min(low_[static_cast<size_t>(i)], v);
@@ -52,17 +52,19 @@ int KMultisectionCoverage::SectionOf(const NeuronId& id, float value) const {
   return std::clamp(section, 0, k_ - 1);
 }
 
-void KMultisectionCoverage::Update(const Model& model, const ForwardTrace& trace) {
+void KMultisectionCoverage::UpdateBatch(const Model& model, const BatchTrace& trace) {
   if (!profiled_) {
     return;  // No ranges yet: nothing can be bucketed.
   }
-  const std::vector<float> values = NeuronValues(model, trace);
-  for (int i = 0; i < total_; ++i) {
-    const int section =
-        SectionOf(neurons_[static_cast<size_t>(i)], values[static_cast<size_t>(i)]);
-    if (section >= 0) {
-      covered_[static_cast<size_t>(i) * static_cast<size_t>(k_) +
-               static_cast<size_t>(section)] = true;
+  for (int b = 0; b < trace.batch; ++b) {
+    const std::vector<float> values = NeuronValues(model, trace, b);
+    for (int i = 0; i < total_; ++i) {
+      const int section =
+          SectionOf(neurons_[static_cast<size_t>(i)], values[static_cast<size_t>(i)]);
+      if (section >= 0) {
+        covered_[static_cast<size_t>(i) * static_cast<size_t>(k_) +
+                 static_cast<size_t>(section)] = true;
+      }
     }
   }
 }

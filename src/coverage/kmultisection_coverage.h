@@ -31,7 +31,7 @@ class KMultisectionCoverage : public NeuronValueMetric {
   int sections() const { return k_; }
 
   // Records [min, max] per neuron over the seed corpus.
-  void ProfileSeed(const Model& model, const ForwardTrace& trace) override;
+  void ProfileSeed(const Model& model, const BatchTrace& trace, int b) override;
   bool WantsSeedProfile() const override { return true; }
   // True once at least one seed has been profiled.
   bool profiled() const { return profiled_; }
@@ -39,7 +39,7 @@ class KMultisectionCoverage : public NeuronValueMetric {
   const std::vector<float>& low() const { return low_; }
   const std::vector<float>& high() const { return high_; }
 
-  void Update(const Model& model, const ForwardTrace& trace) override;
+  void UpdateBatch(const Model& model, const BatchTrace& trace) override;
 
   float Coverage() const override;
   int total_items() const override { return total_ * k_; }

@@ -12,11 +12,13 @@ NeuronCoverageTracker::NeuronCoverageTracker(const Model& model, CoverageOptions
   covered_.assign(static_cast<size_t>(total_), false);
 }
 
-void NeuronCoverageTracker::Update(const Model& model, const ForwardTrace& trace) {
-  const std::vector<float> values = NeuronValues(model, trace);
-  for (int i = 0; i < total_; ++i) {
-    if (values[static_cast<size_t>(i)] > options_.threshold) {
-      covered_[static_cast<size_t>(i)] = true;
+void NeuronCoverageTracker::UpdateBatch(const Model& model, const BatchTrace& trace) {
+  for (int b = 0; b < trace.batch; ++b) {
+    const std::vector<float> values = NeuronValues(model, trace, b);
+    for (int i = 0; i < total_; ++i) {
+      if (values[static_cast<size_t>(i)] > options_.threshold) {
+        covered_[static_cast<size_t>(i)] = true;
+      }
     }
   }
 }
@@ -89,8 +91,8 @@ void NeuronCoverageTracker::Deserialize(BinaryReader& reader) {
 }
 
 std::vector<NeuronId> NeuronCoverageTracker::Activated(const Model& model,
-                                                       const ForwardTrace& trace) const {
-  const std::vector<float> values = NeuronValues(model, trace);
+                                                       const BatchTrace& trace, int b) const {
+  const std::vector<float> values = NeuronValues(model, trace, b);
   std::vector<NeuronId> activated;
   for (int i = 0; i < total_; ++i) {
     if (values[static_cast<size_t>(i)] > options_.threshold) {

@@ -29,8 +29,8 @@ class NeuronCoverageTracker : public NeuronValueMetric {
 
   std::string name() const override { return "neuron"; }
 
-  // Marks every neuron activated by this trace.
-  void Update(const Model& model, const ForwardTrace& trace) override;
+  // Marks every neuron activated by any sample of this trace.
+  void UpdateBatch(const Model& model, const BatchTrace& trace) override;
 
   int covered_neurons() const;
   int total_items() const override { return total_neurons(); }
@@ -47,9 +47,9 @@ class NeuronCoverageTracker : public NeuronValueMetric {
   void Serialize(BinaryWriter& writer) const override;
   void Deserialize(BinaryReader& reader) override;
 
-  // Activated neuron ids for a single trace (used by the Table 7 overlap
-  // experiment).
-  std::vector<NeuronId> Activated(const Model& model, const ForwardTrace& trace) const;
+  // Activated neuron ids for sample `b` of `trace` (used by the Table 7
+  // overlap experiment).
+  std::vector<NeuronId> Activated(const Model& model, const BatchTrace& trace, int b) const;
 
  private:
   std::vector<bool> covered_;

@@ -15,33 +15,35 @@ TopKNeuronCoverage::TopKNeuronCoverage(const Model& model, CoverageOptions optio
   covered_.assign(static_cast<size_t>(total_), false);
 }
 
-void TopKNeuronCoverage::Update(const Model& model, const ForwardTrace& trace) {
-  const std::vector<float> values = NeuronValues(model, trace);
-  // Walk the per-layer slices of the canonical neuron order.
-  for (int begin = 0; begin < total_;) {
-    const int layer = neurons_[static_cast<size_t>(begin)].layer;
-    int end = begin;
-    while (end < total_ && neurons_[static_cast<size_t>(end)].layer == layer) {
-      ++end;
-    }
-    const int n = end - begin;
-    if (n <= k_) {
-      for (int i = begin; i < end; ++i) {
-        covered_[static_cast<size_t>(i)] = true;
+void TopKNeuronCoverage::UpdateBatch(const Model& model, const BatchTrace& trace) {
+  for (int b = 0; b < trace.batch; ++b) {
+    const std::vector<float> values = NeuronValues(model, trace, b);
+    // Walk the per-layer slices of the canonical neuron order.
+    for (int begin = 0; begin < total_;) {
+      const int layer = neurons_[static_cast<size_t>(begin)].layer;
+      int end = begin;
+      while (end < total_ && neurons_[static_cast<size_t>(end)].layer == layer) {
+        ++end;
       }
-    } else {
-      // k-th largest value of the layer; ties at that value are inclusive.
-      std::vector<float> slice(values.begin() + begin, values.begin() + end);
-      std::nth_element(slice.begin(), slice.begin() + (k_ - 1), slice.end(),
-                       std::greater<float>());
-      const float kth = slice[static_cast<size_t>(k_ - 1)];
-      for (int i = begin; i < end; ++i) {
-        if (values[static_cast<size_t>(i)] >= kth) {
+      const int n = end - begin;
+      if (n <= k_) {
+        for (int i = begin; i < end; ++i) {
           covered_[static_cast<size_t>(i)] = true;
         }
+      } else {
+        // k-th largest value of the layer; ties at that value are inclusive.
+        std::vector<float> slice(values.begin() + begin, values.begin() + end);
+        std::nth_element(slice.begin(), slice.begin() + (k_ - 1), slice.end(),
+                         std::greater<float>());
+        const float kth = slice[static_cast<size_t>(k_ - 1)];
+        for (int i = begin; i < end; ++i) {
+          if (values[static_cast<size_t>(i)] >= kth) {
+            covered_[static_cast<size_t>(i)] = true;
+          }
+        }
       }
+      begin = end;
     }
-    begin = end;
   }
 }
 

@@ -26,7 +26,7 @@ class TopKNeuronCoverage : public NeuronValueMetric {
   std::string name() const override { return "topk"; }
   int k() const { return k_; }
 
-  void Update(const Model& model, const ForwardTrace& trace) override;
+  void UpdateBatch(const Model& model, const BatchTrace& trace) override;
 
   float Coverage() const override;
   int total_items() const override { return total_neurons(); }

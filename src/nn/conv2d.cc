@@ -359,11 +359,11 @@ void Conv2D::BackwardBatchInto(const Tensor& input, const Tensor& output,
   }
 }
 
-float Conv2D::NeuronValue(const Tensor& output, int index) const {
+float Conv2D::NeuronValue(ConstTensorView output, int index) const {
   if (index < 0 || index >= out_channels_) {
     throw std::out_of_range("Conv2D::NeuronValue: bad neuron index");
   }
-  const int plane = output.dim(1) * output.dim(2);
+  const int plane = output.shape()[1] * output.shape()[2];
   const float* p = output.data() + static_cast<size_t>(index) * plane;
   double acc = 0.0;
   for (int i = 0; i < plane; ++i) {

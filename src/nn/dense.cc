@@ -236,8 +236,11 @@ void Dense::BackwardBatchInto(const Tensor& input, const Tensor& output,
   }
 }
 
-float Dense::NeuronValue(const Tensor& output, int index) const {
-  return output.at(static_cast<int64_t>(index));
+float Dense::NeuronValue(ConstTensorView output, int index) const {
+  if (index < 0 || index >= out_features_) {
+    throw std::out_of_range("Dense::NeuronValue: bad neuron index");
+  }
+  return output[index];
 }
 
 void Dense::AddNeuronSeed(Tensor* seed, int index, float weight) const {

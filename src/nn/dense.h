@@ -36,7 +36,7 @@ class Dense : public Layer {
   std::vector<Tensor*> MutableParams() override { return {&weight_, &bias_}; }
   std::vector<const Tensor*> Params() const override { return {&weight_, &bias_}; }
   int NumNeurons() const override { return out_features_; }
-  float NeuronValue(const Tensor& output, int index) const override;
+  float NeuronValue(ConstTensorView output, int index) const override;
   void AddNeuronSeed(Tensor* seed, int index, float weight) const override;
   void SerializeConfig(BinaryWriter& writer) const override;
 

@@ -121,8 +121,10 @@ class Layer {
 
   // Number of coverage neurons this layer contributes.
   virtual int NumNeurons() const { return 0; }
-  // Scalar activation of neuron `index` given this layer's output.
-  virtual float NeuronValue(const Tensor& output, int index) const;
+  // Scalar activation of neuron `index` given one sample's output of this
+  // layer (a per-sample view, e.g. one row of a plan trace slab). Throws
+  // std::out_of_range for a bad index.
+  virtual float NeuronValue(ConstTensorView output, int index) const;
   // Adds `weight * d(neuron_index)/d(output)` into `seed` (shaped like the
   // layer output); used to seed backprop for the coverage objective.
   virtual void AddNeuronSeed(Tensor* seed, int index, float weight) const;
@@ -131,8 +133,10 @@ class Layer {
   virtual void SerializeConfig(BinaryWriter& writer) const = 0;
 };
 
-// One recorded forward pass through a Model. outputs[l] and aux[l] correspond
-// to layer l; the input of layer l is outputs[l-1] (or `input` for l == 0).
+// One recorded per-sample forward pass through a Model (Model::Forward, the
+// scalar oracle that training, losses and the standalone Fgsm run on).
+// outputs[l] and aux[l] correspond to layer l; the input of layer l is
+// outputs[l-1] (or `input` for l == 0).
 struct ForwardTrace {
   Tensor input;
   std::vector<Tensor> outputs;
@@ -160,10 +164,6 @@ struct BatchTrace {
   }
   const Tensor& Output() const { return outputs.back(); }
 
-  // Copies sample `index` out as a per-sample ForwardTrace (scalar-path
-  // bridge: objectives and metrics written against ForwardTrace consume the
-  // shared batch activations through this instead of re-forwarding).
-  ForwardTrace Sample(int index) const;
   // Copy of sample `index` of layer `layer`'s output.
   Tensor SampleOutput(int layer, int index) const;
 };

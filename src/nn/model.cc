@@ -18,7 +18,7 @@ namespace dx {
 
 // ---- Layer base defaults -----------------------------------------------------------------
 
-float Layer::NeuronValue(const Tensor& /*output*/, int /*index*/) const {
+float Layer::NeuronValue(ConstTensorView /*output*/, int /*index*/) const {
   throw std::logic_error("layer '" + Kind() + "' has no coverage neurons");
 }
 
@@ -41,20 +41,6 @@ void Layer::CheckParamGrads(const std::vector<Tensor>* param_grads,
 }
 
 // ---- BatchTrace --------------------------------------------------------------------------
-
-ForwardTrace BatchTrace::Sample(int index) const {
-  ForwardTrace trace;
-  trace.input = SliceSample(input, index);
-  trace.outputs.reserve(outputs.size());
-  trace.aux.resize(outputs.size());
-  for (size_t l = 0; l < outputs.size(); ++l) {
-    trace.outputs.push_back(SliceSample(outputs[l], index));
-    if (!aux[l].empty()) {
-      trace.aux[l] = SliceSample(aux[l], index);
-    }
-  }
-  return trace;
-}
 
 Tensor BatchTrace::SampleOutput(int layer, int index) const {
   return SliceSample(outputs[static_cast<size_t>(layer)], index);

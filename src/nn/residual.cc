@@ -211,7 +211,7 @@ std::vector<const Tensor*> ResidualBlock::Params() const {
   return params;
 }
 
-float ResidualBlock::NeuronValue(const Tensor& output, int index) const {
+float ResidualBlock::NeuronValue(ConstTensorView output, int index) const {
   return conv2_.NeuronValue(output, index);
 }
 

@@ -44,7 +44,7 @@ class ResidualBlock : public Layer {
   std::vector<Tensor*> MutableParams() override;
   std::vector<const Tensor*> Params() const override;
   int NumNeurons() const override { return out_channels_; }
-  float NeuronValue(const Tensor& output, int index) const override;
+  float NeuronValue(ConstTensorView output, int index) const override;
   void AddNeuronSeed(Tensor* seed, int index, float weight) const override;
   void SerializeConfig(BinaryWriter& writer) const override;
 

@@ -38,6 +38,11 @@ void EscapeTo(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
+// Deepest array/object nesting Parse accepts. The parser recurses once per
+// level, so without a cap one hostile line of '[' (e.g. a ctl request)
+// would overflow the stack; no wire message comes close to this.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -92,8 +97,16 @@ class Parser {
     SkipSpace();
     char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+        }
+        ++depth_;
+        Json nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(ParseString());
       case 't':
         if (Consume("true")) return Json(true);
@@ -250,6 +263,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays/objects currently open.
 };
 
 void DumpTo(const Json& j, std::string* out) {

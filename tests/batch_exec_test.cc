@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "src/nn/softmax_layer.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "src/util/serialize.h"
 #include "tests/test_util.h"
 
 namespace dx {
@@ -133,11 +135,10 @@ TEST(BatchModelTest, PlanForwardMatchesScalarTrace) {
   ASSERT_EQ(batched.batch, kBatch);
   for (int b = 0; b < kBatch; ++b) {
     const ForwardTrace scalar = m.Forward(inputs[static_cast<size_t>(b)]);
-    const ForwardTrace view = batched.Sample(b);
-    ASSERT_EQ(view.outputs.size(), scalar.outputs.size());
+    ASSERT_EQ(batched.outputs.size(), scalar.outputs.size());
     for (size_t l = 0; l < scalar.outputs.size(); ++l) {
-      testing::ExpectTensorsNear(view.outputs[l], scalar.outputs[l],
-                                 testing::kKernelForwardTolerance,
+      testing::ExpectTensorsNear(batched.SampleOutput(static_cast<int>(l), b),
+                                 scalar.outputs[l], testing::kKernelForwardTolerance,
                                  "sample " + std::to_string(b) + " layer " + std::to_string(l));
     }
   }
@@ -179,21 +180,36 @@ TEST(BatchModelTest, ForwardPassCounterCountsSamples) {
 
 // ---- Coverage metric batch entry point ---------------------------------------------------
 
-TEST(BatchMetricTest, UpdateBatchMatchesSequentialScalarUpdates) {
+std::string StateBlob(const CoverageMetric& metric) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter writer(out);
+  metric.Serialize(writer);
+  return out.str();
+}
+
+// One width-B UpdateBatch must leave every registered metric byte-identical
+// to B updates on the plan's width-1 sample traces. The conv net's
+// per-sample activation planes make a wrong row offset visible, and the
+// metrics are profiled first so k-multisection has ranges to bucket into.
+TEST(BatchMetricTest, UpdateBatchMatchesPerSampleUpdates) {
   const Model m = MakeConvNet(27);
   ExecutionPlan plan = m.Compile(kBatch);
-  const BatchTrace& batched = plan.ForwardBatch(Stack(RandomInputs(m, 28)), kBatch);
   CoverageOptions options;
   options.threshold = 0.2f;
   for (const std::string& name : CoverageMetricNames()) {
     auto via_batch = MakeCoverageMetric(name, m, options);
-    auto via_scalar = MakeCoverageMetric(name, m, options);
+    const BatchTrace& profile = plan.ForwardBatch(Stack(RandomInputs(m, 29)), kBatch);
+    for (int b = 0; b < kBatch; ++b) {
+      via_batch->ProfileSeed(m, profile, b);
+    }
+    auto via_samples = via_batch->Clone();
+    const BatchTrace& batched = plan.ForwardBatch(Stack(RandomInputs(m, 28)), kBatch);
     via_batch->UpdateBatch(m, batched);
     for (int b = 0; b < kBatch; ++b) {
-      via_scalar->Update(m, batched.Sample(b));
+      via_samples->UpdateBatch(m, plan.SampleTrace(b));
     }
-    EXPECT_EQ(via_batch->covered_items(), via_scalar->covered_items()) << name;
-    EXPECT_FLOAT_EQ(via_batch->Coverage(), via_scalar->Coverage()) << name;
+    EXPECT_GT(via_batch->covered_items(), 0) << name;
+    EXPECT_EQ(StateBlob(*via_batch), StateBlob(*via_samples)) << name;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "src/data/drebin.h"
 #include "src/data/pdf.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -21,12 +22,12 @@ TEST(LightingTest, UniformDirectionFollowsMeanSign) {
   Rng rng(1);
   Tensor grad({1, 4, 4}, 0.5f);
   grad[0] = -1.0f;  // Mean still positive.
-  const Tensor dir = c.Apply(grad, Tensor({1, 4, 4}), rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, Tensor({1, 4, 4}), rng);
   for (int64_t i = 0; i < dir.numel(); ++i) {
     EXPECT_FLOAT_EQ(dir[i], 1.0f);
   }
   Tensor neg({1, 4, 4}, -0.2f);
-  const Tensor dir2 = c.Apply(neg, Tensor({1, 4, 4}), rng);
+  const Tensor dir2 = testing::ApplyConstraint(c, neg, Tensor({1, 4, 4}), rng);
   for (int64_t i = 0; i < dir2.numel(); ++i) {
     EXPECT_FLOAT_EQ(dir2[i], -1.0f);
   }
@@ -46,7 +47,7 @@ TEST(OcclusionTest, GradientConfinedToOneRectangle) {
   OcclusionConstraint c(3, 4);
   Rng rng(2);
   Tensor grad = Tensor::Randn({2, 10, 12}, rng);
-  const Tensor dir = c.Apply(grad, Tensor({2, 10, 12}), rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, Tensor({2, 10, 12}), rng);
   // Count nonzero columns/rows: must fit in a 3x4 window per channel.
   int nonzero = 0;
   for (int64_t i = 0; i < dir.numel(); ++i) {
@@ -72,7 +73,7 @@ TEST(OcclusionTest, PicksHighestMassPosition) {
   grad.at({0, 4, 3}) = 5.0f;
   grad.at({0, 0, 0}) = 1.0f;
   Rng rng(3);
-  const Tensor dir = c.Apply(grad, Tensor({1, 6, 6}), rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, Tensor({1, 6, 6}), rng);
   EXPECT_FLOAT_EQ(dir.at({0, 3, 2}), 5.0f);
   EXPECT_FLOAT_EQ(dir.at({0, 0, 0}), 0.0f);
 }
@@ -81,9 +82,11 @@ TEST(OcclusionTest, RejectsBadGeometry) {
   EXPECT_THROW(OcclusionConstraint(0, 3), std::invalid_argument);
   OcclusionConstraint c(30, 30);
   Rng rng(4);
-  EXPECT_THROW(c.Apply(Tensor({1, 8, 8}), Tensor({1, 8, 8}), rng), std::invalid_argument);
+  EXPECT_THROW(testing::ApplyConstraint(c, Tensor({1, 8, 8}), Tensor({1, 8, 8}), rng),
+               std::invalid_argument);
   OcclusionConstraint flat(2, 2);
-  EXPECT_THROW(flat.Apply(Tensor({64}), Tensor({64}), rng), std::invalid_argument);
+  EXPECT_THROW(testing::ApplyConstraint(flat, Tensor({64}), Tensor({64}), rng),
+               std::invalid_argument);
 }
 
 // ---- BlackRects --------------------------------------------------------------------------
@@ -93,11 +96,11 @@ TEST(BlackRectsTest, OnlyDarkeningPatchesSurvive) {
   Rng rng(5);
   // All-positive gradient: every patch would brighten -> all zero.
   Tensor bright({1, 8, 8}, 0.5f);
-  const Tensor none = c.Apply(bright, Tensor({1, 8, 8}), rng);
+  const Tensor none = testing::ApplyConstraint(c, bright, Tensor({1, 8, 8}), rng);
   EXPECT_FLOAT_EQ(none.L1Norm(), 0.0f);
   // All-negative gradient: selected patches pass through.
   Tensor dark({1, 8, 8}, -0.5f);
-  const Tensor some = c.Apply(dark, Tensor({1, 8, 8}), rng);
+  const Tensor some = testing::ApplyConstraint(c, dark, Tensor({1, 8, 8}), rng);
   EXPECT_GT(some.L1Norm(), 0.0f);
   for (int64_t i = 0; i < some.numel(); ++i) {
     EXPECT_LE(some[i], 0.0f);
@@ -108,7 +111,7 @@ TEST(BlackRectsTest, PatchesAreSmall) {
   BlackRectsConstraint c(1, 2);
   Rng rng(6);
   Tensor dark({1, 12, 12}, -1.0f);
-  const Tensor dir = c.Apply(dark, Tensor({1, 12, 12}), rng);
+  const Tensor dir = testing::ApplyConstraint(c, dark, Tensor({1, 12, 12}), rng);
   int nonzero = 0;
   for (int64_t i = 0; i < dir.numel(); ++i) {
     nonzero += dir[i] != 0.0f ? 1 : 0;
@@ -128,7 +131,7 @@ TEST(DrebinConstraintTest, FlipsOnlyUnsetManifestFeatures) {
   grad[kDrebinManifestFeatures] = 9.0f;   // Code feature: ineligible.
   grad[7] = 5.0f;                         // Best eligible.
   grad[9] = 2.0f;
-  const Tensor dir = c.Apply(grad, x, rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, x, rng);
   EXPECT_FLOAT_EQ(dir[7], 1.0f);
   EXPECT_FLOAT_EQ(dir.Sum(), 1.0f);
 }
@@ -138,7 +141,7 @@ TEST(DrebinConstraintTest, NoPositiveGradientMeansNoChange) {
   Rng rng(8);
   Tensor x({kDrebinFeatureCount});
   Tensor grad({kDrebinFeatureCount}, -1.0f);
-  const Tensor dir = c.Apply(grad, x, rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, x, rng);
   EXPECT_FLOAT_EQ(dir.L1Norm(), 0.0f);
 }
 
@@ -163,7 +166,7 @@ TEST(DrebinConstraintTest, NeverDeletesFeatures) {
     }
     const Tensor before = x;
     const Tensor grad = Tensor::Randn(x.shape(), rng);
-    const Tensor dir = c.Apply(grad, x, rng);
+    const Tensor dir = testing::ApplyConstraint(c, grad, x, rng);
     x.Axpy(1.0f, dir);
     c.ProjectInput(&x);
     for (int64_t i = 0; i < x.numel(); ++i) {
@@ -180,7 +183,7 @@ TEST(PdfConstraintTest, FrozenFeaturesGetZeroGradient) {
   const auto& specs = PdfFeatureSpecs();
   Tensor x({kPdfFeatureCount}, 0.5f);
   Tensor grad({kPdfFeatureCount}, 1.0f);
-  const Tensor dir = c.Apply(grad, x, rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, x, rng);
   for (int f = 0; f < kPdfFeatureCount; ++f) {
     if (!specs[static_cast<size_t>(f)].modifiable) {
       EXPECT_FLOAT_EQ(dir[f], 0.0f) << specs[static_cast<size_t>(f)].name;
@@ -194,7 +197,7 @@ TEST(PdfConstraintTest, IncrementOnlyBlocksDecreases) {
   const auto& specs = PdfFeatureSpecs();
   Tensor x({kPdfFeatureCount}, 0.5f);
   Tensor grad({kPdfFeatureCount}, -1.0f);
-  const Tensor dir = c.Apply(grad, x, rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, x, rng);
   for (int f = 0; f < kPdfFeatureCount; ++f) {
     const auto& spec = specs[static_cast<size_t>(f)];
     if (spec.increment_only) {
@@ -210,7 +213,7 @@ TEST(PdfConstraintTest, SaturatedFeaturesStop) {
   Rng rng(12);
   Tensor x({kPdfFeatureCount}, 1.0f);
   Tensor grad({kPdfFeatureCount}, 1.0f);
-  const Tensor dir = c.Apply(grad, x, rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, x, rng);
   EXPECT_FLOAT_EQ(dir.L1Norm(), 0.0f);
 }
 
@@ -233,7 +236,7 @@ TEST(UnconstrainedTest, PassesGradientThrough) {
   UnconstrainedImage c;
   Rng rng(14);
   const Tensor grad = Tensor::Randn({1, 4, 4}, rng);
-  const Tensor dir = c.Apply(grad, Tensor({1, 4, 4}), rng);
+  const Tensor dir = testing::ApplyConstraint(c, grad, Tensor({1, 4, 4}), rng);
   for (int64_t i = 0; i < grad.numel(); ++i) {
     EXPECT_FLOAT_EQ(dir[i], grad[i]);
   }

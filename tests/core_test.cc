@@ -8,10 +8,12 @@
 #include <memory>
 
 #include "src/constraints/constraint.h"
+#include "src/core/objective.h"
 #include "src/core/session.h"
 #include "src/data/dataset.h"
 #include "src/models/trainer.h"
 #include "src/nn/dense.h"
+#include "src/nn/execution_plan.h"
 #include "src/nn/model.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
@@ -120,13 +122,34 @@ class DeepXploreToyTest : public ::testing::Test {
   }
 
   // The oracle's view of a session over the toy trio.
-  reference::Setup ReferenceSetup(const EngineConfig& engine, const Objective& objective) {
+  reference::Setup ReferenceSetup(const EngineConfig& engine) {
     reference::Setup setup;
     setup.models = ModelPtrs();
     setup.constraint = &constraint_;
-    setup.objective = &objective;
     setup.engine = engine;
     return setup;
+  }
+
+  // ∇x of the `joint` plug-in at x for deviator j and consensus c, through
+  // the entry point the executor runs: Objective::Accumulate on each
+  // model's width-1 plan.
+  static Tensor JointGradient(const EngineConfig& cfg, const Tensor& x, int target,
+                              int consensus, Rng& rng, const reference::Metrics& metrics) {
+    const auto joint = MakeObjective("joint");
+    ObjectiveContext ctx;
+    ctx.metrics = &metrics;
+    ctx.target_model = target;
+    ctx.consensus = consensus;
+    ctx.lambda1 = cfg.lambda1;
+    ctx.lambda2 = cfg.lambda2;
+    ctx.rng = &rng;
+    Tensor grad(x.shape());
+    for (size_t k = 0; k < models_->size(); ++k) {
+      ExecutionPlan plan = (*models_)[k].Compile(1);
+      plan.ForwardBatch(x, 1);
+      joint->Accumulate(ctx, static_cast<int>(k), plan, 0, &grad);
+    }
+    return grad;
   }
 
   static Dataset* train_;
@@ -174,8 +197,6 @@ TEST_F(DeepXploreToyTest, PredictionsAndDifferencePredicate) {
 TEST_F(DeepXploreToyTest, JointGradientIncreasesObjective) {
   EngineConfig cfg;
   cfg.lambda2 = 0.0f;  // Isolate obj1.
-  const auto joint = MakeJointObjective();
-  const reference::Setup setup = ReferenceSetup(cfg, *joint);
   Tensor x({2}, std::vector<float>{0.7f, 0.3f});
   const int c = (*models_)[0].PredictClass(x);
   const int j = 1;
@@ -192,7 +213,7 @@ TEST_F(DeepXploreToyTest, JointGradientIncreasesObjective) {
   const double before = obj1(x);
   Rng rng(1);
   const reference::Metrics metrics = FreshMetrics(*models_, cfg.coverage);
-  Tensor grad = reference::ObjectiveGradient(setup, x, j, c, rng, metrics);
+  Tensor grad = JointGradient(cfg, x, j, c, rng, metrics);
   ASSERT_GT(grad.L2Norm(), 0.0f);
   Tensor stepped = x;
   stepped.Axpy(0.01f / grad.L2Norm(), grad);
@@ -241,14 +262,12 @@ TEST_F(DeepXploreToyTest, RunGeneratesManyTestsAndRespectsBudget) {
 TEST_F(DeepXploreToyTest, LambdaTwoZeroDisablesCoverageObjective) {
   EngineConfig cfg;
   cfg.lambda2 = 0.0f;
-  const auto joint = MakeJointObjective();
-  const reference::Setup setup = ReferenceSetup(cfg, *joint);
   const reference::Metrics metrics = FreshMetrics(*models_, cfg.coverage);
   // Gradient must be identical on repeated calls (no stochastic neuron pick).
   Rng rng(3);
   Tensor x({2}, std::vector<float>{0.55f, 0.45f});
-  const Tensor g1 = reference::ObjectiveGradient(setup, x, 0, 0, rng, metrics);
-  const Tensor g2 = reference::ObjectiveGradient(setup, x, 0, 0, rng, metrics);
+  const Tensor g1 = JointGradient(cfg, x, 0, 0, rng, metrics);
+  const Tensor g2 = JointGradient(cfg, x, 0, 0, rng, metrics);
   for (int64_t i = 0; i < g1.numel(); ++i) {
     EXPECT_FLOAT_EQ(g1[i], g2[i]);
   }
@@ -281,7 +300,6 @@ void ExpectMatchesReference(const RunStats& got, const RunStats& want) {
 
 TEST_F(DeepXploreToyTest, SessionAgreesWithAlgorithm1Reference) {
   const std::vector<Tensor> seeds = BoundarySeeds(24, 10);
-  const auto joint = MakeJointObjective();
   for (const int sync_interval : {1, 8}) {
     SCOPED_TRACE("sync_interval=" + std::to_string(sync_interval));
     SessionConfig config = ToyConfig(9);
@@ -291,8 +309,8 @@ TEST_F(DeepXploreToyTest, SessionAgreesWithAlgorithm1Reference) {
     const RunStats got = session.Run(seeds, RunOptions{});
 
     reference::Metrics metrics = FreshMetrics(*models_, config.engine.coverage);
-    const RunStats want = reference::Run(ReferenceSetup(config.engine, *joint), seeds,
-                                         sync_interval, metrics);
+    const RunStats want =
+        reference::Run(ReferenceSetup(config.engine), seeds, sync_interval, metrics);
     ExpectMatchesReference(got, want);
   }
 }
@@ -360,11 +378,9 @@ TEST(DeepXploreRegressionTest, FindsSteeringDisagreements) {
   // The regression predicate agrees with the reference. (With two models
   // both sit equally far from their mean, so the deviator is decided by
   // rounding and is not compared.)
-  const auto joint = MakeJointObjective();
   reference::Setup setup;
   setup.models = {&models[0], &models[1]};
   setup.constraint = &constraint;
-  setup.objective = joint.get();
   setup.engine = cfg.engine;
   setup.regression = true;
   reference::Metrics metrics = FreshMetrics(models, cfg.engine.coverage);

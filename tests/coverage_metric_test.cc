@@ -16,6 +16,7 @@
 #include "src/nn/model.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -80,8 +81,8 @@ class KMultisectionTest : public ::testing::Test {
     opts.kmc_sections = 4;
     metric_ = std::make_unique<KMultisectionCoverage>(model_, opts);
     // Neuron 0 spans [0, 1], neuron 1 spans [0, 2].
-    metric_->ProfileSeed(model_, model_.Forward(Scalar(0.0f)));
-    metric_->ProfileSeed(model_, model_.Forward(Scalar(1.0f)));
+    metric_->ProfileSeed(model_, testing::OracleTrace(model_, Scalar(0.0f)), 0);
+    metric_->ProfileSeed(model_, testing::OracleTrace(model_, Scalar(1.0f)), 0);
   }
 
   Model model_;
@@ -109,14 +110,14 @@ TEST_F(KMultisectionTest, SectionMathSplitsTheProfiledRange) {
 
 TEST_F(KMultisectionTest, UpdateCoversExactlyTheHitSections) {
   // x = 0.55: neuron 0 value 0.55 -> section 2; neuron 1 value 1.1 -> section 2.
-  metric_->Update(model_, model_.Forward(Scalar(0.55f)));
+  metric_->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.55f)));
   EXPECT_EQ(metric_->covered_items(), 2);
   EXPECT_FLOAT_EQ(metric_->Coverage(), 2.0f / 8.0f);
   EXPECT_TRUE(metric_->IsSectionCovered({0, 0}, 2));
   EXPECT_TRUE(metric_->IsSectionCovered({0, 1}, 2));
   EXPECT_FALSE(metric_->IsSectionCovered({0, 0}, 0));
   // Re-hitting the same sections adds nothing.
-  metric_->Update(model_, model_.Forward(Scalar(0.55f)));
+  metric_->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.55f)));
   EXPECT_EQ(metric_->covered_items(), 2);
 }
 
@@ -126,7 +127,7 @@ TEST_F(KMultisectionTest, UnprofiledMetricCoversNothing) {
   KMultisectionCoverage fresh(model_, opts);
   EXPECT_FALSE(fresh.profiled());
   EXPECT_EQ(fresh.SectionOf({0, 0}, 0.5f), -1);
-  fresh.Update(model_, model_.Forward(Scalar(0.5f)));
+  fresh.UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.5f)));
   EXPECT_EQ(fresh.covered_items(), 0);
 }
 
@@ -140,12 +141,12 @@ TEST(KMultisectionPickTest, PickUncoveredSkipsSaturatedNeurons) {
   CoverageOptions opts = RawOptions();
   opts.kmc_sections = 4;
   KMultisectionCoverage metric(m, opts);
-  metric.ProfileSeed(m, m.Forward(Scalar(-1.0f)));  // Ranges: both [0, 1].
-  metric.ProfileSeed(m, m.Forward(Scalar(1.0f)));
+  metric.ProfileSeed(m, testing::OracleTrace(m, Scalar(-1.0f)), 0);  // Ranges: both [0, 1].
+  metric.ProfileSeed(m, testing::OracleTrace(m, Scalar(1.0f)), 0);
   // Positive inputs saturate neuron 0's four sections while neuron 1 stays
   // pinned at 0 (only its section 0 is hit).
   for (const float v : {0.05f, 0.3f, 0.6f, 0.95f}) {
-    metric.Update(m, m.Forward(Scalar(v)));
+    metric.UpdateBatch(m, testing::OracleTrace(m, Scalar(v)));
   }
   EXPECT_EQ(metric.covered_items(), 4 + 1);
   Rng rng(1);
@@ -164,13 +165,13 @@ TEST(TopKCoverageTest, CoversTheKMostActivatedPerLayer) {
   CoverageOptions opts = RawOptions();
   opts.top_k = 1;
   TopKNeuronCoverage metric(m, opts);
-  metric.Update(m, m.Forward(Scalar(1.0f)));
+  metric.UpdateBatch(m, testing::OracleTrace(m, Scalar(1.0f)));
   EXPECT_TRUE(metric.IsCovered({0, 1}));
   EXPECT_FALSE(metric.IsCovered({0, 0}));
   EXPECT_FALSE(metric.IsCovered({0, 2}));
   EXPECT_FLOAT_EQ(metric.Coverage(), 1.0f / 3.0f);
   // Negative input flips the order: top-1 becomes neuron 0 (value -1 > -3).
-  metric.Update(m, m.Forward(Scalar(-1.0f)));
+  metric.UpdateBatch(m, testing::OracleTrace(m, Scalar(-1.0f)));
   EXPECT_TRUE(metric.IsCovered({0, 0}));
   EXPECT_FLOAT_EQ(metric.Coverage(), 2.0f / 3.0f);
 }
@@ -181,7 +182,7 @@ TEST(TopKCoverageTest, TiesAtTheKthValueAreInclusive) {
   CoverageOptions opts = RawOptions();
   opts.top_k = 1;
   TopKNeuronCoverage metric(m, opts);
-  metric.Update(m, m.Forward(Scalar(1.0f)));
+  metric.UpdateBatch(m, testing::OracleTrace(m, Scalar(1.0f)));
   EXPECT_FALSE(metric.IsCovered({0, 0}));
   EXPECT_TRUE(metric.IsCovered({0, 1}));
   EXPECT_TRUE(metric.IsCovered({0, 2}));
@@ -192,7 +193,7 @@ TEST(TopKCoverageTest, LayersNoLargerThanKSaturateImmediately) {
   CoverageOptions opts = RawOptions();
   opts.top_k = 2;
   TopKNeuronCoverage metric(m, opts);
-  metric.Update(m, m.Forward(Scalar(1.0f)));
+  metric.UpdateBatch(m, testing::OracleTrace(m, Scalar(1.0f)));
   EXPECT_FLOAT_EQ(metric.Coverage(), 1.0f);
   Rng rng(2);
   NeuronId id;
@@ -211,8 +212,8 @@ class MergeSemanticsTest : public ::testing::TestWithParam<std::string> {
     opts.kmc_sections = 3;
     opts.top_k = 1;
     auto metric = MakeCoverageMetric(GetParam(), model_, opts);
-    metric->ProfileSeed(model_, model_.Forward(Scalar(-1.0f)));
-    metric->ProfileSeed(model_, model_.Forward(Scalar(1.0f)));
+    metric->ProfileSeed(model_, testing::OracleTrace(model_, Scalar(-1.0f)), 0);
+    metric->ProfileSeed(model_, testing::OracleTrace(model_, Scalar(1.0f)), 0);
     return metric;
   }
 
@@ -222,8 +223,8 @@ class MergeSemanticsTest : public ::testing::TestWithParam<std::string> {
 TEST_P(MergeSemanticsTest, MergeIsCommutativeAndIdempotent) {
   auto a = Fresh();
   auto b = Fresh();
-  a->Update(model_, model_.Forward(Scalar(0.9f)));
-  b->Update(model_, model_.Forward(Scalar(-0.7f)));
+  a->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.9f)));
+  b->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(-0.7f)));
 
   auto ab = a->Clone();
   ab->Merge(*b);
@@ -247,7 +248,7 @@ TEST_P(MergeSemanticsTest, MergeIsCommutativeAndIdempotent) {
 TEST_P(MergeSemanticsTest, CloneIsIndependentOfTheOriginal) {
   auto a = Fresh();
   auto clone = a->Clone();
-  a->Update(model_, model_.Forward(Scalar(0.9f)));
+  a->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.9f)));
   EXPECT_GT(a->covered_items(), 0);
   EXPECT_EQ(clone->covered_items(), 0);
 }
@@ -265,9 +266,9 @@ TEST_P(MergeSemanticsTest, MergeIsAssociative) {
   auto a = Fresh();
   auto b = Fresh();
   auto c = Fresh();
-  a->Update(model_, model_.Forward(Scalar(0.9f)));
-  b->Update(model_, model_.Forward(Scalar(-0.7f)));
-  c->Update(model_, model_.Forward(Scalar(0.3f)));
+  a->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.9f)));
+  b->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(-0.7f)));
+  c->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.3f)));
 
   // (a ⊕ b) ⊕ c — full state compared, not just the covered count.
   auto left = a->Clone();
@@ -289,7 +290,7 @@ TEST_P(MergeSemanticsTest, MergedClonesEqualSerialUpdates) {
   const std::vector<float> stimuli = {0.9f, -0.7f, 0.3f, -0.2f, 0.55f, 0.05f};
   auto serial = Fresh();
   for (const float v : stimuli) {
-    serial->Update(model_, model_.Forward(Scalar(v)));
+    serial->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(v)));
   }
   for (const size_t split : {size_t{1}, size_t{3}, size_t{5}}) {
     auto base = Fresh();
@@ -297,7 +298,7 @@ TEST_P(MergeSemanticsTest, MergedClonesEqualSerialUpdates) {
     auto worker_b = base->Clone();
     for (size_t i = 0; i < stimuli.size(); ++i) {
       CoverageMetric& worker = i < split ? *worker_a : *worker_b;
-      worker.Update(model_, model_.Forward(Scalar(stimuli[i])));
+      worker.UpdateBatch(model_, testing::OracleTrace(model_, Scalar(stimuli[i])));
     }
     base->Merge(*worker_a);
     base->Merge(*worker_b);
@@ -314,8 +315,8 @@ TEST_P(MergeSemanticsTest, MergedClonesEqualSerialUpdates) {
 
 TEST_P(MergeSemanticsTest, SerializeDeserializeRoundTripsFullState) {
   auto metric = Fresh();
-  metric->Update(model_, model_.Forward(Scalar(0.9f)));
-  metric->Update(model_, model_.Forward(Scalar(-0.4f)));
+  metric->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.9f)));
+  metric->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(-0.4f)));
   const std::string blob = StateBlob(*metric);
 
   auto restored = Fresh();
@@ -327,14 +328,14 @@ TEST_P(MergeSemanticsTest, SerializeDeserializeRoundTripsFullState) {
   EXPECT_EQ(StateBlob(*restored), blob);
 
   // The restored tracker keeps working: it accepts updates and merges.
-  restored->Update(model_, model_.Forward(Scalar(0.1f)));
-  metric->Update(model_, model_.Forward(Scalar(0.1f)));
+  restored->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.1f)));
+  metric->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.1f)));
   EXPECT_EQ(StateBlob(*restored), StateBlob(*metric));
 }
 
 TEST_P(MergeSemanticsTest, DeserializeRejectsMismatchedSnapshots) {
   auto metric = Fresh();
-  metric->Update(model_, model_.Forward(Scalar(0.9f)));
+  metric->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.9f)));
   const std::string blob = StateBlob(*metric);
 
   // A tracker over a different model (one more neuron) must reject the blob.

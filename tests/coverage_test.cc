@@ -9,6 +9,7 @@
 #include "src/nn/model.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -51,7 +52,7 @@ TEST(NeuronCoverageTest, StartsUncoveredAndGrowsMonotonically) {
   float prev = 0.0f;
   for (int i = 0; i < 20; ++i) {
     const Tensor x = Tensor::RandUniform({1, 8, 8}, rng);
-    tracker.Update(m, m.Forward(x));
+    tracker.UpdateBatch(m, testing::OracleTrace(m, x));
     const float cov = tracker.Coverage();
     EXPECT_GE(cov, prev);
     prev = cov;
@@ -73,7 +74,7 @@ TEST(NeuronCoverageTest, ThresholdMonotonicity) {
     opts.threshold = t;
     NeuronCoverageTracker tracker(m, opts);
     for (const Tensor& x : inputs) {
-      tracker.Update(m, m.Forward(x));
+      tracker.UpdateBatch(m, testing::OracleTrace(m, x));
     }
     EXPECT_LE(tracker.Coverage(), prev);
     prev = tracker.Coverage();
@@ -87,7 +88,7 @@ TEST(NeuronCoverageTest, ScalingMapsLayerExtremesToUnitRange) {
   NeuronCoverageTracker tracker(m, opts);
   Rng rng(7);
   const Tensor x = Tensor::RandUniform({1, 8, 8}, rng);
-  const auto values = tracker.NeuronValues(m, m.Forward(x));
+  const auto values = tracker.NeuronValues(m, testing::OracleTrace(m, x), 0);
   ASSERT_EQ(values.size(), 10u);
   // Within the conv layer slice (first 4) the max must be 1 and min 0.
   float lo = 2.0f;
@@ -109,7 +110,7 @@ TEST(NeuronCoverageTest, PickUncoveredExhausts) {
   NeuronId id;
   EXPECT_TRUE(tracker.PickUncovered(rng, &id));
   EXPECT_GE(id.layer, 0);
-  tracker.Update(m, m.Forward(Tensor::RandUniform({1, 8, 8}, rng)));
+  tracker.UpdateBatch(m, testing::OracleTrace(m, Tensor::RandUniform({1, 8, 8}, rng)));
   EXPECT_FLOAT_EQ(tracker.Coverage(), 1.0f);
   EXPECT_FALSE(tracker.PickUncovered(rng, &id));
 }
@@ -121,9 +122,9 @@ TEST(NeuronCoverageTest, ActivatedListMatchesCoverage) {
   NeuronCoverageTracker tracker(m, opts);
   Rng rng(11);
   const Tensor x = Tensor::RandUniform({1, 8, 8}, rng);
-  const ForwardTrace trace = m.Forward(x);
-  const auto activated = tracker.Activated(m, trace);
-  tracker.Update(m, trace);
+  const BatchTrace trace = testing::OracleTrace(m, x);
+  const auto activated = tracker.Activated(m, trace, 0);
+  tracker.UpdateBatch(m, trace);
   EXPECT_EQ(static_cast<int>(activated.size()), tracker.covered_neurons());
   for (const NeuronId& id : activated) {
     EXPECT_TRUE(tracker.IsCovered(id));
@@ -161,7 +162,7 @@ TEST(OpCoverageTest, ContrastWithNeuronCoverage) {
   Rng rng(16);
   const Tensor x = Tensor::RandUniform({1, 8, 8}, rng);
   op.RecordForward(m, x);
-  neuron.Update(m, m.Forward(x));
+  neuron.UpdateBatch(m, testing::OracleTrace(m, x));
   EXPECT_FLOAT_EQ(op.Coverage(), 1.0f);
   EXPECT_LT(neuron.Coverage(), 0.7f);
 }

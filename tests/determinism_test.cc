@@ -13,6 +13,7 @@
 #include "src/nn/softmax_layer.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -91,7 +92,7 @@ TEST(AblationKnobsTest, RandomOcclusionPlacementStaysRectangular) {
   Rng rng(6);
   const Tensor grad({1, 8, 8}, 1.0f);
   for (int trial = 0; trial < 10; ++trial) {
-    const Tensor dir = random.Apply(grad, Tensor({1, 8, 8}), rng);
+    const Tensor dir = testing::ApplyConstraint(random, grad, Tensor({1, 8, 8}), rng);
     int nonzero = 0;
     for (int64_t i = 0; i < dir.numel(); ++i) {
       nonzero += dir[i] != 0.0f ? 1 : 0;
@@ -104,12 +105,12 @@ TEST(AblationKnobsTest, RandomPlacementVariesPosition) {
   OcclusionConstraint random(2, 2, OcclusionConstraint::Placement::kRandom);
   Rng rng(7);
   const Tensor grad({1, 8, 8}, 1.0f);
-  const Tensor a = random.Apply(grad, Tensor({1, 8, 8}), rng);
+  const Tensor a = testing::ApplyConstraint(random, grad, Tensor({1, 8, 8}), rng);
   Tensor b = a;
   // With 49 possible positions, 10 draws almost surely differ at least once.
   bool moved = false;
   for (int trial = 0; trial < 10 && !moved; ++trial) {
-    b = random.Apply(grad, Tensor({1, 8, 8}), rng);
+    b = testing::ApplyConstraint(random, grad, Tensor({1, 8, 8}), rng);
     moved = L1Distance(a, b) > 0.0f;
   }
   EXPECT_TRUE(moved);

@@ -8,9 +8,9 @@
 //      inputs match the zoo models' input shape, labels in range);
 //   2. every zoo model forwards + backwards on a batch (finite outputs,
 //      correct shapes, softmax head for classification domains);
-//   3. every constraint variant is idempotent (Apply(Apply(g)) == Apply(g)
-//      under identical RNG streams) and its projection is a retraction
-//      (Project(Project(x)) == Project(x));
+//   3. every constraint variant is idempotent (ApplyInto on its own output
+//      changes nothing under identical RNG streams) and its projection is a
+//      retraction (Project(Project(x)) == Project(x));
 //   4. the compiled ExecutionPlan path matches the per-sample scalar oracle
 //      for every zoo model (forward trace and input gradient) within the
 //      kernel tolerances of tests/test_util.h — the plan path runs the
@@ -146,8 +146,8 @@ TEST_P(DomainConformanceTest, ConstraintsAreIdempotentAndProjectionsRetract) {
       // (e.g. random patch placement) must still be idempotent per draw.
       Rng rng_once(77);
       Rng rng_twice(77);
-      const Tensor once = constraint->Apply(grad, x, rng_once);
-      const Tensor twice = constraint->Apply(once, x, rng_twice);
+      const Tensor once = testing::ApplyConstraint(*constraint, grad, x, rng_once);
+      const Tensor twice = testing::ApplyConstraint(*constraint, once, x, rng_twice);
       EXPECT_EQ(Values(twice), Values(once))
           << spec().key << "/" << name << " is not idempotent (sample " << i << ")";
 

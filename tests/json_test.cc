@@ -71,6 +71,26 @@ TEST(JsonTest, MalformedInputThrows) {
   EXPECT_THROW(Json::Parse("not json at all"), std::runtime_error);
 }
 
+TEST(JsonTest, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // One ctl line of '[' must be a parse error, not a crash.
+  const std::string deep(100000, '[');
+  try {
+    Json::Parse(deep);
+    FAIL() << "deeply nested input parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("json: nesting deeper than"), std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) {
+    objects += "{\"a\":";
+  }
+  EXPECT_THROW(Json::Parse(objects), std::runtime_error);
+  // Moderate nesting still parses.
+  const Json nested = Json::Parse(std::string(64, '[') + std::string(64, ']'));
+  EXPECT_EQ(nested.AsArray().size(), 1u);
+}
+
 TEST(JsonTest, TypeMismatchThrows) {
   const Json doc = Json::Parse(R"({"n":5})");
   EXPECT_THROW(doc.At("n").AsString(), std::runtime_error);

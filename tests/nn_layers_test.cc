@@ -129,7 +129,9 @@ TEST(DenseTest, NeuronInterface) {
   Dense d(3, 4);
   EXPECT_EQ(d.NumNeurons(), 4);
   Tensor y({4}, std::vector<float>{1, 2, 3, 4});
-  EXPECT_FLOAT_EQ(d.NeuronValue(y, 2), 3.0f);
+  EXPECT_FLOAT_EQ(d.NeuronValue(ConstTensorView(y), 2), 3.0f);
+  EXPECT_THROW(d.NeuronValue(ConstTensorView(y), 4), std::out_of_range);
+  EXPECT_THROW(d.NeuronValue(ConstTensorView(y), -1), std::out_of_range);
   Tensor seed({4});
   d.AddNeuronSeed(&seed, 1, 2.0f);
   EXPECT_FLOAT_EQ(seed[1], 2.0f);
@@ -224,9 +226,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Conv2DTest, NeuronValueIsChannelMean) {
   Conv2D c(1, 2, 1, 1);
   Tensor y({2, 2, 2}, std::vector<float>{1, 2, 3, 4, 10, 20, 30, 40});
-  EXPECT_FLOAT_EQ(c.NeuronValue(y, 0), 2.5f);
-  EXPECT_FLOAT_EQ(c.NeuronValue(y, 1), 25.0f);
-  EXPECT_THROW(c.NeuronValue(y, 2), std::out_of_range);
+  EXPECT_FLOAT_EQ(c.NeuronValue(ConstTensorView(y), 0), 2.5f);
+  EXPECT_FLOAT_EQ(c.NeuronValue(ConstTensorView(y), 1), 25.0f);
+  EXPECT_THROW(c.NeuronValue(ConstTensorView(y), 2), std::out_of_range);
 }
 
 TEST(Conv2DTest, NeuronSeedMatchesNeuronValueGradient) {

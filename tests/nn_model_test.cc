@@ -114,7 +114,8 @@ TEST(ModelTest, BackwardInputFromInternalLayerMatchesNumeric) {
 
   const auto scalar = [&](const Tensor& xx) {
     const ForwardTrace t = m.Forward(xx);
-    return static_cast<double>(m.layer(conv_layer).NeuronValue(t.outputs[0], neuron));
+    return static_cast<double>(
+        m.layer(conv_layer).NeuronValue(ConstTensorView(t.outputs[0]), neuron));
   };
   const Tensor numeric = NumericalGradient(scalar, x, 1e-2f);
   EXPECT_LT(MaxRelError(analytic, numeric), 2e-2f);

@@ -192,11 +192,11 @@ TEST(ResidualBlockTest, NeuronInterfaceUsesOutputChannels) {
   ResidualBlock block(2, 4, 2);
   EXPECT_EQ(block.NumNeurons(), 4);
   Tensor y({4, 3, 3}, 2.0f);
-  EXPECT_FLOAT_EQ(block.NeuronValue(y, 1), 2.0f);
+  EXPECT_FLOAT_EQ(block.NeuronValue(ConstTensorView(y), 1), 2.0f);
   Tensor seed({4, 3, 3});
   block.AddNeuronSeed(&seed, 2, 1.0f);
   EXPECT_NEAR(seed.Sum(), 1.0f, 1e-5f);
-  EXPECT_THROW(block.NeuronValue(y, 4), std::out_of_range);
+  EXPECT_THROW(block.NeuronValue(ConstTensorView(y), 4), std::out_of_range);
 }
 
 TEST(ResidualBlockTest, SerializesInsideModel) {
@@ -233,7 +233,7 @@ TEST(ResidualBlockTest, BackwardThroughModelFromInternalNeuron) {
 
   const auto scalar = [&](const Tensor& xx) {
     const ForwardTrace t = m.Forward(xx);
-    return static_cast<double>(block.NeuronValue(t.outputs[0], 1));
+    return static_cast<double>(block.NeuronValue(ConstTensorView(t.outputs[0]), 1));
   };
   const Tensor numeric = NumericalGradient(scalar, x, 1e-2f);
   EXPECT_LT(MaxRelError(analytic, numeric), 3e-2f);

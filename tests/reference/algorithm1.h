@@ -1,7 +1,9 @@
 // Reference oracle: the paper's Algorithm 1 (§4.2) written out as a plain
-// per-seed loop over the by-value model API — Model::Forward /
-// Objective::Accumulate / Constraint::Apply / CoverageMetric::Update, one
-// seed at a time, no plans, no batching, no thread pool.
+// per-seed loop over the by-value model API — Model::Forward and
+// Model::BackwardInput, with the joint objective (Equations 2-4) computed
+// here rather than through the Objective plug-in it checks — one seed at a
+// time, no plans, no batching, no thread pool. Coverage updates read the
+// same scalar numerics (testing::OracleTrace).
 //
 // Session runs the same algorithm on the batched Executor through compiled
 // ExecutionPlans (im2col + SIMD GEMM kernels). The two must agree: same
@@ -27,21 +29,21 @@
 #include <vector>
 
 #include "src/constraints/constraint.h"
-#include "src/core/objective.h"
 #include "src/core/session.h"
 #include "src/coverage/coverage_metric.h"
 #include "src/nn/model.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx::reference {
 
 using Metrics = std::vector<std::unique_ptr<CoverageMetric>>;
 
-// The fixed inputs of one Algorithm 1 run.
+// The fixed inputs of one Algorithm 1 run (the objective is always the
+// paper's joint objective).
 struct Setup {
   std::vector<Model*> models;
   const Constraint* constraint = nullptr;
-  const Objective* objective = nullptr;
   EngineConfig engine;
   bool regression = false;
 };
@@ -64,26 +66,28 @@ inline std::vector<float> Scalars(const Setup& s, const Tensor& x) {
   return outputs;
 }
 
-// ∇x obj(x) for deviator j and consensus c (Algorithm 1 lines 8-14; the
-// objective plug-in supplies Equations 2-4).
+// ∇x obj(x) for deviator j and consensus c (Algorithm 1 lines 8-14). Per
+// model k, in this order: Equation 2's term (+F_k(x)[c], or −λ1·F_j(x)[c]
+// for k = j; the raw output for regression), then Equation 3's
+// λ2 · f_n(x) for one uncovered neuron n nominated by k's metric (skipped,
+// without an RNG draw, when λ2 = 0).
 inline Tensor ObjectiveGradient(const Setup& s, const Tensor& x, int target, int consensus,
                                 Rng& rng, const Metrics& metrics) {
-  ObjectiveContext ctx;
-  ctx.models = &s.models;
-  ctx.metrics = &metrics;
-  ctx.target_model = target;
-  ctx.consensus = consensus;
-  ctx.regression = s.regression;
-  ctx.lambda1 = s.engine.lambda1;
-  ctx.lambda2 = s.engine.lambda2;
-  ctx.rng = &rng;
   Tensor grad(x.shape());
   for (size_t k = 0; k < s.models.size(); ++k) {
-    const int kk = static_cast<int>(k);
-    const ForwardTrace trace = s.objective->NeedsTrace(ctx, kk)
-                                   ? s.models[k]->Forward(x)
-                                   : ForwardTrace{};
-    s.objective->Accumulate(ctx, kk, trace, &grad);
+    const Model& model = *s.models[k];
+    const ForwardTrace trace = model.Forward(x);
+    const int last = model.num_layers() - 1;
+    Tensor seed(trace.Output().shape());
+    seed[s.regression ? 0 : consensus] =
+        static_cast<int>(k) == target ? -s.engine.lambda1 : 1.0f;
+    grad.AddInPlace(model.BackwardInput(trace, last, std::move(seed)));
+    NeuronId id;
+    if (s.engine.lambda2 != 0.0f && metrics[k]->PickUncovered(rng, &id)) {
+      Tensor neuron_seed(trace.outputs[static_cast<size_t>(id.layer)].shape());
+      model.layer(id.layer).AddNeuronSeed(&neuron_seed, id.index, s.engine.lambda2);
+      grad.AddInPlace(model.BackwardInput(trace, id.layer, std::move(neuron_seed)));
+    }
   }
   return grad;
 }
@@ -121,7 +125,7 @@ inline std::optional<GeneratedTest> GenerateFromSeed(const Setup& s, const Tenso
           grad.L2Norm() / std::sqrt(static_cast<float>(std::max<int64_t>(1, grad.numel())));
       grad.Scale(1.0f / (rms + 1e-5f));
     }
-    x.Axpy(s.engine.step, s.constraint->Apply(grad, x, rng));
+    x.Axpy(s.engine.step, testing::ApplyConstraint(*s.constraint, grad, x, rng));
     s.constraint->ProjectInput(&x);
 
     GeneratedTest test;
@@ -159,8 +163,8 @@ inline std::optional<GeneratedTest> GenerateFromSeed(const Setup& s, const Tenso
       }
     }
     for (int k = 0; k < num_models; ++k) {
-      metrics[static_cast<size_t>(k)]->Update(*s.models[static_cast<size_t>(k)],
-                                              s.models[static_cast<size_t>(k)]->Forward(x));
+      const Model& model = *s.models[static_cast<size_t>(k)];
+      metrics[static_cast<size_t>(k)]->UpdateBatch(model, testing::OracleTrace(model, x));
     }
     test.input = std::move(x);
     test.seed_index = seed_index;

@@ -209,7 +209,7 @@ TEST_F(SessionToyTest, KMultisectionProfilesComeFromThePlanPath) {
       ExecutionPlan plan = model.Compile(1);
       for (const Tensor& seed : *seeds_) {
         const std::vector<float> values =
-            metric.NeuronValues(model, plan.ForwardBatch(seed, 1).Sample(0));
+            metric.NeuronValues(model, plan.ForwardBatch(seed, 1), 0);
         for (size_t i = 0; i < values.size(); ++i) {
           EXPECT_GE(values[i], metric.low()[i]) << model.name() << " neuron " << i;
           EXPECT_LE(values[i], metric.high()[i]) << model.name() << " neuron " << i;
@@ -254,17 +254,58 @@ TEST_F(SessionToyTest, CoverageGainSchedulerRecyclesProductiveSeeds) {
   EXPECT_EQ(repeat.tests.size(), stats.tests.size());
 }
 
-TEST(ObjectiveTraceTest, ObjectivesDeclareTheTracesTheyNeed) {
+// The executor calls Objective::Accumulate for every model on every
+// iteration, so each plug-in decides there what it adds and what it draws.
+TEST_F(SessionToyTest, ObjectivesContributeOnlyWhereTheyApply) {
+  const Tensor& x = (*seeds_)[0];
+  std::vector<ExecutionPlan> plans;
+  std::vector<std::unique_ptr<CoverageMetric>> metrics;
+  for (const Model& m : *models_) {
+    plans.push_back(m.Compile(1));
+    plans.back().ForwardBatch(x, 1);
+    metrics.push_back(MakeCoverageMetric("neuron", m, CoverageOptions{}));
+  }
+  Rng rng(5);
   ObjectiveContext ctx;
+  ctx.metrics = &metrics;
   ctx.target_model = 1;
+  ctx.consensus = (*models_)[0].PredictClass(x);
+  ctx.rng = &rng;
+  // Model k's contribution added to a nonzero gradient: did it change the
+  // gradient, and did it draw from the task's RNG?
+  struct Effect {
+    bool changed;
+    bool drew;
+  };
+  const auto accumulate = [&](const Objective& objective, int k) {
+    Rng grad_rng(100 + static_cast<uint64_t>(k));
+    Tensor grad = Tensor::RandUniform(x.shape(), grad_rng, -1.0f, 1.0f);
+    const Tensor before = grad;
+    Rng untouched = rng;
+    objective.Accumulate(ctx, k, plans[static_cast<size_t>(k)], 0, &grad);
+    Rng after = rng;
+    return Effect{grad.values() != before.values(), after.NextU64() != untouched.NextU64()};
+  };
+
   const FgsmObjective fgsm;
-  EXPECT_TRUE(fgsm.NeedsTrace(ctx, 1));
-  EXPECT_FALSE(fgsm.NeedsTrace(ctx, 0));
   const RandomPerturbationObjective random;
-  EXPECT_FALSE(random.NeedsTrace(ctx, 0));
   const auto joint = MakeJointObjective();
-  EXPECT_TRUE(joint->NeedsTrace(ctx, 0));
-  EXPECT_TRUE(joint->NeedsTrace(ctx, 1));
+  for (int k = 0; k < 3; ++k) {
+    SCOPED_TRACE("model " + std::to_string(k));
+    const Effect f = accumulate(fgsm, k);
+    EXPECT_EQ(f.changed, k == ctx.target_model);
+    EXPECT_FALSE(f.drew);
+    const Effect r = accumulate(random, k);
+    EXPECT_EQ(r.changed, k == 0);
+    EXPECT_EQ(r.drew, k == 0);
+    ctx.lambda2 = 0.0f;
+    const Effect j = accumulate(*joint, k);
+    EXPECT_TRUE(j.changed);
+    EXPECT_FALSE(j.drew);
+    // With λ2 > 0 the coverage half nominates a neuron, which draws.
+    ctx.lambda2 = 0.1f;
+    EXPECT_TRUE(accumulate(*joint, k).drew);
+  }
 }
 
 TEST_F(SessionToyTest, CustomObjectiveInjection) {

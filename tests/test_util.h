@@ -1,6 +1,7 @@
 // Shared test helpers: numerical differentiation for gradient checking, ULP/abs
-// float tolerances, the per-sample scalar oracle over batches, and the harness
-// that checks a layer's batch kernels against it.
+// float tolerances, the per-sample scalar oracle over batches, the harness
+// that checks a layer's batch kernels against it, and a by-value wrapper
+// around Constraint::ApplyInto.
 #ifndef DX_TESTS_TEST_UTIL_H_
 #define DX_TESTS_TEST_UTIL_H_
 
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/constraints/constraint.h"
 #include "src/nn/layer.h"
 #include "src/nn/model.h"
 #include "src/tensor/ops.h"
@@ -211,6 +213,13 @@ inline BatchTrace OracleForwardBatch(const Model& model, const Tensor& input) {
   return trace;
 }
 
+// The oracle forward of one sample `x` as a width-1 BatchTrace: the same
+// scalar numerics as Model::Forward, in the trace format
+// CoverageMetric::UpdateBatch and ProfileSeed read.
+inline BatchTrace OracleTrace(const Model& model, const Tensor& x) {
+  return OracleForwardBatch(model, x.Reshape(BatchedShape(1, x.shape())));
+}
+
 // d(seed·out_from)/d(input) per sample of `trace`, stacked; `seed` is
 // [B, ...layer_output_shape].
 inline Tensor OracleBackwardBatch(const Model& model, const BatchTrace& trace, int from_layer,
@@ -221,6 +230,14 @@ inline Tensor OracleBackwardBatch(const Model& model, const BatchTrace& trace, i
                           trace.aux[static_cast<size_t>(l)], trace.batch, nullptr);
   }
   return seed;
+}
+
+// Constraint::ApplyInto into a fresh direction shaped like `grad`.
+inline Tensor ApplyConstraint(const Constraint& constraint, const Tensor& grad,
+                              const Tensor& x, Rng& rng) {
+  Tensor direction(grad.shape());
+  constraint.ApplyInto(grad, x, rng, &direction);
+  return direction;
 }
 
 // How closely a layer's batch kernels must track the oracle: exactly,

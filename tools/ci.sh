@@ -41,6 +41,12 @@
 #   a daemon campaign and compact its corpus through the `compact` ctl
 #   request, asserting the verified result and the /metrics families.
 #
+#   mode "e2e-smoke": configure bench/e2e (a CMake project of its own, built
+#   Release) into the build dir, build dxbench_e2e and run its
+#   dxbench_e2e_smoke ctest — every workload at a fiftieth of its measured
+#   size. No other job builds the benchmark, so this is where an engine API
+#   change that breaks it shows up.
+#
 # ctest writes a JUnit report to <build-dir>/ctest-junit.xml and a
 # slowest-first per-test timing table is printed after every run, so slow
 # tests are visible before they become the long pole.
@@ -66,6 +72,17 @@ elif [ "$MODE" = "release" ]; then
   CMAKE_EXTRA+=(-DCMAKE_BUILD_TYPE=Release)
 elif [ "$MODE" = "simd-off" ]; then
   CMAKE_EXTRA+=(-DDX_SIMD=OFF)
+fi
+
+if [ "$MODE" = "e2e-smoke" ]; then
+  echo "==> configure (bench/e2e -> $BUILD_DIR)"
+  cmake -S bench/e2e -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release
+  echo "==> build (dxbench_e2e)"
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target dxbench_e2e
+  echo "==> smoke: dxbench_e2e_smoke"
+  ctest --test-dir "$BUILD_DIR" -R dxbench_e2e_smoke --output-on-failure
+  echo "==> OK (e2e-smoke)"
+  exit 0
 fi
 
 echo "==> configure ($BUILD_DIR${MODE:+, $MODE})"
