@@ -103,14 +103,8 @@ int Run(int argc, char** argv) {
       SaveImage(base + "_seed" + (domain == "mnist" ? ".pgm" : ".ppm"), seed);
       SaveImage(base + "_diff" + (domain == "mnist" ? ".pgm" : ".ppm"), test.input);
       saved += 2;
-      std::vector<int> seed_labels;
-      std::vector<float> seed_outputs;
-      if (domain == "driving") {
-        seed_outputs = session.PredictScalars(seed);
-      } else {
-        seed_labels = session.PredictLabels(seed);
-      }
-      std::cout << "seed: all -> " << LabelString(domain, seed_labels, seed_outputs)
+      const Prediction at_seed = session.Predict({&seed})[0];
+      std::cout << "seed: all -> " << LabelString(domain, at_seed.labels, at_seed.outputs)
                 << "\n"
                 << "diff: " << LabelString(domain, test.labels, test.outputs) << "  ("
                 << names[static_cast<size_t>(test.deviating_model)] << " deviates, "

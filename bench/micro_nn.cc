@@ -28,7 +28,7 @@ void BM_Forward(benchmark::State& state, const std::string& name, const std::str
   Model& model = CachedModel(name);
   const Tensor& x = SampleInput(domain);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Predict(x));
+    benchmark::DoNotOptimize(model.Forward(x).Output());
   }
 }
 

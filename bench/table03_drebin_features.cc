@@ -11,6 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "src/data/drebin.h"
+#include "src/tensor/ops.h"
 #include "src/util/table.h"
 
 namespace dx {
@@ -32,14 +33,12 @@ int Run(int argc, char** argv) {
   const Dataset& test = ModelZoo::TestSet("drebin");
   std::vector<Tensor> seeds;
   std::vector<int> test_index;  // Test-set position of each seed.
+  const std::vector<Prediction> predictions = session.Predict(SamplePointers(test.inputs));
   for (int i = 0; i < test.size(); ++i) {
-    const Tensor& seed = test.inputs[static_cast<size_t>(i)];
-    bool all_malware = test.Label(i) == kDrebinMalwareClass;
-    for (const Model& m : models) {
-      all_malware = all_malware && m.PredictClass(seed) == kDrebinMalwareClass;
-    }
-    if (all_malware) {
-      seeds.push_back(seed);
+    const std::vector<int>& labels = predictions[static_cast<size_t>(i)].labels;
+    if (test.Label(i) == kDrebinMalwareClass &&
+        std::all_of(labels.begin(), labels.end(), [](int l) { return l == kDrebinMalwareClass; })) {
+      seeds.push_back(test.inputs[static_cast<size_t>(i)]);
       test_index.push_back(i);
     }
   }

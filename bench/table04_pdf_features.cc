@@ -10,6 +10,7 @@
 
 #include "bench/bench_common.h"
 #include "src/data/pdf.h"
+#include "src/tensor/ops.h"
 #include "src/util/table.h"
 
 namespace dx {
@@ -30,14 +31,12 @@ int Run(int argc, char** argv) {
   const Dataset& test = ModelZoo::TestSet("pdf");
   std::vector<Tensor> seeds;
   std::vector<int> test_index;  // Test-set position of each seed.
+  const std::vector<Prediction> predictions = session.Predict(SamplePointers(test.inputs));
   for (int i = 0; i < test.size(); ++i) {
-    const Tensor& seed = test.inputs[static_cast<size_t>(i)];
-    bool all_malware = test.Label(i) == kPdfMalwareClass;
-    for (const Model& m : models) {
-      all_malware = all_malware && m.PredictClass(seed) == kPdfMalwareClass;
-    }
-    if (all_malware) {
-      seeds.push_back(seed);
+    const std::vector<int>& labels = predictions[static_cast<size_t>(i)].labels;
+    if (test.Label(i) == kPdfMalwareClass &&
+        std::all_of(labels.begin(), labels.end(), [](int l) { return l == kPdfMalwareClass; })) {
+      seeds.push_back(test.inputs[static_cast<size_t>(i)]);
       test_index.push_back(i);
     }
   }

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     const Tensor& seed = test.inputs[static_cast<size_t>(i)];
     std::cout << "case " << found << " (seed #" << i << ", ground-truth steering "
               << test.Target(i) << "):\n";
-    const auto seed_angles = session.PredictScalars(seed);
+    const std::vector<float> seed_angles = session.Predict({&seed})[0].outputs;
     for (size_t k = 0; k < models.size(); ++k) {
       std::cout << "  " << models[k].name() << ": " << Direction(seed_angles[k]) << " ("
                 << seed_angles[k] << ")  ->  "

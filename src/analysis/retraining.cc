@@ -4,26 +4,40 @@
 #include <stdexcept>
 
 #include "src/models/trainer.h"
+#include "src/nn/execution_plan.h"
+#include "src/tensor/ops.h"
 
 namespace dx {
 
-int MajorityVoteLabel(const std::vector<Model*>& voters, const Tensor& input) {
+std::vector<int> MajorityVoteLabels(const std::vector<Model*>& voters,
+                                    const std::vector<Tensor>& inputs) {
   if (voters.empty()) {
-    throw std::invalid_argument("MajorityVoteLabel: no voters");
+    throw std::invalid_argument("MajorityVoteLabels: no voters");
   }
-  std::map<int, int> votes;
+  const std::vector<const Tensor*> pointers = SamplePointers(inputs);
+  std::vector<std::map<int, int>> votes(inputs.size());
   for (const Model* m : voters) {
-    ++votes[m->PredictClass(input)];
+    ExecutionPlan plan = m->Compile(ChunkCapacity(inputs.size(), kInferenceChunk));
+    plan.ForwardChunks(pointers, [&](size_t begin, const BatchTrace& trace) {
+      for (int b = 0; b < trace.batch; ++b) {
+        ++votes[begin + static_cast<size_t>(b)][trace.SampleLabel(b)];
+      }
+    });
   }
-  int best_label = votes.begin()->first;
-  int best_count = 0;
-  for (const auto& [label, count] : votes) {
-    if (count > best_count) {
-      best_count = count;
-      best_label = label;
+  std::vector<int> labels;
+  labels.reserve(inputs.size());
+  for (const std::map<int, int>& tally : votes) {
+    int best_label = tally.begin()->first;
+    int best_count = 0;
+    for (const auto& [label, count] : tally) {
+      if (count > best_count) {
+        best_count = count;
+        best_label = label;
+      }
     }
+    labels.push_back(best_label);
   }
-  return best_label;
+  return labels;
 }
 
 Dataset AugmentWithVotedLabels(const Dataset& train, const std::vector<Tensor>& extra_inputs,
@@ -33,8 +47,9 @@ Dataset AugmentWithVotedLabels(const Dataset& train, const std::vector<Tensor>& 
   }
   Dataset augmented = train;
   augmented.name = train.name + "/augmented";
-  for (const Tensor& input : extra_inputs) {
-    augmented.Add(input, static_cast<float>(MajorityVoteLabel(voters, input)));
+  const std::vector<int> labels = MajorityVoteLabels(voters, extra_inputs);
+  for (size_t i = 0; i < extra_inputs.size(); ++i) {
+    augmented.Add(extra_inputs[i], static_cast<float>(labels[i]));
   }
   return augmented;
 }

@@ -16,8 +16,10 @@ namespace dx {
 
 class Rng;
 
-// Majority-vote label across models; ties break toward the lowest label.
-int MajorityVoteLabel(const std::vector<Model*>& voters, const Tensor& input);
+// Majority-vote label of each input across models (run on the models'
+// compiled ExecutionPlans); ties break toward the lowest label.
+std::vector<int> MajorityVoteLabels(const std::vector<Model*>& voters,
+                                    const std::vector<Tensor>& inputs);
 
 // Appends `extra_inputs` (labeled by majority vote over `voters`) to a copy
 // of `train`.

@@ -23,55 +23,6 @@ ExecutorProfile& ExecutorProfile::operator+=(const ExecutorProfile& other) {
   return *this;
 }
 
-namespace {
-
-bool ScalarsDiffer(const std::vector<float>& outs, float eps) {
-  const auto [lo, hi] = std::minmax_element(outs.begin(), outs.end());
-  return *hi - *lo > eps;
-}
-
-bool LabelsDiffer(const std::vector<int>& labels) {
-  return std::any_of(labels.begin(), labels.end(),
-                     [&](int l) { return l != labels[0]; });
-}
-
-// The model farthest from the ensemble mean is the deviator (regression).
-int DeviatorFromScalars(const std::vector<float>& outs) {
-  double mean = 0.0;
-  for (const float v : outs) {
-    mean += v;
-  }
-  mean /= static_cast<double>(outs.size());
-  int deviator = 0;
-  float worst = -1.0f;
-  for (size_t k = 0; k < outs.size(); ++k) {
-    const float dev = std::abs(outs[k] - static_cast<float>(mean));
-    if (dev > worst) {
-      worst = dev;
-      deviator = static_cast<int>(k);
-    }
-  }
-  return deviator;
-}
-
-// The minority label's model is the deviator (classification).
-int DeviatorFromLabels(const std::vector<int>& labels) {
-  for (size_t k = 0; k < labels.size(); ++k) {
-    int agreement = 0;
-    for (size_t other = 0; other < labels.size(); ++other) {
-      if (labels[other] == labels[k]) {
-        ++agreement;
-      }
-    }
-    if (agreement == 1) {
-      return static_cast<int>(k);
-    }
-  }
-  return 0;
-}
-
-}  // namespace
-
 // Pooled per-chunk execution buffers: one compiled plan per model plus every
 // tensor the lockstep loop writes. A state is borrowed by exactly one Run at
 // a time; after the first Run at a given width all of this storage is warm
@@ -92,9 +43,7 @@ struct Executor::ChunkState {
   std::vector<TaskState> states;
   std::vector<int> active;
   std::vector<int> still_active;
-  std::vector<int> labels;           // Per model, current sample.
-  std::vector<float> scalars;        // Per model, current sample.
-  std::vector<Shape> out_shapes;     // Per model output sample shape (for views).
+  Prediction prediction;             // Per model, current sample.
 };
 
 Executor::Executor(std::vector<Model*> models, const Constraint* constraint,
@@ -128,19 +77,19 @@ std::unique_ptr<Executor::ChunkState> Executor::AcquireState(int width) const {
     // once every concurrent caller has seen its maximum chunk width.
     state->plans.clear();
     state->plans.reserve(models_.size());
-    state->out_shapes.clear();
-    state->out_shapes.reserve(models_.size());
     for (const Model* m : models_) {
       state->plans.push_back(m->Compile(width));
-      state->out_shapes.push_back(m->output_shape());
     }
     const Shape& in_shape = models_[0]->input_shape();
     state->stacked = Tensor(BatchedShape(width, in_shape));
     state->grads.assign(static_cast<size_t>(width), Tensor(in_shape));
     state->direction = Tensor(in_shape);
     state->states.resize(static_cast<size_t>(width));
-    state->labels.resize(models_.size());
-    state->scalars.resize(models_.size());
+    if (regression_) {
+      state->prediction.outputs.resize(models_.size());
+    } else {
+      state->prediction.labels.resize(models_.size());
+    }
     state->capacity = width;
   }
   return state;
@@ -224,24 +173,16 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
       }
     }
   };
-  // Final-layer outputs of sample `pos`, read through non-owning views of
-  // the plan traces (no per-sample tensor copies).
-  const auto read_labels = [&](int pos) {
+  // Every model's prediction on sample `pos`, read in place from the final
+  // rows of the plan traces (no per-sample tensor copies).
+  const auto read_prediction = [&](int pos) {
     for (int k = 0; k < num_k; ++k) {
-      const BatchTrace& trace = cs.plans[k].trace();
-      const Tensor& out = trace.outputs.back();
-      const int64_t cols = out.numel() / trace.batch;
-      const ConstTensorView row(out.data() + static_cast<int64_t>(pos) * cols,
-                                &cs.out_shapes[static_cast<size_t>(k)], cols);
-      cs.labels[static_cast<size_t>(k)] = static_cast<int>(row.Argmax());
-    }
-  };
-  const auto read_scalars = [&](int pos) {
-    for (int k = 0; k < num_k; ++k) {
-      const BatchTrace& trace = cs.plans[k].trace();
-      const Tensor& out = trace.outputs.back();
-      const int64_t cols = out.numel() / trace.batch;
-      cs.scalars[static_cast<size_t>(k)] = out.data()[static_cast<int64_t>(pos) * cols];
+      const BatchTrace& trace = cs.plans[static_cast<size_t>(k)].trace();
+      if (regression_) {
+        cs.prediction.outputs[static_cast<size_t>(k)] = trace.SampleScalar(pos);
+      } else {
+        cs.prediction.labels[static_cast<size_t>(k)] = trace.SampleLabel(pos);
+      }
     }
   };
 
@@ -262,19 +203,14 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
   cs.active.clear();
   for (int t = 0; t < n; ++t) {
     ChunkState::TaskState& state = cs.states[static_cast<size_t>(t)];
-    if (regression_) {
-      // Seed must not already be a difference (Algorithm 1 line 4).
-      read_scalars(t);
-      if (ScalarsDiffer(cs.scalars, engine_->steering_eps)) {
-        continue;  // results[t] stays nullopt.
-      }
-    } else {
-      // All models must agree on the seed's class.
-      read_labels(t);
-      if (LabelsDiffer(cs.labels)) {
-        continue;
-      }
-      state.consensus = cs.labels[0];
+    // The seed must not already be a difference (Algorithm 1 line 4): all
+    // models agree on its class, or their outputs lie within steering_eps.
+    read_prediction(t);
+    if (ModelsDisagree(cs.prediction, engine_->steering_eps)) {
+      continue;  // results[t] stays nullopt.
+    }
+    if (!regression_) {
+      state.consensus = cs.prediction.labels[0];
     }
     state.x = *tasks[static_cast<size_t>(t)].seed;  // Reuses the slot's storage.
     state.target = engine_->forced_target_model >= 0 &&
@@ -355,27 +291,15 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
     for (const int t : cs.active) {
       const SeedTask& task = tasks[static_cast<size_t>(t)];
       ChunkState::TaskState& state = cs.states[static_cast<size_t>(t)];
-      GeneratedTest test;
-      bool found = false;
-      if (regression_) {
-        read_scalars(state.pos);
-        if (ScalarsDiffer(cs.scalars, engine_->steering_eps)) {
-          found = true;
-          test.deviating_model = DeviatorFromScalars(cs.scalars);
-          test.outputs = cs.scalars;
-        }
-      } else {
-        read_labels(state.pos);
-        if (LabelsDiffer(cs.labels)) {
-          found = true;
-          test.deviating_model = DeviatorFromLabels(cs.labels);
-          test.labels = cs.labels;
-        }
-      }
-      if (!found) {
+      read_prediction(state.pos);
+      if (!ModelsDisagree(cs.prediction, engine_->steering_eps)) {
         cs.still_active.push_back(t);  // Budget exhaustion leaves nullopt.
         continue;
       }
+      GeneratedTest test;
+      test.deviating_model = DeviatingModel(cs.prediction);
+      test.labels = cs.prediction.labels;
+      test.outputs = cs.prediction.outputs;
       test.input = state.x;
       test.seed_index = task.seed_index;
       test.task_ordinal = task.ordinal;

@@ -8,7 +8,8 @@
 //
 //   1. the objective gradient (Objective::Accumulate reads a sample of the
 //      trace),
-//   2. the difference check (per-model argmax / scalar outputs), and
+//   2. the difference check (the session-wide oracle, ModelsDisagree and
+//      DeviatingModel, over per-model argmax / scalar outputs), and
 //   3. the coverage update of a finished seed (CoverageMetric::UpdateBatch).
 //
 // Consequently every (seed, model, iteration) is forwarded exactly once —
@@ -23,8 +24,8 @@
 // given chunk width per concurrent caller), an iteration that finds no test
 // performs no heap allocation at all: layer kernels write into plan slabs,
 // objective backprop reuses plan scratch, the constraint writes into a
-// reused direction buffer, and the difference check reads trace samples
-// through non-owning views (tests/alloc_test.cc enforces this).
+// reused direction buffer, and the difference check reads the final trace
+// rows in place (tests/alloc_test.cc enforces this).
 //
 // Batch invariance: per-task state (RNG stream, coverage trackers) stays
 // isolated per task, and every plan kernel computes each sample exactly as

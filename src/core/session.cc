@@ -1,6 +1,7 @@
 #include "src/core/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -82,33 +83,69 @@ void Session::SetScheduler(std::unique_ptr<SeedScheduler> scheduler) {
   scheduler_ = std::move(scheduler);
 }
 
-std::vector<int> Session::PredictLabels(const Tensor& x) const {
-  std::vector<int> labels;
-  labels.reserve(models_.size());
-  for (const Model* m : models_) {
-    labels.push_back(m->PredictClass(x));
+std::vector<const Tensor*> TestInputs(const std::vector<GeneratedTest>& tests) {
+  std::vector<const Tensor*> inputs;
+  inputs.reserve(tests.size());
+  for (const GeneratedTest& test : tests) {
+    inputs.push_back(&test.input);
   }
-  return labels;
+  return inputs;
 }
 
-std::vector<float> Session::PredictScalars(const Tensor& x) const {
-  std::vector<float> outputs;
-  outputs.reserve(models_.size());
-  for (const Model* m : models_) {
-    outputs.push_back(m->PredictScalar(x));
+bool ModelsDisagree(const Prediction& prediction, float steering_eps) {
+  const std::vector<int>& labels = prediction.labels;
+  const std::vector<float>& outputs = prediction.outputs;
+  if (!outputs.empty()) {
+    const auto [lo, hi] = std::minmax_element(outputs.begin(), outputs.end());
+    return *hi - *lo > steering_eps;
   }
-  return outputs;
+  return std::any_of(labels.begin(), labels.end(), [&](int l) { return l != labels[0]; });
 }
 
-bool Session::IsDifference(const Tensor& x) const {
-  if (regression_) {
-    const std::vector<float> outs = PredictScalars(x);
-    const auto [lo, hi] = std::minmax_element(outs.begin(), outs.end());
-    return *hi - *lo > config_.engine.steering_eps;
+int DeviatingModel(const Prediction& prediction) {
+  const std::vector<int>& labels = prediction.labels;
+  const std::vector<float>& outputs = prediction.outputs;
+  if (!outputs.empty()) {
+    double mean = 0.0;
+    for (const float v : outputs) {
+      mean += v;
+    }
+    mean /= static_cast<double>(outputs.size());
+    int deviator = 0;
+    float worst = -1.0f;
+    for (size_t k = 0; k < outputs.size(); ++k) {
+      const float dev = std::abs(outputs[k] - static_cast<float>(mean));
+      if (dev > worst) {
+        worst = dev;
+        deviator = static_cast<int>(k);
+      }
+    }
+    return deviator;
   }
-  const std::vector<int> labels = PredictLabels(x);
-  return std::any_of(labels.begin(), labels.end(),
-                     [&](int l) { return l != labels[0]; });
+  for (size_t k = 0; k < labels.size(); ++k) {
+    if (std::count(labels.begin(), labels.end(), labels[k]) == 1) {
+      return static_cast<int>(k);
+    }
+  }
+  return 0;
+}
+
+std::vector<Prediction> Session::Predict(const std::vector<const Tensor*>& inputs) const {
+  std::vector<Prediction> predictions(inputs.size());
+  for (const Model* model : models_) {
+    ExecutionPlan plan = model->Compile(ChunkCapacity(inputs.size(), config_.batch_size));
+    plan.ForwardChunks(inputs, [&](size_t begin, const BatchTrace& trace) {
+      for (int b = 0; b < trace.batch; ++b) {
+        Prediction& p = predictions[begin + static_cast<size_t>(b)];
+        if (regression_) {
+          p.outputs.push_back(trace.SampleScalar(b));
+        } else {
+          p.labels.push_back(trace.SampleLabel(b));
+        }
+      }
+    });
+  }
+  return predictions;
 }
 
 std::vector<std::unique_ptr<CoverageMetric>> Session::CloneMetrics() const {
@@ -129,7 +166,7 @@ int Session::EffectiveWorkers() const {
 }
 
 void Session::ProfileSeeds(const std::vector<Tensor>& seeds) {
-  const size_t width = static_cast<size_t>(config_.batch_size);
+  const std::vector<const Tensor*> inputs = SamplePointers(seeds);
   for (int k = 0; k < num_models(); ++k) {
     CoverageMetric& metric = *metrics_[static_cast<size_t>(k)];
     if (!metric.WantsSeedProfile()) {
@@ -138,21 +175,12 @@ void Session::ProfileSeeds(const std::vector<Tensor>& seeds) {
     const Model& model = *models_[static_cast<size_t>(k)];
     // The executor's plan kernels: profiled ranges come from the same
     // activations the campaign later buckets.
-    ExecutionPlan plan =
-        model.Compile(static_cast<int>(std::max<size_t>(1, std::min(width, seeds.size()))));
-    for (size_t begin = 0; begin < seeds.size(); begin += width) {
-      const size_t end = std::min(seeds.size(), begin + width);
-      std::vector<const Tensor*> chunk;
-      chunk.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        chunk.push_back(&seeds[i]);
-      }
-      const BatchTrace& trace =
-          plan.ForwardBatch(StackSamples(chunk), static_cast<int>(end - begin));
+    ExecutionPlan plan = model.Compile(ChunkCapacity(seeds.size(), config_.batch_size));
+    plan.ForwardChunks(inputs, [&](size_t, const BatchTrace& trace) {
       for (int b = 0; b < trace.batch; ++b) {
         metric.ProfileSeed(model, trace, b);
       }
-    }
+    });
   }
   profiled_ = true;
 }
@@ -255,31 +283,47 @@ ReplayResult Session::Replay(const Corpus& corpus) {
   } else if (result.stats.forward_passes != cp.forward_passes) {
     fail("replay forward passes " + std::to_string(result.stats.forward_passes) +
          " != recorded " + std::to_string(cp.forward_passes));
-  } else if (cp.metric_blobs.size() != metrics_.size()) {
-    fail("checkpoint holds " + std::to_string(cp.metric_blobs.size()) +
-         " coverage snapshots for " + std::to_string(metrics_.size()) + " models");
-  } else {
-    // Coverage state must match bit for bit, not just as a percentage.
-    for (size_t k = 0; k < metrics_.size() && result.ok; ++k) {
-      std::ostringstream blob;
-      BinaryWriter writer(blob);
-      metrics_[k]->Serialize(writer);
-      if (blob.str() != cp.metric_blobs[k]) {
-        fail("model " + models_[k]->name() +
-             ": replayed coverage state differs from the checkpoint snapshot");
-      }
-    }
-    // Stored inputs must still elicit the recorded predictions.
-    for (size_t i = 0; i < corpus.entries().size() && result.ok; ++i) {
-      const GeneratedTest& entry = corpus.entries()[i];
-      if (regression_ ? PredictScalars(entry.input) != entry.outputs
-                      : PredictLabels(entry.input) != entry.labels) {
-        fail("entry " + std::to_string(i) +
-             ": stored input no longer reproduces the recorded predictions");
-      }
-    }
+  } else if (std::string mismatch = StoredStateMismatch(corpus); !mismatch.empty()) {
+    fail(mismatch);
   }
   return result;
+}
+
+std::string Session::StoredStateMismatch(const Corpus& corpus) const {
+  const std::vector<GeneratedTest>& entries = corpus.entries();
+  const std::vector<Prediction> predictions = Predict(TestInputs(entries));
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const GeneratedTest& entry = entries[i];
+    const Prediction& p = predictions[i];
+    const std::string at = "entry " + std::to_string(i) + ": ";
+    if (p.labels != entry.labels || p.outputs != entry.outputs) {
+      return at + "stored input no longer reproduces the recorded predictions";
+    }
+    if (!ModelsDisagree(p, config_.engine.steering_eps)) {
+      return at + "the models no longer disagree on the stored input";
+    }
+    if (DeviatingModel(p) != entry.deviating_model) {
+      return at + "deviating_model " + std::to_string(entry.deviating_model) +
+             " is not the deviator of the recorded predictions (model " +
+             std::to_string(DeviatingModel(p)) + ")";
+    }
+  }
+  const CorpusCheckpoint& cp = corpus.checkpoint();
+  if (cp.metric_blobs.size() != metrics_.size()) {
+    return "checkpoint holds " + std::to_string(cp.metric_blobs.size()) +
+           " coverage snapshots for " + std::to_string(metrics_.size()) + " models";
+  }
+  // Coverage state must match bit for bit, not just as a percentage.
+  for (size_t k = 0; k < metrics_.size(); ++k) {
+    std::ostringstream blob;
+    BinaryWriter writer(blob);
+    metrics_[k]->Serialize(writer);
+    if (blob.str() != cp.metric_blobs[k]) {
+      return "model " + models_[k]->name() +
+             ": coverage state differs from the checkpoint snapshot";
+    }
+  }
+  return "";
 }
 
 void Session::ValidateCorpus(const Corpus& corpus, const std::vector<Tensor>& seeds,

@@ -181,6 +181,30 @@ struct RunStats {
   int64_t forward_passes = 0;
 };
 
+// Pointers to each test's input, in order — the sample list
+// Session::Predict and ExecutionPlan::ForwardChunks take.
+std::vector<const Tensor*> TestInputs(const std::vector<GeneratedTest>& tests);
+
+// The models' predictions on one input: per-model argmax labels for a
+// classification trio, or per-model scalar outputs for a regression trio —
+// exactly one of the two is filled, in model order. These are the fields a
+// GeneratedTest records.
+struct Prediction {
+  std::vector<int> labels;
+  std::vector<float> outputs;
+};
+
+// Algorithm 1's cross-referencing oracle (§3), the one rule every part of
+// the engine judges disagreement by: the models disagree when any label
+// differs (classification), or when their outputs spread more than
+// `steering_eps` (regression).
+bool ModelsDisagree(const Prediction& prediction, float steering_eps);
+
+// The model that left the consensus: the first model whose label no other
+// model shares (classification; 0 when there is none), or the model whose
+// output lies farthest from the ensemble mean (regression).
+int DeviatingModel(const Prediction& prediction);
+
 // Outcome of Session::Replay: a deterministic re-run of a recorded campaign
 // checked entry-by-entry against the corpus.
 struct ReplayResult {
@@ -231,12 +255,12 @@ class Session {
     return *metrics_[static_cast<size_t>(model_index)];
   }
 
-  // Per-model predictions for an input (argmax labels or scalar outputs).
-  std::vector<int> PredictLabels(const Tensor& x) const;
-  std::vector<float> PredictScalars(const Tensor& x) const;
-
-  // True when the models disagree on x.
-  bool IsDifference(const Tensor& x) const;
+  // Every model's prediction on each input, computed on compiled
+  // ExecutionPlans in chunks of config().batch_size — the kernels the
+  // executor generates tests with, so a recorded test re-predicts bit for
+  // bit. Throws std::invalid_argument when an input's shape differs from the
+  // models' input shape.
+  std::vector<Prediction> Predict(const std::vector<const Tensor*>& inputs) const;
 
   // Runs the scheduler's seed stream (in parallel for workers > 1) until an
   // option bound is hit. Results are identical for any worker count.
@@ -274,13 +298,23 @@ class Session {
   // Deterministic replay: re-executes the recorded campaign from scratch
   // (corpus-stored seeds, options, and leg boundary) through the batched
   // Executor and verifies bit-identical results — every generated test is
-  // compared field-by-field (input bits, labels/outputs, iterations, RNG
-  // provenance) against the stored entries, stored inputs are re-predicted,
-  // and the final coverage state, difference counts, and forward-pass
-  // counters are compared against the checkpoint. Resets this session's
-  // coverage state. The session must be constructed with the corpus' config
+  // compared field-by-field (input bits, labels/outputs, deviator,
+  // iterations, RNG provenance) against the stored entries, and the
+  // difference counts and forward-pass counters against the checkpoint —
+  // then runs StoredStateMismatch on the result. A derived maintenance
+  // corpus (no journal) is verified by VerifyDerivedCorpus instead
+  // (src/corpus/maintenance.h). Resets this session's coverage state. The
+  // session must be constructed with the corpus' config
   // (std::invalid_argument otherwise; batch_size/workers free).
   ReplayResult Replay(const Corpus& corpus);
+
+  // The stored-state check shared by Replay and VerifyDerivedCorpus. Every
+  // corpus entry must re-predict (Predict) to its stored labels/outputs,
+  // still make the models disagree, and name the model DeviatingModel picks;
+  // and every model's current coverage state must serialize to the
+  // checkpoint's blob byte for byte. Returns a description of the first
+  // divergence, or an empty string when the corpus checks out.
+  std::string StoredStateMismatch(const Corpus& corpus) const;
 
   // Feeds every seed's trace to the metrics' ProfileSeed (k-multisection
   // range calibration). The traces come from a compiled ExecutionPlan — the

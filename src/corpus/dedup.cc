@@ -178,14 +178,9 @@ MaintenanceReport DedupCorpus(Session& session, const Corpus& corpus,
     session.ProfileSeeds(meta.seeds);
   }
   const std::vector<GeneratedTest>& entries = corpus.entries();
-  std::vector<const Tensor*> inputs;
-  inputs.reserve(entries.size());
-  for (const GeneratedTest& entry : entries) {
-    inputs.push_back(&entry.input);
-  }
   std::vector<CoverageFootprint> footprints;
   if (options.preserve_coverage) {
-    footprints = ComputeFootprints(session, inputs);
+    footprints = ComputeFootprints(session, TestInputs(entries));
   }
 
   CoverageFootprint retained_cov;
@@ -220,12 +215,7 @@ MaintenanceReport DedupCorpus(Session& session, const Corpus& corpus,
   }
   if (!options.preserve_coverage) {
     // The checkpoint must still describe the retained set's coverage.
-    std::vector<const Tensor*> kept_inputs;
-    kept_inputs.reserve(retained.size());
-    for (const GeneratedTest& entry : retained) {
-      kept_inputs.push_back(&entry.input);
-    }
-    for (CoverageFootprint& fp : ComputeFootprints(session, kept_inputs)) {
+    for (CoverageFootprint& fp : ComputeFootprints(session, TestInputs(retained))) {
       MergeFootprint(retained_cov, fp);
     }
   }

@@ -19,12 +19,7 @@ MaintenanceReport DistillCorpus(Session& session, const Corpus& corpus,
   }
 
   const std::vector<GeneratedTest>& entries = corpus.entries();
-  std::vector<const Tensor*> inputs;
-  inputs.reserve(entries.size());
-  for (const GeneratedTest& entry : entries) {
-    inputs.push_back(&entry.input);
-  }
-  std::vector<CoverageFootprint> footprints = ComputeFootprints(session, inputs);
+  std::vector<CoverageFootprint> footprints = ComputeFootprints(session, TestInputs(entries));
 
   // Greedy subsumption scan: retained coverage grows monotonically; an entry
   // whose footprint adds nothing is — by monotonicity — subsumed forever.

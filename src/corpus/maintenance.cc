@@ -1,26 +1,13 @@
 #include "src/corpus/maintenance.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/nn/execution_plan.h"
-#include "src/tensor/ops.h"
 #include "src/util/serialize.h"
 #include "src/util/timer.h"
 
 namespace dx {
-
-namespace {
-
-// Stacks inputs [begin, end) into one batched tensor.
-Tensor StackRange(const std::vector<const Tensor*>& inputs, size_t begin, size_t end) {
-  std::vector<const Tensor*> chunk(inputs.begin() + static_cast<ptrdiff_t>(begin),
-                                   inputs.begin() + static_cast<ptrdiff_t>(end));
-  return StackSamples(chunk);
-}
-
-}  // namespace
 
 std::string MaintenanceReport::ToString() const {
   std::ostringstream out;
@@ -38,8 +25,24 @@ std::string MaintenanceReport::ToString() const {
   return out.str();
 }
 
-std::vector<CoverageFootprint> ComputeFootprints(
-    Session& session, const std::vector<const Tensor*>& inputs) {
+std::vector<CoverageFootprint> ComputeFootprints(Session& session,
+                                                 const std::vector<const Tensor*>& inputs) {
+  std::vector<ExecutionPlan> plans;
+  plans.reserve(static_cast<size_t>(session.num_models()));
+  for (int k = 0; k < session.num_models(); ++k) {
+    plans.push_back(
+        session.model(k).Compile(ChunkCapacity(inputs.size(), session.config().batch_size)));
+  }
+  return ComputeFootprints(session, plans, inputs, nullptr);
+}
+
+std::vector<CoverageFootprint> ComputeFootprints(Session& session,
+                                                 std::vector<ExecutionPlan>& plans,
+                                                 const std::vector<const Tensor*>& inputs,
+                                                 std::vector<Prediction>* predictions) {
+  if (predictions != nullptr) {
+    predictions->assign(inputs.size(), Prediction{});
+  }
   std::vector<CoverageFootprint> footprints(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
     footprints[i].reserve(static_cast<size_t>(session.num_models()));
@@ -47,21 +50,23 @@ std::vector<CoverageFootprint> ComputeFootprints(
       footprints[i].push_back(session.metric(k).Clone());
     }
   }
-  if (inputs.empty()) {
-    return footprints;
-  }
-  const size_t width = static_cast<size_t>(std::max(1, session.config().batch_size));
   for (int k = 0; k < session.num_models(); ++k) {
     const Model& model = session.model(k);
-    ExecutionPlan plan = model.Compile(static_cast<int>(std::min(width, inputs.size())));
-    for (size_t begin = 0; begin < inputs.size(); begin += width) {
-      const size_t end = std::min(inputs.size(), begin + width);
-      plan.ForwardBatch(StackRange(inputs, begin, end), static_cast<int>(end - begin));
-      for (size_t b = begin; b < end; ++b) {
-        footprints[b][static_cast<size_t>(k)]->UpdateBatch(
-            model, plan.SampleTrace(static_cast<int>(b - begin)));
+    ExecutionPlan& plan = plans[static_cast<size_t>(k)];
+    plan.ForwardChunks(inputs, [&](size_t begin, const BatchTrace& trace) {
+      for (int b = 0; b < trace.batch; ++b) {
+        const size_t i = begin + static_cast<size_t>(b);
+        footprints[i][static_cast<size_t>(k)]->UpdateBatch(model, plan.SampleTrace(b));
+        if (predictions == nullptr) {
+          continue;
+        }
+        if (session.regression()) {
+          (*predictions)[i].outputs.push_back(trace.SampleScalar(b));
+        } else {
+          (*predictions)[i].labels.push_back(trace.SampleLabel(b));
+        }
       }
-    }
+    });
   }
   return footprints;
 }
@@ -175,9 +180,7 @@ ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus) {
   ReplayResult result;
   const auto fail = [&result](const std::string& what) {
     result.ok = false;
-    if (result.mismatch.empty()) {
-      result.mismatch = what;
-    }
+    result.mismatch = what;
   };
   const CorpusMeta& meta = corpus.meta();
   if (meta.model_names.size() != static_cast<size_t>(session.num_models())) {
@@ -206,85 +209,24 @@ ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus) {
   if (meta.profile_from_seeds) {
     session.ProfileSeeds(meta.seeds);
   }
-
   const std::vector<GeneratedTest>& entries = corpus.entries();
-  const bool regression = session.regression();
-  const float eps = session.config().engine.steering_eps;
-  std::vector<std::vector<int>> labels(entries.size());
-  std::vector<std::vector<float>> outputs(entries.size());
-  if (!entries.empty()) {
-    std::vector<const Tensor*> inputs;
-    inputs.reserve(entries.size());
-    for (const GeneratedTest& entry : entries) {
-      inputs.push_back(&entry.input);
-    }
-    const size_t width =
-        static_cast<size_t>(std::max(1, session.config().batch_size));
-    for (int k = 0; k < session.num_models(); ++k) {
-      const Model& model = session.model(k);
-      ExecutionPlan plan =
-          model.Compile(static_cast<int>(std::min(width, inputs.size())));
-      const int last = model.num_layers() - 1;
-      for (size_t begin = 0; begin < inputs.size(); begin += width) {
-        const size_t end = std::min(inputs.size(), begin + width);
-        const BatchTrace& trace = plan.ForwardBatch(StackRange(inputs, begin, end),
-                                                    static_cast<int>(end - begin));
-        for (size_t b = begin; b < end; ++b) {
-          const Tensor out = trace.SampleOutput(last, static_cast<int>(b - begin));
-          if (regression) {
-            outputs[b].push_back(out[0]);
-          } else {
-            labels[b].push_back(static_cast<int>(out.Argmax()));
-          }
-        }
-        session.metric(k).UpdateBatch(model, trace);
-      }
-    }
-  }
-
-  for (size_t i = 0; i < entries.size() && result.ok; ++i) {
-    const GeneratedTest& entry = entries[i];
-    const std::string at = "entry " + std::to_string(i) + ": ";
-    if (regression) {
-      if (outputs[i] != entry.outputs) {
-        fail(at + "re-predicted outputs diverge from the stored provenance");
-      } else {
-        const auto [lo, hi] = std::minmax_element(outputs[i].begin(), outputs[i].end());
-        if (*hi - *lo <= eps) {
-          fail(at + "input is no longer difference-inducing (spread <= steering_eps)");
-        }
-      }
-    } else {
-      if (labels[i] != entry.labels) {
-        fail(at + "re-predicted labels diverge from the stored provenance");
-      } else if (std::all_of(labels[i].begin(), labels[i].end(),
-                             [&](int l) { return l == labels[i][0]; })) {
-        fail(at + "input is no longer difference-inducing (models agree)");
-      }
-    }
+  const std::vector<const Tensor*> inputs = TestInputs(entries);
+  for (int k = 0; k < session.num_models(); ++k) {
+    const Model& model = session.model(k);
+    ExecutionPlan plan =
+        model.Compile(ChunkCapacity(inputs.size(), session.config().batch_size));
+    plan.ForwardChunks(inputs, [&](size_t, const BatchTrace& trace) {
+      session.metric(k).UpdateBatch(model, trace);
+    });
   }
 
   const CorpusCheckpoint& cp = corpus.checkpoint();
-  if (result.ok && cp.num_tests != entries.size()) {
+  if (cp.num_tests != entries.size()) {
     fail("checkpoint records " + std::to_string(cp.num_tests) + " tests, corpus holds " +
          std::to_string(entries.size()));
-  }
-  if (result.ok && cp.metric_blobs.size() != static_cast<size_t>(session.num_models())) {
-    fail("checkpoint holds " + std::to_string(cp.metric_blobs.size()) +
-         " coverage snapshots for " + std::to_string(session.num_models()) + " models");
-  }
-  if (result.ok) {
-    for (int k = 0; k < session.num_models() && result.ok; ++k) {
-      std::ostringstream blob;
-      BinaryWriter writer(blob);
-      session.metric(k).Serialize(writer);
-      if (blob.str() != cp.metric_blobs[static_cast<size_t>(k)]) {
-        fail("model " + session.model(k).name() +
-             ": re-derived coverage state differs from the checkpoint snapshot");
-      }
-    }
-  }
-  if (result.ok && session.MeanCoverage() != cp.mean_coverage) {
+  } else if (std::string mismatch = session.StoredStateMismatch(corpus); !mismatch.empty()) {
+    fail(mismatch);
+  } else if (session.MeanCoverage() != cp.mean_coverage) {
     fail("re-derived mean coverage differs from the checkpoint");
   }
 

@@ -14,9 +14,11 @@
 //
 // Because there is no journal, a derived corpus cannot resume — but it can
 // be VERIFIED: Session::Replay dispatches corpora with a `transform` tag to
-// VerifyDerivedCorpus below, which re-predicts every entry, re-derives the
-// coverage state from scratch, and compares both byte-for-byte against the
-// checkpoint.
+// VerifyDerivedCorpus below, which re-derives the coverage state from
+// scratch and runs the same stored-state check a journal replay ends with
+// (Session::StoredStateMismatch: every entry re-predicts, still disagrees
+// and names the right deviator; the coverage matches the checkpoint byte for
+// byte).
 #ifndef DX_SRC_CORPUS_MAINTENANCE_H_
 #define DX_SRC_CORPUS_MAINTENANCE_H_
 
@@ -28,6 +30,7 @@
 #include "src/core/session.h"
 #include "src/corpus/corpus.h"
 #include "src/coverage/coverage_metric.h"
+#include "src/nn/execution_plan.h"
 
 namespace dx {
 
@@ -61,9 +64,18 @@ struct MaintenanceReport {
 // session's CURRENT per-model metrics (call Session::ResetRunState +
 // ProfileSeeds first so they are empty but calibrated) and observes exactly
 // one input. Forward passes are batched per model through
-// Model::Compile(batch_size).
-std::vector<CoverageFootprint> ComputeFootprints(
-    Session& session, const std::vector<const Tensor*>& inputs);
+// ExecutionPlan::ForwardChunks at the session's batch_size.
+std::vector<CoverageFootprint> ComputeFootprints(Session& session,
+                                                 const std::vector<const Tensor*>& inputs);
+
+// The same through caller-owned `plans` (one per session model, in session
+// order), so a caller that evaluates many small input sets keeps its plans
+// warm. When `predictions` is set it also receives every input's
+// Prediction, read from the same forward passes.
+std::vector<CoverageFootprint> ComputeFootprints(Session& session,
+                                                 std::vector<ExecutionPlan>& plans,
+                                                 const std::vector<const Tensor*>& inputs,
+                                                 std::vector<Prediction>* predictions);
 
 // Deep-copies a footprint.
 CoverageFootprint CloneFootprint(const CoverageFootprint& fp);
@@ -93,12 +105,14 @@ void WriteDerivedCorpus(const Corpus& source, const std::string& transform,
                         const std::vector<GeneratedTest>& entries,
                         const CoverageFootprint& merged, const std::string& out_dir);
 
-// Verification backend of Session::Replay for derived corpora: re-predicts
-// every entry (labels/outputs must match the stored provenance), asserts
-// each is still difference-inducing, re-derives the coverage state from
-// scratch, and requires the serialized result to equal the checkpoint's
-// metric blobs byte-for-byte. The session must be built with the corpus'
-// config; its coverage state is reset.
+// Verification backend of Session::Replay for derived corpora: re-derives
+// the coverage state from scratch (seed calibration, then every entry in
+// order), then requires Session::StoredStateMismatch to pass — each entry
+// re-predicts to its stored labels/outputs, is still difference-inducing
+// and names the deviator the oracle picks, and the re-derived coverage
+// serializes to the checkpoint's metric blobs byte for byte — and the mean
+// coverage to match. The session must be built with the corpus' config; its
+// coverage state is reset.
 ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus);
 
 }  // namespace dx

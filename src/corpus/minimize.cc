@@ -14,78 +14,6 @@ namespace dx {
 
 namespace {
 
-// One candidate's forward results: per-model predictions plus its coverage
-// footprint (calibrated-empty clones updated with the candidate's trace).
-struct CandidateEval {
-  std::vector<int> labels;     // Per model (classification).
-  std::vector<float> outputs;  // Per model (regression).
-  CoverageFootprint fp;
-};
-
-// Batch-evaluates all candidates through the per-model plans. `plans[k]` must
-// have capacity >= `width`.
-std::vector<CandidateEval> EvaluateCandidates(
-    Session& session, std::vector<ExecutionPlan>& plans, size_t width,
-    const std::vector<const Tensor*>& candidates) {
-  std::vector<CandidateEval> evals(candidates.size());
-  for (CandidateEval& e : evals) {
-    e.fp.reserve(static_cast<size_t>(session.num_models()));
-    for (int k = 0; k < session.num_models(); ++k) {
-      e.fp.push_back(session.metric(k).Clone());
-    }
-  }
-  const bool regression = session.regression();
-  for (int k = 0; k < session.num_models(); ++k) {
-    const Model& model = session.model(k);
-    const int last = model.num_layers() - 1;
-    for (size_t begin = 0; begin < candidates.size(); begin += width) {
-      const size_t end = std::min(candidates.size(), begin + width);
-      std::vector<const Tensor*> chunk(
-          candidates.begin() + static_cast<ptrdiff_t>(begin),
-          candidates.begin() + static_cast<ptrdiff_t>(end));
-      ExecutionPlan& plan = plans[static_cast<size_t>(k)];
-      const BatchTrace& trace =
-          plan.ForwardBatch(StackSamples(chunk), static_cast<int>(end - begin));
-      for (size_t b = begin; b < end; ++b) {
-        const int pos = static_cast<int>(b - begin);
-        const Tensor out = trace.SampleOutput(last, pos);
-        if (regression) {
-          evals[b].outputs.push_back(out[0]);
-        } else {
-          evals[b].labels.push_back(static_cast<int>(out.Argmax()));
-        }
-        evals[b].fp[static_cast<size_t>(k)]->UpdateBatch(model, plan.SampleTrace(pos));
-      }
-    }
-  }
-  return evals;
-}
-
-// Both invariants the pass must preserve: the entry's disagreement, and —
-// per model — covered(base ⊕ candidate) == target, where target was computed
-// with the original entry in place. Equality (not >=) so the minimized
-// corpus' merged coverage lands exactly on the original's.
-bool Accepted(const CandidateEval& eval, const GeneratedTest& entry,
-              bool regression, float eps, const CoverageFootprint& base,
-              const std::vector<int64_t>& targets) {
-  if (regression) {
-    const auto [lo, hi] = std::minmax_element(eval.outputs.begin(), eval.outputs.end());
-    if (*hi - *lo <= eps) {
-      return false;
-    }
-  } else if (eval.labels != entry.labels) {
-    return false;
-  }
-  for (size_t k = 0; k < base.size(); ++k) {
-    auto probe = base[k]->Clone();
-    probe->Merge(*eval.fp[k]);
-    if (probe->covered_items() != targets[k]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void RevertBlock(Tensor& input, const Tensor& seed, int64_t begin, int64_t end) {
   for (int64_t j = begin; j < end; ++j) {
     input.values()[static_cast<size_t>(j)] = seed[j];
@@ -123,8 +51,6 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
   }
 
   const std::vector<GeneratedTest>& entries = corpus.entries();
-  std::vector<const Tensor*> inputs;
-  inputs.reserve(entries.size());
   for (const GeneratedTest& entry : entries) {
     if (entry.seed_index < 0 ||
         static_cast<size_t>(entry.seed_index) >= meta.seeds.size()) {
@@ -132,9 +58,8 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
           "MinimizeCorpus: entry references seed " +
           std::to_string(entry.seed_index) + " outside the manifest pool");
     }
-    inputs.push_back(&entry.input);
   }
-  std::vector<CoverageFootprint> footprints = ComputeFootprints(session, inputs);
+  std::vector<CoverageFootprint> footprints = ComputeFootprints(session, TestInputs(entries));
 
   // suffix[i] = merged original footprints of entries i..n-1; suffix[n] is
   // empty. base_i = minimized-prefix ⊕ suffix[i+1] is everything covered
@@ -150,14 +75,12 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
   }
   CoverageFootprint acc = CloneFootprint(suffix[n]);
 
-  const size_t width = static_cast<size_t>(std::max(1, session.config().batch_size));
   std::vector<ExecutionPlan> plans;
   plans.reserve(static_cast<size_t>(session.num_models()));
   for (int k = 0; k < session.num_models(); ++k) {
-    plans.push_back(session.model(k).Compile(static_cast<int>(width)));
+    plans.push_back(session.model(k).Compile(session.config().batch_size));
   }
 
-  const bool regression = session.regression();
   const float eps = session.config().engine.steering_eps;
   MaintenanceReport report;
   report.transform = "minimize";
@@ -193,8 +116,40 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
         std::min<int64_t>(static_cast<int64_t>(options.regions), numel);
     const auto block_begin = [&](int64_t b) { return b * numel / num_blocks; };
 
+    // Both invariants a revert must preserve: the entry's disagreement (by
+    // the session's oracle, with classification labels pinned to the stored
+    // ones), and — per model — covered(base ⊕ candidate) == target, where
+    // target was computed with the original entry in place. Equality (not
+    // >=) so the minimized corpus' merged coverage lands exactly on the
+    // original's.
+    const auto accepted = [&](const Prediction& prediction, const CoverageFootprint& fp) {
+      if (!ModelsDisagree(prediction, eps) || prediction.labels != entry.labels) {
+        return false;
+      }
+      for (size_t k = 0; k < base.size(); ++k) {
+        auto probe = base[k]->Clone();
+        probe->Merge(*fp[k]);
+        if (probe->covered_items() != targets[k]) {
+          return false;
+        }
+      }
+      return true;
+    };
+
     Tensor current = entry.input;
     bool changed = false;
+    bool progressed = false;
+    // Takes an accepted revert: its input, plus the predictions and
+    // footprint it was accepted with. A regression revert moves the outputs,
+    // and with them possibly the deviator, so both are re-stamped.
+    const auto take = [&](Tensor& input, const Prediction& prediction, CoverageFootprint& fp) {
+      current = std::move(input);
+      out.deviating_model = DeviatingModel(prediction);
+      out.labels = prediction.labels;
+      out.outputs = prediction.outputs;
+      final_fp = std::move(fp);
+      progressed = changed = true;
+    };
     for (int round = 0; round < options.max_rounds; ++round) {
       // One candidate per block that still differs from the seed.
       std::vector<int64_t> block_ids;
@@ -217,31 +172,21 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
       if (candidates.empty()) {
         break;
       }
-      std::vector<const Tensor*> cand_ptrs;
-      cand_ptrs.reserve(candidates.size());
-      for (const Tensor& cand : candidates) {
-        cand_ptrs.push_back(&cand);
-      }
-      std::vector<CandidateEval> evals =
-          EvaluateCandidates(session, plans, width, cand_ptrs);
+      std::vector<Prediction> predictions;
+      std::vector<CoverageFootprint> fps =
+          ComputeFootprints(session, plans, SamplePointers(candidates), &predictions);
       std::vector<size_t> passing;
-      for (size_t j = 0; j < evals.size(); ++j) {
-        if (Accepted(evals[j], entry, regression, eps, base, targets)) {
+      for (size_t j = 0; j < fps.size(); ++j) {
+        if (accepted(predictions[j], fps[j])) {
           passing.push_back(j);
         }
       }
       if (passing.empty()) {
         break;
       }
-      bool progressed = false;
+      progressed = false;
       if (passing.size() == 1) {
-        const size_t j = passing[0];
-        current = std::move(candidates[j]);
-        if (regression) {
-          out.outputs = evals[j].outputs;
-        }
-        final_fp = std::move(evals[j].fp);
-        progressed = changed = true;
+        take(candidates[passing[0]], predictions[passing[0]], fps[passing[0]]);
       } else {
         // All individually-safe reverts at once: one extra forward, and the
         // common case when the blocks' effects are independent.
@@ -250,15 +195,10 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
           RevertBlock(combined, seed, block_begin(block_ids[j]),
                       block_begin(block_ids[j] + 1));
         }
-        std::vector<CandidateEval> combo =
-            EvaluateCandidates(session, plans, width, {&combined});
-        if (Accepted(combo[0], entry, regression, eps, base, targets)) {
-          current = std::move(combined);
-          if (regression) {
-            out.outputs = combo[0].outputs;
-          }
-          final_fp = std::move(combo[0].fp);
-          progressed = changed = true;
+        std::vector<CoverageFootprint> combo =
+            ComputeFootprints(session, plans, {&combined}, &predictions);
+        if (accepted(predictions[0], combo[0])) {
+          take(combined, predictions[0], combo[0]);
         } else {
           // The reverts interact; take them one at a time, re-validating
           // against the evolving input.
@@ -266,15 +206,10 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
             Tensor cand = current;
             RevertBlock(cand, seed, block_begin(block_ids[j]),
                         block_begin(block_ids[j] + 1));
-            std::vector<CandidateEval> one =
-                EvaluateCandidates(session, plans, width, {&cand});
-            if (Accepted(one[0], entry, regression, eps, base, targets)) {
-              current = std::move(cand);
-              if (regression) {
-                out.outputs = one[0].outputs;
-              }
-              final_fp = std::move(one[0].fp);
-              progressed = changed = true;
+            std::vector<CoverageFootprint> one =
+                ComputeFootprints(session, plans, {&cand}, &predictions);
+            if (accepted(predictions[0], one[0])) {
+              take(cand, predictions[0], one[0]);
             }
           }
         }

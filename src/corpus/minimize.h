@@ -9,9 +9,10 @@
 // the seed), evaluates every candidate in one batched forward per model
 // through the compiled ExecutionPlan, and accepts the reverts that preserve:
 //
-//   1. the disagreement — re-predicted labels equal the stored labels
-//      (classification), or the output spread still exceeds steering_eps
-//      (regression, with the entry's stored outputs rewritten to match);
+//   1. the disagreement — the session's oracle (ModelsDisagree) still
+//      fires, and classification labels equal the stored labels (a
+//      regression entry's stored outputs and deviating_model are rewritten
+//      to match the accepted input);
 //   2. the coverage delta — for every model, the items covered by
 //      (already-minimized prefix ⊕ untouched suffix ⊕ candidate) equal the
 //      items that set covered with the original entry in place.
@@ -50,9 +51,10 @@ struct MinimizeOptions {
 
 // Runs the minimization pass of `corpus` through `session` (built with the
 // corpus' config) and writes the minimized corpus to options.out_dir. Every
-// entry is retained; only inputs (and regression outputs) change. Resets the
-// session's coverage state. Returns the report — modified_entries and
-// reverted_values say how much perturbation the pass clawed back.
+// entry is retained; only inputs (and regression outputs and deviators)
+// change. Resets the session's coverage state. Returns the report —
+// modified_entries and reverted_values say how much perturbation the pass
+// clawed back.
 MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
                                  const MinimizeOptions& options);
 

@@ -2,9 +2,10 @@
 //
 // The paper measures Python line coverage of the DNN inference code and shows
 // that a single input already executes 100% of it. Our inference interpreter
-// is the Layer::Forward chain; OpCoverage assigns each layer a fixed set of
-// statement sites (proportional to the complexity of its forward routine) and
-// marks a layer's sites executed whenever an input flows through it —
+// is the ExecutionPlan's chain of layer forward kernels; OpCoverage assigns
+// each layer a fixed set of statement sites (proportional to the complexity
+// of its forward routine) and marks a layer's sites executed whenever an
+// input flows through it —
 // faithfully reproducing the phenomenon that code coverage saturates
 // immediately while neuron coverage does not.
 #ifndef DX_SRC_COVERAGE_OP_COVERAGE_H_

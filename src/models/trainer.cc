@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/nn/batchnorm.h"
+#include "src/nn/execution_plan.h"
 #include "src/nn/loss.h"
 #include "src/nn/optimizer.h"
 #include "src/tensor/ops.h"
@@ -123,22 +124,25 @@ float Trainer::Accuracy(const Model& model, const Dataset& data) {
     throw std::invalid_argument("Trainer::Accuracy on regression dataset");
   }
   int correct = 0;
-  for (int i = 0; i < data.size(); ++i) {
-    if (model.PredictClass(data.inputs[static_cast<size_t>(i)]) == data.Label(i)) {
-      ++correct;
+  ExecutionPlan plan = model.Compile(ChunkCapacity(data.inputs.size(), kInferenceChunk));
+  plan.ForwardChunks(SamplePointers(data.inputs), [&](size_t begin, const BatchTrace& trace) {
+    for (int b = 0; b < trace.batch; ++b) {
+      correct += trace.SampleLabel(b) == data.Label(static_cast<int>(begin) + b) ? 1 : 0;
     }
-  }
+  });
   return data.size() > 0 ? static_cast<float>(correct) / static_cast<float>(data.size())
                          : 0.0f;
 }
 
 float Trainer::MseOf(const Model& model, const Dataset& data) {
   double sum = 0.0;
-  for (int i = 0; i < data.size(); ++i) {
-    const float diff =
-        model.PredictScalar(data.inputs[static_cast<size_t>(i)]) - data.Target(i);
-    sum += static_cast<double>(diff) * diff;
-  }
+  ExecutionPlan plan = model.Compile(ChunkCapacity(data.inputs.size(), kInferenceChunk));
+  plan.ForwardChunks(SamplePointers(data.inputs), [&](size_t begin, const BatchTrace& trace) {
+    for (int b = 0; b < trace.batch; ++b) {
+      const float diff = trace.SampleScalar(b) - data.Target(static_cast<int>(begin) + b);
+      sum += static_cast<double>(diff) * diff;
+    }
+  });
   return data.size() > 0 ? static_cast<float>(sum / data.size()) : 0.0f;
 }
 

@@ -31,7 +31,9 @@ class Trainer {
   // Calibrates BatchNorm statistics (if any), then runs minibatch Adam.
   static void Fit(Model* model, const Dataset& train, const TrainConfig& config);
 
-  // Fraction of correctly classified samples.
+  // Fraction of correctly classified samples. Like every prediction in the
+  // engine it runs on the model's compiled ExecutionPlan kernels; only
+  // training (Fit, CalibrateNormLayers) uses the per-sample Model::Forward.
   static float Accuracy(const Model& model, const Dataset& data);
   // Mean squared error of the scalar output (regression models).
   static float MseOf(const Model& model, const Dataset& data);

@@ -63,11 +63,39 @@ const BatchTrace& ExecutionPlan::ForwardBatch(const Tensor& input, int width) {
   if (input.numel() != input_numel_ * width) {
     throw std::invalid_argument("ExecutionPlan::ForwardBatch: bad input size");
   }
+  trace_.input.SetBatchDim(width);
+  std::copy(input.data(), input.data() + input.numel(), trace_.input.data());
+  return RunForward(width);
+}
+
+void ExecutionPlan::ForwardChunks(
+    const std::vector<const Tensor*>& inputs,
+    const std::function<void(size_t begin, const BatchTrace& trace)>& visit) {
+  const Shape& in_shape = model_->input_shape();
+  for (size_t begin = 0; begin < inputs.size(); begin += static_cast<size_t>(capacity_)) {
+    const int width =
+        static_cast<int>(std::min(inputs.size() - begin, static_cast<size_t>(capacity_)));
+    trace_.input.SetBatchDim(width);
+    float* dst = trace_.input.data();
+    for (int b = 0; b < width; ++b) {
+      const size_t i = begin + static_cast<size_t>(b);
+      if (inputs[i]->shape() != in_shape) {
+        throw std::invalid_argument("ExecutionPlan::ForwardChunks: input " + std::to_string(i) +
+                                    " has shape " + ShapeToString(inputs[i]->shape()) +
+                                    ", model " + model_->name() + " expects " +
+                                    ShapeToString(in_shape));
+      }
+      std::copy(inputs[i]->data(), inputs[i]->data() + input_numel_,
+                dst + static_cast<int64_t>(b) * input_numel_);
+    }
+    visit(begin, RunForward(width));
+  }
+}
+
+const BatchTrace& ExecutionPlan::RunForward(int width) {
   width_ = width;
   sample_pos_ = -1;
   trace_.batch = width;
-  trace_.input.SetBatchDim(width);
-  std::copy(input.data(), input.data() + input.numel(), trace_.input.data());
   const Tensor* cur = &trace_.input;
   for (int l = 0; l < model_->num_layers(); ++l) {
     Tensor& out = trace_.outputs[static_cast<size_t>(l)];

@@ -47,8 +47,10 @@
 #ifndef DX_SRC_NN_EXECUTION_PLAN_H_
 #define DX_SRC_NN_EXECUTION_PLAN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -78,6 +80,15 @@ class ExecutionPlan {
   const BatchTrace& ForwardBatch(const Tensor& input, int width);
   // The current trace (valid after ForwardBatch; width() samples wide).
   const BatchTrace& trace() const { return trace_; }
+
+  // The one chunked inference loop outside the executor: pushes `inputs`
+  // through the plan in chunks of capacity() samples, stacking each chunk
+  // straight into the trace, and calls visit(begin, trace) after each
+  // chunk's forward — sample b of the trace is inputs[begin + b]. Every
+  // input must have the model's input shape (std::invalid_argument naming
+  // the first that does not).
+  void ForwardChunks(const std::vector<const Tensor*>& inputs,
+                     const std::function<void(size_t begin, const BatchTrace& trace)>& visit);
 
   // Batched backward through the current trace: d(seed·out_from)/d(input),
   // seed shaped like trace().outputs[from_layer]. Returns a reused
@@ -130,6 +141,8 @@ class ExecutionPlan {
   }
 
  private:
+  // Runs the layer chain over the `width` samples staged in trace_.input.
+  const BatchTrace& RunForward(int width);
   // Copies sample `pos` into sample_ unless it is already there.
   void EnsureSample(int pos);
 
@@ -160,6 +173,17 @@ class ExecutionPlan {
   std::vector<Workspace> fwd_ws_;
   std::vector<Workspace> bwd_ws_;
 };
+
+// Plan capacity for pushing `count` inputs through ForwardChunks in chunks
+// of at most `width`: min(count, width), and at least 1.
+inline int ChunkCapacity(size_t count, int width) {
+  return static_cast<int>(std::clamp<size_t>(count, 1, static_cast<size_t>(width)));
+}
+
+// Chunk width of the inference helpers that have no session batch size to
+// follow (Trainer::Accuracy / MseOf, MajorityVoteLabels). Results do not
+// depend on it: a width-B forward is bit-identical to B width-1 forwards.
+inline constexpr int kInferenceChunk = 16;
 
 }  // namespace dx
 

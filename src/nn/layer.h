@@ -166,6 +166,11 @@ struct BatchTrace {
 
   // Copy of sample `index` of layer `layer`'s output.
   Tensor SampleOutput(int layer, int index) const;
+  // Sample `index` of the final layer's output, read in place: its argmax
+  // (first on ties — a classifier's label) and its first element (a
+  // regressor's output).
+  int SampleLabel(int index) const;
+  float SampleScalar(int index) const;
 };
 
 }  // namespace dx

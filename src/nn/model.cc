@@ -1,5 +1,6 @@
 #include "src/nn/model.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,6 +45,16 @@ void Layer::CheckParamGrads(const std::vector<Tensor>* param_grads,
 
 Tensor BatchTrace::SampleOutput(int layer, int index) const {
   return SliceSample(outputs[static_cast<size_t>(layer)], index);
+}
+
+int BatchTrace::SampleLabel(int index) const {
+  const int64_t cols = Output().numel() / batch;
+  const float* row = Output().data() + static_cast<int64_t>(index) * cols;
+  return static_cast<int>(std::max_element(row, row + cols) - row);
+}
+
+float BatchTrace::SampleScalar(int index) const {
+  return Output().data()[static_cast<int64_t>(index) * (Output().numel() / batch)];
 }
 
 // ---- Model -------------------------------------------------------------------------------
@@ -105,14 +116,6 @@ ForwardTrace Model::Forward(const Tensor& input, bool training, Rng* rng) const 
   forward_passes_.fetch_add(1, std::memory_order_relaxed);
   return trace;
 }
-
-Tensor Model::Predict(const Tensor& input) const { return Forward(input).Output(); }
-
-int Model::PredictClass(const Tensor& input) const {
-  return static_cast<int>(Predict(input).Argmax());
-}
-
-float Model::PredictScalar(const Tensor& input) const { return Predict(input)[0]; }
 
 Tensor Model::BackwardInput(const ForwardTrace& trace, int from_layer, Tensor seed) const {
   return BackwardParams(trace, from_layer, std::move(seed), nullptr);

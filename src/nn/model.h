@@ -75,13 +75,6 @@ class Model {
   // borrows this model and is invalidated by structural changes (Add).
   ExecutionPlan Compile(int max_batch) const;
 
-  // Convenience: final output tensor for an input (inference mode).
-  Tensor Predict(const Tensor& input) const;
-  // Argmax of the final output (classifiers).
-  int PredictClass(const Tensor& input) const;
-  // First output component (regression models, e.g. steering angle).
-  float PredictScalar(const Tensor& input) const;
-
   // Backpropagates `seed` (shaped like layer `from_layer`'s output) down to
   // the model input and returns d<seed·output_{from_layer}>/d(input).
   Tensor BackwardInput(const ForwardTrace& trace, int from_layer, Tensor seed) const;

@@ -217,6 +217,15 @@ Tensor StackSamples(const std::vector<const Tensor*>& samples) {
   return out;
 }
 
+std::vector<const Tensor*> SamplePointers(const std::vector<Tensor>& samples) {
+  std::vector<const Tensor*> pointers;
+  pointers.reserve(samples.size());
+  for (const Tensor& sample : samples) {
+    pointers.push_back(&sample);
+  }
+  return pointers;
+}
+
 float L1Distance(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) {
     throw std::invalid_argument("L1Distance shape mismatch");

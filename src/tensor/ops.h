@@ -50,6 +50,9 @@ Tensor SliceSample(const Tensor& batched, int index);
 void CopySampleInto(Tensor* batched, int index, const Tensor& sample);
 // Stacks equal-shaped samples into one [N, ...sample] tensor.
 Tensor StackSamples(const std::vector<const Tensor*>& samples);
+// Pointers to each tensor of `samples`, in order (the sample lists that
+// StackSamples and ExecutionPlan::ForwardChunks take).
+std::vector<const Tensor*> SamplePointers(const std::vector<Tensor>& samples);
 
 }  // namespace dx
 

@@ -96,8 +96,12 @@ TEST(RetrainingTest, MajorityVoteTakesModalLabel) {
   Model a = ConstantClassifier("a", 1, 1);
   Model b = ConstantClassifier("b", 1, 2);
   Model c = ConstantClassifier("c", 2, 3);
-  EXPECT_EQ(MajorityVoteLabel({&a, &b, &c}, Tensor({2})), 1);
-  EXPECT_THROW(MajorityVoteLabel({}, Tensor({2})), std::invalid_argument);
+  const std::vector<Tensor> inputs = {Tensor({2}), Tensor({2}, 0.5f)};
+  EXPECT_EQ(MajorityVoteLabels({&a, &b, &c}, inputs), (std::vector<int>{1, 1}));
+  // A 1-1-1 split breaks toward the lowest label.
+  Model d = ConstantClassifier("d", 0, 4);
+  EXPECT_EQ(MajorityVoteLabels({&c, &a, &d}, inputs), (std::vector<int>{0, 0}));
+  EXPECT_THROW(MajorityVoteLabels({}, inputs), std::invalid_argument);
 }
 
 TEST(RetrainingTest, AugmentAppendsVotedSamples) {

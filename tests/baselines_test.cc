@@ -11,6 +11,7 @@
 #include "src/nn/loss.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -71,9 +72,9 @@ TEST_F(AdversarialTest, SomeAdversarialInputsFlipPredictions) {
   int flips = 0;
   for (int i = 0; i < 60; ++i) {
     const Tensor& x = data_->inputs[static_cast<size_t>(i)];
-    const int pred = model_->PredictClass(x);
+    const int64_t pred = testing::OraclePredict(*model_, x).Argmax();
     const Tensor adv = Fgsm(*model_, x, data_->Label(i), 0.0f, 0.25f);
-    flips += model_->PredictClass(adv) != pred ? 1 : 0;
+    flips += testing::OraclePredict(*model_, adv).Argmax() != pred ? 1 : 0;
   }
   EXPECT_GT(flips, 0);
 }

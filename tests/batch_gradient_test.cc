@@ -90,7 +90,7 @@ void CheckBatchedInputGradient(const Model& model, uint64_t seed) {
   for (int b = 0; b < kBatch; ++b) {
     const Tensor& grad_seed = grad_seeds[static_cast<size_t>(b)];
     const auto objective = [&](const Tensor& x) {
-      const Tensor out = model.Predict(x);
+      const Tensor out = testing::OraclePredict(model, x);
       double dot = 0.0;
       for (int64_t i = 0; i < out.numel(); ++i) {
         dot += static_cast<double>(out[i]) * static_cast<double>(grad_seed[i]);

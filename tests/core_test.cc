@@ -188,23 +188,27 @@ TEST_F(DeepXploreToyTest, PredictionsAndDifferencePredicate) {
   const Session session(ModelPtrs(), &constraint_, SessionConfig{});
   // A point deep inside class 0 territory: everyone agrees.
   Tensor easy({2}, std::vector<float>{0.9f, 0.1f});
-  const auto labels = session.PredictLabels(easy);
-  EXPECT_EQ(labels.size(), 3u);
-  EXPECT_EQ(labels[0], 0);
-  EXPECT_FALSE(session.IsDifference(easy));
+  const std::vector<Prediction> predictions = session.Predict({&easy});
+  ASSERT_EQ(predictions.size(), 1u);
+  EXPECT_EQ(predictions[0].labels, (std::vector<int>{0, 0, 0}));
+  EXPECT_TRUE(predictions[0].outputs.empty());
+  EXPECT_FALSE(ModelsDisagree(predictions[0], session.config().engine.steering_eps));
+  // Inputs must have the models' input shape, not just its element count.
+  const Tensor transposed({2, 1}, std::vector<float>{0.9f, 0.1f});
+  EXPECT_THROW(session.Predict({&easy, &transposed}), std::invalid_argument);
 }
 
 TEST_F(DeepXploreToyTest, JointGradientIncreasesObjective) {
   EngineConfig cfg;
   cfg.lambda2 = 0.0f;  // Isolate obj1.
   Tensor x({2}, std::vector<float>{0.7f, 0.3f});
-  const int c = (*models_)[0].PredictClass(x);
+  const int c = static_cast<int>(testing::OraclePredict((*models_)[0], x).Argmax());
   const int j = 1;
 
   const auto obj1 = [&](const Tensor& xx) {
     double v = 0.0;
     for (size_t k = 0; k < models_->size(); ++k) {
-      const float conf = (*models_)[k].Predict(xx)[c];
+      const float conf = testing::OraclePredict((*models_)[k], xx)[c];
       v += static_cast<int>(k) == j ? -cfg.lambda1 * conf : conf;
     }
     return v;
@@ -226,11 +230,11 @@ TEST_F(DeepXploreToyTest, SingleSeedFindsDifference) {
   Session session(ModelPtrs(), &constraint_, cfg);
   // A seed near the decision boundary but with consensus.
   const std::vector<Tensor> seeds = {Tensor({2}, std::vector<float>{0.60f, 0.40f})};
-  ASSERT_FALSE(session.IsDifference(seeds[0]));
+  ASSERT_FALSE(testing::Disagrees(session, seeds[0]));
   const RunStats stats = session.Run(seeds, RunOptions{});
   ASSERT_EQ(stats.tests.size(), 1u);
   const GeneratedTest& test = stats.tests[0];
-  EXPECT_TRUE(session.IsDifference(test.input));
+  EXPECT_TRUE(testing::Disagrees(session, test.input));
   EXPECT_GE(test.iterations, 1);
   EXPECT_EQ(test.labels.size(), 3u);
   // Deviating model really is in the minority.
@@ -255,7 +259,7 @@ TEST_F(DeepXploreToyTest, RunGeneratesManyTestsAndRespectsBudget) {
   EXPECT_GT(stats.total_iterations, 0);
   EXPECT_LE(stats.seeds_tried, 40);
   for (const GeneratedTest& t : stats.tests) {
-    EXPECT_TRUE(session.IsDifference(t.input));
+    EXPECT_TRUE(testing::Disagrees(session, t.input));
   }
 }
 

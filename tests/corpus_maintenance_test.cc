@@ -30,6 +30,7 @@
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
 #include "src/util/serialize.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -265,8 +266,8 @@ TEST_F(MaintenanceTest, RoundTripVerifiesAndPreservesMergedCoverage) {
   // Minimized entries are still difference-inducing with their stored
   // per-model labels.
   for (const GeneratedTest& entry : minimized.entries()) {
-    EXPECT_TRUE(session.IsDifference(entry.input));
-    EXPECT_EQ(session.PredictLabels(entry.input), entry.labels);
+    EXPECT_TRUE(testing::Disagrees(session, entry.input));
+    EXPECT_EQ(session.Predict({&entry.input})[0].labels, entry.labels);
   }
 
   // A derived corpus has no journal, so it can be verified but never
@@ -275,6 +276,79 @@ TEST_F(MaintenanceTest, RoundTripVerifiesAndPreservesMergedCoverage) {
   Corpus reopened(minimize.out_dir);
   EXPECT_THROW(fresh.Run(reopened.meta().seeds, Bounds(), &reopened),
                std::invalid_argument);
+}
+
+// Minimizing a regression entry rewrites its stored outputs, and the model
+// farthest from their mean can change with them: the entry's
+// deviating_model must be re-stamped, or `corpus stats` attributes it to the
+// wrong model.
+TEST_F(MaintenanceTest, MinimizedRegressionEntriesNameTheirCurrentDeviator) {
+  std::vector<Model> trio;
+  for (int k = 0; k < 3; ++k) {
+    Rng rng(60 + static_cast<uint64_t>(k));
+    const int hidden = 12 + 4 * k;
+    Model m("mt_reg_" + std::to_string(k), {8});
+    m.Emplace<Dense>(8, hidden, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dense>(hidden, 1, Activation::kTanh).InitParams(rng);
+    trio.push_back(std::move(m));
+  }
+  std::vector<Model*> ptrs;
+  for (Model& m : trio) {
+    ptrs.push_back(&m);
+  }
+  std::vector<Tensor> seeds;
+  Rng rng(65);
+  for (int i = 0; i < 30; ++i) {
+    seeds.push_back(Tensor::RandUniform({8}, rng));
+  }
+  SessionConfig config;
+  config.engine.steering_eps = 0.3f;
+  config.engine.step = 0.05f;
+  config.engine.rng_seed = 23;
+  config.sync_interval = 8;
+  UnconstrainedImage constraint;
+  Session session(ptrs, &constraint, config);
+  const std::string dir = TempCorpusDir("src");
+  {
+    Corpus corpus(dir);
+    ASSERT_GT(session.Run(seeds, RunOptions{}, &corpus).tests.size(), 0u);
+  }
+
+  Corpus source(dir);
+  MinimizeOptions minimize;
+  minimize.out_dir = TempCorpusDir("minimized");
+  const MaintenanceReport report = MinimizeCorpus(session, source, minimize);
+  ASSERT_GT(report.modified_entries, 0u);
+
+  // The deviator rule, restated: the model farthest from the outputs' mean.
+  const auto farthest_from_mean = [](const std::vector<float>& outputs) {
+    double mean = 0.0;
+    for (const float v : outputs) {
+      mean += v;
+    }
+    mean /= static_cast<double>(outputs.size());
+    int farthest = 0;
+    for (size_t k = 1; k < outputs.size(); ++k) {
+      if (std::abs(outputs[k] - static_cast<float>(mean)) >
+          std::abs(outputs[static_cast<size_t>(farthest)] - static_cast<float>(mean))) {
+        farthest = static_cast<int>(k);
+      }
+    }
+    return farthest;
+  };
+  Corpus minimized(minimize.out_dir);
+  ASSERT_EQ(minimized.entries().size(), source.entries().size());
+  int moved = 0;
+  for (size_t i = 0; i < minimized.entries().size(); ++i) {
+    const GeneratedTest& entry = minimized.entries()[i];
+    EXPECT_EQ(session.Predict({&entry.input})[0].outputs, entry.outputs) << "entry " << i;
+    EXPECT_EQ(entry.deviating_model, farthest_from_mean(entry.outputs)) << "entry " << i;
+    moved += entry.deviating_model != source.entries()[i].deviating_model ? 1 : 0;
+  }
+  // The corpus exercises the re-stamp: some reverts moved the deviator.
+  EXPECT_GT(moved, 0);
+  const ReplayResult result = session.Replay(minimized);
+  EXPECT_TRUE(result.ok) << result.mismatch;
 }
 
 TEST_F(MaintenanceTest, DedupIsDeterministic) {

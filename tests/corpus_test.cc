@@ -210,6 +210,57 @@ TEST_P(CorpusMetricTest, RecordedCampaignReplaysBitIdentically) {
 INSTANTIATE_TEST_SUITE_P(AllMetrics, CorpusMetricTest,
                          ::testing::Values("neuron", "kmultisection", "topk"));
 
+// A regression trio records float outputs rather than argmax labels, so the
+// replay's re-prediction of every stored input must run on the kernels that
+// generated it: any last-ULP difference in a stored output is a divergence.
+TEST_F(CorpusTest, RegressionCampaignReplaysBitIdentically) {
+  std::vector<Model> trio;
+  for (int k = 0; k < 3; ++k) {
+    Rng rng(60 + static_cast<uint64_t>(k));
+    const int hidden = 12 + 4 * k;
+    Model m("cp_reg_" + std::to_string(k), {8});
+    m.Emplace<Dense>(8, hidden, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dense>(hidden, 1, Activation::kTanh).InitParams(rng);
+    trio.push_back(std::move(m));
+  }
+  std::vector<Model*> ptrs;
+  for (Model& m : trio) {
+    ptrs.push_back(&m);
+  }
+  std::vector<Tensor> seeds;
+  Rng rng(65);
+  for (int i = 0; i < 30; ++i) {
+    seeds.push_back(Tensor::RandUniform({8}, rng));
+  }
+  SessionConfig config;
+  config.engine.steering_eps = 0.3f;
+  config.engine.step = 0.05f;
+  config.engine.rng_seed = 23;
+  config.sync_interval = 8;
+
+  const std::string dir = TempCorpusDir("regression");
+  RunStats recorded;
+  {
+    UnconstrainedImage constraint;
+    Session session(ptrs, &constraint, config);
+    ASSERT_TRUE(session.regression());
+    Corpus corpus(dir);
+    recorded = session.Run(seeds, RunOptions{}, &corpus);
+    ASSERT_GT(recorded.tests.size(), 0u);
+  }
+
+  Corpus corpus(dir);
+  config.batch_size = 3;
+  UnconstrainedImage constraint;
+  Session session(ptrs, &constraint, config);
+  const ReplayResult result = session.Replay(corpus);
+  EXPECT_TRUE(result.ok) << result.mismatch;
+  ExpectSameResults(result.stats, recorded);
+  for (size_t i = 0; i < recorded.tests.size(); ++i) {
+    EXPECT_EQ(result.stats.tests[i].outputs, recorded.tests[i].outputs) << "test " << i;
+  }
+}
+
 TEST_F(CorpusTest, ReplayDetectsTamperedEntries) {
   const std::string dir = TempCorpusDir("tamper");
   {

@@ -11,6 +11,7 @@
 #include "src/data/drebin.h"
 #include "src/models/trainer.h"
 #include "src/models/zoo.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -64,7 +65,7 @@ TEST(IntegrationTest, MnistLightingFindsDifferences) {
   const RunStats stats = session.Run(seeds, opts);
   EXPECT_GE(static_cast<int>(stats.tests.size()), 1);
   for (const GeneratedTest& t : stats.tests) {
-    EXPECT_TRUE(session.IsDifference(t.input));
+    EXPECT_TRUE(testing::Disagrees(session, t.input));
     EXPECT_GE(t.input.Min(), 0.0f);
     EXPECT_LE(t.input.Max(), 1.0f);
   }

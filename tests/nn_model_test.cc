@@ -11,6 +11,7 @@
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
 #include "src/nn/dropout.h"
+#include "src/nn/execution_plan.h"
 #include "src/nn/flatten.h"
 #include "src/nn/model.h"
 #include "src/nn/pool2d.h"
@@ -24,6 +25,7 @@ namespace {
 
 using ::dx::testing::MaxRelError;
 using ::dx::testing::NumericalGradient;
+using ::dx::testing::OraclePredict;
 
 Model MakeTinyConvNet(uint64_t seed) {
   Rng rng(seed);
@@ -71,13 +73,17 @@ TEST(ModelTest, ForwardTraceRecordsEveryLayer) {
   EXPECT_EQ(&trace.LayerInput(0), &trace.input);
 }
 
-TEST(ModelTest, PredictHelpers) {
+TEST(ModelTest, TraceRowReadersMatchSampleOutputs) {
   Model m = MakeTinyConvNet(3);
   Rng rng(5);
-  const Tensor x = Tensor::RandUniform({1, 8, 8}, rng);
-  const Tensor y = m.Predict(x);
-  EXPECT_EQ(m.PredictClass(x), static_cast<int>(y.Argmax()));
-  EXPECT_FLOAT_EQ(m.PredictScalar(x), y[0]);
+  const Tensor x = Tensor::RandUniform({3, 1, 8, 8}, rng);
+  ExecutionPlan plan = m.Compile(3);
+  const BatchTrace& trace = plan.ForwardBatch(x, 3);
+  for (int b = 0; b < 3; ++b) {
+    const Tensor y = trace.SampleOutput(m.num_layers() - 1, b);
+    EXPECT_EQ(trace.SampleLabel(b), static_cast<int>(y.Argmax())) << "sample " << b;
+    EXPECT_EQ(trace.SampleScalar(b), y[0]) << "sample " << b;
+  }
 }
 
 TEST(ModelTest, BackwardInputFromOutputMatchesNumeric) {
@@ -93,7 +99,7 @@ TEST(ModelTest, BackwardInputFromOutputMatchesNumeric) {
   const Tensor analytic = m.BackwardInput(trace, last, seed);
 
   const auto scalar = [&](const Tensor& xx) {
-    return static_cast<double>(m.Predict(xx)[0]);
+    return static_cast<double>(OraclePredict(m, xx)[0]);
   };
   const Tensor numeric = NumericalGradient(scalar, x, 1e-2f);
   EXPECT_LT(MaxRelError(analytic, numeric), 2e-2f);
@@ -193,8 +199,8 @@ TEST(ModelTest, SerializationRoundTripPreservesPredictions) {
   Rng rng(12);
   for (int i = 0; i < 5; ++i) {
     const Tensor x = Tensor::RandUniform({1, 8, 8}, rng);
-    const Tensor a = m.Predict(x);
-    const Tensor b = restored.Predict(x);
+    const Tensor a = OraclePredict(m, x);
+    const Tensor b = OraclePredict(restored, x);
     for (int64_t k = 0; k < a.numel(); ++k) {
       EXPECT_FLOAT_EQ(a[k], b[k]);
     }
@@ -214,8 +220,8 @@ TEST(ModelTest, SerializationPreservesBatchNormAndDropout) {
 
   Model restored = Model::Deserialize(m.Serialize());
   const Tensor x = Tensor::Randn({2, 4, 4}, rng);
-  const Tensor a = m.Predict(x);
-  const Tensor b = restored.Predict(x);
+  const Tensor a = OraclePredict(m, x);
+  const Tensor b = OraclePredict(restored, x);
   for (int64_t k = 0; k < a.numel(); ++k) {
     EXPECT_FLOAT_EQ(a[k], b[k]);
   }

@@ -12,6 +12,7 @@
 #include "src/nn/softmax_layer.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -163,7 +164,8 @@ TEST(TrainingTest, LearnsXor) {
 
   for (const auto& [xv, label] : data) {
     const Tensor x({2}, std::vector<float>(xv));
-    EXPECT_EQ(m.PredictClass(x), label) << "input (" << xv[0] << "," << xv[1] << ")";
+    EXPECT_EQ(testing::OraclePredict(m, x).Argmax(), label)
+        << "input (" << xv[0] << "," << xv[1] << ")";
   }
 }
 

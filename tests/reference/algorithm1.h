@@ -53,7 +53,7 @@ struct Setup {
 inline std::vector<int> Labels(const Setup& s, const Tensor& x) {
   std::vector<int> labels;
   for (const Model* m : s.models) {
-    labels.push_back(m->PredictClass(x));
+    labels.push_back(static_cast<int>(testing::OraclePredict(*m, x).Argmax()));
   }
   return labels;
 }
@@ -61,7 +61,7 @@ inline std::vector<int> Labels(const Setup& s, const Tensor& x) {
 inline std::vector<float> Scalars(const Setup& s, const Tensor& x) {
   std::vector<float> outputs;
   for (const Model* m : s.models) {
-    outputs.push_back(m->PredictScalar(x));
+    outputs.push_back(testing::OraclePredict(*m, x)[0]);
   }
   return outputs;
 }

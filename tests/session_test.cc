@@ -22,6 +22,7 @@
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/serialize.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -234,7 +235,7 @@ TEST_F(SessionToyTest, BaselineObjectivesRunThroughTheEngineLoop) {
     const RunStats stats = session.Run(*seeds_, RunOptions{});
     EXPECT_EQ(stats.seeds_tried, 40);
     for (const GeneratedTest& t : stats.tests) {
-      EXPECT_TRUE(session.IsDifference(t.input)) << objective;
+      EXPECT_TRUE(testing::Disagrees(session, t.input)) << objective;
     }
   }
 }
@@ -269,7 +270,7 @@ TEST_F(SessionToyTest, ObjectivesContributeOnlyWhereTheyApply) {
   ObjectiveContext ctx;
   ctx.metrics = &metrics;
   ctx.target_model = 1;
-  ctx.consensus = (*models_)[0].PredictClass(x);
+  ctx.consensus = plans[0].trace().SampleLabel(0);
   ctx.rng = &rng;
   // Model k's contribution added to a nonzero gradient: did it change the
   // gradient, and did it draw from the task's RNG?

@@ -1,7 +1,8 @@
 // Shared test helpers: numerical differentiation for gradient checking, ULP/abs
-// float tolerances, the per-sample scalar oracle over batches, the harness
-// that checks a layer's batch kernels against it, and a by-value wrapper
-// around Constraint::ApplyInto.
+// float tolerances, the per-sample scalar oracle (single predictions and
+// batches), the harness that checks a layer's batch kernels against it, a
+// one-input disagreement check through Session::Predict, and a by-value
+// wrapper around Constraint::ApplyInto.
 #ifndef DX_TESTS_TEST_UTIL_H_
 #define DX_TESTS_TEST_UTIL_H_
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "src/constraints/constraint.h"
+#include "src/core/session.h"
 #include "src/nn/layer.h"
 #include "src/nn/model.h"
 #include "src/tensor/ops.h"
@@ -158,8 +160,16 @@ inline float RelErrorQuantile(const Tensor& a, const Tensor& b, float q) {
 // ---- Per-sample oracle ------------------------------------------------------------------
 //
 // The scalar Layer::Forward / Backward pair is the reference every batch
-// kernel is judged against. These helpers run it over a [batch, ...] slab
-// one sample at a time and stack the results.
+// kernel is judged against. OraclePredict runs it over one input; the other
+// helpers run it over a [batch, ...] slab one sample at a time and stack the
+// results. Production code predicts on compiled plans (Session::Predict);
+// only tests call the oracle for predictions.
+
+// The scalar oracle's final output for one input (Model::Forward): argmax
+// it for a classifier's label, index 0 for a regressor's output.
+inline Tensor OraclePredict(const Model& model, const Tensor& x) {
+  return model.Forward(x).Output();
+}
 
 // Layer::Forward on each sample of `input`, stacked; `*aux` receives the
 // stacked aux state (left untouched when the layer records none).
@@ -230,6 +240,12 @@ inline Tensor OracleBackwardBatch(const Model& model, const BatchTrace& trace, i
                           trace.aux[static_cast<size_t>(l)], trace.batch, nullptr);
   }
   return seed;
+}
+
+// Does the session's oracle call `x` a difference-inducing input? One
+// Session::Predict (plan kernels) judged by ModelsDisagree.
+inline bool Disagrees(const Session& session, const Tensor& x) {
+  return ModelsDisagree(session.Predict({&x})[0], session.config().engine.steering_eps);
 }
 
 // Constraint::ApplyInto into a fresh direction shaped like `grad`.

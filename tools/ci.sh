@@ -430,6 +430,15 @@ rm -rf "$CORPUS_DIR"
 "$BUILD_DIR/dxplore" --resume --corpus-dir "$CORPUS_DIR" --workers 2 > /dev/null
 "$BUILD_DIR/dxplore" --replay --corpus-dir "$CORPUS_DIR"
 
+echo "==> smoke: corpus record + replay of a regression domain (driving)"
+# Regression entries store float outputs, so replay re-predicts every stored
+# input bit for bit on the kernels that generated it.
+DRIVING_CORPUS_DIR="$BUILD_DIR/smoke_corpus_driving"
+rm -rf "$DRIVING_CORPUS_DIR"
+"$BUILD_DIR/dxplore" --domain driving --seeds 40 --iters 20 \
+  --corpus-dir "$DRIVING_CORPUS_DIR" > /dev/null
+"$BUILD_DIR/dxplore" --replay --corpus-dir "$DRIVING_CORPUS_DIR"
+
 echo "==> smoke: corpus record + replay on an out-of-paper registry domain (speech)"
 SPEECH_CORPUS_DIR="$BUILD_DIR/smoke_corpus_speech"
 rm -rf "$SPEECH_CORPUS_DIR"
