@@ -1,12 +1,14 @@
 #include "src/coverage/coverage_metric.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "src/coverage/kmultisection_coverage.h"
 #include "src/coverage/neuron_coverage.h"
 #include "src/coverage/topk_coverage.h"
 #include "src/util/registry.h"
+#include "src/util/rng.h"
 
 namespace dx {
 
@@ -53,6 +55,7 @@ NeuronValueMetric::NeuronValueMetric(const Model& model, CoverageOptions options
     }
     total_ += n;
   }
+  OpenAll();
 }
 
 std::vector<float> NeuronValueMetric::NeuronValues(const Model& model,
@@ -131,6 +134,68 @@ void NeuronValueMetric::DeserializeHeader(BinaryReader& reader, uint32_t version
     throw std::runtime_error("CoverageMetric::Deserialize: snapshot is for metric '" +
                              stored_name + "', this tracker is '" + name() +
                              "' (or neuron count / version mismatch)");
+  }
+}
+
+bool NeuronValueMetric::PickUncovered(Rng& rng, NeuronId* id) const {
+  if (open_count_ == 0) {
+    return false;
+  }
+  int64_t r = rng.UniformInt(0, open_count_ - 1);
+  for (size_t w = 0; w < open_.size(); ++w) {
+    uint64_t word = open_[w];
+    const int bits = std::popcount(word);
+    if (r < bits) {
+      for (; r > 0; --r) {
+        word &= word - 1;  // Drop the lowest set bit.
+      }
+      *id = neurons_[w * 64 + static_cast<size_t>(std::countr_zero(word))];
+      return true;
+    }
+    r -= bits;
+  }
+  return false;  // Unreachable: open_count_ is the popcount of open_.
+}
+
+void NeuronValueMetric::Close(int flat) {
+  uint64_t& word = open_[static_cast<size_t>(flat) / 64];
+  const uint64_t bit = uint64_t{1} << (flat % 64);
+  if ((word & bit) != 0) {
+    word &= ~bit;
+    --open_count_;
+  }
+}
+
+void NeuronValueMetric::OpenAll() {
+  open_.assign((static_cast<size_t>(total_) + 63) / 64, ~uint64_t{0});
+  if (total_ % 64 != 0) {
+    open_.back() = (uint64_t{1} << (total_ % 64)) - 1;
+  }
+  open_count_ = total_;
+}
+
+std::vector<bool> NeuronValueMetric::CoveredFlags() const {
+  std::vector<bool> covered(static_cast<size_t>(total_));
+  for (int i = 0; i < total_; ++i) {
+    covered[static_cast<size_t>(i)] = !IsOpen(i);
+  }
+  return covered;
+}
+
+void NeuronValueMetric::SetCoveredFlags(const std::vector<bool>& covered) {
+  OpenAll();
+  for (int i = 0; i < total_; ++i) {
+    if (covered[static_cast<size_t>(i)]) {
+      Close(i);
+    }
+  }
+}
+
+void NeuronValueMetric::IntersectOpen(const NeuronValueMetric& other) {
+  open_count_ = 0;
+  for (size_t w = 0; w < open_.size(); ++w) {
+    open_[w] &= other.open_[w];
+    open_count_ += std::popcount(open_[w]);
   }
 }
 

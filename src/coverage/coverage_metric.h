@@ -18,6 +18,7 @@
 #ifndef DX_SRC_COVERAGE_COVERAGE_METRIC_H_
 #define DX_SRC_COVERAGE_COVERAGE_METRIC_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -122,6 +123,11 @@ class NeuronValueMetric : public CoverageMetric {
 
   const CoverageOptions& options() const { return options_; }
 
+  // One UniformInt(0, open - 1) draw over the open set (below), returning
+  // the r-th open neuron in canonical order; no draw when none is open. The
+  // r-th set bit is found by word popcount, so no coverage item is scanned.
+  bool PickUncovered(Rng& rng, NeuronId* id) const final;
+
  protected:
   // Flat position of `id` in TrackedNeurons(); throws std::out_of_range for
   // untracked layers or bad indices.
@@ -135,11 +141,32 @@ class NeuronValueMetric : public CoverageMetric {
   void SerializeHeader(BinaryWriter& writer, uint32_t version) const;
   void DeserializeHeader(BinaryReader& reader, uint32_t version) const;
 
+  // The open set: bit i is set while tracked neuron i still has an
+  // uncovered item. It starts full; subclasses Close() a neuron where its
+  // last item gets covered (UpdateBatch, Merge) and rebuild the set after
+  // Deserialize.
+  bool IsOpen(int flat) const {
+    return (open_[static_cast<size_t>(flat) / 64] >> (flat % 64)) & 1;
+  }
+  void Close(int flat);
+  void OpenAll();
+  int open_count() const { return open_count_; }
+  // For metrics whose open set is exactly the uncovered set (neuron, top-k):
+  // the covered flags in canonical order (their serialized form), the
+  // inverse that restores them, and Merge as a set intersection.
+  std::vector<bool> CoveredFlags() const;
+  void SetCoveredFlags(const std::vector<bool>& covered);
+  void IntersectOpen(const NeuronValueMetric& other);
+
   CoverageOptions options_;
   std::vector<NeuronId> neurons_;
   // Maps layer -> offset into neurons_ (-1 when not tracked).
   std::vector<int> layer_offset_;
   int total_ = 0;
+
+ private:
+  std::vector<uint64_t> open_;  // One bit per tracked neuron; bits past total_ stay 0.
+  int open_count_ = 0;          // Popcount of open_.
 };
 
 // ---- Factory -----------------------------------------------------------------------------

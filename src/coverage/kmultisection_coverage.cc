@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "src/util/rng.h"
-
 namespace dx {
 
 KMultisectionCoverage::KMultisectionCoverage(const Model& model, CoverageOptions options)
@@ -47,9 +45,13 @@ int KMultisectionCoverage::SectionOf(const NeuronId& id, float value) const {
   if (value >= hi) {
     return k_ - 1;
   }
-  // lo < value < hi implies hi > lo, so the span is positive.
-  const int section = static_cast<int>(static_cast<float>(k_) * (value - lo) / (hi - lo));
-  return std::clamp(section, 0, k_ - 1);
+  // lo < value < hi implies hi > lo, so the span is positive. A NaN value,
+  // or an infinite span (inf / inf), has no position and no section.
+  const float position = static_cast<float>(k_) * (value - lo) / (hi - lo);
+  if (!std::isfinite(position)) {
+    return -1;
+  }
+  return std::clamp(static_cast<int>(position), 0, k_ - 1);
 }
 
 void KMultisectionCoverage::UpdateBatch(const Model& model, const BatchTrace& trace) {
@@ -62,8 +64,7 @@ void KMultisectionCoverage::UpdateBatch(const Model& model, const BatchTrace& tr
       const int section =
           SectionOf(neurons_[static_cast<size_t>(i)], values[static_cast<size_t>(i)]);
       if (section >= 0) {
-        covered_[static_cast<size_t>(i) * static_cast<size_t>(k_) +
-                 static_cast<size_t>(section)] = true;
+        Cover(i, section);
       }
     }
   }
@@ -82,33 +83,22 @@ bool KMultisectionCoverage::IsSectionCovered(const NeuronId& id, int section) co
   if (section < 0 || section >= k_) {
     throw std::out_of_range("KMultisectionCoverage: section out of range");
   }
-  return covered_[static_cast<size_t>(FlatIndex(id)) * static_cast<size_t>(k_) +
-                  static_cast<size_t>(section)];
+  return covered_[Slot(FlatIndex(id), section)];
 }
 
-bool KMultisectionCoverage::PickUncovered(Rng& rng, NeuronId* id) const {
-  // Allocation-free count-then-select (hot loop); draw and pick are
-  // identical to the old candidate-list implementation.
-  const auto has_uncovered_bucket = [&](int i) {
-    const auto begin = covered_.begin() + static_cast<int64_t>(i) * k_;
-    return std::find(begin, begin + k_, false) != begin + k_;
-  };
-  int64_t count = 0;
-  for (int i = 0; i < total_; ++i) {
-    count += has_uncovered_bucket(i) ? 1 : 0;
-  }
-  if (count == 0) {
-    return false;
-  }
-  const int64_t r = rng.UniformInt(0, count - 1);
-  int64_t seen = 0;
-  for (int i = 0; i < total_; ++i) {
-    if (has_uncovered_bucket(i) && seen++ == r) {
-      *id = neurons_[static_cast<size_t>(i)];
-      return true;
+void KMultisectionCoverage::Cover(int i, int section) {
+  auto slot = covered_[Slot(i, section)];
+  if (!slot) {
+    slot = true;
+    if (Saturated(i)) {
+      Close(i);
     }
   }
-  return false;  // Unreachable.
+}
+
+bool KMultisectionCoverage::Saturated(int i) const {
+  const auto begin = covered_.begin() + static_cast<int64_t>(i) * k_;
+  return std::find(begin, begin + k_, false) == begin + k_;
 }
 
 void KMultisectionCoverage::Merge(const CoverageMetric& other) {
@@ -121,9 +111,11 @@ void KMultisectionCoverage::Merge(const CoverageMetric& other) {
     throw std::invalid_argument(
         "KMultisectionCoverage::Merge: trackers profiled different ranges");
   }
-  for (size_t i = 0; i < covered_.size(); ++i) {
-    if (o->covered_[i]) {
-      covered_[i] = true;
+  for (int i = 0; i < total_; ++i) {
+    for (int section = 0; section < k_; ++section) {
+      if (o->covered_[Slot(i, section)]) {
+        Cover(i, section);
+      }
     }
   }
 }
@@ -157,6 +149,12 @@ void KMultisectionCoverage::Deserialize(BinaryReader& reader) {
   low_ = std::move(low);
   high_ = std::move(high);
   covered_ = std::move(covered);
+  OpenAll();
+  for (int i = 0; i < total_; ++i) {
+    if (Saturated(i)) {
+      Close(i);
+    }
+  }
 }
 
 }  // namespace dx

@@ -46,12 +46,12 @@ class KMultisectionCoverage : public NeuronValueMetric {
   int covered_items() const override;
 
   // Section index (0..k-1) the value of neuron `id` would fall into; -1 when
-  // the neuron is unprofiled (exposed for tests).
+  // the neuron is unprofiled or the value has no finite position in its
+  // range (a NaN value, or an infinite span) (exposed for tests).
   int SectionOf(const NeuronId& id, float value) const;
   // True when section `section` of neuron `id` has been hit.
   bool IsSectionCovered(const NeuronId& id, int section) const;
 
-  bool PickUncovered(Rng& rng, NeuronId* id) const override;
   void Merge(const CoverageMetric& other) override;
   std::unique_ptr<CoverageMetric> Clone() const override;
 
@@ -61,6 +61,14 @@ class KMultisectionCoverage : public NeuronValueMetric {
   void Deserialize(BinaryReader& reader) override;
 
  private:
+  // Marks section `section` of tracked neuron `i` covered, closing the
+  // neuron once all of its sections are.
+  void Cover(int i, int section);
+  bool Saturated(int i) const;
+  size_t Slot(int i, int section) const {
+    return static_cast<size_t>(i) * static_cast<size_t>(k_) + static_cast<size_t>(section);
+  }
+
   int k_;
   bool profiled_ = false;
   std::vector<float> low_;   // Per-neuron profiled minimum.

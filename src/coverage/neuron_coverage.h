@@ -21,8 +21,7 @@
 
 namespace dx {
 
-class Rng;
-
+// The covered set is the complement of NeuronValueMetric's open set.
 class NeuronCoverageTracker : public NeuronValueMetric {
  public:
   NeuronCoverageTracker(const Model& model, CoverageOptions options);
@@ -38,9 +37,6 @@ class NeuronCoverageTracker : public NeuronValueMetric {
   float Coverage() const override;
   bool IsCovered(const NeuronId& id) const;
 
-  // Uniformly random uncovered neuron; false when fully covered.
-  bool PickUncovered(Rng& rng, NeuronId* id) const override;
-
   void Merge(const CoverageMetric& other) override;
   std::unique_ptr<CoverageMetric> Clone() const override;
 
@@ -50,9 +46,6 @@ class NeuronCoverageTracker : public NeuronValueMetric {
   // Activated neuron ids for sample `b` of `trace` (used by the Table 7
   // overlap experiment).
   std::vector<NeuronId> Activated(const Model& model, const BatchTrace& trace, int b) const;
-
- private:
-  std::vector<bool> covered_;
 };
 
 }  // namespace dx

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/util/rng.h"
-
 namespace dx {
 
 TopKNeuronCoverage::TopKNeuronCoverage(const Model& model, CoverageOptions options)
@@ -12,7 +10,6 @@ TopKNeuronCoverage::TopKNeuronCoverage(const Model& model, CoverageOptions optio
   if (k_ < 1) {
     throw std::invalid_argument("TopKNeuronCoverage: top_k must be >= 1");
   }
-  covered_.assign(static_cast<size_t>(total_), false);
 }
 
 void TopKNeuronCoverage::UpdateBatch(const Model& model, const BatchTrace& trace) {
@@ -28,7 +25,7 @@ void TopKNeuronCoverage::UpdateBatch(const Model& model, const BatchTrace& trace
       const int n = end - begin;
       if (n <= k_) {
         for (int i = begin; i < end; ++i) {
-          covered_[static_cast<size_t>(i)] = true;
+          Close(i);
         }
       } else {
         // k-th largest value of the layer; ties at that value are inclusive.
@@ -38,7 +35,7 @@ void TopKNeuronCoverage::UpdateBatch(const Model& model, const BatchTrace& trace
         const float kth = slice[static_cast<size_t>(k_ - 1)];
         for (int i = begin; i < end; ++i) {
           if (values[static_cast<size_t>(i)] >= kth) {
-            covered_[static_cast<size_t>(i)] = true;
+            Close(i);
           }
         }
       }
@@ -47,9 +44,7 @@ void TopKNeuronCoverage::UpdateBatch(const Model& model, const BatchTrace& trace
   }
 }
 
-int TopKNeuronCoverage::covered_items() const {
-  return static_cast<int>(std::count(covered_.begin(), covered_.end(), true));
-}
+int TopKNeuronCoverage::covered_items() const { return total_ - open_count(); }
 
 float TopKNeuronCoverage::Coverage() const {
   return total_ > 0 ? static_cast<float>(covered_items()) / static_cast<float>(total_)
@@ -57,28 +52,7 @@ float TopKNeuronCoverage::Coverage() const {
 }
 
 bool TopKNeuronCoverage::IsCovered(const NeuronId& id) const {
-  return covered_[static_cast<size_t>(FlatIndex(id))];
-}
-
-bool TopKNeuronCoverage::PickUncovered(Rng& rng, NeuronId* id) const {
-  // Allocation-free count-then-select (hot loop); draw and pick are
-  // identical to the old candidate-list implementation.
-  int64_t count = 0;
-  for (int i = 0; i < total_; ++i) {
-    count += covered_[static_cast<size_t>(i)] ? 0 : 1;
-  }
-  if (count == 0) {
-    return false;
-  }
-  const int64_t r = rng.UniformInt(0, count - 1);
-  int64_t seen = 0;
-  for (int i = 0; i < total_; ++i) {
-    if (!covered_[static_cast<size_t>(i)] && seen++ == r) {
-      *id = neurons_[static_cast<size_t>(i)];
-      return true;
-    }
-  }
-  return false;  // Unreachable.
+  return !IsOpen(FlatIndex(id));
 }
 
 void TopKNeuronCoverage::Merge(const CoverageMetric& other) {
@@ -87,11 +61,7 @@ void TopKNeuronCoverage::Merge(const CoverageMetric& other) {
     throw std::invalid_argument("TopKNeuronCoverage::Merge: metric mismatch");
   }
   CheckMergeCompatible(*o);
-  for (int i = 0; i < total_; ++i) {
-    if (o->covered_[static_cast<size_t>(i)]) {
-      covered_[static_cast<size_t>(i)] = true;
-    }
-  }
+  IntersectOpen(*o);
 }
 
 std::unique_ptr<CoverageMetric> TopKNeuronCoverage::Clone() const {
@@ -101,17 +71,17 @@ std::unique_ptr<CoverageMetric> TopKNeuronCoverage::Clone() const {
 void TopKNeuronCoverage::Serialize(BinaryWriter& writer) const {
   SerializeHeader(writer, /*version=*/1);
   writer.WriteU32(static_cast<uint32_t>(k_));
-  writer.WriteBools(covered_);
+  writer.WriteBools(CoveredFlags());
 }
 
 void TopKNeuronCoverage::Deserialize(BinaryReader& reader) {
   DeserializeHeader(reader, /*version=*/1);
   const uint32_t k = reader.ReadU32();
-  std::vector<bool> covered = reader.ReadBools();
+  const std::vector<bool> covered = reader.ReadBools();
   if (k != static_cast<uint32_t>(k_) || covered.size() != static_cast<size_t>(total_)) {
     throw std::runtime_error("TopKNeuronCoverage::Deserialize: state size mismatch");
   }
-  covered_ = std::move(covered);
+  SetCoveredFlags(covered);
 }
 
 }  // namespace dx

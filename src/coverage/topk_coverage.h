@@ -6,7 +6,8 @@
 // the k-th largest counts as top-k (so a layer of identical activations is
 // fully covered by one input). Layers with <= k neurons are fully covered by
 // any input. Per-layer min-max scaling does not change activation order, so
-// the metric is insensitive to `scale_per_layer`.
+// the metric is insensitive to `scale_per_layer`. The covered set is the
+// complement of NeuronValueMetric's open set.
 #ifndef DX_SRC_COVERAGE_TOPK_COVERAGE_H_
 #define DX_SRC_COVERAGE_TOPK_COVERAGE_H_
 
@@ -33,7 +34,6 @@ class TopKNeuronCoverage : public NeuronValueMetric {
   int covered_items() const override;
   bool IsCovered(const NeuronId& id) const;
 
-  bool PickUncovered(Rng& rng, NeuronId* id) const override;
   void Merge(const CoverageMetric& other) override;
   std::unique_ptr<CoverageMetric> Clone() const override;
 
@@ -42,7 +42,6 @@ class TopKNeuronCoverage : public NeuronValueMetric {
 
  private:
   int k_;
-  std::vector<bool> covered_;
 };
 
 }  // namespace dx

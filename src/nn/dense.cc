@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/nn/gemm.h"
+#include "src/tensor/simd.h"
 #include "src/tensor/workspace.h"
 #include "src/util/rng.h"
 
@@ -160,22 +161,31 @@ void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
     GemmBias(out_features_, 1, in_features_, weight_.data(), in_features_,
              input.data(), 1, bias_.data(), output->data(), 1);
   } else {
-    // Transpose x to [in, batch] for contiguous column loads, GEMM into
-    // [out, batch] scratch, transpose back into the [batch, out] output.
-    float* xt = ws->AcquireFlat(static_cast<int64_t>(in_features_) * batch)->data();
-    float* ct = ws->AcquireFlat(static_cast<int64_t>(out_features_) * batch)->data();
+    // Transpose x to [in, n] for contiguous column loads, GEMM into [out, n]
+    // scratch, transpose back into the [batch, out] output. n pads the batch
+    // to whole SIMD vectors with zero columns, so a narrow batch runs vector
+    // FMAs instead of GemmBias's scalar column tail; a padding column only
+    // adds chains of its own, which are never read.
+    const int n = (batch + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
+    float* xt = ws->AcquireFlat(static_cast<int64_t>(in_features_) * n)->data();
+    float* ct = ws->AcquireFlat(static_cast<int64_t>(out_features_) * n)->data();
     for (int b = 0; b < batch; ++b) {
       const float* x_row = input.data() + static_cast<size_t>(b) * in_features_;
       for (int i = 0; i < in_features_; ++i) {
-        xt[static_cast<size_t>(i) * batch + b] = x_row[i];
+        xt[static_cast<size_t>(i) * n + b] = x_row[i];
       }
     }
-    GemmBias(out_features_, batch, in_features_, weight_.data(), in_features_, xt,
-             batch, bias_.data(), ct, batch);
+    for (int b = batch; b < n; ++b) {
+      for (int i = 0; i < in_features_; ++i) {
+        xt[static_cast<size_t>(i) * n + b] = 0.0f;
+      }
+    }
+    GemmBias(out_features_, n, in_features_, weight_.data(), in_features_, xt, n,
+             bias_.data(), ct, n);
     for (int b = 0; b < batch; ++b) {
       float* y_row = output->data() + static_cast<size_t>(b) * out_features_;
       for (int o = 0; o < out_features_; ++o) {
-        y_row[o] = ct[static_cast<size_t>(o) * batch + b];
+        y_row[o] = ct[static_cast<size_t>(o) * n + b];
       }
     }
   }

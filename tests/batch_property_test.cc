@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
 
 #include "src/nn/activation.h"
 #include "src/nn/batchnorm.h"
@@ -18,6 +19,7 @@
 #include "src/nn/pool2d.h"
 #include "src/nn/residual.h"
 #include "src/nn/softmax_layer.h"
+#include "src/tensor/simd.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -45,6 +47,24 @@ TEST(BatchPropertyTest, Dense) {
     Dense layer(RandInt(rng, 1, 24), RandInt(rng, 1, 16), RandAct(rng));
     layer.InitParams(rng);
     testing::ExpectBatchMatchesScalar(layer, {layer.in_features()}, RandBatch(rng), rng.NextU64());
+  }
+}
+
+// Dense pads a batch to whole SIMD vectors before its GEMM. Sweep every width
+// from 1 to 2 * kLanes + 1 (below, at and past each vector boundary) over the
+// layers of a TAB_C1-shaped stack and of a stack whose out_features are not
+// multiples of 8.
+TEST(BatchPropertyTest, DenseEveryWidthAcrossTheLaneBoundary) {
+  const std::tuple<int, int, Activation> kLayers[] = {
+      {32, 64, Activation::kRelu}, {64, 64, Activation::kRelu}, {64, 2, Activation::kNone},
+      {7, 13, Activation::kTanh},  {13, 5, Activation::kSigmoid}};
+  Rng rng(0xD2);
+  for (const auto& [in, out, act] : kLayers) {
+    Dense layer(in, out, act);
+    layer.InitParams(rng);
+    for (int width = 1; width <= 2 * simd::kLanes + 1; ++width) {
+      testing::ExpectBatchMatchesScalar(layer, {in}, width, rng.NextU64());
+    }
   }
 }
 

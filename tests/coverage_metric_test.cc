@@ -4,6 +4,7 @@
 // worker merging relies on), and Serialize/Deserialize round trips.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -129,6 +130,25 @@ TEST_F(KMultisectionTest, UnprofiledMetricCoversNothing) {
   EXPECT_EQ(fresh.SectionOf({0, 0}, 0.5f), -1);
   fresh.UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.5f)));
   EXPECT_EQ(fresh.covered_items(), 0);
+}
+
+TEST_F(KMultisectionTest, ValuesWithoutAFinitePositionHaveNoSection) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(metric_->SectionOf({0, 0}, nan), -1);
+  metric_->UpdateBatch(model_, testing::OracleTrace(model_, Scalar(nan)));
+  EXPECT_EQ(metric_->covered_items(), 0);
+
+  // A profiled range of [-inf, +inf] spans inf / inf: no finite value has a
+  // section in it.
+  CoverageOptions opts = RawOptions();
+  opts.kmc_sections = 4;
+  KMultisectionCoverage unbounded(model_, opts);
+  const float inf = std::numeric_limits<float>::infinity();
+  unbounded.ProfileSeed(model_, testing::OracleTrace(model_, Scalar(-inf)), 0);
+  unbounded.ProfileSeed(model_, testing::OracleTrace(model_, Scalar(inf)), 0);
+  EXPECT_EQ(unbounded.SectionOf({0, 0}, 0.5f), -1);
+  unbounded.UpdateBatch(model_, testing::OracleTrace(model_, Scalar(0.5f)));
+  EXPECT_EQ(unbounded.covered_items(), 0);
 }
 
 TEST(KMultisectionPickTest, PickUncoveredSkipsSaturatedNeurons) {
@@ -356,6 +376,156 @@ TEST_P(MergeSemanticsTest, DeserializeRejectsMismatchedSnapshots) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, MergeSemanticsTest,
+                         ::testing::Values("neuron", "kmultisection", "topk"));
+
+// ---- PickUncovered pinned to count-then-select ------------------------------------------
+
+// True when tracked neuron `id` still has an uncovered item, read through the
+// public per-item queries only.
+bool HasUncoveredItem(const CoverageMetric& metric, const NeuronId& id) {
+  if (const auto* kmc = dynamic_cast<const KMultisectionCoverage*>(&metric)) {
+    for (int s = 0; s < kmc->sections(); ++s) {
+      if (!kmc->IsSectionCovered(id, s)) {
+        return true;
+      }
+    }
+    return false;
+  }
+  if (const auto* topk = dynamic_cast<const TopKNeuronCoverage*>(&metric)) {
+    return !topk->IsCovered(id);
+  }
+  return !dynamic_cast<const NeuronCoverageTracker&>(metric).IsCovered(id);
+}
+
+int BruteForceCovered(const CoverageMetric& metric) {
+  const auto& value_metric = dynamic_cast<const NeuronValueMetric&>(metric);
+  const auto* kmc = dynamic_cast<const KMultisectionCoverage*>(&metric);
+  int covered = 0;
+  for (const NeuronId& id : value_metric.TrackedNeurons()) {
+    if (kmc == nullptr) {
+      covered += HasUncoveredItem(metric, id) ? 0 : 1;
+      continue;
+    }
+    for (int s = 0; s < kmc->sections(); ++s) {
+      covered += kmc->IsSectionCovered(id, s) ? 1 : 0;
+    }
+  }
+  return covered;
+}
+
+// Reference pick, written over the public queries: count the neurons with
+// an uncovered item, draw r = UniformInt(0, count - 1) (no draw when the
+// count is 0), return the r-th of them in canonical order.
+bool CountThenSelectPick(const CoverageMetric& metric, Rng& rng, NeuronId* id) {
+  const auto& tracked = dynamic_cast<const NeuronValueMetric&>(metric).TrackedNeurons();
+  int64_t count = 0;
+  for (const NeuronId& n : tracked) {
+    count += HasUncoveredItem(metric, n) ? 1 : 0;
+  }
+  if (count == 0) {
+    return false;
+  }
+  const int64_t r = rng.UniformInt(0, count - 1);
+  int64_t seen = 0;
+  for (const NeuronId& n : tracked) {
+    if (HasUncoveredItem(metric, n) && seen++ == r) {
+      *id = n;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::unique_ptr<CoverageMetric> RoundTrip(const CoverageMetric& metric, const Model& model,
+                                          const CoverageOptions& opts) {
+  const std::string blob = StateBlob(metric);
+  auto restored = MakeCoverageMetric(metric.name(), model, opts);
+  std::istringstream in(blob);
+  BinaryReader reader(in);
+  restored->Deserialize(reader);
+  EXPECT_EQ(StateBlob(*restored), blob);
+  return restored;
+}
+
+// A seeded random mix of UpdateBatch, Merge of an updated clone and a
+// Serialize -> Deserialize round trip; after every step PickUncovered must
+// return what the count-then-select reference returns from the same Rng
+// state — the same bool and neuron, and the same Rng state afterwards.
+// Returns how many steps ended with nothing left to pick.
+int ExpectPicksMatchReference(const std::string& name, const Model& model,
+                              const CoverageOptions& opts, float input_range, uint64_t seed) {
+  Rng rng(seed);
+  const auto random_trace = [&] {
+    const int batch = static_cast<int>(rng.UniformInt(1, 3));
+    return testing::OracleForwardBatch(
+        model, Tensor::RandUniform(BatchedShape(batch, model.input_shape()), rng, -input_range,
+                                   input_range));
+  };
+  auto metric = MakeCoverageMetric(name, model, opts);
+  for (int p = 0; p < 4; ++p) {
+    const BatchTrace trace = random_trace();
+    for (int b = 0; b < trace.batch; ++b) {
+      metric->ProfileSeed(model, trace, b);
+    }
+  }
+  int saturated = 0;
+  for (int step = 0; step < 60; ++step) {
+    const int kind = static_cast<int>(rng.UniformInt(0, 2));
+    if (kind == 0) {
+      metric->UpdateBatch(model, random_trace());
+    } else if (kind == 1) {
+      auto clone = metric->Clone();
+      clone->UpdateBatch(model, random_trace());
+      metric->Merge(*clone);
+    } else {
+      metric = RoundTrip(*metric, model, opts);
+    }
+    const std::string where = name + " step " + std::to_string(step) + " kind " +
+                              std::to_string(kind);
+    Rng got_rng = rng;
+    Rng want_rng = rng;
+    NeuronId got;
+    NeuronId want;
+    const bool got_ok = metric->PickUncovered(got_rng, &got);
+    const bool want_ok = CountThenSelectPick(*metric, want_rng, &want);
+    EXPECT_EQ(got_ok, want_ok) << where;
+    if (got_ok && want_ok) {
+      EXPECT_EQ(got.layer, want.layer) << where;
+      EXPECT_EQ(got.index, want.index) << where;
+    }
+    EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64()) << where << ": Rng state differs";
+    EXPECT_EQ(metric->covered_items(), BruteForceCovered(*metric)) << where;
+    saturated += want_ok ? 0 : 1;
+    rng.NextU64();  // Vary the draw the next step's picks start from.
+  }
+  return saturated;
+}
+
+class PickPinTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PickPinTest, MatchesCountThenSelectOverUpdatesMergesAndRoundTrips) {
+  // 66 + 5 tracked neurons span two 64-bit words of the open set.
+  Model wide("wide", {4});
+  Rng init(7);
+  wide.Emplace<Dense>(4, 66, Activation::kRelu).InitParams(init);
+  wide.Emplace<Dense>(66, 5, Activation::kTanh).InitParams(init);
+  wide.Emplace<Dense>(5, 3).InitParams(init);
+  CoverageOptions opts;
+  opts.threshold = 0.6f;
+  opts.kmc_sections = 3;
+  ExpectPicksMatchReference(GetParam(), wide, opts, 2.0f, 11);
+
+  // Two opposite neurons: every metric saturates, so the no-draw branch of
+  // both picks is compared too.
+  const Model pair = LinearModel({1.0f, -1.0f});
+  CoverageOptions raw = RawOptions();
+  raw.top_k = 1;
+  raw.kmc_sections = 2;
+  EXPECT_GT(ExpectPicksMatchReference(GetParam(), pair, raw, 1.0f, 12), 0)
+      << "the two-neuron model never saturated";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMetrics, PickPinTest,
                          ::testing::Values("neuron", "kmultisection", "topk"));
 
 TEST(MergeSemanticsTest, TypeMismatchThrows) {

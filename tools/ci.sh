@@ -3,7 +3,8 @@
 #
 # Usage: tools/ci.sh [build-dir] [mode]   (default: build "")
 #
-#   mode "sanitize": build with ASan + UBSan (halt on any report) and run
+#   mode "sanitize": build with ASan + UBSan, float-cast-overflow included
+#   (halt on any report), and run
 #   ctest only — the smoke benches are skipped, sanitized models train too
 #   slowly for them.
 #
@@ -64,8 +65,10 @@ CMAKE_EXTRA=()
 if [ "$MODE" = "sanitize" ]; then
   # The trained-model disk cache is shared with regular runs (weights are
   # bit-identical either way), so the sanitized job spends its time on the
-  # engine, not on re-training the zoo under ASan.
-  CMAKE_EXTRA+=(-DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer")
+  # engine, not on re-training the zoo under ASan. GCC's "undefined" group
+  # leaves out float-cast-overflow (a NaN or out-of-range float cast to int),
+  # so it is named on its own.
+  CMAKE_EXTRA+=(-DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer")
 elif [ "$MODE" = "tsan" ]; then
   CMAKE_EXTRA+=(-DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer")
 elif [ "$MODE" = "release" ]; then
