@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 #include "src/util/registry.h"
-#include "src/util/serialize.h"
 
 namespace dx {
 
@@ -13,16 +11,6 @@ void SeedScheduler::Report(int seed_index, bool found_test, float coverage_gain)
   (void)seed_index;
   (void)found_test;
   (void)coverage_gain;
-}
-
-void SeedScheduler::SaveState(BinaryWriter& writer) const {
-  (void)writer;
-  throw std::logic_error("SeedScheduler '" + name() + "' does not support snapshots");
-}
-
-void SeedScheduler::LoadState(BinaryReader& reader) {
-  (void)reader;
-  throw std::logic_error("SeedScheduler '" + name() + "' does not support snapshots");
 }
 
 void RoundRobinScheduler::Reset(int num_seeds, int max_passes) {
@@ -42,23 +30,6 @@ int RoundRobinScheduler::Next() {
     ++pass_;
   }
   return index;
-}
-
-void RoundRobinScheduler::SaveState(BinaryWriter& writer) const {
-  writer.WriteI64(num_seeds_);
-  writer.WriteI64(max_passes_);
-  writer.WriteI64(pass_);
-  writer.WriteI64(cursor_);
-}
-
-void RoundRobinScheduler::LoadState(BinaryReader& reader) {
-  const int64_t num_seeds = reader.ReadI64();
-  const int64_t max_passes = reader.ReadI64();
-  if (num_seeds != num_seeds_ || max_passes != max_passes_) {
-    throw std::runtime_error("RoundRobinScheduler::LoadState: snapshot was taken for a different run shape");
-  }
-  pass_ = static_cast<int>(reader.ReadI64());
-  cursor_ = static_cast<int>(reader.ReadI64());
 }
 
 CoverageGainScheduler::CoverageGainScheduler(float found_bonus)
@@ -104,45 +75,6 @@ void CoverageGainScheduler::Report(int seed_index, bool found_test, float covera
   }
   score_[static_cast<size_t>(seed_index)] +=
       static_cast<double>(coverage_gain) + (found_test ? found_bonus_ : 0.0);
-}
-
-void CoverageGainScheduler::SaveState(BinaryWriter& writer) const {
-  // Serializing the pre-sort state (need_sort_ + raw scores + current order)
-  // is exactly equivalent to journal replay: the sort is lazy in Next(), so a
-  // restored scheduler re-runs it from identical inputs on its first Next().
-  writer.WriteI64(num_seeds_);
-  writer.WriteI64(max_passes_);
-  writer.WriteI64(pass_);
-  writer.WriteI64(cursor_);
-  writer.WriteU32(need_sort_ ? 1 : 0);
-  writer.WriteU64(score_.size());
-  for (double s : score_) {
-    writer.WriteF64(s);
-  }
-  writer.WriteInts(order_);
-}
-
-void CoverageGainScheduler::LoadState(BinaryReader& reader) {
-  const int64_t num_seeds = reader.ReadI64();
-  const int64_t max_passes = reader.ReadI64();
-  if (num_seeds != num_seeds_ || max_passes != max_passes_) {
-    throw std::runtime_error("CoverageGainScheduler::LoadState: snapshot was taken for a different run shape");
-  }
-  pass_ = static_cast<int>(reader.ReadI64());
-  cursor_ = static_cast<int>(reader.ReadI64());
-  need_sort_ = reader.ReadU32() != 0;
-  const uint64_t n = reader.ReadU64();
-  if (n != static_cast<uint64_t>(num_seeds_)) {
-    throw std::runtime_error("CoverageGainScheduler::LoadState: score table size mismatch");
-  }
-  score_.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    score_[i] = reader.ReadF64();
-  }
-  order_ = reader.ReadInts();
-  if (order_.size() != static_cast<size_t>(num_seeds_)) {
-    throw std::runtime_error("CoverageGainScheduler::LoadState: order table size mismatch");
-  }
 }
 
 namespace {

@@ -5,6 +5,11 @@
 // point, in schedule order — so a scheduler sees a deterministic feedback
 // stream regardless of how many workers processed the seeds in parallel.
 //
+// Schedulers are never serialized. A corpus journals every Next()/Report()
+// stream, and a resumed session replays the journal through a freshly Reset
+// scheduler, so a scheduler's Next() sequence must depend only on Reset's
+// arguments and the Report() stream it has seen.
+//
 // Built-ins, selected by name through MakeSeedScheduler:
 //   "roundrobin"     Algorithm 1's policy: cycle the seed list in order for
 //                    up to max_passes passes.
@@ -22,9 +27,6 @@
 
 namespace dx {
 
-class BinaryReader;
-class BinaryWriter;
-
 class SeedScheduler {
  public:
   virtual ~SeedScheduler() = default;
@@ -40,19 +42,6 @@ class SeedScheduler {
 
   // Outcome feedback for a scheduled seed, reported in schedule order.
   virtual void Report(int seed_index, bool found_test, float coverage_gain);
-
-  // ---- Optional state snapshots (O(delta) resume) --------------------------
-  //
-  // A scheduler that can serialize its full decision state lets a resumed
-  // session restore it directly from the corpus checkpoint instead of
-  // replaying the whole journal through Next()/Report() — O(1) in history
-  // length. The contract: LoadState(SaveState()) after Reset(n, p) with the
-  // same (n, p) must leave the scheduler emitting the exact Next() stream the
-  // original would have. Plug-ins that don't override these keep the
-  // journal-replay fallback (SaveState/LoadState then throw std::logic_error).
-  virtual bool SupportsSnapshot() const { return false; }
-  virtual void SaveState(BinaryWriter& writer) const;
-  virtual void LoadState(BinaryReader& reader);
 };
 
 // Algorithm 1: cycle seeds 0..n-1, up to max_passes times.
@@ -61,9 +50,6 @@ class RoundRobinScheduler : public SeedScheduler {
   std::string name() const override { return "roundrobin"; }
   void Reset(int num_seeds, int max_passes) override;
   int Next() override;
-  bool SupportsSnapshot() const override { return true; }
-  void SaveState(BinaryWriter& writer) const override;
-  void LoadState(BinaryReader& reader) override;
 
  private:
   int num_seeds_ = 0;
@@ -84,9 +70,6 @@ class CoverageGainScheduler : public SeedScheduler {
   void Reset(int num_seeds, int max_passes) override;
   int Next() override;
   void Report(int seed_index, bool found_test, float coverage_gain) override;
-  bool SupportsSnapshot() const override { return true; }
-  void SaveState(BinaryWriter& writer) const override;
-  void LoadState(BinaryReader& reader) override;
 
  private:
   float found_bonus_;

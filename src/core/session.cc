@@ -407,23 +407,9 @@ void Session::RestoreFromCheckpoint(const Corpus& corpus, const std::vector<Tens
   // resumed run must not re-profile, or forward_passes would double-count.
   profiled_ = true;
 
-  scheduler_->Reset(static_cast<int>(seeds.size()), options.max_seed_passes);
-  if (!cp.scheduler_blob.empty() && scheduler_->SupportsSnapshot()) {
-    // The checkpoint carries the scheduler's serialized decision state:
-    // restore it directly — O(1) in history length, bit-equivalent to the
-    // journal replay below (pinned by the corpus tests).
-    std::istringstream blob(cp.scheduler_blob);
-    BinaryReader reader(blob);
-    scheduler_->LoadState(reader);
-    stats->tests = corpus.entries();
-    stats->seeds_tried = cp.seeds_tried;
-    stats->seeds_skipped = cp.seeds_skipped;
-    stats->total_iterations = cp.total_iterations;
-    return;
-  }
-
   // The journal replays the exact Next()/Report() stream the scheduler saw,
   // reconstructing its state without requiring schedulers to serialize.
+  scheduler_->Reset(static_cast<int>(seeds.size()), options.max_seed_passes);
   for (const auto& batch : corpus.journal()) {
     for (const auto& record : batch) {
       const int index = scheduler_->Next();
@@ -534,13 +520,13 @@ SessionRun::SessionRun(Session* session, const std::vector<Tensor>* seeds,
 SessionRun::~SessionRun() {
   if (corpus_ != nullptr) {
     try {
-      // Make the leg's final checkpoint durable as a full snapshot so a
-      // clean shutdown (drain, leg bound, cancel) never loses batches to
-      // the segmented chain's delta window.
+      // Make the leg's final checkpoint durable as a snapshot so a clean
+      // shutdown (drain, leg bound, cancel) never loses the batches held
+      // only in memory.
       corpus_->Sync();
     } catch (...) {
-      // Destructors must not throw; the chain still holds its previous
-      // snapshot, so a resume just re-executes a few more batches.
+      // Destructors must not throw; checkpoints.bin still holds the
+      // previous snapshot, so a resume just re-executes a few more batches.
     }
   }
 }
@@ -721,12 +707,6 @@ bool SessionRun::Step() {
       BinaryWriter writer(blob);
       metric->Serialize(writer);
       cp.metric_blobs.push_back(blob.str());
-    }
-    if (s.scheduler_->SupportsSnapshot()) {
-      std::ostringstream blob;
-      BinaryWriter writer(blob);
-      s.scheduler_->SaveState(writer);
-      cp.scheduler_blob = blob.str();
     }
     corpus_->WriteCheckpoint(cp);
   }

@@ -352,9 +352,8 @@ class Session {
   // session's result-affecting config, the campaign bounds, and the seeds.
   void ValidateCorpus(const Corpus& corpus, const std::vector<Tensor>& seeds,
                       const RunOptions& options) const;
-  // Restores coverage state + scheduler position + counters from the corpus
-  // checkpoint (a scheduler snapshot blob restores the scheduler in O(1);
-  // otherwise journal replay reconstructs it exactly).
+  // Restores coverage state + counters from the corpus checkpoint and the
+  // scheduler position by replaying the journal through it.
   void RestoreFromCheckpoint(const Corpus& corpus, const std::vector<Tensor>& seeds,
                              const RunOptions& options, RunStats* stats);
 

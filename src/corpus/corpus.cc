@@ -14,15 +14,15 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x44584d46;    // "DXMF"
 constexpr uint32_t kEntryMagic = 0x44584554;       // "DXET"
 
-// Segmented checkpoint chain (checkpoints.bin).
+// checkpoints.bin: a header and one framed snapshot record.
 constexpr uint32_t kChainMagic = 0x44584343;   // "DXCC"
 constexpr uint32_t kChainVersion = 1;
 constexpr uint32_t kRecordMagic = 0x44584352;  // "DXCR"
 constexpr uint32_t kRecordEndMagic = 0x44584345;  // "DXCE"
 constexpr uint32_t kRecordSnapshot = 1;
-constexpr uint32_t kRecordDelta = 2;
+// Every how-many WriteCheckpoint calls a snapshot is written.
+constexpr uint64_t kSnapshotInterval = 8;
 
-// The scalar counters shared by snapshot and delta records.
 void WriteCheckpointCounters(BinaryWriter& w, const CorpusCheckpoint& cp) {
   w.WriteU32(cp.complete ? 1 : 0);
   w.WriteU64(cp.task_counter);
@@ -111,6 +111,42 @@ GeneratedTest ReadEntry(BinaryReader& r) {
   return t;
 }
 
+// Reads the first `count` records of `path` with `read_one` and returns the
+// bytes they span; whatever follows them is left unread.
+template <typename ReadOne>
+uint64_t ReadPrefix(const std::string& path, uint64_t count, const char* what,
+                    ReadOne read_one) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (count > 0) {
+      throw std::runtime_error("Corpus: checkpoint expects " + std::to_string(count) +
+                               " " + what + " but " + path + " is missing");
+    }
+    return 0;
+  }
+  BinaryReader r(in);
+  for (uint64_t i = 0; i < count; ++i) {
+    read_one(r);
+  }
+  return static_cast<uint64_t>(in.tellg());
+}
+
+// Writes `path` whole through `path`.tmp + rename, so a concurrent open sees
+// either the old file or the new one, never part of one.
+template <typename Fill>
+void ReplaceFile(const std::string& path, Fill fill) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    fill(out);
+    out.close();
+    if (!out) {
+      throw std::runtime_error("Corpus: failed writing " + tmp);
+    }
+  }
+  std::filesystem::rename(tmp, path);
+}
+
 }  // namespace
 
 const std::string* CorpusMeta::FindMetadata(const std::string& key) const {
@@ -123,7 +159,6 @@ const std::string* CorpusMeta::FindMetadata(const std::string& key) const {
 }
 
 Corpus::Corpus(std::string dir) : dir_(std::move(dir)) {
-  std::filesystem::create_directories(dir_);
   if (std::filesystem::exists(ManifestPath())) {
     Load();
   }
@@ -133,13 +168,6 @@ std::string Corpus::ManifestPath() const { return dir_ + "/manifest.bin"; }
 std::string Corpus::EntriesPath() const { return dir_ + "/entries.bin"; }
 std::string Corpus::JournalPath() const { return dir_ + "/journal.bin"; }
 std::string Corpus::ChainPath() const { return dir_ + "/checkpoints.bin"; }
-
-void Corpus::SetSnapshotInterval(int every) {
-  if (every < 1) {
-    throw std::invalid_argument("Corpus: snapshot interval must be >= 1");
-  }
-  snapshot_interval_ = every;
-}
 
 void Corpus::SetMetadata(const std::string& key, const std::string& value) {
   if (initialized_) {
@@ -162,40 +190,35 @@ void Corpus::Initialize(CorpusMeta meta) {
     meta.metadata.push_back(std::move(kv));
   }
   pending_metadata_.clear();
-  std::ofstream out(ManifestPath(), std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("Corpus: cannot write " + ManifestPath());
-  }
-  BinaryWriter w(out);
-  w.WriteU32(kManifestMagic);
-  w.WriteU32(kCorpusFormatVersion);
-  w.WriteString(meta.metric);
-  w.WriteString(meta.objective);
-  w.WriteString(meta.scheduler);
-  w.WriteString(meta.constraint);
-  WriteEngine(w, meta.engine);
-  w.WriteI64(meta.sync_interval);
-  w.WriteU32(meta.profile_from_seeds ? 1 : 0);
-  w.WriteI64(meta.max_tests);
-  w.WriteI64(meta.max_seed_passes);
-  w.WriteF32(meta.coverage_goal);
-  w.WriteU64(meta.model_names.size());
-  for (const std::string& name : meta.model_names) {
-    w.WriteString(name);
-  }
-  w.WriteU64(meta.metadata.size());
-  for (const auto& [k, v] : meta.metadata) {
-    w.WriteString(k);
-    w.WriteString(v);
-  }
-  w.WriteU64(meta.seeds.size());
-  for (const Tensor& seed : meta.seeds) {
-    w.WriteTensor(seed);
-  }
-  out.close();
-  if (!out) {
-    throw std::runtime_error("Corpus: failed writing " + ManifestPath());
-  }
+  std::filesystem::create_directories(dir_);
+  ReplaceFile(ManifestPath(), [&meta](std::ostream& out) {
+    BinaryWriter w(out);
+    w.WriteU32(kManifestMagic);
+    w.WriteU32(kCorpusFormatVersion);
+    w.WriteString(meta.metric);
+    w.WriteString(meta.objective);
+    w.WriteString(meta.scheduler);
+    w.WriteString(meta.constraint);
+    WriteEngine(w, meta.engine);
+    w.WriteI64(meta.sync_interval);
+    w.WriteU32(meta.profile_from_seeds ? 1 : 0);
+    w.WriteI64(meta.max_tests);
+    w.WriteI64(meta.max_seed_passes);
+    w.WriteF32(meta.coverage_goal);
+    w.WriteU64(meta.model_names.size());
+    for (const std::string& name : meta.model_names) {
+      w.WriteString(name);
+    }
+    w.WriteU64(meta.metadata.size());
+    for (const auto& [k, v] : meta.metadata) {
+      w.WriteString(k);
+      w.WriteString(v);
+    }
+    w.WriteU64(meta.seeds.size());
+    for (const Tensor& seed : meta.seeds) {
+      w.WriteTensor(seed);
+    }
+  });
   meta_ = std::move(meta);
   initialized_ = true;
 }
@@ -257,93 +280,53 @@ void Corpus::Load() {
     throw std::runtime_error("Corpus: " + legacy +
                              " is a pre-chain checkpoint, which is no longer supported");
   }
-  // A chain without any valid snapshot restores nothing and is discarded.
   if (std::filesystem::exists(ChainPath())) {
     LoadChain();
   }
 
-  // Entries and journal are only meaningful up to the checkpoint's
-  // high-water marks; anything beyond is an uncovered suffix from an
-  // interrupted batch and is dropped (the resumed run regenerates it).
+  // Only the prefix the snapshot covers counts. A longer file holds batches
+  // that a running writer has not snapshotted yet, or that an interrupted
+  // one never will; either way a reader ignores them.
   const uint64_t keep_entries = has_checkpoint_ ? checkpoint_.num_tests : 0;
   const uint64_t keep_batches = has_checkpoint_ ? checkpoint_.num_batches : 0;
-
-  entries_.clear();
-  if (std::filesystem::exists(EntriesPath())) {
-    std::ifstream in(EntriesPath(), std::ios::binary);
-    BinaryReader r(in);
-    while (entries_.size() < keep_entries) {
-      entries_.push_back(ReadEntry(r));
-    }
-    const bool trailing = in.peek() != std::ifstream::traits_type::eof();
-    in.close();
-    if (trailing || entries_.size() != keep_entries) {
-      RewriteEntries();
-    }
-  } else if (keep_entries > 0) {
-    throw std::runtime_error("Corpus: checkpoint expects " +
-                             std::to_string(keep_entries) + " entries but " +
-                             EntriesPath() + " is missing");
-  }
-
-  journal_.clear();
-  if (std::filesystem::exists(JournalPath())) {
-    std::ifstream in(JournalPath(), std::ios::binary);
-    BinaryReader r(in);
-    while (journal_.size() < keep_batches) {
-      const uint64_t count = r.ReadU64();
-      if (count > (1ULL << 32)) {
-        throw std::runtime_error("Corpus: corrupt journal batch length in " +
-                                 JournalPath());
-      }
-      std::vector<CorpusCheckpoint::JournalRecord> batch(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        batch[i].seed_index = static_cast<int>(r.ReadI64());
-        batch[i].found = r.ReadU32() != 0;
-        batch[i].gain = r.ReadF32();
-      }
-      journal_.push_back(std::move(batch));
-    }
-    const bool trailing = in.peek() != std::ifstream::traits_type::eof();
-    in.close();
-    if (trailing || journal_.size() != keep_batches) {
-      RewriteJournal();
-    }
-  } else if (keep_batches > 0) {
-    throw std::runtime_error("Corpus: checkpoint expects " +
-                             std::to_string(keep_batches) + " journal batches but " +
-                             JournalPath() + " is missing");
-  }
+  covered_entry_bytes_ = ReadPrefix(EntriesPath(), keep_entries, "entries",
+                                    [this](BinaryReader& r) { entries_.push_back(ReadEntry(r)); });
+  covered_journal_bytes_ =
+      ReadPrefix(JournalPath(), keep_batches, "journal batches", [this](BinaryReader& r) {
+        const uint64_t count = r.ReadU64();
+        if (count > (1ULL << 32)) {
+          throw std::runtime_error("Corpus: corrupt journal batch length in " +
+                                   JournalPath());
+        }
+        std::vector<CorpusCheckpoint::JournalRecord> batch(count);
+        for (auto& record : batch) {
+          record.seed_index = static_cast<int>(r.ReadI64());
+          record.found = r.ReadU32() != 0;
+          record.gain = r.ReadF32();
+        }
+        journal_.push_back(std::move(batch));
+      });
 }
 
-void Corpus::RewriteEntries() {
-  std::ofstream out(EntriesPath(), std::ios::binary | std::ios::trunc);
-  BinaryWriter w(out);
-  for (const GeneratedTest& t : entries_) {
-    WriteEntry(w, t);
+void Corpus::TrimTails() {
+  if (tails_trimmed_) {
+    return;
   }
-  if (!out) {
-    throw std::runtime_error("Corpus: failed rewriting " + EntriesPath());
-  }
-}
-
-void Corpus::RewriteJournal() {
-  std::ofstream out(JournalPath(), std::ios::binary | std::ios::trunc);
-  BinaryWriter w(out);
-  for (const auto& batch : journal_) {
-    w.WriteU64(batch.size());
-    for (const auto& record : batch) {
-      w.WriteI64(record.seed_index);
-      w.WriteU32(record.found ? 1 : 0);
-      w.WriteF32(record.gain);
+  // Appends must continue right after the covered prefix: cut off what an
+  // interrupted writer left past it (the resumed run regenerates it).
+  for (const auto& [path, covered] : {std::pair(EntriesPath(), covered_entry_bytes_),
+                                      std::pair(JournalPath(), covered_journal_bytes_)}) {
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec && size > covered) {
+      std::filesystem::resize_file(path, covered);
     }
   }
-  if (!out) {
-    throw std::runtime_error("Corpus: failed rewriting " + JournalPath());
-  }
+  tails_trimmed_ = true;
 }
 
 void Corpus::AppendEntry(const GeneratedTest& test) {
+  TrimTails();
   std::ofstream out(EntriesPath(), std::ios::binary | std::ios::app);
   BinaryWriter w(out);
   WriteEntry(w, test);
@@ -355,6 +338,7 @@ void Corpus::AppendEntry(const GeneratedTest& test) {
 
 void Corpus::AppendJournalBatch(
     const std::vector<CorpusCheckpoint::JournalRecord>& batch) {
+  TrimTails();
   std::ofstream out(JournalPath(), std::ios::binary | std::ios::app);
   BinaryWriter w(out);
   w.WriteU64(batch.size());
@@ -370,29 +354,23 @@ void Corpus::AppendJournalBatch(
 }
 
 void Corpus::LoadChain() {
-  // Read the whole chain (one snapshot + a handful of deltas by
-  // construction) and stop at the first truncated or corrupt record: the
-  // valid prefix is the durable state, anything past it is a crash artifact.
+  // The snapshot is the first record. Whatever follows it is ignored: a torn
+  // append, or the counters-only records that older writers appended. A
+  // snapshot cut short restores nothing.
   std::ifstream in(ChainPath(), std::ios::binary);
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string data = buf.str();
   size_t pos = 0;
-  auto read_u32 = [&](uint32_t* out) {
-    if (pos + sizeof(uint32_t) > data.size()) return false;
-    std::memcpy(out, data.data() + pos, sizeof(uint32_t));
-    pos += sizeof(uint32_t);
-    return true;
-  };
-  auto read_u64 = [&](uint64_t* out) {
-    if (pos + sizeof(uint64_t) > data.size()) return false;
-    std::memcpy(out, data.data() + pos, sizeof(uint64_t));
-    pos += sizeof(uint64_t);
+  auto read = [&](auto* out) {
+    if (pos + sizeof(*out) > data.size()) return false;
+    std::memcpy(out, data.data() + pos, sizeof(*out));
+    pos += sizeof(*out);
     return true;
   };
 
   uint32_t magic = 0, version = 0;
-  if (!read_u32(&magic) || magic != kChainMagic || !read_u32(&version)) {
+  if (!read(&magic) || magic != kChainMagic || !read(&version)) {
     throw std::runtime_error("Corpus: bad chain header in " + ChainPath());
   }
   if (version != kChainVersion) {
@@ -400,120 +378,53 @@ void Corpus::LoadChain() {
                              std::to_string(version) + " in " + ChainPath());
   }
 
-  bool have_snapshot = false;
-  CorpusCheckpoint snapshot;
-  uint64_t records_past_snapshot = 0;
-  bool trailing_garbage = false;
-  while (pos < data.size()) {
-    uint32_t rec_magic = 0, kind = 0, end_magic = 0;
-    uint64_t payload_len = 0;
-    if (!read_u32(&rec_magic) || rec_magic != kRecordMagic ||
-        !read_u32(&kind) || !read_u64(&payload_len) ||
-        payload_len > data.size() - pos) {
-      trailing_garbage = true;
-      break;
-    }
-    const size_t payload_pos = pos;
-    pos += payload_len;
-    if (!read_u32(&end_magic) || end_magic != kRecordEndMagic) {
-      trailing_garbage = true;
-      break;
-    }
-    if (kind == kRecordSnapshot) {
-      std::istringstream payload(
-          data.substr(payload_pos, static_cast<size_t>(payload_len)));
-      BinaryReader r(payload);
-      CorpusCheckpoint cp;
-      ReadCheckpointCounters(r, cp);
-      const uint64_t num_blobs = r.ReadU64();
-      for (uint64_t i = 0; i < num_blobs; ++i) {
-        cp.metric_blobs.push_back(r.ReadString());
-      }
-      cp.scheduler_blob = r.ReadString();
-      snapshot = std::move(cp);
-      have_snapshot = true;
-      records_past_snapshot = 0;
-    } else if (kind == kRecordDelta) {
-      // Deltas carry no coverage state, so they are never resume points —
-      // they only exist to make per-batch durability cheap. Count them so
-      // the chain gets compacted below.
-      ++records_past_snapshot;
-    } else {
-      trailing_garbage = true;
-      break;
-    }
-  }
-
-  if (!have_snapshot) {
-    // Nothing restorable (e.g. first snapshot write was interrupted).
-    std::filesystem::remove(ChainPath());
+  uint32_t rec_magic = 0, kind = 0, end_magic = 0;
+  uint64_t payload_len = 0;
+  if (!read(&rec_magic) || rec_magic != kRecordMagic || !read(&kind) ||
+      kind != kRecordSnapshot || !read(&payload_len) || payload_len > data.size() - pos) {
     return;
   }
-  checkpoint_ = snapshot;
+  const size_t payload_pos = pos;
+  pos += payload_len;
+  if (!read(&end_magic) || end_magic != kRecordEndMagic) {
+    return;
+  }
+  // Corpora from older writers end the payload with a scheduler blob, which
+  // is never read: the journal restores the scheduler.
+  std::istringstream payload(data.substr(payload_pos, static_cast<size_t>(payload_len)));
+  BinaryReader r(payload);
+  ReadCheckpointCounters(r, checkpoint_);
+  const uint64_t num_blobs = r.ReadU64();
+  for (uint64_t i = 0; i < num_blobs; ++i) {
+    checkpoint_.metric_blobs.push_back(r.ReadString());
+  }
   has_checkpoint_ = true;
   chain_has_snapshot_ = true;
-  chain_deltas_ = 0;
-  chain_dirty_ = false;
-  if (records_past_snapshot > 0 || trailing_garbage) {
-    // Trim the chain back to its last valid snapshot so the on-disk state
-    // matches what we restored (the entries/journal trim below uses the
-    // snapshot's high-water marks).
-    WriteSnapshot(snapshot);
-  }
 }
 
 void Corpus::WriteSnapshot(const CorpusCheckpoint& checkpoint) {
-  const std::string tmp = ChainPath() + ".tmp";
+  std::ostringstream payload;
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    BinaryWriter pw(payload);
+    WriteCheckpointCounters(pw, checkpoint);
+    pw.WriteU64(checkpoint.metric_blobs.size());
+    for (const std::string& blob : checkpoint.metric_blobs) {
+      pw.WriteString(blob);
+    }
+  }
+  const std::string bytes = payload.str();
+  ReplaceFile(ChainPath(), [&bytes](std::ostream& out) {
     BinaryWriter w(out);
     w.WriteU32(kChainMagic);
     w.WriteU32(kChainVersion);
-    std::ostringstream payload;
-    {
-      BinaryWriter pw(payload);
-      WriteCheckpointCounters(pw, checkpoint);
-      pw.WriteU64(checkpoint.metric_blobs.size());
-      for (const std::string& blob : checkpoint.metric_blobs) {
-        pw.WriteString(blob);
-      }
-      pw.WriteString(checkpoint.scheduler_blob);
-    }
-    const std::string bytes = payload.str();
     w.WriteU32(kRecordMagic);
     w.WriteU32(kRecordSnapshot);
     w.WriteU64(bytes.size());
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     w.WriteU32(kRecordEndMagic);
-    if (!out) {
-      throw std::runtime_error("Corpus: failed writing " + tmp);
-    }
-  }
-  std::filesystem::rename(tmp, ChainPath());
+  });
   chain_has_snapshot_ = true;
   chain_deltas_ = 0;
-  chain_dirty_ = false;
-}
-
-void Corpus::AppendDelta(const CorpusCheckpoint& checkpoint) {
-  std::ostringstream payload;
-  {
-    BinaryWriter pw(payload);
-    WriteCheckpointCounters(pw, checkpoint);
-  }
-  const std::string bytes = payload.str();
-  std::ofstream out(ChainPath(), std::ios::binary | std::ios::app);
-  BinaryWriter w(out);
-  w.WriteU32(kRecordMagic);
-  w.WriteU32(kRecordDelta);
-  w.WriteU64(bytes.size());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  w.WriteU32(kRecordEndMagic);
-  if (!out) {
-    throw std::runtime_error("Corpus: failed appending to " + ChainPath());
-  }
-  ++chain_deltas_;
-  chain_dirty_ = true;
 }
 
 void Corpus::WriteCheckpoint(const CorpusCheckpoint& checkpoint) {
@@ -521,22 +432,20 @@ void Corpus::WriteCheckpoint(const CorpusCheckpoint& checkpoint) {
       checkpoint.num_batches != journal_.size()) {
     throw std::logic_error("Corpus: checkpoint high-water marks disagree with appends");
   }
-  const bool snapshot = checkpoint.complete || !chain_has_snapshot_ ||
-                        chain_deltas_ + 1 >= static_cast<uint64_t>(snapshot_interval_);
-  if (snapshot) {
+  TrimTails();
+  if (checkpoint.complete || !chain_has_snapshot_ || chain_deltas_ + 1 >= kSnapshotInterval) {
     WriteSnapshot(checkpoint);
   } else {
-    AppendDelta(checkpoint);
+    ++chain_deltas_;
   }
   checkpoint_ = checkpoint;
   has_checkpoint_ = true;
 }
 
 void Corpus::Sync() {
-  if (!has_checkpoint_ || !chain_dirty_) {
-    return;
+  if (chain_deltas_ > 0) {
+    WriteSnapshot(checkpoint_);
   }
-  WriteSnapshot(checkpoint_);
 }
 
 const CorpusCheckpoint& Corpus::checkpoint() const {
@@ -577,10 +486,8 @@ CorpusStats Corpus::Stats() const {
   s.checkpoint_bytes = size_of(ChainPath());
   s.total_bytes =
       s.manifest_bytes + s.entries_bytes + s.journal_bytes + s.checkpoint_bytes;
-  if (chain_has_snapshot_) {
-    s.chain_snapshots = 1;
-    s.chain_deltas = chain_deltas_;
-  }
+  s.chain_snapshots = chain_has_snapshot_ ? 1 : 0;
+  s.chain_deltas = chain_deltas_;
   if (has_checkpoint_) {
     s.complete = checkpoint_.complete;
     s.mean_coverage = checkpoint_.mean_coverage;

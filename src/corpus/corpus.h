@@ -19,37 +19,36 @@
 //                   outcomes reported back. Replaying this stream through a
 //                   freshly Reset scheduler reconstructs its exact state
 //                   without requiring schedulers to be serializable.
-//   checkpoints.bin segmented checkpoint chain: an append-only sequence of
-//                   framed records — periodic FULL snapshots (RunStats
-//                   counters, entry/journal high-water marks, serialized
-//                   per-model coverage state via CoverageMetric::Serialize,
-//                   and an optional scheduler state blob) interleaved with cheap DELTA records that
-//                   carry only the scalar counters. Writing a snapshot
-//                   atomically rewrites the chain down to that single
-//                   snapshot (tmp + rename), so the chain never grows past
-//                   one snapshot + snapshot_interval deltas. Per-batch
-//                   checkpoint I/O is therefore O(counters), not O(coverage
-//                   state), and resume cost is O(delta since the last
-//                   snapshot) — the resumed run re-executes at most
-//                   snapshot_interval batches deterministically. A
-//                   monolithic checkpoint.bin (the pre-chain format) is
-//                   refused on open.
+//   checkpoints.bin the resume point: one framed SNAPSHOT record (RunStats
+//                   counters, entry/journal high-water marks, and the
+//                   serialized per-model coverage state via
+//                   CoverageMetric::Serialize), replaced whole via tmp +
+//                   rename. A snapshot is written on the first checkpoint,
+//                   on a complete one, on every 8th one, and by Sync() at
+//                   the end of every run leg; the checkpoints in between
+//                   only live in memory. The scheduler is never serialized:
+//                   a resume replays the journal through a freshly Reset
+//                   scheduler. A monolithic checkpoint.bin (the pre-chain
+//                   format) is refused on open.
+//
+// Opening never writes. A reader — `corpus stats`, replay, the maintenance
+// passes, a probe — sees the state as of the last snapshot: the entries and
+// journal batches it covers are read, and anything past its high-water marks
+// is ignored. Such a tail is either the current writer's batches since that
+// snapshot or, after a crash, batches nobody will checkpoint; a corpus with
+// no valid snapshot (a record cut short) opens as an empty campaign.
 //
 // Crash safety (process level): entries and journal batches are appended
-// and flushed BEFORE the checkpoint record that covers them is written, so
-// a killed process leaves at most a trailing suffix not covered by a
-// restorable checkpoint; Open() trims both files back to the restorable
-// checkpoint's high-water marks (and a corpus with no checkpoint is treated
-// as empty). For the segmented chain the restorable checkpoint is the last
-// fully-valid SNAPSHOT record: a chain truncated mid-record is cut back to
-// its last valid snapshot on open (deltas carry no coverage state, so they
-// are progress/stats records, never resume points), and the dropped batches
-// are re-executed deterministically on resume. Resumption therefore always
-// restarts at a sync-batch boundary, which is exactly the granularity at
-// which Session results are deterministic. The files are NOT fsync'd, so a
-// power loss / kernel crash can reorder appends and renames on disk and
-// leave a corpus that fails to open (a clean std::runtime_error, never
-// silent divergence) — acceptable for a per-machine campaign artifact.
+// and flushed BEFORE the snapshot that covers them is renamed into place,
+// so a killed process leaves at most an uncovered suffix. A resuming writer
+// cuts that suffix off (resize_file) before its first append or checkpoint
+// and re-executes the dropped batches deterministically. Resumption
+// therefore always restarts at a sync-batch boundary, which is exactly the
+// granularity at which Session results are deterministic. The files are
+// NOT fsync'd, so a power loss / kernel crash can reorder appends and
+// renames on disk and leave a corpus that fails to open (a clean
+// std::runtime_error, never silent divergence) — acceptable for a
+// per-machine campaign artifact.
 //
 // The files use the util/serialize little-endian POD format: a per-machine
 // artifact, not an interchange format.
@@ -117,9 +116,6 @@ struct CorpusCheckpoint {
   float mean_coverage = 0.0f;
   // One CoverageMetric::Serialize blob per model, session order.
   std::vector<std::string> metric_blobs;
-  // SeedScheduler::SaveState blob (empty when the scheduler doesn't support
-  // snapshots — resume then falls back to replaying the journal).
-  std::string scheduler_blob;
 };
 
 // A read-only summary of a corpus directory (see Corpus::Stats). The
@@ -142,8 +138,8 @@ struct CorpusStats {
   uint64_t journal_bytes = 0;
   uint64_t checkpoint_bytes = 0;  // checkpoints.bin.
   uint64_t total_bytes = 0;
-  // Checkpoint chain shape: snapshots is 0 or 1 (a snapshot write compacts
-  // the chain), deltas counts records appended since.
+  // Checkpoint state: snapshots is 1 once checkpoints.bin holds a snapshot,
+  // deltas counts the checkpoints this handle holds in memory since it.
   uint64_t chain_snapshots = 0;
   uint64_t chain_deltas = 0;
   bool complete = false;
@@ -152,10 +148,10 @@ struct CorpusStats {
 
 class Corpus {
  public:
-  // Opens (creating the directory if needed) a corpus rooted at `dir`. An
-  // existing manifest is loaded along with the checkpoint, entries, and
-  // journal — trimmed back to the checkpoint's high-water marks (see the
-  // crash-safety note above). Throws std::runtime_error on corrupt or
+  // Opens the corpus rooted at `dir` without writing anything (a missing
+  // directory is an uninitialized corpus). An existing manifest is loaded
+  // along with the snapshot and the entries and journal batches it covers
+  // (see the note above). Throws std::runtime_error on corrupt or
   // version-mismatched files, including a pre-chain checkpoint.bin.
   explicit Corpus(std::string dir);
 
@@ -169,8 +165,9 @@ class Corpus {
   // the manifest is immutable). Call before the first Session::Run.
   void SetMetadata(const std::string& key, const std::string& value);
 
-  // Writes the manifest. Called by Session::Run on first recording; throws
-  // std::logic_error when already initialized.
+  // Creates the directory and writes the manifest (tmp + rename, so a
+  // concurrent open never sees half of it). Called by Session::Run on first
+  // recording; throws std::logic_error when already initialized.
   void Initialize(CorpusMeta meta);
   const CorpusMeta& meta() const;
 
@@ -185,38 +182,30 @@ class Corpus {
     return journal_;
   }
 
-  // Persists a resume point. The checkpoint's high-water marks must match
-  // the entries/journal already appended. Writes a full snapshot when the
-  // checkpoint is complete, when the chain has no snapshot yet, or every
-  // snapshot_interval-th call — and a cheap counters-only delta otherwise.
-  // The in-memory checkpoint() always reflects the full `checkpoint` passed
-  // here, regardless of what was thinned on disk.
+  // Records a resume point. The checkpoint's high-water marks must match
+  // the entries/journal already appended. Writes a snapshot when the
+  // checkpoint is complete, when checkpoints.bin holds none yet, or on every
+  // 8th call; otherwise the checkpoint is only kept in memory, where
+  // checkpoint() always reflects it.
   void WriteCheckpoint(const CorpusCheckpoint& checkpoint);
   bool has_checkpoint() const { return has_checkpoint_; }
   const CorpusCheckpoint& checkpoint() const;
 
-  // Forces the current checkpoint state to be durable as a full snapshot
-  // (no-op when there is no checkpoint or when the chain is already exactly
-  // at the latest checkpoint). Sessions call this at the end of every run
-  // leg so a clean shutdown never loses batches to the delta window.
+  // Snapshots the latest checkpoint when it is only held in memory. Sessions
+  // call this at the end of every run leg so a clean shutdown never loses
+  // batches.
   void Sync();
 
-  // Every how-many WriteCheckpoint calls the chain takes a full snapshot
-  // (default 8; min 1 = snapshot every time).
-  void SetSnapshotInterval(int every);
-
-  // Summarizes the corpus (entry counts, on-disk bytes, checkpoint chain
-  // shape, manifest breakdown keys). Purely observational — reads file
-  // sizes, never loads models.
+  // Summarizes the corpus (entry counts, on-disk bytes, checkpoint state,
+  // manifest breakdown keys). Purely observational — reads file sizes,
+  // never loads models.
   CorpusStats Stats() const;
 
  private:
   void Load();
   void LoadChain();
-  void RewriteEntries();
-  void RewriteJournal();
+  void TrimTails();
   void WriteSnapshot(const CorpusCheckpoint& checkpoint);
-  void AppendDelta(const CorpusCheckpoint& checkpoint);
   std::string ManifestPath() const;
   std::string EntriesPath() const;
   std::string JournalPath() const;
@@ -231,12 +220,13 @@ class Corpus {
   std::vector<std::vector<CorpusCheckpoint::JournalRecord>> journal_;
   std::vector<std::pair<std::string, std::string>> pending_metadata_;
 
-  int snapshot_interval_ = 8;
   bool chain_has_snapshot_ = false;  // checkpoints.bin holds a snapshot.
-  uint64_t chain_deltas_ = 0;        // Delta records since that snapshot.
-  // True when the durable chain state lags the in-memory checkpoint_ (the
-  // latest WriteCheckpoint only produced a delta); Sync() then snapshots.
-  bool chain_dirty_ = false;
+  uint64_t chain_deltas_ = 0;  // Checkpoints kept in memory since that snapshot.
+  // Bytes of entries.bin / journal.bin that the loaded snapshot covers. A
+  // writer cuts both files back to them before its first write.
+  uint64_t covered_entry_bytes_ = 0;
+  uint64_t covered_journal_bytes_ = 0;
+  bool tails_trimmed_ = false;
 };
 
 }  // namespace dx

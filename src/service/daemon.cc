@@ -409,7 +409,9 @@ std::string Daemon::MetricsText() {
   writer.Family("dxplored_corpus_bytes",
                 "On-disk corpus footprint in bytes.", "gauge");
   writer.Family("dxplored_corpus_checkpoint_records",
-                "Checkpoint chain records by kind (snapshot/delta).", "gauge");
+                "Corpus checkpoints by kind: snapshot is 1 once checkpoints.bin "
+                "holds one; delta counts those kept in memory since.",
+                "gauge");
   for (const CampaignStatus& c : campaigns) {
     if (!c.has_corpus_stats) {
       continue;

@@ -1,9 +1,9 @@
 // Corpus maintenance subsystem: distill / dedup / minimize must produce
 // derived corpora that verify under Session::Replay with merged retained
 // coverage exactly equal to the source's, dedup must be deterministic,
-// minimized entries must still be difference-inducing, and the segmented
-// checkpoint chain must resume bit-identically to the monolithic format —
-// including after a crash that truncates the chain mid-record.
+// minimized entries must still be difference-inducing, and a checkpointed
+// campaign must resume bit-identically — including after a crash that tore a
+// record appended to checkpoints.bin, which opening must leave untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -449,7 +449,6 @@ TEST_F(MaintenanceTest, ResumeEveryBatchIsBitIdentical) {
     UnconstrainedImage constraint;
     Session session(ModelPtrs(), &constraint, config);
     Corpus corpus(dir);
-    corpus.SetSnapshotInterval(2);
     RunOptions options = Bounds();
     options.max_sync_batches = 1;
     final_stats = session.Run(*seeds_, options, &corpus);
@@ -459,7 +458,7 @@ TEST_F(MaintenanceTest, ResumeEveryBatchIsBitIdentical) {
   }
   ExpectSameResults(final_stats, reference);
 
-  // The chain holds one compacted snapshot after the final Sync.
+  // checkpoints.bin holds one snapshot after the final Sync.
   const CorpusStats stats = Corpus(dir).Stats();
   EXPECT_EQ(stats.chain_snapshots, 1u);
   EXPECT_EQ(stats.chain_deltas, 0u);
@@ -476,9 +475,9 @@ TEST_F(MaintenanceTest, TruncatedChainTrimsToLastSnapshotAndResumesBitIdenticall
     ASSERT_GT(reference.tests.size(), 0u);
   }
 
-  // Record with a sparse snapshot cadence and capture the chain file as it
-  // exists mid-campaign — a snapshot plus trailing delta records (the final
-  // Sync would otherwise compact the chain to a single snapshot).
+  // Capture the chain file as it exists mid-campaign: the snapshot of batch
+  // 1, with the later checkpoints still held in memory (the final Sync would
+  // otherwise snapshot the complete campaign).
   const std::string dir = TempCorpusDir("crash");
   const std::string chain_path = dir + "/checkpoints.bin";
   std::string mid_chain;
@@ -486,7 +485,6 @@ TEST_F(MaintenanceTest, TruncatedChainTrimsToLastSnapshotAndResumesBitIdenticall
     UnconstrainedImage constraint;
     Session session(ModelPtrs(), &constraint, BaseConfig());
     Corpus corpus(dir);
-    corpus.SetSnapshotInterval(3);
     RunOptions options = Bounds();
     options.on_batch = [&](const RunProgress& progress) {
       if (progress.batches == 5) {
@@ -500,22 +498,30 @@ TEST_F(MaintenanceTest, TruncatedChainTrimsToLastSnapshotAndResumesBitIdenticall
   }
   ASSERT_FALSE(mid_chain.empty()) << "campaign too short for the crash window";
 
-  // Simulate a crash that cut the last record short: restore the mid-run
-  // chain with its tail truncated mid-record. entries.bin / journal.bin
-  // still hold the full campaign — exactly the append-ahead crash model.
+  // Simulate a crash that cut a record appended after the snapshot short:
+  // restore the mid-run chain followed by a torn copy of its own record (the
+  // 8-byte file header skipped, the last 3 bytes cut). entries.bin /
+  // journal.bin still hold the rest of the campaign, their last appends torn
+  // too — exactly the append-ahead crash model.
   {
     std::ofstream out(chain_path, std::ios::binary | std::ios::trunc);
-    ASSERT_GT(mid_chain.size(), 3u);
-    out.write(mid_chain.data(), static_cast<std::streamsize>(mid_chain.size() - 3));
+    ASSERT_GT(mid_chain.size(), 11u);
+    out.write(mid_chain.data(), static_cast<std::streamsize>(mid_chain.size()));
+    out.write(mid_chain.data() + 8, static_cast<std::streamsize>(mid_chain.size() - 11));
+  }
+  for (const std::string& path : {dir + "/entries.bin", dir + "/journal.bin"}) {
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
   }
 
+  const auto on_disk = testing::DirectoryBytes(dir);
   Corpus reopened(dir);
+  EXPECT_TRUE(testing::DirectoryBytes(dir) == on_disk) << "opening wrote to the corpus";
   ASSERT_TRUE(reopened.has_checkpoint());
   EXPECT_FALSE(reopened.checkpoint().complete);
   const uint64_t resume_batch = reopened.checkpoint().num_batches;
   EXPECT_GE(resume_batch, 1u);
-  EXPECT_LT(resume_batch, 5u);  // Trimmed back to the last valid snapshot.
-  // Entries and journal are trimmed to the snapshot's high-water marks.
+  EXPECT_LT(resume_batch, 5u);  // Back at the last valid snapshot.
+  // Entries and journal are read up to the snapshot's high-water marks.
   EXPECT_EQ(reopened.journal().size(), resume_batch);
   EXPECT_EQ(reopened.entries().size(), reopened.checkpoint().num_tests);
 
@@ -529,6 +535,15 @@ TEST_F(MaintenanceTest, TruncatedChainTrimsToLastSnapshotAndResumesBitIdenticall
   const RunStats resumed = session.Run(*seeds_, Bounds(), &reopened);
   EXPECT_TRUE(reopened.checkpoint().complete);
   ExpectSameResults(resumed, reference);
+
+  // The writer cut the uncovered, torn tails before appending, so the
+  // finished corpus reopens to exactly the uninterrupted campaign.
+  const Corpus finished(dir);
+  ASSERT_EQ(finished.entries().size(), reference.tests.size());
+  for (size_t i = 0; i < reference.tests.size(); ++i) {
+    EXPECT_EQ(finished.entries()[i].input.values(), reference.tests[i].input.values())
+        << "entry " << i;
+  }
 }
 
 TEST_F(MaintenanceTest, ChainTruncatedThroughTheSnapshotOpensEmpty) {
@@ -542,7 +557,9 @@ TEST_F(MaintenanceTest, ChainTruncatedThroughTheSnapshotOpensEmpty) {
   ASSERT_GT(size, 16u);
   std::filesystem::resize_file(chain_path, 16);
 
+  const auto on_disk = testing::DirectoryBytes(dir);
   Corpus reopened(dir);
+  EXPECT_TRUE(testing::DirectoryBytes(dir) == on_disk) << "opening wrote to the corpus";
   EXPECT_TRUE(reopened.initialized());
   EXPECT_FALSE(reopened.has_checkpoint());
   EXPECT_TRUE(reopened.entries().empty());

@@ -1,8 +1,10 @@
 // Durable corpus + replay subsystem: a recorded campaign must survive
 // process boundaries (reopen), replay bit-identically, resume from an
 // interruption to results identical to an uninterrupted run (at any worker
-// count / batch size, with no double-counted forward passes or coverage),
-// and reject mismatched configs and tampered artifacts.
+// count / batch size, under every built-in scheduler, with no double-counted
+// forward passes or coverage), tolerate readers opening it mid-campaign
+// without writing a byte, and reject mismatched configs and tampered
+// artifacts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +24,7 @@
 #include "src/nn/model.h"
 #include "src/nn/softmax_layer.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace dx {
 namespace {
@@ -179,6 +182,46 @@ TEST_F(CorpusTest, RecordedCampaignSurvivesReopen) {
   }
 }
 
+// A reader may open the corpus of a running campaign at any batch boundary:
+// it sees the last snapshot, writes nothing, and the campaign still records
+// a corpus that reopens and replays bit for bit.
+TEST_F(CorpusTest, ReaderBetweenEveryBatchLeavesTheCorpusUntouched) {
+  const std::string dir = TempCorpusDir("reader");
+  SessionConfig config = BaseConfig();
+  config.sync_interval = 2;
+  RunStats recorded;
+  uint64_t opens = 0;
+  {
+    UnconstrainedImage constraint;
+    Session session(ModelPtrs(), &constraint, config);
+    Corpus corpus(dir);
+    RunOptions options = Bounds();
+    options.on_batch = [&](const RunProgress& progress) {
+      const auto on_disk = testing::DirectoryBytes(dir);
+      const Corpus reader(dir);
+      ++opens;
+      EXPECT_TRUE(testing::DirectoryBytes(dir) == on_disk)
+          << "opening after batch " << progress.batches << " wrote to the corpus";
+      ASSERT_TRUE(reader.has_checkpoint());
+      EXPECT_LE(reader.journal().size(), progress.batches);
+      EXPECT_EQ(reader.entries().size(), reader.checkpoint().num_tests);
+    };
+    recorded = session.Run(*seeds_, options, &corpus);
+    ASSERT_GT(recorded.tests.size(), 0u);
+    EXPECT_GE(opens, corpus.journal().size());
+  }
+
+  Corpus corpus(dir);
+  ASSERT_TRUE(corpus.has_checkpoint());
+  EXPECT_TRUE(corpus.checkpoint().complete);
+  EXPECT_EQ(corpus.entries().size(), recorded.tests.size());
+  UnconstrainedImage constraint;
+  Session session(ModelPtrs(), &constraint, config);
+  const ReplayResult result = session.Replay(corpus);
+  EXPECT_TRUE(result.ok) << result.mismatch;
+  ExpectSameResults(result.stats, recorded);
+}
+
 // ---- Replay ------------------------------------------------------------------------------
 
 class CorpusMetricTest : public CorpusTest,
@@ -296,11 +339,19 @@ TEST_F(CorpusTest, ReplayDetectsTamperedEntries) {
 
 // ---- Resume ------------------------------------------------------------------------------
 
-TEST_F(CorpusTest, InterruptedThenResumedMatchesUninterrupted) {
+class CorpusSchedulerTest : public CorpusTest,
+                            public ::testing::WithParamInterface<const char*> {};
+
+// A resume restores the scheduler by replaying the journal through it, which
+// must hold for coverage-gain too: its later passes are ordered by the
+// Report() stream.
+TEST_P(CorpusSchedulerTest, InterruptedThenResumedMatchesUninterrupted) {
+  SessionConfig base = BaseConfig();
+  base.scheduler = GetParam();
   RunStats reference;
   {
     UnconstrainedImage constraint;
-    Session session(ModelPtrs(), &constraint, BaseConfig());
+    Session session(ModelPtrs(), &constraint, base);
     reference = session.Run(*seeds_, Bounds());
     ASSERT_GT(reference.tests.size(), 0u);
   }
@@ -312,7 +363,7 @@ TEST_F(CorpusTest, InterruptedThenResumedMatchesUninterrupted) {
   int legs = 0;
   for (;; ++legs) {
     ASSERT_LT(legs, 64) << "campaign did not converge";
-    SessionConfig config = BaseConfig();
+    SessionConfig config = base;
     config.workers = (legs % 2 == 0) ? 1 : 4;
     config.batch_size = (legs % 3) + 1;
     UnconstrainedImage constraint;
@@ -328,6 +379,9 @@ TEST_F(CorpusTest, InterruptedThenResumedMatchesUninterrupted) {
   EXPECT_GT(legs, 2) << "interruption never split the campaign";
   ExpectSameResults(final_stats, reference);
 }
+
+INSTANTIATE_TEST_SUITE_P(BuiltInSchedulers, CorpusSchedulerTest,
+                         ::testing::Values("roundrobin", "coverage-gain"));
 
 TEST_F(CorpusTest, ResumeDoesNotDoubleCountForwardPassesOrCoverage) {
   // k-multisection profiles the seed pool at campaign start; a resume that

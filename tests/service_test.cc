@@ -1,6 +1,7 @@
 // Campaign service: concurrent campaigns multiplexed over one daemon must
-// stay bit-identical to standalone Session::Run; pause/resume and daemon
-// kill/restart/resume must not change results; the ctl protocol must reject
+// stay bit-identical to standalone Session::Run; pause/resume, daemon
+// kill/restart/resume and compacting a live campaign's corpus must not
+// change results or damage the corpus; the ctl protocol must reject
 // malformed and conflicting requests; /health and /metrics must serve
 // parseable introspection (Prometheus text format).
 #include <gtest/gtest.h>
@@ -368,6 +369,49 @@ TEST(ServiceTest, DrainRestartResumeIsBitIdentical) {
   ASSERT_EQ(done.state, CampaignState::kDone) << done.error;
 
   ExpectSameResults(daemon.manager().Results(id), standalone);
+}
+
+TEST(ServiceTest, CompactingARunningCampaignLeavesItIntact) {
+  const std::string corpus_dir = TempDir("corpus");
+  CampaignSpec spec = ToySpec("svc_toy_a");
+  spec.max_seed_passes = 8;
+  spec.max_iterations_per_seed = 250;
+  spec.corpus_dir = corpus_dir;
+  CampaignSpec uninterrupted = spec;
+  uninterrupted.corpus_dir.clear();
+  const RunStats standalone = StandaloneRun(uninterrupted, 2);
+
+  // Compact pauses the live campaign at a batch boundary, reads its corpus
+  // and requeues it; the campaign then writes on into the same corpus.
+  Daemon daemon(TestDaemonOptions());
+  daemon.Start();
+  const uint64_t id = daemon.manager().Submit(spec);
+  WaitFor(daemon.manager(), id, [](const CampaignStatus& s) {
+    return s.progress.batches >= 3 || Terminal(s);
+  });
+  CompactOptions compact;
+  compact.out_dir = TempDir("compacted");
+  compact.minimize = false;
+  const CompactResult result = daemon.manager().Compact(id, compact);
+  EXPECT_TRUE(result.verified);
+  EXPECT_TRUE(result.resumed);
+  const CampaignStatus done = WaitFor(daemon.manager(), id, Terminal);
+  ASSERT_EQ(done.state, CampaignState::kDone) << done.error;
+  ExpectSameResults(daemon.manager().Results(id), standalone);
+
+  const Corpus corpus(corpus_dir);
+  ASSERT_TRUE(corpus.has_checkpoint());
+  EXPECT_TRUE(corpus.checkpoint().complete);
+  ASSERT_EQ(corpus.entries().size(), standalone.tests.size());
+  for (size_t i = 0; i < standalone.tests.size(); ++i) {
+    const GeneratedTest& entry = corpus.entries()[i];
+    EXPECT_EQ(entry.input.values(), standalone.tests[i].input.values()) << "entry " << i;
+    EXPECT_EQ(entry.seed_index, standalone.tests[i].seed_index) << "entry " << i;
+    EXPECT_EQ(entry.iterations, standalone.tests[i].iterations) << "entry " << i;
+    EXPECT_EQ(entry.deviating_model, standalone.tests[i].deviating_model) << "entry " << i;
+    EXPECT_EQ(entry.task_ordinal, standalone.tests[i].task_ordinal) << "entry " << i;
+    EXPECT_EQ(entry.labels, standalone.tests[i].labels) << "entry " << i;
+  }
 }
 
 // ---- Error paths -----------------------------------------------------------

@@ -1,8 +1,8 @@
 // Shared test helpers: numerical differentiation for gradient checking, ULP/abs
 // float tolerances, the per-sample scalar oracle (single predictions and
 // batches), the harness that checks a layer's batch kernels against it, a
-// one-input disagreement check through Session::Predict, and a by-value
-// wrapper around Constraint::ApplyInto.
+// one-input disagreement check through Session::Predict, a by-value wrapper
+// around Constraint::ApplyInto, and a byte snapshot of a directory's files.
 #ifndef DX_TESTS_TEST_UTIL_H_
 #define DX_TESTS_TEST_UTIL_H_
 
@@ -13,8 +13,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -340,6 +344,19 @@ inline void ExpectBatchMatchesScalar(const Layer& layer, const Shape& in_shape, 
     ExpectTensorsNear(wide_pg[p], narrow_pg[p], tol.backward,
                       what + " param grad " + std::to_string(p) + " vs width 1");
   }
+}
+
+// Every file in `dir` by name, with its bytes: comparing two of these shows
+// whether anything was written in between.
+inline std::map<std::string, std::string> DirectoryBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[entry.path().filename().string()] = bytes.str();
+  }
+  return files;
 }
 
 }  // namespace dx::testing

@@ -449,4 +449,30 @@ rm -rf "$SPEECH_CORPUS_DIR"
   --corpus-dir "$SPEECH_CORPUS_DIR" > /dev/null
 "$BUILD_DIR/dxplore" --replay --corpus-dir "$SPEECH_CORPUS_DIR"
 
+echo "==> smoke: corpus stats polling a recording campaign never damages its corpus (tabular)"
+# Opening a corpus never writes, so a reader polling every 20 ms must neither
+# fail (other than before the manifest exists) nor stop the corpus replaying.
+POLLED_CORPUS_DIR="$BUILD_DIR/smoke_corpus_polled"
+rm -rf "$POLLED_CORPUS_DIR"
+"$BUILD_DIR/dxplore" --domain tabular --metric kmultisection \
+  --scheduler coverage-gain --seeds 4000 --workers 3 \
+  --corpus-dir "$POLLED_CORPUS_DIR" > /dev/null &
+CAMPAIGN_PID=$!
+POLLS=0
+while kill -0 "$CAMPAIGN_PID" 2> /dev/null; do
+  RC=0
+  OUT=$("$BUILD_DIR/dxplore" corpus stats --corpus-dir "$POLLED_CORPUS_DIR" 2>&1) || RC=$?
+  if [ "$RC" -ne 0 ] && ! echo "$OUT" | grep -q "holds no recorded campaign"; then
+    echo "==> FAILED ('dxplore corpus stats' exited $RC while the campaign recorded)"
+    echo "$OUT"
+    kill "$CAMPAIGN_PID" 2> /dev/null || true
+    exit 1
+  fi
+  POLLS=$((POLLS + 1))
+  sleep 0.02
+done
+wait "$CAMPAIGN_PID"
+echo "    $POLLS stats polls, none failed"
+"$BUILD_DIR/dxplore" --replay --corpus-dir "$POLLED_CORPUS_DIR"
+
 echo "==> OK"

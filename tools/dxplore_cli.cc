@@ -204,7 +204,7 @@ corpora (see `dxplore corpus --help`).
   invariant to both).
 
 stats summarizes the corpus (entries, per-model attribution, on-disk bytes,
-checkpoint chain shape) without loading models.
+checkpoint state) without loading models or writing anything.
 
 Transforms write a NEW derived corpus to --out (the source is never modified
 in place), then verify it with Session::Replay: every retained entry must
@@ -298,7 +298,6 @@ int CorpusMain(int argc, char** argv) {
     table.AddRow({"seeds", std::to_string(s.num_seeds)});
     table.AddRow({"journal batches", std::to_string(s.journal_batches)});
     table.AddRow({"chain snapshots", std::to_string(s.chain_snapshots)});
-    table.AddRow({"chain deltas", std::to_string(s.chain_deltas)});
     table.AddRow({"complete", s.complete ? "yes" : "no (resumable)"});
     table.AddRow({"mean coverage", TablePrinter::Percent(s.mean_coverage)});
     table.AddRow({"manifest bytes", std::to_string(s.manifest_bytes)});
