@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/nn/execution_plan.h"
 #include "src/nn/loss.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
@@ -50,22 +49,24 @@ std::vector<Tensor> AdversarialInputs(const Model& model, const Dataset& data, i
   return out;
 }
 
-void FgsmObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
-                               int pos, Tensor* grad) const {
+void FgsmObjective::Plan(const ObjectiveContext& ctx, int k, const Model& model,
+                         std::vector<LayerSeed>* terms, Tensor* /*grad*/) const {
   if (k != ctx.target_model) {
     return;
   }
-  const int last = plan.model().num_layers() - 1;
-  Tensor& seed = plan.AcquireSeed(last);
+  LayerSeed term;
+  term.layer = model.num_layers() - 1;
   if (ctx.regression) {
     // Push the output up; the engine's difference predicate fires as soon as
     // the target drifts steering_eps away from the (unmoved) other models.
-    seed[0] = 1.0f;
+    term.index = 0;
+    term.weight = 1.0f;
   } else {
     // Ascend the loss on the consensus class == descend its confidence.
-    seed[ctx.consensus] = -1.0f;
+    term.index = ctx.consensus;
+    term.weight = -1.0f;
   }
-  grad->AddInPlace(plan.BackwardSample(pos, last, seed));
+  terms->push_back(term);
 }
 
 }  // namespace dx

@@ -32,13 +32,14 @@ std::vector<Tensor> AdversarialInputs(const Model& model, const Dataset& data, i
 
 // FGSM as an engine strategy: ascends the target model's loss against the
 // seed-time consensus (classification: pushes down F_j(x)[c]; regression:
-// pushes the output away from its seed value). The other models contribute
-// nothing — a single-model attack, unlike the differential objective.
+// pushes the output away from its seed value): one term on the target
+// model's last layer. The other models contribute nothing — a single-model
+// attack, unlike the differential objective.
 class FgsmObjective : public Objective {
  public:
   std::string name() const override { return "fgsm"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                  Tensor* grad) const override;
+  void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+            std::vector<LayerSeed>* terms, Tensor* grad) const override;
 };
 
 }  // namespace dx

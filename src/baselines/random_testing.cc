@@ -19,9 +19,9 @@ std::vector<Tensor> RandomInputs(const Dataset& data, int k, Rng& rng) {
   return out;
 }
 
-void RandomPerturbationObjective::Accumulate(const ObjectiveContext& ctx, int k,
-                                             ExecutionPlan& /*plan*/, int /*pos*/,
-                                             Tensor* grad) const {
+void RandomPerturbationObjective::Plan(const ObjectiveContext& ctx, int k,
+                                       const Model& /*model*/,
+                                       std::vector<LayerSeed>* /*terms*/, Tensor* grad) const {
   if (k != 0) {
     return;  // One direction per iteration, whatever the model count.
   }

@@ -29,9 +29,10 @@ std::vector<Tensor> RandomInputs(const Dataset& data, int k, Rng& rng);
 class RandomPerturbationObjective : public Objective {
  public:
   std::string name() const override { return "random"; }
-  // Gradient-free: the direction ignores the plan and its trace.
-  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                  Tensor* grad) const override;
+  // Gradient-free: plans no term and adds the direction into `grad`
+  // directly (a direct input-space term).
+  void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+            std::vector<LayerSeed>* terms, Tensor* grad) const override;
 };
 
 }  // namespace dx

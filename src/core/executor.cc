@@ -20,6 +20,7 @@ ExecutorProfile& ExecutorProfile::operator+=(const ExecutorProfile& other) {
   constraint_seconds += other.constraint_seconds;
   coverage_seconds += other.coverage_seconds;
   iterations += other.iterations;
+  rows += other.rows;
   return *this;
 }
 
@@ -33,6 +34,8 @@ struct Executor::ChunkState {
     int consensus = 0;  // Seed-time consensus class (classification).
     int target = 0;     // j: the model pushed away from the consensus.
     int pos = 0;        // This task's sample index within the plan traces.
+    // Per model: the objective's terms for the current iteration.
+    std::vector<std::vector<LayerSeed>> terms;
   };
 
   int capacity = 0;
@@ -43,6 +46,7 @@ struct Executor::ChunkState {
   std::vector<TaskState> states;
   std::vector<int> active;
   std::vector<int> still_active;
+  std::vector<LayerSeed> rows;       // One term's seed per trace row.
   Prediction prediction;             // Per model, current sample.
 };
 
@@ -85,6 +89,10 @@ std::unique_ptr<Executor::ChunkState> Executor::AcquireState(int width) const {
     state->grads.assign(static_cast<size_t>(width), Tensor(in_shape));
     state->direction = Tensor(in_shape);
     state->states.resize(static_cast<size_t>(width));
+    for (ChunkState::TaskState& task_state : state->states) {
+      task_state.terms.resize(models_.size());
+    }
+    state->rows.reserve(static_cast<size_t>(width));
     if (regression_) {
       state->prediction.outputs.resize(models_.size());
     } else {
@@ -227,10 +235,13 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
     // 1. Objective gradients against the shared plan traces — backward only,
     //    no re-forward — then the constrained ascent step (Algorithm 1
     //    l. 8-16). Everything writes into reused buffers.
+    //
+    //    a. Every task plans its terms (and draws its picks) model by model.
+    if (profiling) phase.Reset();
+    prof.rows += static_cast<int64_t>(cs.active.size());
     for (const int t : cs.active) {
       const SeedTask& task = tasks[static_cast<size_t>(t)];
       ChunkState::TaskState& state = cs.states[static_cast<size_t>(t)];
-      if (profiling) phase.Reset();
       Tensor& grad = cs.grads[static_cast<size_t>(t)];
       grad.Fill(0.0f);
       ObjectiveContext ctx;
@@ -242,33 +253,76 @@ std::vector<std::optional<GeneratedTest>> Executor::Run(
       ctx.lambda2 = engine_->lambda2;
       ctx.rng = task.rng;
       for (int k = 0; k < num_k; ++k) {
-        objective.Accumulate(ctx, k, cs.plans[static_cast<size_t>(k)], state.pos, &grad);
+        std::vector<LayerSeed>& terms = state.terms[static_cast<size_t>(k)];
+        terms.clear();
+        objective.Plan(ctx, k, *models_[static_cast<size_t>(k)], &terms, &grad);
       }
-      if (engine_->normalize_gradient) {
-        // RMS-normalize (as in the reference implementation) so the step
-        // size s is meaningful regardless of softmax saturation.
+    }
+    //    b. One batched backward per (model, term slot) over every row; each
+    //       task adds its row in (model, term) order.
+    for (int k = 0; k < num_k; ++k) {
+      ExecutionPlan& plan = cs.plans[static_cast<size_t>(k)];
+      size_t slots = 0;
+      for (const int t : cs.active) {
+        slots = std::max(
+            slots, cs.states[static_cast<size_t>(t)].terms[static_cast<size_t>(k)].size());
+      }
+      for (size_t j = 0; j < slots; ++j) {
+        cs.rows.assign(static_cast<size_t>(plan.width()), LayerSeed{});
+        for (const int t : cs.active) {
+          const ChunkState::TaskState& state = cs.states[static_cast<size_t>(t)];
+          const std::vector<LayerSeed>& terms = state.terms[static_cast<size_t>(k)];
+          if (j < terms.size()) {
+            cs.rows[static_cast<size_t>(state.pos)] = terms[j];
+          }
+        }
+        const Tensor& rows_grad = plan.BackwardRows(cs.rows);
+        for (const int t : cs.active) {
+          const ChunkState::TaskState& state = cs.states[static_cast<size_t>(t)];
+          if (cs.rows[static_cast<size_t>(state.pos)].layer == LayerSeed::kNone) {
+            continue;  // No term in this slot.
+          }
+          const float* src = rows_grad.data() + static_cast<int64_t>(state.pos) * in_stride;
+          float* dst = cs.grads[static_cast<size_t>(t)].data();
+          for (int64_t i = 0; i < in_stride; ++i) {
+            dst[i] += src[i];
+          }
+        }
+      }
+    }
+    if (engine_->normalize_gradient) {
+      // RMS-normalize (as in the reference implementation) so the step size
+      // s is meaningful regardless of softmax saturation.
+      for (const int t : cs.active) {
+        Tensor& grad = cs.grads[static_cast<size_t>(t)];
         const float rms = grad.L2Norm() /
                           std::sqrt(static_cast<float>(std::max<int64_t>(1, grad.numel())));
         grad.Scale(1.0f / (rms + 1e-5f));
       }
-      if (profiling) {
-        // The plans timed their backward layer chains from the inside; what
-        // remains of the phase is the objective's own work (seed setup,
-        // gradient accumulation, RMS normalization).
-        const double elapsed = phase.ElapsedSeconds();
-        double backward = 0.0;
-        for (int k = 0; k < num_k; ++k) {
-          backward += cs.plans[static_cast<size_t>(k)].ConsumeBackwardSeconds();
-        }
-        prof.backward_layers_seconds += backward;
-        prof.objective_accumulate_seconds += std::max(0.0, elapsed - backward);
+    }
+    if (profiling) {
+      // The plans timed their backward calls from the inside; what remains
+      // of the phase is the objective's own work (planning, neuron picks,
+      // gradient accumulation, RMS normalization).
+      const double elapsed = phase.ElapsedSeconds();
+      double backward = 0.0;
+      for (int k = 0; k < num_k; ++k) {
+        backward += cs.plans[static_cast<size_t>(k)].ConsumeBackwardSeconds();
       }
-      if (profiling) phase.Reset();
-      constraint_->ApplyInto(grad, state.x, *task.rng, &cs.direction);
+      prof.backward_layers_seconds += backward;
+      prof.objective_accumulate_seconds += std::max(0.0, elapsed - backward);
+    }
+    //    c. The constrained step per task.
+    if (profiling) phase.Reset();
+    for (const int t : cs.active) {
+      const SeedTask& task = tasks[static_cast<size_t>(t)];
+      ChunkState::TaskState& state = cs.states[static_cast<size_t>(t)];
+      constraint_->ApplyInto(cs.grads[static_cast<size_t>(t)], state.x, *task.rng,
+                             &cs.direction);
       state.x.Axpy(engine_->step, cs.direction);
       constraint_->ProjectInput(&state.x);
-      if (profiling) prof.constraint_seconds += phase.ElapsedSeconds();
     }
+    if (profiling) prof.constraint_seconds += phase.ElapsedSeconds();
 
     // 2. The iteration's single shared forward pass at the stepped inputs.
     const int width = static_cast<int>(cs.active.size());

@@ -6,8 +6,10 @@
 // shares the resulting traces between the three consumers that historically
 // each re-forwarded the same input:
 //
-//   1. the objective gradient (Objective::Accumulate reads a sample of the
-//      trace),
+//   1. the objective gradient: every task plans its terms
+//      (Objective::Plan), then each model backpropagates each term slot
+//      once over all rows of the chunk (ExecutionPlan::BackwardRows) and
+//      each task adds its row into its own gradient,
 //   2. the difference check (the session-wide oracle, ModelsDisagree and
 //      DeviatingModel, over per-model argmax / scalar outputs), and
 //   3. the coverage update of a finished seed (CoverageMetric::UpdateBatch).
@@ -19,7 +21,7 @@
 //
 // Zero-allocation steady state: all per-chunk storage — one compiled
 // ExecutionPlan per model (src/nn/execution_plan.h), the stacked-input
-// buffer, per-task gradient and direction buffers — lives in a pooled
+// buffer, per-task gradient, term and direction buffers — lives in a pooled
 // ChunkState that Run borrows and returns. After warm-up (first Run at a
 // given chunk width per concurrent caller), an iteration that finds no test
 // performs no heap allocation at all: layer kernels write into plan slabs,
@@ -30,7 +32,10 @@
 // Batch invariance: per-task state (RNG stream, coverage trackers) stays
 // isolated per task, and every plan kernel computes each sample exactly as
 // it would in a width-1 chunk, so results are independent of the chunk
-// composition — any batch size reproduces a one-seed chunk bit for bit.
+// composition — any batch size reproduces a one-seed chunk bit for bit. The
+// batched backward keeps it: a BackwardRows row equals that sample's
+// width-1 backward, and each task's RNG draws and gradient adds keep the
+// order a one-seed chunk has (the contract in src/core/objective.h).
 #ifndef DX_SRC_CORE_EXECUTOR_H_
 #define DX_SRC_CORE_EXECUTOR_H_
 
@@ -54,14 +59,17 @@ struct ExecutorProfile {
   double stack_seconds = 0.0;     // Stacking inputs into the batch buffer.
   double forward_seconds = 0.0;   // Batched forward passes (all models).
   // The old `gradient` phase, split so kernel-level backward optimizations
-  // are visible: time inside the plans' backward layer chains vs everything
-  // else in the objective step (seed construction, neuron bookkeeping,
-  // gradient accumulation, RMS normalization).
+  // are visible: time inside the plans' backward calls (layer chains and
+  // seed writes) vs everything else in the objective step (term planning,
+  // neuron picks, gradient accumulation, RMS normalization).
   double backward_layers_seconds = 0.0;
   double objective_accumulate_seconds = 0.0;
   double constraint_seconds = 0.0;  // Constraint apply + step + projection.
   double coverage_seconds = 0.0;    // Difference checks + coverage updates.
   int64_t iterations = 0;           // Batched lockstep iterations measured.
+  // Rows in the gradient half, summed over iterations: rows / iterations is
+  // the mean chunk width the batched backward runs at.
+  int64_t rows = 0;
 
   ExecutorProfile& operator+=(const ExecutorProfile& other);
   double TotalSeconds() const {

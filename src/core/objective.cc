@@ -5,49 +5,46 @@
 
 #include "src/baselines/adversarial.h"
 #include "src/baselines/random_testing.h"
-#include "src/nn/execution_plan.h"
 #include "src/util/registry.h"
 #include "src/util/rng.h"
 
 namespace dx {
 
-void DifferentialObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
-                                       int pos, Tensor* grad) const {
-  const Model& model = plan.model();
-  const float weight = k == ctx.target_model ? -ctx.lambda1 : 1.0f;
-  const int last = model.num_layers() - 1;
-  Tensor& seed = plan.AcquireSeed(last);
-  if (ctx.regression) {
-    seed[0] = weight;
-  } else {
-    seed[ctx.consensus] = weight;
-  }
-  grad->AddInPlace(plan.BackwardSample(pos, last, seed));
+void DifferentialObjective::Plan(const ObjectiveContext& ctx, int k, const Model& model,
+                                 std::vector<LayerSeed>* terms, Tensor* /*grad*/) const {
+  LayerSeed term;
+  term.layer = model.num_layers() - 1;
+  term.index = ctx.regression ? 0 : ctx.consensus;
+  term.weight = k == ctx.target_model ? -ctx.lambda1 : 1.0f;
+  terms->push_back(term);
 }
 
-void CoverageObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
-                                   int pos, Tensor* grad) const {
+void CoverageObjective::Plan(const ObjectiveContext& ctx, int k, const Model& /*model*/,
+                             std::vector<LayerSeed>* terms, Tensor* /*grad*/) const {
   if (ctx.lambda2 == 0.0f) {
-    return;  // Disabled: no gradient and, crucially, no rng draw.
+    return;  // Disabled: no term and, crucially, no rng draw.
   }
   const CoverageMetric& metric = *(*ctx.metrics)[static_cast<size_t>(k)];
   NeuronId id;
   if (!metric.PickUncovered(*ctx.rng, &id)) {
     return;  // Everything covered: nothing to add (Algorithm 1 line 33).
   }
-  Tensor& seed = plan.AcquireSeed(id.layer);
-  plan.model().layer(id.layer).AddNeuronSeed(&seed, id.index, ctx.lambda2);
-  grad->AddInPlace(plan.BackwardSample(pos, id.layer, seed));
+  LayerSeed term;
+  term.layer = id.layer;
+  term.index = id.index;
+  term.weight = ctx.lambda2;
+  term.neuron = true;
+  terms->push_back(term);
 }
 
 CompositeObjective::CompositeObjective(std::string name,
                                        std::vector<std::unique_ptr<Objective>> parts)
     : name_(std::move(name)), parts_(std::move(parts)) {}
 
-void CompositeObjective::Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan,
-                                    int pos, Tensor* grad) const {
+void CompositeObjective::Plan(const ObjectiveContext& ctx, int k, const Model& model,
+                              std::vector<LayerSeed>* terms, Tensor* grad) const {
   for (const auto& part : parts_) {
-    part->Accumulate(ctx, k, plan, pos, grad);
+    part->Plan(ctx, k, model, terms, grad);
   }
 }
 

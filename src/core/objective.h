@@ -1,9 +1,12 @@
 // Objective: the pluggable per-iteration gradient contribution of the engine.
 //
-// Each gradient-ascent step the session forwards the current input through
-// every model and asks the objective to accumulate d(objective)/d(input) into
-// the joint gradient, one model at a time. The paper's joint objective
-// (Equation 4) is the composition of two plug-ins:
+// Each gradient-ascent step the executor needs d(objective)/d(input) of every
+// active seed. An objective does not backpropagate itself: it *plans* terms.
+// A term is a LayerSeed (src/nn/execution_plan.h) — a seed on one layer's
+// output of one model — and the executor runs one batched
+// ExecutionPlan::BackwardRows per (model, term) over every seed of the chunk,
+// then adds each seed's row into that seed's gradient. The paper's joint
+// objective (Equation 4) is the composition of two plug-ins:
 //
 //   DifferentialObjective   Σ_{k≠j} F_k(x)[c] − λ1 · F_j(x)[c]   (Equation 2)
 //   CoverageObjective       λ2 · f_n(x), one uncovered neuron     (Equation 3)
@@ -14,8 +17,19 @@
 // selected by name through MakeObjective ("joint", "differential", "fgsm",
 // "random") or injected directly via Session::SetObjective.
 //
+// Order contract (what keeps results bit-identical to per-seed evaluation):
+//   * Plan is called once per (active seed, model), models in ascending k,
+//     after the seed's gradient was zeroed. Draws from ctx.rng happen here,
+//     in that order, before the constraint's draws for the same step.
+//   * A seed's terms are added into its gradient in (model, term) order:
+//     model 0's terms in the order Plan recorded them, then model 1's, ...
+//   * A direct input-space term (a gradient-free objective's direction) is
+//     added into `grad` by Plan itself, so it precedes every backward term
+//     of the seed.
+//
 // Objectives must be stateless across calls (all mutable inputs arrive via
-// ObjectiveContext): one instance is shared by all parallel workers.
+// ObjectiveContext and the Plan arguments): one instance is shared by all
+// parallel workers.
 #ifndef DX_SRC_CORE_OBJECTIVE_H_
 #define DX_SRC_CORE_OBJECTIVE_H_
 
@@ -25,14 +39,14 @@
 #include <vector>
 
 #include "src/coverage/coverage_metric.h"
+#include "src/nn/execution_plan.h"
 
 namespace dx {
 
-class ExecutionPlan;
 class Rng;
 
 // Everything an objective may read for one gradient evaluation. Pointers are
-// non-owning and valid only for the duration of the Accumulate call.
+// non-owning and valid only for the duration of the Plan call.
 struct ObjectiveContext {
   // Per-model coverage trackers, indexed like the session's models (the
   // task-local clones under a parallel run).
@@ -51,44 +65,47 @@ class Objective {
 
   virtual std::string name() const = 0;
 
-  // Adds this objective's gradient contribution for model `k` into `grad`
-  // (per-sample, shaped like the model input), evaluated at sample `pos` of
-  // `plan`'s current trace — model k's forward pass of the current input.
-  // The executor calls it for every model on every iteration. Backprop runs
-  // through the plan's reused buffers (ExecutionPlan::AcquireSeed /
-  // BackwardSample), so the built-in objectives allocate nothing.
-  virtual void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                          Tensor* grad) const = 0;
+  // Plans this objective's contribution for model `k` of one seed: appends
+  // its terms — seeds on `model`'s layer outputs, evaluated later at the
+  // seed's current input — to `terms`, and adds any direct input-space term
+  // into `grad` (the seed's gradient, shaped like the model input). See the
+  // order contract above. The built-in objectives allocate nothing once
+  // `terms` has its capacity.
+  virtual void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+                    std::vector<LayerSeed>* terms, Tensor* grad) const = 0;
 };
 
 // Equation 2: push every model's consensus confidence up except model j's,
-// which is pushed down with weight λ1. For regression models the raw output
-// takes the place of the consensus-class confidence.
+// which is pushed down with weight λ1. One term per model, on the last
+// layer's consensus element; for regression models the raw output (element
+// 0) takes the place of the consensus-class confidence.
 class DifferentialObjective : public Objective {
  public:
   std::string name() const override { return "differential"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                  Tensor* grad) const override;
+  void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+            std::vector<LayerSeed>* terms, Tensor* grad) const override;
 };
 
 // Equation 3: λ2 · d(neuron)/d(input) for one currently-uncovered neuron of
-// model k, nominated by the model's coverage metric. No-op when λ2 = 0 or
-// the metric is saturated.
+// model k, nominated by the model's coverage metric: one neuron term through
+// Layer::AddNeuronSeed. No term when the metric is saturated; with λ2 = 0 no
+// term and no pick, so no draw.
 class CoverageObjective : public Objective {
  public:
   std::string name() const override { return "coverage"; }
-  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                  Tensor* grad) const override;
+  void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+            std::vector<LayerSeed>* terms, Tensor* grad) const override;
 };
 
-// Sum of sub-objectives (the λ weights live inside the parts, via ctx).
+// Sum of sub-objectives (the λ weights live inside the parts, via ctx): the
+// parts plan in order, so their terms are added in that order.
 class CompositeObjective : public Objective {
  public:
   CompositeObjective(std::string name, std::vector<std::unique_ptr<Objective>> parts);
 
   std::string name() const override { return name_; }
-  void Accumulate(const ObjectiveContext& ctx, int k, ExecutionPlan& plan, int pos,
-                  Tensor* grad) const override;
+  void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+            std::vector<LayerSeed>* terms, Tensor* grad) const override;
 
  private:
   std::string name_;

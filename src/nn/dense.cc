@@ -206,9 +206,10 @@ void Dense::BackwardBatchInto(const Tensor& input, const Tensor& output,
   // already [out, in] row-major, exactly the B matrix of gi[b, i] =
   // Σ_o gpre[b, o] · W[o, i]). Each gradient element is one ascending-o FMA
   // chain and threading partitions over rows (= samples), so results are
-  // invariant to batch width, SIMD width, and thread count, and the batch-1
-  // BackwardSample hot loop (M == 1) vectorizes over in_features in the edge
-  // kernel. GemmBias overwrites C, so no zero-fill is needed.
+  // invariant to batch width, SIMD width, and thread count: a row of the
+  // executor's batched BackwardRows equals the width-1 BackwardSample
+  // (M == 1, vectorized over in_features in the edge kernel) bit for bit.
+  // GemmBias overwrites C, so no zero-fill is needed.
   GemmBias(batch, in_features_, out_features_, grad_pre->data(), out_features_,
            weight_.data(), in_features_, /*bias=*/nullptr, grad_input->data(),
            in_features_);

@@ -48,6 +48,13 @@ ExecutionPlan::ExecutionPlan(const Model& model, int max_batch)
           Tensor(BatchedShape(max_batch, model.layer_output_shape(l - 1)));
     }
   }
+  first_flat_ = num_layers;
+  while (first_flat_ > 0 && model.layer_output_shape(first_flat_ - 1).size() == 1) {
+    --first_flat_;
+  }
+  if (first_flat_ < num_layers) {
+    bw_output_ = Tensor(BatchedShape(max_batch, model.layer_output_shape(num_layers - 1)));
+  }
   bw_input_batch_ = Tensor(BatchedShape(max_batch, model.input_shape()));
   bw_input_sample_ = Tensor(model.input_shape());
   param_slices_ = model.ParamSlices();
@@ -130,15 +137,6 @@ const Tensor& ExecutionPlan::BackwardInputBatch(int from_layer, const Tensor& se
   Timer timer;
   const Tensor* grad = &seed;
   for (int l = from_layer; l >= 0; --l) {
-    Tensor* gi;
-    if (l >= 1) {
-      gi = &bw_[static_cast<size_t>(l)];
-    } else {
-      gi = &bw_input_batch_;
-    }
-    gi->SetBatchDim(width_);
-    Workspace& ws = bwd_ws_[static_cast<size_t>(l)];
-    ws.Rewind();
     // Input-only mode (param_grads == nullptr, the hot loop) passes nullptr
     // straight through — no view vector, no allocation. The param-grads mode
     // moves each layer's slice of the flat vector out, hands it to the
@@ -153,10 +151,7 @@ const Tensor& ExecutionPlan::BackwardInputBatch(int from_layer, const Tensor& se
       }
       layer_grads = &view;
     }
-    model_->layer(l).BackwardBatchInto(trace_.LayerInput(l),
-                                       trace_.outputs[static_cast<size_t>(l)], *grad,
-                                       trace_.aux[static_cast<size_t>(l)], width_, gi,
-                                       &ws, layer_grads);
+    grad = BackwardLayerBatch(l, *grad, layer_grads);
     if (layer_grads != nullptr) {
       const auto [offset, count] = param_slices_[static_cast<size_t>(l)];
       for (int i = 0; i < count; ++i) {
@@ -164,12 +159,105 @@ const Tensor& ExecutionPlan::BackwardInputBatch(int from_layer, const Tensor& se
             std::move(view[static_cast<size_t>(i)]);
       }
     }
-    grad = gi;
   }
   if (profiling_) {
     backward_seconds_ += timer.ElapsedSeconds();
   }
   return bw_input_batch_;
+}
+
+Tensor* ExecutionPlan::BackwardLayerBatch(int l, const Tensor& grad,
+                                          std::vector<Tensor>* layer_grads) {
+  Tensor* gi = l >= 1 ? &bw_[static_cast<size_t>(l)] : &bw_input_batch_;
+  gi->SetBatchDim(width_);
+  Workspace& ws = bwd_ws_[static_cast<size_t>(l)];
+  ws.Rewind();
+  model_->layer(l).BackwardBatchInto(trace_.LayerInput(l), trace_.outputs[static_cast<size_t>(l)],
+                                     grad, trace_.aux[static_cast<size_t>(l)], width_, gi, &ws,
+                                     layer_grads);
+  return gi;
+}
+
+const Tensor& ExecutionPlan::BackwardRows(const std::vector<LayerSeed>& rows) {
+  if (width_ == 0) {
+    throw std::logic_error("ExecutionPlan::BackwardRows: no trace (run ForwardBatch)");
+  }
+  if (rows.size() != static_cast<size_t>(width_)) {
+    throw std::invalid_argument("ExecutionPlan::BackwardRows: " + std::to_string(rows.size()) +
+                                " rows for a width-" + std::to_string(width_) + " trace");
+  }
+  int top = LayerSeed::kNone;
+  for (const LayerSeed& row : rows) {
+    if (row.layer < LayerSeed::kNone || row.layer >= model_->num_layers()) {
+      throw std::out_of_range("ExecutionPlan::BackwardRows: bad layer " +
+                              std::to_string(row.layer));
+    }
+    if (row.layer != LayerSeed::kNone && !row.neuron &&
+        (row.index < 0 || row.index >= out_numel_[static_cast<size_t>(row.layer)])) {
+      throw std::out_of_range("ExecutionPlan::BackwardRows: bad element index " +
+                              std::to_string(row.index));
+    }
+    top = std::max(top, row.layer);
+  }
+  Timer timer;
+  bw_input_batch_.SetBatchDim(width_);
+  // The flat top run, batched. The chain starts at the highest seeded layer
+  // with every row zero; a row's seed replaces its zero row when the chain
+  // reaches its layer.
+  if (top >= first_flat_) {
+    const int last = model_->num_layers() - 1;
+    Tensor* grad = top == last ? &bw_output_ : &bw_[static_cast<size_t>(top) + 1];
+    grad->SetBatchDim(width_);
+    grad->Fill(0.0f);
+    for (int l = top; l >= first_flat_; --l) {
+      const int64_t stride = out_numel_[static_cast<size_t>(l)];
+      for (int b = 0; b < width_; ++b) {
+        if (rows[static_cast<size_t>(b)].layer == l) {
+          const Tensor& seed = WriteSeed(rows[static_cast<size_t>(b)]);
+          std::copy(seed.data(), seed.data() + stride,
+                    grad->data() + static_cast<int64_t>(b) * stride);
+        }
+      }
+      grad = BackwardLayerBatch(l, *grad, nullptr);
+    }
+  }
+  // Below the flat run, row by row: a row seeded above continues from its
+  // row of the chain, a row seeded here starts from its own seed.
+  if (first_flat_ > 0) {
+    const int below = first_flat_ - 1;
+    const int64_t stride = out_numel_[static_cast<size_t>(below)];
+    for (int b = 0; b < width_; ++b) {
+      const LayerSeed& row = rows[static_cast<size_t>(b)];
+      if (row.layer == LayerSeed::kNone) {
+        continue;
+      }
+      const Tensor* seed;
+      if (row.layer >= first_flat_) {
+        Tensor& carried = seeds_[static_cast<size_t>(below)];
+        const float* src = bw_[static_cast<size_t>(first_flat_)].data() + b * stride;
+        std::copy(src, src + stride, carried.data());
+        seed = &carried;
+      } else {
+        seed = &WriteSeed(row);
+      }
+      const Tensor& g = BackwardSampleChain(b, std::min(row.layer, below), *seed);
+      std::copy(g.data(), g.data() + input_numel_, bw_input_batch_.data() + b * input_numel_);
+    }
+  }
+  if (profiling_) {
+    backward_seconds_ += timer.ElapsedSeconds();
+  }
+  return bw_input_batch_;
+}
+
+Tensor& ExecutionPlan::WriteSeed(const LayerSeed& seed) {
+  Tensor& buffer = AcquireSeed(seed.layer);
+  if (seed.neuron) {
+    model_->layer(seed.layer).AddNeuronSeed(&buffer, seed.index, seed.weight);
+  } else {
+    buffer[seed.index] = seed.weight;
+  }
+  return buffer;
 }
 
 Tensor& ExecutionPlan::AcquireSeed(int layer) {
@@ -223,8 +311,16 @@ const Tensor& ExecutionPlan::BackwardSample(int pos, int from_layer, const Tenso
   if (seed.numel() != out_numel_[static_cast<size_t>(from_layer)]) {
     throw std::invalid_argument("ExecutionPlan::BackwardSample: seed size mismatch");
   }
-  EnsureSample(pos);
   Timer timer;
+  const Tensor& result = BackwardSampleChain(pos, from_layer, seed);
+  if (profiling_) {
+    backward_seconds_ += timer.ElapsedSeconds();
+  }
+  return result;
+}
+
+const Tensor& ExecutionPlan::BackwardSampleChain(int pos, int from_layer, const Tensor& seed) {
+  EnsureSample(pos);
   const Tensor* grad = &seed;
   for (int l = from_layer; l >= 1; --l) {
     Tensor& gi = bw_[static_cast<size_t>(l)];
@@ -241,9 +337,6 @@ const Tensor& ExecutionPlan::BackwardSample(int pos, int from_layer, const Tenso
   model_->layer(0).BackwardBatchInto(sample_.input, sample_.outputs[0], *grad,
                                      sample_.aux[0], 1, &bw_input_sample_, &bwd_ws_[0],
                                      nullptr);
-  if (profiling_) {
-    backward_seconds_ += timer.ElapsedSeconds();
-  }
   return bw_input_sample_;
 }
 

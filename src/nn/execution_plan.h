@@ -5,24 +5,25 @@
 // backward passes will ever touch up front:
 //
 //   * one output slab per layer (the plan-owned BatchTrace),
-//   * a width-1 sample trace for per-sample objective backprop and
-//     coverage updates,
-//   * the backward gradient chain (one buffer per layer boundary) plus
-//     batched and per-sample final input-gradient buffers,
-//   * per-layer seed buffers for objective gradients, and
+//   * a width-1 sample trace for the per-row part of the batched backward
+//     and for coverage updates,
+//   * the backward gradient chain (one buffer per layer boundary, plus the
+//     output layer's when that layer is flat) and batched and per-sample
+//     final input-gradient buffers,
+//   * per-layer width-1 seed buffers, and
 //   * a Workspace arena (src/tensor/workspace.h) for layer-kernel scratch
 //     (dense transpose, activation-grad intermediates, residual recompute).
 //
 // After the plan has executed once at a given width ("warm-up"), every
-// subsequent ForwardBatch / BackwardSample / SampleTrace call performs ZERO
-// heap allocations: slabs are resized in place within reserved capacity and
-// the arena reuses its slots. One caveat: the batched BackwardInputBatch and
-// the per-sample BackwardSample share the per-layer backward scratch arenas,
-// so *alternating* between them each iteration flips the scratch shapes
-// between [width, ...] and [1, ...] and re-allocates Shape storage per flip —
-// steady-state zero-allocation holds for a stable call pattern (the executor
-// hot loop uses BackwardSample only; tests/alloc_test.cc enforces that
-// path).
+// subsequent ForwardBatch / BackwardRows / BackwardSample / SampleTrace call
+// performs ZERO heap allocations: slabs are resized in place within reserved
+// capacity and the arena reuses its slots. One caveat: the batched entry
+// points and the per-sample BackwardSample share the per-layer backward
+// scratch arenas, so *alternating* BackwardSample with a batched call on the
+// same flat layers flips their scratch shapes between [width, ...] and
+// [1, ...] and re-allocates Shape storage per flip — steady-state
+// zero-allocation holds for a stable call pattern (the executor hot loop
+// calls BackwardRows only; tests/alloc_test.cc enforces that path).
 //
 // Numerics: the plan runs the Layer::*Into kernels, whose hot paths (Dense,
 // Conv2D) use im2col/GEMM + SIMD (src/nn/gemm.h, src/tensor/simd.h) in BOTH
@@ -60,6 +61,19 @@
 #include "src/tensor/workspace.h"
 
 namespace dx {
+
+// A seed on one layer's per-sample output: the entry of one row into
+// ExecutionPlan::BackwardRows, and the unit an Objective plans. The seed is
+// zero except element `index`, set to `weight`, or — when `neuron` is set —
+// what Layer::AddNeuronSeed(index, weight) adds for coverage neuron `index`.
+// `layer` == kNone marks a row that takes no part.
+struct LayerSeed {
+  static constexpr int kNone = -1;
+  int layer = kNone;
+  int index = 0;
+  float weight = 0.0f;
+  bool neuron = false;
+};
 
 class ExecutionPlan {
  public:
@@ -107,10 +121,29 @@ class ExecutionPlan {
   const Tensor& BackwardInputBatch(int from_layer, const Tensor& seed,
                                    std::vector<Tensor>* param_grads = nullptr);
 
-  // ---- Per-sample entry points (the objective-gradient hot loop) ---------
+  // Batched backward of one seeded term per row — the executor's gradient
+  // half. rows[b] seeds sample b of the current trace at its own layer
+  // (LayerSeed::kNone: sample b takes no part); rows.size() must equal
+  // width(). Returns a reused [width, ...input_shape] buffer whose row b is
+  // bit-identical to BackwardSample(b, rows[b].layer, <rows[b]'s seed>);
+  // rows without a seed hold unspecified values.
+  //
+  // Rows stay batched while the layer's per-sample output is flat (dense,
+  // softmax, flatten, dropout after a flatten): each such layer runs one
+  // kernel call over all rows, and a row joins the chain when the chain
+  // reaches the row's layer. Below the first layer with a spatial output (conv, pool,
+  // batchnorm, residual) each row finishes alone through BackwardSample's
+  // width-1 code — conv backward already runs one GEMM per sample, so
+  // batching it would only multiply its scratch. Overwrites the AcquireSeed
+  // buffers. Throws std::invalid_argument for a wrong-length `rows` and
+  // std::out_of_range for a bad layer or element index.
+  const Tensor& BackwardRows(const std::vector<LayerSeed>& rows);
+
+  // ---- Per-sample entry points -------------------------------------------
 
   // A reusable zero-filled seed buffer shaped like layer `layer`'s
-  // per-sample output. Valid until the next AcquireSeed(layer) call.
+  // per-sample output. Valid until the next AcquireSeed(layer) or
+  // BackwardRows call.
   Tensor& AcquireSeed(int layer);
 
   // d(seed·out_from of sample `pos`)/d(input): backpropagates through a
@@ -118,8 +151,8 @@ class ExecutionPlan {
   // for the same pos). `seed` needs out-numel elements (shape free, e.g. an
   // AcquireSeed buffer). Returns a reused input-shaped buffer matching
   // Model::BackwardInput on sample `pos` within the kernel backward
-  // tolerance — and bit-identical to BackwardInputBatch's slice for this
-  // sample at any width.
+  // tolerance — and bit-identical to BackwardInputBatch's and BackwardRows'
+  // row for this sample at any width.
   const Tensor& BackwardSample(int pos, int from_layer, const Tensor& seed);
 
   // Width-1 trace holding sample `pos` of the current trace (feeds
@@ -129,9 +162,10 @@ class ExecutionPlan {
   // ---- Profiling ---------------------------------------------------------
 
   // When enabled, the plan accumulates wall time spent inside the backward
-  // layer chain (BackwardInputBatch + BackwardSample bodies). Off by
-  // default; the cost when off is two steady-clock reads per backward call,
-  // noise next to a single layer's GEMM.
+  // entry points (BackwardInputBatch, BackwardRows and BackwardSample
+  // bodies; BackwardRows' includes its seed writes). Off by default; the
+  // cost when off is two steady-clock reads per backward call, noise next
+  // to a single layer's GEMM.
   void set_profiling(bool on) { profiling_ = on; }
   // Returns the accumulated backward-layer seconds and resets the counter.
   double ConsumeBackwardSeconds() {
@@ -145,12 +179,25 @@ class ExecutionPlan {
   const BatchTrace& RunForward(int width);
   // Copies sample `pos` into sample_ unless it is already there.
   void EnsureSample(int pos);
+  // Layer `l`'s batched backward over the current trace: `grad` (wrt its
+  // output) in, the gradient wrt its input out (bw_[l], or
+  // bw_input_batch_ for layer 0), which it returns.
+  Tensor* BackwardLayerBatch(int l, const Tensor& grad, std::vector<Tensor>* layer_grads);
+  // BackwardSample's body without argument checks or timing: layers
+  // from_layer..0 at width 1 over sample `pos`.
+  const Tensor& BackwardSampleChain(int pos, int from_layer, const Tensor& seed);
+  // Zero-fills seeds_[seed.layer] and writes `seed` into it.
+  Tensor& WriteSeed(const LayerSeed& seed);
 
   const Model* model_;
   int capacity_;
   int width_ = 0;
   int64_t input_numel_;            // Per-sample input elements.
   std::vector<int64_t> out_numel_; // Per-layer per-sample output elements.
+  // Lowest layer of the flat top run: layers first_flat_..end have flat
+  // per-sample outputs and run batched in BackwardRows (num_layers when
+  // the output layer itself is spatial).
+  int first_flat_;
   // (offset, count) of each layer's slice of the flat param-grad vector,
   // cached at compile time for the optional param-grads backward mode.
   std::vector<std::pair<int, int>> param_slices_;
@@ -163,6 +210,8 @@ class ExecutionPlan {
   int sample_pos_ = -1; // Which sample sample_ holds (-1: stale).
 
   std::vector<Tensor> bw_;   // bw_[l] (l >= 1): grad wrt layer l's input.
+  Tensor bw_output_;         // Grad wrt the output layer's output, [width, out]
+                             // (allocated only when that layer is flat).
   Tensor bw_input_batch_;    // Final input grad, [width, ...input_shape].
   Tensor bw_input_sample_;   // Final input grad, per-sample shape.
   std::vector<Tensor> seeds_;  // Per-layer per-sample seed buffers.

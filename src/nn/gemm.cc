@@ -15,7 +15,8 @@ using simd::VecF;
 // independent dependency chains (the k-loop of a single row is serial by
 // contract); kNR = 2 vectors of columns amortizes each A broadcast over two
 // FMAs. With AVX2 (8 lanes) this is the classic 4x16 microkernel holding 8
-// accumulator registers.
+// accumulator registers (TileKernel<kMR, 2>; smaller row blocks take wider
+// tiles, see TileKernel).
 constexpr int kMR = 4;
 constexpr int kNR = 2 * simd::kLanes;
 
@@ -24,30 +25,59 @@ constexpr int kNR = 2 * simd::kLanes;
 // scalar work.
 constexpr int64_t kIntraOpMinWork = int64_t{1} << 20;
 
-// Full kMR x kNR tile.
-void MicroKernel(int K, const float* A, int lda, const float* B, int ldb,
-                 const float* bias, float* C, int ldc) {
-  VecF acc[kMR][2];
-  for (int m = 0; m < kMR; ++m) {
-    const float b = bias != nullptr ? bias[m] : 0.0f;
-    acc[m][0] = VecF::Broadcast(b);
-    acc[m][1] = VecF::Broadcast(b);
+// One MR x (NV vectors) tile: each element is bias + an ascending-k FMA
+// chain, the MR·NV chains independent. The full kMR x kNR tile is
+// TileKernel<kMR, 2>. The last row block of every GEMM whose M is not a
+// multiple of kMR has fewer rows; it takes more column vectors so the FMA
+// unit still sees 4-8 independent chains instead of stalling on one
+// chain's latency. Such blocks run in the batched backward's dense
+// grad-input (M = the 2-3 active rows), in conv forward when the output
+// channels are not a multiple of 4 (LeNet-4/5's first conv: M = 6), and in
+// conv grad-input, whose M is the patch size (25 for a 5x5 kernel on one
+// channel, 150 on six). N decides whether any whole tile fits: dense
+// forward at a batch of at most one vector never takes these tiles.
+template <int MR, int NV>
+void TileKernel(int K, const float* A, int lda, const float* B, int ldb,
+                const float* bias, float* C, int ldc) {
+  VecF acc[MR][NV];
+  for (int m = 0; m < MR; ++m) {
+    const VecF b = VecF::Broadcast(bias != nullptr ? bias[m] : 0.0f);
+    for (int v = 0; v < NV; ++v) {
+      acc[m][v] = b;
+    }
   }
   for (int k = 0; k < K; ++k) {
     const float* b_row = B + static_cast<size_t>(k) * ldb;
-    const VecF b0 = VecF::Load(b_row);
-    const VecF b1 = VecF::Load(b_row + simd::kLanes);
-    for (int m = 0; m < kMR; ++m) {
+    VecF b[NV];
+    for (int v = 0; v < NV; ++v) {
+      b[v] = VecF::Load(b_row + v * simd::kLanes);
+    }
+    for (int m = 0; m < MR; ++m) {
       const VecF a = VecF::Broadcast(A[static_cast<size_t>(m) * lda + k]);
-      acc[m][0] = VecF::Fma(a, b0, acc[m][0]);
-      acc[m][1] = VecF::Fma(a, b1, acc[m][1]);
+      for (int v = 0; v < NV; ++v) {
+        acc[m][v] = VecF::Fma(a, b[v], acc[m][v]);
+      }
     }
   }
-  for (int m = 0; m < kMR; ++m) {
+  for (int m = 0; m < MR; ++m) {
     float* c_row = C + static_cast<size_t>(m) * ldc;
-    acc[m][0].Store(c_row);
-    acc[m][1].Store(c_row + simd::kLanes);
+    for (int v = 0; v < NV; ++v) {
+      acc[m][v].Store(c_row + v * simd::kLanes);
+    }
   }
+}
+
+// TileKernel<MR, NV> over every whole tile of an MR-row block's N columns;
+// returns the first column left for EdgeKernel.
+template <int MR, int NV>
+int RunTiles(int N, int K, const float* A, int lda, const float* B, int ldb,
+             const float* bias, float* C, int ldc) {
+  constexpr int kWidth = NV * simd::kLanes;
+  int n0 = 0;
+  for (; n0 + kWidth <= N; n0 += kWidth) {
+    TileKernel<MR, NV>(K, A, lda, B + n0, ldb, bias, C + n0, ldc);
+  }
+  return n0;
 }
 
 // Any mr x nr remainder (mr <= kMR). Runs whole vectors while they fit,
@@ -136,10 +166,19 @@ void GemmRows(int m_begin, int m_end, int N, int K, const float* A, int lda,
     const float* bias_blk = bias != nullptr ? bias + m0 : nullptr;
     float* c_blk = C + static_cast<size_t>(m0) * ldc;
     int n0 = 0;
-    if (mr == kMR) {
-      for (; n0 + kNR <= N; n0 += kNR) {
-        MicroKernel(K, a_blk, lda, B + n0, ldb, bias_blk, c_blk + n0, ldc);
-      }
+    switch (mr) {
+      case kMR:
+        n0 = RunTiles<kMR, kNR / simd::kLanes>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        break;
+      case 3:
+        n0 = RunTiles<3, 2>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        break;
+      case 2:
+        n0 = RunTiles<2, 4>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        break;
+      default:
+        n0 = RunTiles<1, 4>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        break;
     }
     if (n0 < N) {
       EdgeKernel(mr, N - n0, K, a_blk, lda, B + n0, ldb, bias_blk, c_blk + n0,

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/random_testing.h"
 #include "src/constraints/constraint.h"
 #include "src/constraints/image_constraints.h"
 #include "src/data/dataset.h"
+#include "src/core/executor.h"
 #include "src/core/objective.h"
 #include "src/core/seed_scheduler.h"
 #include "src/core/session.h"
@@ -365,11 +365,156 @@ TEST_F(BatchSessionTest, RunStatsForwardPassesAccountsAllModels) {
             3 * (stats.total_iterations + static_cast<int64_t>(stats.seeds_tried)));
 }
 
+// ---- Executor: the batched gradient half ---------------------------------------------------
+
+// Conv, conv, flatten, dense, dense, softmax: the second conv sits directly
+// under the flat run that BackwardRows batches, so coverage terms land on
+// both sides of the batched/per-row boundary and on the first per-row layer.
+Model MakeBoundaryNet(uint64_t seed) {
+  Rng rng(seed);
+  Model m("boundary", {1, 8, 8});
+  m.Emplace<Conv2D>(1, 3, 3, 3, 1, 0, Activation::kRelu).InitParams(rng);
+  m.Emplace<Conv2D>(3, 4, 3, 3, 1, 0, Activation::kRelu).InitParams(rng);
+  m.Emplace<Flatten>();
+  m.Emplace<Dense>(4 * 4 * 4, 12, Activation::kTanh).InitParams(rng);
+  m.Emplace<Dense>(12, 3).InitParams(rng);
+  m.Emplace<SoftmaxLayer>();
+  return m;
+}
+
+// `joint`, recording the layers its coverage terms seed. Plan runs on the
+// calling thread only, so the mutable record is safe here.
+class RecordingJoint : public Objective {
+ public:
+  std::string name() const override { return "recording-joint"; }
+  void Plan(const ObjectiveContext& ctx, int k, const Model& model,
+            std::vector<LayerSeed>* terms, Tensor* grad) const override {
+    const size_t before = terms->size();
+    joint_->Plan(ctx, k, model, terms, grad);
+    for (size_t i = before; i < terms->size(); ++i) {
+      if ((*terms)[i].neuron) {
+        neuron_layers.push_back((*terms)[i].layer);
+      }
+    }
+  }
+  mutable std::vector<int> neuron_layers;
+
+ private:
+  std::unique_ptr<Objective> joint_ = MakeJointObjective();
+};
+
+// One chunk where task 0's metrics are saturated (no coverage term) while
+// the other tasks pick neurons on both sides of the batched/per-row
+// boundary: every outcome, RNG stream and metric must equal what width-1
+// chunks produce.
+TEST(ExecutorBatchTest, MixedTermChunkMatchesWidthOneChunks) {
+  Model a = MakeBoundaryNet(61);
+  Model b = MakeBoundaryNet(61);
+  Rng noise(62);
+  for (Tensor* param : b.MutableParams()) {
+    for (int64_t i = 0; i < param->numel(); ++i) {
+      (*param)[i] += 0.05f * noise.NextFloat() - 0.025f;
+    }
+  }
+  std::vector<Model*> models = {&a, &b};
+  const UnconstrainedImage constraint;
+  EngineConfig engine;
+  engine.step = 0.05f;
+  engine.lambda2 = 0.5f;
+  engine.max_iterations_per_seed = 25;
+  const Executor executor(models, &constraint, /*regression=*/false, &engine);
+  constexpr int kTasks = 7;
+  std::vector<Tensor> seeds;
+  Rng seed_rng(63);
+  for (int t = 0; t < kTasks; ++t) {
+    seeds.push_back(Tensor::RandUniform(a.input_shape(), seed_rng));
+  }
+
+  struct Setup {
+    std::vector<Rng> rngs;
+    std::vector<std::vector<std::unique_ptr<CoverageMetric>>> metrics;
+  };
+  const auto make_setup = [&] {
+    Setup setup;
+    setup.metrics.resize(kTasks);
+    for (int t = 0; t < kTasks; ++t) {
+      setup.rngs.emplace_back(500 + static_cast<uint64_t>(t));
+      CoverageOptions options;
+      if (t == 0) {
+        options.threshold = -1.0f;  // Every neuron covers on its first update.
+      }
+      for (const Model* m : models) {
+        auto metric = MakeCoverageMetric("neuron", *m, options);
+        if (t == 0) {
+          ExecutionPlan plan = m->Compile(1);
+          metric->UpdateBatch(*m, plan.ForwardBatch(seeds[0], 1));
+          NeuronId id;
+          EXPECT_FALSE(metric->PickUncovered(setup.rngs[0], &id)) << "not saturated";
+        }
+        setup.metrics[static_cast<size_t>(t)].push_back(std::move(metric));
+      }
+    }
+    return setup;
+  };
+  const auto task = [&](Setup& setup, int t) {
+    Executor::SeedTask task;
+    task.seed = &seeds[static_cast<size_t>(t)];
+    task.seed_index = t;
+    task.ordinal = static_cast<uint64_t>(t);
+    task.rng = &setup.rngs[static_cast<size_t>(t)];
+    task.metrics = &setup.metrics[static_cast<size_t>(t)];
+    return task;
+  };
+
+  RecordingJoint objective;
+  Setup chunk = make_setup();
+  std::vector<Executor::SeedTask> tasks;
+  for (int t = 0; t < kTasks; ++t) {
+    tasks.push_back(task(chunk, t));
+  }
+  const auto batched = executor.Run(tasks, objective);
+  const std::vector<int> picked = objective.neuron_layers;
+  EXPECT_TRUE(std::any_of(picked.begin(), picked.end(), [](int l) { return l < 2; }));
+  EXPECT_TRUE(std::any_of(picked.begin(), picked.end(), [](int l) { return l == 1; }));
+  EXPECT_TRUE(std::any_of(picked.begin(), picked.end(), [](int l) { return l >= 2; }));
+
+  Setup single = make_setup();
+  int found = 0;
+  for (int t = 0; t < kTasks; ++t) {
+    SCOPED_TRACE("task " + std::to_string(t));
+    const auto alone = executor.Run({task(single, t)}, objective);
+    const auto& got = batched[static_cast<size_t>(t)];
+    ASSERT_EQ(got.has_value(), alone[0].has_value());
+    if (got.has_value()) {
+      ++found;
+      EXPECT_EQ(got->input.values(), alone[0]->input.values());
+      EXPECT_EQ(got->iterations, alone[0]->iterations);
+      EXPECT_EQ(got->deviating_model, alone[0]->deviating_model);
+      EXPECT_EQ(got->labels, alone[0]->labels);
+    }
+    EXPECT_EQ(chunk.rngs[static_cast<size_t>(t)].NextU64(),
+              single.rngs[static_cast<size_t>(t)].NextU64());
+    for (size_t k = 0; k < models.size(); ++k) {
+      EXPECT_EQ(StateBlob(*chunk.metrics[static_cast<size_t>(t)][k]),
+                StateBlob(*single.metrics[static_cast<size_t>(t)][k]));
+    }
+  }
+  EXPECT_GT(found, 0);
+}
+
 // ---- Plug-in registries ------------------------------------------------------------------
+
+// An out-of-tree objective through the one entry point: it plans nothing.
+class NullObjective : public Objective {
+ public:
+  std::string name() const override { return "test-null-objective"; }
+  void Plan(const ObjectiveContext& /*ctx*/, int /*k*/, const Model& /*model*/,
+            std::vector<LayerSeed>* /*terms*/, Tensor* /*grad*/) const override {}
+};
 
 TEST(RegistryTest, CustomObjectiveIsDiscoverable) {
   RegisterObjective("test-null-objective", []() -> std::unique_ptr<Objective> {
-    return std::make_unique<RandomPerturbationObjective>();
+    return std::make_unique<NullObjective>();
   });
   const auto names = ObjectiveNames();
   EXPECT_NE(std::find(names.begin(), names.end(), "test-null-objective"), names.end());

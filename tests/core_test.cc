@@ -131,8 +131,8 @@ class DeepXploreToyTest : public ::testing::Test {
   }
 
   // ∇x of the `joint` plug-in at x for deviator j and consensus c, through
-  // the entry point the executor runs: Objective::Accumulate on each
-  // model's width-1 plan.
+  // the path the executor runs: Objective::Plan, then each term's
+  // BackwardRows on the model's width-1 plan.
   static Tensor JointGradient(const EngineConfig& cfg, const Tensor& x, int target,
                               int consensus, Rng& rng, const reference::Metrics& metrics) {
     const auto joint = MakeObjective("joint");
@@ -147,7 +147,7 @@ class DeepXploreToyTest : public ::testing::Test {
     for (size_t k = 0; k < models_->size(); ++k) {
       ExecutionPlan plan = (*models_)[k].Compile(1);
       plan.ForwardBatch(x, 1);
-      joint->Accumulate(ctx, static_cast<int>(k), plan, 0, &grad);
+      testing::AddObjectiveGradient(*joint, ctx, static_cast<int>(k), plan, &grad);
     }
     return grad;
   }

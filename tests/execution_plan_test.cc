@@ -10,12 +10,14 @@
 // Comparisons against the oracle are therefore tolerance-checked (ULP + abs
 // floor, tests/test_util.h); layers without SIMD kernels stay bit-exact.
 // The plan path remains bit-identical to ITSELF at any batch width, worker
-// count, and SIMD backend — those invariants are pinned elsewhere
+// count, and SIMD backend — pinned here for the batched backward
+// (BackwardRows rows vs BackwardSample, memcmp) and elsewhere for the rest
 // (tests/batch_exec_test.cc, tests/gemm_kernel_test.cc).
 #include "src/nn/execution_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "src/nn/residual.h"
 #include "src/nn/softmax_layer.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/simd.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -207,6 +210,129 @@ TEST(ExecutionPlanTest, BackwardSampleMatchesScalarBackward) {
       }
     }
   }
+}
+
+// The models BackwardRows must handle: the tabular MLP (all flat), the
+// alloc_test shape (conv, pool, flatten, dense, softmax), a DAVE-like net
+// (CHW batchnorm first, conv directly under the flatten, dropout on a flat
+// output, scalar tanh head), a speech-like conv1d net (1xk kernels, conv
+// under the flatten) and the residual stack.
+std::vector<Model> BackwardRowsModels() {
+  std::vector<Model> models;
+  {
+    Model m("tabular", {10});
+    Rng rng(21);
+    m.Emplace<Dense>(10, 16, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dense>(16, 8, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dense>(8, 2).InitParams(rng);
+    m.Emplace<SoftmaxLayer>();
+    models.push_back(std::move(m));
+  }
+  models.push_back(MakeConvModel(22));
+  {
+    Model m("dave", {3, 9, 13});
+    Rng rng(23);
+    auto& bn = m.Emplace<BatchNorm>(3);
+    bn.SetStatistics({0.1f, 0.2f, 0.3f}, {1.5f, 0.5f, 2.0f});
+    m.Emplace<Conv2D>(3, 4, 3, 3, 2, 0, Activation::kRelu).InitParams(rng);
+    m.Emplace<Conv2D>(4, 5, 3, 3, 1, 0, Activation::kRelu).InitParams(rng);
+    m.Emplace<Flatten>();
+    m.Emplace<Dense>(5 * 2 * 4, 8, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dropout>(0.25f);
+    m.Emplace<Dense>(8, 4, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dense>(4, 1, Activation::kTanh).InitParams(rng);
+    models.push_back(std::move(m));
+  }
+  {
+    Model m("speech", {1, 1, 32});
+    Rng rng(24);
+    m.Emplace<Conv2D>(1, 4, 1, 5, 2, 0, Activation::kRelu).InitParams(rng);
+    m.Emplace<Conv2D>(4, 6, 1, 3, 2, 0, Activation::kRelu).InitParams(rng);
+    m.Emplace<Flatten>();
+    m.Emplace<Dense>(6 * 6, 8, Activation::kRelu).InitParams(rng);
+    m.Emplace<Dense>(8, 5).InitParams(rng);
+    m.Emplace<SoftmaxLayer>();
+    models.push_back(std::move(m));
+  }
+  models.push_back(MakeResidualModel(25));
+  return models;
+}
+
+// Row b's seed in round `round`: rows cycle through "no entry" and every
+// layer, so each width sees rows enter at every layer, including the first
+// per-row layer under the flatten. Layers with coverage neurons alternate
+// neuron and element seeds.
+LayerSeed RowSeed(const Model& model, int b, int round) {
+  LayerSeed seed;
+  seed.layer = (b + round) % (model.num_layers() + 1) - 1;
+  if (seed.layer == LayerSeed::kNone) {
+    return seed;
+  }
+  const Layer& layer = model.layer(seed.layer);
+  seed.neuron = layer.NumNeurons() > 0 && (b + round) % 2 == 0;
+  const int64_t count = seed.neuron ? layer.NumNeurons()
+                                    : NumElements(model.layer_output_shape(seed.layer));
+  seed.index = static_cast<int>((7 * b + round) % count);
+  seed.weight = 0.5f + 0.25f * static_cast<float>(b);
+  return seed;
+}
+
+// Every BackwardRows row must equal BackwardSample for that sample, seeded
+// at the row's layer, bit for bit — the executor's batch invariance rests on it.
+TEST(ExecutionPlanTest, BackwardRowsMatchBackwardSampleBitForBit) {
+  const int max_width = 2 * simd::kLanes + 1;
+  for (const Model& model : BackwardRowsModels()) {
+    ExecutionPlan plan = model.Compile(max_width);
+    const int64_t in_numel = NumElements(model.input_shape());
+    for (int width = 1; width <= max_width; ++width) {
+      plan.ForwardBatch(RandomBatch(model, width, 300 + static_cast<uint64_t>(width)), width);
+      for (int round = 0; round <= model.num_layers(); ++round) {
+        std::vector<LayerSeed> rows;
+        for (int b = 0; b < width; ++b) {
+          rows.push_back(RowSeed(model, b, round));
+        }
+        const Tensor got = plan.BackwardRows(rows);
+        ASSERT_EQ(got.numel(), width * in_numel);
+        for (int b = 0; b < width; ++b) {
+          const LayerSeed& row = rows[static_cast<size_t>(b)];
+          if (row.layer == LayerSeed::kNone) {
+            continue;
+          }
+          Tensor& seed = plan.AcquireSeed(row.layer);
+          if (row.neuron) {
+            model.layer(row.layer).AddNeuronSeed(&seed, row.index, row.weight);
+          } else {
+            seed[row.index] = row.weight;
+          }
+          const Tensor& want = plan.BackwardSample(b, row.layer, seed);
+          EXPECT_EQ(std::memcmp(got.data() + b * in_numel, want.data(),
+                                static_cast<size_t>(in_numel) * sizeof(float)),
+                    0)
+              << model.name() << " width " << width << " row " << b << " layer "
+              << row.layer << (row.neuron ? " neuron " : " element ") << row.index;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutionPlanTest, BackwardRowsRejectsBadRows) {
+  const Model model = MakeConvModel(26);
+  ExecutionPlan plan = model.Compile(4);
+  EXPECT_THROW(plan.BackwardRows({LayerSeed{}}), std::logic_error);  // No trace yet.
+  plan.ForwardBatch(RandomBatch(model, 3, 27), 3);
+  EXPECT_THROW(plan.BackwardRows(std::vector<LayerSeed>(2)), std::invalid_argument);
+  EXPECT_THROW(plan.BackwardRows(std::vector<LayerSeed>(4)), std::invalid_argument);
+  std::vector<LayerSeed> rows(3);
+  rows[1].layer = model.num_layers();
+  EXPECT_THROW(plan.BackwardRows(rows), std::out_of_range);
+  rows[1].layer = -2;
+  EXPECT_THROW(plan.BackwardRows(rows), std::out_of_range);
+  rows[1].layer = model.num_layers() - 1;
+  rows[1].index = static_cast<int>(NumElements(model.output_shape()));
+  EXPECT_THROW(plan.BackwardRows(rows), std::out_of_range);
+  rows[1].index = 0;
+  EXPECT_NO_THROW(plan.BackwardRows(rows));
 }
 
 TEST(ExecutionPlanTest, SampleTraceMatchesOracle) {

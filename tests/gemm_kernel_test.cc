@@ -9,7 +9,8 @@
 //      tolerance (the reference uses separate mul+add, the kernel fused
 //      ascending-k FMA — same contract as the scalar oracle comparison).
 //   2. GemmBias is BIT-identical however the N dimension is partitioned
-//      (whole call vs per-column calls) — the width-invariance guarantee
+//      (whole call vs per-column calls) and however the M dimension is
+//      (whole call vs per-row GEMV calls) — the width-invariance guarantees
 //      the executor's batch determinism rests on.
 //   3. Conv2D / Dense ForwardBatchInto (the im2col+GEMM plan path) match
 //      the per-sample scalar oracle within tolerance at batch 1 and 8, and
@@ -115,6 +116,42 @@ TEST(GemmKernelTest, BitIdenticalUnderColumnPartition) {
     }
     for (int64_t i = 0; i < static_cast<int64_t>(M) * N; ++i) {
       ASSERT_EQ(whole[static_cast<size_t>(i)], cols[static_cast<size_t>(i)])
+          << "element " << i << " (M=" << M << " N=" << N << " K=" << K << ")";
+    }
+  }
+}
+
+TEST(GemmKernelTest, BitIdenticalUnderRowPartition) {
+  Rng rng(0x70);
+  for (int t = 0; t < 4 * kTrials; ++t) {
+    // Every row-block height (full 4-row tiles, the 3-, 2- and 1-row tiles)
+    // and N wide enough for their whole tiles plus vector and scalar edges.
+    const int M = RandInt(rng, 2, 13);
+    const int N = RandInt(rng, 1, 72);
+    const int K = RandInt(rng, 1, 64);
+    std::vector<float> A = RandVec(rng, static_cast<int64_t>(M) * K);
+    for (float& a : A) {
+      if (rng.Bernoulli(0.5)) {
+        a = 0.0f;  // ReLU-masked gradient entries: the GEMV skips them.
+      }
+    }
+    const std::vector<float> B = RandVec(rng, static_cast<int64_t>(K) * N);
+    const std::vector<float> bias = RandVec(rng, M);
+    const float* bias_ptr = rng.Bernoulli(0.5) ? bias.data() : nullptr;
+
+    std::vector<float> whole(static_cast<size_t>(M) * N);
+    GemmBias(M, N, K, A.data(), K, B.data(), N, bias_ptr, whole.data(), N);
+
+    // Row by row (M == 1, the GEMV path): the batched backward's rows must
+    // equal the width-1 backward's bit for bit.
+    std::vector<float> rows(static_cast<size_t>(M) * N);
+    for (int m = 0; m < M; ++m) {
+      GemmBias(1, N, K, A.data() + static_cast<size_t>(m) * K, K, B.data(), N,
+               bias_ptr != nullptr ? bias_ptr + m : nullptr,
+               rows.data() + static_cast<size_t>(m) * N, N);
+    }
+    for (int64_t i = 0; i < static_cast<int64_t>(M) * N; ++i) {
+      ASSERT_EQ(whole[static_cast<size_t>(i)], rows[static_cast<size_t>(i)])
           << "element " << i << " (M=" << M << " N=" << N << " K=" << K << ")";
     }
   }

@@ -255,8 +255,8 @@ TEST_F(SessionToyTest, CoverageGainSchedulerRecyclesProductiveSeeds) {
   EXPECT_EQ(repeat.tests.size(), stats.tests.size());
 }
 
-// The executor calls Objective::Accumulate for every model on every
-// iteration, so each plug-in decides there what it adds and what it draws.
+// The executor calls Objective::Plan for every model on every iteration, so
+// each plug-in decides there which models get terms and what it draws.
 TEST_F(SessionToyTest, ObjectivesContributeOnlyWhereTheyApply) {
   const Tensor& x = (*seeds_)[0];
   std::vector<ExecutionPlan> plans;
@@ -272,20 +272,23 @@ TEST_F(SessionToyTest, ObjectivesContributeOnlyWhereTheyApply) {
   ctx.target_model = 1;
   ctx.consensus = plans[0].trace().SampleLabel(0);
   ctx.rng = &rng;
-  // Model k's contribution added to a nonzero gradient: did it change the
-  // gradient, and did it draw from the task's RNG?
+  // Model k's contribution added to a nonzero gradient: how many terms did
+  // it plan, did it change the gradient, and did it draw from the task's RNG?
   struct Effect {
+    size_t terms;
     bool changed;
     bool drew;
   };
-  const auto accumulate = [&](const Objective& objective, int k) {
+  const auto contribute = [&](const Objective& objective, int k) {
     Rng grad_rng(100 + static_cast<uint64_t>(k));
     Tensor grad = Tensor::RandUniform(x.shape(), grad_rng, -1.0f, 1.0f);
     const Tensor before = grad;
     Rng untouched = rng;
-    objective.Accumulate(ctx, k, plans[static_cast<size_t>(k)], 0, &grad);
+    const size_t terms = testing::AddObjectiveGradient(objective, ctx, k,
+                                                       plans[static_cast<size_t>(k)], &grad);
     Rng after = rng;
-    return Effect{grad.values() != before.values(), after.NextU64() != untouched.NextU64()};
+    return Effect{terms, grad.values() != before.values(),
+                  after.NextU64() != untouched.NextU64()};
   };
 
   const FgsmObjective fgsm;
@@ -293,19 +296,25 @@ TEST_F(SessionToyTest, ObjectivesContributeOnlyWhereTheyApply) {
   const auto joint = MakeJointObjective();
   for (int k = 0; k < 3; ++k) {
     SCOPED_TRACE("model " + std::to_string(k));
-    const Effect f = accumulate(fgsm, k);
+    const Effect f = contribute(fgsm, k);
+    EXPECT_EQ(f.terms, k == ctx.target_model ? 1u : 0u);
     EXPECT_EQ(f.changed, k == ctx.target_model);
     EXPECT_FALSE(f.drew);
-    const Effect r = accumulate(random, k);
+    // Random plans no term: its direction is a direct input-space term.
+    const Effect r = contribute(random, k);
+    EXPECT_EQ(r.terms, 0u);
     EXPECT_EQ(r.changed, k == 0);
     EXPECT_EQ(r.drew, k == 0);
     ctx.lambda2 = 0.0f;
-    const Effect j = accumulate(*joint, k);
+    const Effect j = contribute(*joint, k);
+    EXPECT_EQ(j.terms, 1u);
     EXPECT_TRUE(j.changed);
     EXPECT_FALSE(j.drew);
     // With λ2 > 0 the coverage half nominates a neuron, which draws.
     ctx.lambda2 = 0.1f;
-    EXPECT_TRUE(accumulate(*joint, k).drew);
+    const Effect jc = contribute(*joint, k);
+    EXPECT_EQ(jc.terms, 2u);
+    EXPECT_TRUE(jc.drew);
   }
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/constraints/constraint.h"
+#include "src/core/objective.h"
 #include "src/core/session.h"
 #include "src/nn/layer.h"
 #include "src/nn/model.h"
@@ -258,6 +259,23 @@ inline Tensor ApplyConstraint(const Constraint& constraint, const Tensor& grad,
   Tensor direction(grad.shape());
   constraint.ApplyInto(grad, x, rng, &direction);
   return direction;
+}
+
+// One seed's share of the executor's gradient half for model `k`:
+// Objective::Plan, then each planned term's BackwardRows on `plan`, whose
+// current trace is that seed at width 1, added into `grad` in term order.
+// Returns the number of terms planned.
+inline size_t AddObjectiveGradient(const Objective& objective, const ObjectiveContext& ctx,
+                                   int k, ExecutionPlan& plan, Tensor* grad) {
+  std::vector<LayerSeed> terms;
+  objective.Plan(ctx, k, plan.model(), &terms, grad);
+  for (const LayerSeed& term : terms) {
+    const Tensor& row = plan.BackwardRows({term});
+    for (int64_t i = 0; i < grad->numel(); ++i) {
+      (*grad)[i] += row[i];
+    }
+  }
+  return terms.size();
 }
 
 // How closely a layer's batch kernels must track the oracle: exactly,

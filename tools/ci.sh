@@ -13,9 +13,12 @@
 #   shared coverage trackers, which is exactly the surface a data race
 #   would corrupt.
 #
-#   mode "release": build all three benches with CMAKE_BUILD_TYPE=Release,
-#   run each once as a smoke test (the plan bench's inline tolerance checks
-#   keep the GEMM/SIMD path honest where asserts vanish), compare the
+#   mode "release": build the benches and the bit-identity tests
+#   (execution_plan_test, batch_exec_test, alloc_test, core_test) with
+#   CMAKE_BUILD_TYPE=Release, run those tests — the e2e digests come from a
+#   Release build — then run each bench once as a smoke test (the plan
+#   bench's inline tolerance checks keep the GEMM/SIMD path honest where
+#   asserts vanish), compare the
 #   artifacts against bench/baselines with compare_baselines.py --strict
 #   (files recorded on a different host core count are skipped, not
 #   failed), and consolidate every artifact into BENCH_results.json at the
@@ -93,9 +96,15 @@ echo "==> configure ($BUILD_DIR${MODE:+, $MODE})"
 cmake -B "$BUILD_DIR" -S . ${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}
 
 if [ "$MODE" = "release" ]; then
-  echo "==> build (Release: bench suite)"
+  # The bit-identity tests also run here: the e2e digests come from a
+  # Release (-O3) build, while the default ctest build is RelWithDebInfo.
+  RELEASE_TESTS=(execution_plan_test batch_exec_test alloc_test core_test)
+  echo "==> build (Release: bench suite + bit-identity tests)"
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target bench_plan_steady_state bench_session_scaling
+    --target bench_plan_steady_state bench_session_scaling "${RELEASE_TESTS[@]}"
+  echo "==> ctest (Release): ${RELEASE_TESTS[*]}"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -R "^($(IFS='|'; echo "${RELEASE_TESTS[*]}"))\$"
   ARTIFACTS="$BUILD_DIR/bench_artifacts"
   echo "==> smoke: plan steady-state bench (Release)"
   DEEPXPLORE_ARTIFACT_DIR="$ARTIFACTS" "$BUILD_DIR/bench_plan_steady_state"

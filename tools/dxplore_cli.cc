@@ -718,7 +718,13 @@ int Main(int argc, char** argv) {
     add("objective accumulate", phases.objective_accumulate_seconds);
     add("constraint", phases.constraint_seconds);
     add("coverage", phases.coverage_seconds);
-    std::cout << "executor phases (" << phases.iterations << " batched iterations):\n"
+    // Mean rows per iteration: the width the batched backward runs at.
+    const double rows_per_iteration =
+        phases.iterations > 0
+            ? static_cast<double>(phases.rows) / static_cast<double>(phases.iterations)
+            : 0.0;
+    std::cout << "executor phases (" << phases.iterations << " batched iterations, "
+              << TablePrinter::Num(rows_per_iteration, 2) << " rows per iteration):\n"
               << prof_table.ToString();
   }
   if (!out_dir.empty()) {
