@@ -227,7 +227,11 @@ class SessionRun;
 
 class Session {
  public:
-  // `models` must outlive the session; all must share input/output shapes.
+  // `models` must outlive the session and keep their weights while it
+  // lives: the executor pools its compiled plans for the session's life,
+  // and a plan computes dense forward from the weights it saw at Compile
+  // (src/nn/execution_plan.h). Retrain a model only after its sessions are
+  // gone. All models must share input/output shapes.
   // Classification models must end in softmax; a 1-element output without
   // softmax is treated as regression. Metric/objective/scheduler are built
   // from the factory names in `config`; throws std::invalid_argument on

@@ -1,12 +1,13 @@
 #include "src/nn/dense.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/nn/gemm.h"
-#include "src/tensor/simd.h"
 #include "src/tensor/workspace.h"
 #include "src/util/rng.h"
 
@@ -146,50 +147,71 @@ Tensor Dense::Backward(const Tensor& input, const Tensor& output, const Tensor& 
   return grad_in;
 }
 
-void Dense::ForwardBatchInto(const Tensor& input, int batch, bool /*training*/,
-                             Rng* /*rng*/, Tensor* output, Tensor* /*aux*/,
-                             Workspace* ws) const {
+void Dense::ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
+                             Tensor* output, Tensor* aux, Workspace* ws) const {
+  Tensor* pack = ws->AcquireFlat(static_cast<int64_t>(in_features_ + 1) * out_features_);
+  PackInto(pack->data());
+  ForwardBatchPacked(pack, input, batch, training, rng, output, aux, ws);
+}
+
+void Dense::ForwardBatchPacked(const Tensor* pack, const Tensor& input, int batch,
+                               bool /*training*/, Rng* /*rng*/, Tensor* output,
+                               Tensor* /*aux*/, Workspace* /*ws*/) const {
   if (input.numel() != static_cast<int64_t>(batch) * in_features_) {
-    throw std::invalid_argument("Dense::ForwardBatchInto: bad input size");
+    throw std::invalid_argument("Dense::ForwardBatchPacked: bad input size");
   }
-  // GEMM path (shared with Conv2D's im2col): C[o, b] = bias[o] +
-  // Σ_i W[o, i]·xt[i, b], an ascending-i FMA chain per element, so results
-  // are invariant to batch width, SIMD width, and thread count. They differ
-  // from the scalar Forward oracle (double accumulation) only within tolerance.
-  if (batch == 1) {
-    // [in, 1] needs no transpose and C == the output row directly.
-    GemmBias(out_features_, 1, in_features_, weight_.data(), in_features_,
-             input.data(), 1, bias_.data(), output->data(), 1);
-  } else {
-    // Transpose x to [in, n] for contiguous column loads, GEMM into [out, n]
-    // scratch, transpose back into the [batch, out] output. n pads the batch
-    // to whole SIMD vectors with zero columns, so a narrow batch runs vector
-    // FMAs instead of GemmBias's scalar column tail; a padding column only
-    // adds chains of its own, which are never read.
-    const int n = (batch + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
-    float* xt = ws->AcquireFlat(static_cast<int64_t>(in_features_) * n)->data();
-    float* ct = ws->AcquireFlat(static_cast<int64_t>(out_features_) * n)->data();
-    for (int b = 0; b < batch; ++b) {
-      const float* x_row = input.data() + static_cast<size_t>(b) * in_features_;
-      for (int i = 0; i < in_features_; ++i) {
-        xt[static_cast<size_t>(i) * n + b] = x_row[i];
-      }
-    }
-    for (int b = batch; b < n; ++b) {
-      for (int i = 0; i < in_features_; ++i) {
-        xt[static_cast<size_t>(i) * n + b] = 0.0f;
-      }
-    }
-    GemmBias(out_features_, n, in_features_, weight_.data(), in_features_, xt, n,
-             bias_.data(), ct, n);
-    for (int b = 0; b < batch; ++b) {
-      float* y_row = output->data() + static_cast<size_t>(b) * out_features_;
-      for (int o = 0; o < out_features_; ++o) {
-        y_row[o] = ct[static_cast<size_t>(o) * n + b];
-      }
-    }
+  if (pack == nullptr ||
+      pack->numel() != static_cast<int64_t>(in_features_ + 1) * out_features_) {
+    throw std::invalid_argument("Dense::ForwardBatchPacked: no pack of this layer");
   }
+  // y[b, o] = bias[o] + Σ_i x[b, i]·W^T[i, o], straight into the [batch,
+  // out] output: an ascending-i FMA chain from bias[o] per element, the
+  // same chain at every batch width, SIMD width and thread count. Results
+  // differ from the scalar Forward oracle (double accumulation) only within
+  // tolerance.
+  const float* wt = pack->data();
+  const float* bias = wt + static_cast<size_t>(in_features_) * out_features_;
+  GemmColumnBias(batch, out_features_, in_features_, input.data(), in_features_, wt,
+                 out_features_, bias, output->data(), out_features_);
   ApplyActivation(act_, output);
+}
+
+std::shared_ptr<const Tensor> Dense::ForwardPack() const {
+  std::lock_guard<std::mutex> lock(pack_mu_);
+  if (pack_ == nullptr || !PackIsCurrent(*pack_)) {
+    auto pack = std::make_shared<Tensor>(Shape{in_features_ + 1, out_features_});
+    PackInto(pack->data());
+    pack_ = std::move(pack);
+  }
+  return pack_;
+}
+
+void Dense::PackInto(float* pack) const {
+  TransposeMatrix(weight_.data(), out_features_, in_features_, pack);
+  std::copy(bias_.data(), bias_.data() + out_features_,
+            pack + static_cast<size_t>(in_features_) * out_features_);
+}
+
+bool Dense::PackIsCurrent(const Tensor& pack) const {
+  // Bits, not values: -0 and +0 start different chains, and a NaN weight
+  // must still match itself.
+  const auto same = [](float a, float b) {
+    return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+  };
+  const float* p = pack.data();
+  for (int i = 0; i < in_features_; ++i) {
+    for (int o = 0; o < out_features_; ++o) {
+      if (!same(*p++, weight_.data()[static_cast<size_t>(o) * in_features_ + i])) {
+        return false;
+      }
+    }
+  }
+  for (int o = 0; o < out_features_; ++o) {
+    if (!same(*p++, bias_.data()[o])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Dense::BackwardBatchInto(const Tensor& input, const Tensor& output,

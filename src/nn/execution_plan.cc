@@ -36,7 +36,9 @@ ExecutionPlan::ExecutionPlan(const Model& model, int max_batch)
   bwd_ws_.resize(static_cast<size_t>(num_layers));
   seeds_.reserve(static_cast<size_t>(num_layers));
   out_numel_.reserve(static_cast<size_t>(num_layers));
+  packs_.reserve(static_cast<size_t>(num_layers));
   for (int l = 0; l < num_layers; ++l) {
+    packs_.push_back(model.layer(l).ForwardPack());
     const Shape& out_shape = model.layer_output_shape(l);
     out_numel_.push_back(NumElements(out_shape));
     trace_.outputs.emplace_back(BatchedShape(max_batch, out_shape));
@@ -109,8 +111,9 @@ const BatchTrace& ExecutionPlan::RunForward(int width) {
     out.SetBatchDim(width);
     Workspace& ws = fwd_ws_[static_cast<size_t>(l)];
     ws.Rewind();
-    model_->layer(l).ForwardBatchInto(*cur, width, /*training=*/false, /*rng=*/nullptr,
-                                      &out, &trace_.aux[static_cast<size_t>(l)], &ws);
+    model_->layer(l).ForwardBatchPacked(packs_[static_cast<size_t>(l)].get(), *cur, width,
+                                        /*training=*/false, /*rng=*/nullptr, &out,
+                                        &trace_.aux[static_cast<size_t>(l)], &ws);
     cur = &out;
   }
   model_->CountForwardPasses(width);

@@ -10,9 +10,11 @@
 //   * the backward gradient chain (one buffer per layer boundary, plus the
 //     output layer's when that layer is flat) and batched and per-sample
 //     final input-gradient buffers,
-//   * per-layer width-1 seed buffers, and
+//   * per-layer width-1 seed buffers,
+//   * each layer's forward pack (Layer::ForwardPack: Dense's W^T and bias
+//     row), and
 //   * a Workspace arena (src/tensor/workspace.h) for layer-kernel scratch
-//     (dense transpose, activation-grad intermediates, residual recompute).
+//     (im2col patches, activation-grad intermediates, residual recompute).
 //
 // After the plan has executed once at a given width ("warm-up"), every
 // subsequent ForwardBatch / BackwardRows / BackwardSample / SampleTrace call
@@ -38,10 +40,22 @@
 // independent output rows (or samples), so the batch/worker determinism
 // guarantee is unchanged.
 //
-// Lifetime & invalidation: the plan borrows the model. Weight *values* may
-// change between calls (kernels read them live), but structural changes
-// (adding layers) invalidate the plan — recompile. Width may vary per call
-// in [1, capacity]; compiling a larger batch later means a new plan.
+// Lifetime & invalidation: the plan borrows the model and snapshots part of
+// its weights. Dense forward computes from the pack the plan took at
+// Compile (W^T and the bias), while conv forward and every backward read
+// the parameters live. So changing weights under a live plan leaves it
+// half old, half new: compile a new plan after changing weights, just as
+// after structural changes (adding layers). Nothing in src/ does otherwise:
+// Trainer::Fit updates weights on the by-value oracle and compiles no plan;
+// Accuracy, Predict and every other ForwardChunks user compile a fresh
+// plan per call; and no Session outlives a retraining of its models (the
+// executor pools its plans for the Session's life, see session.h).
+// Memory: a Dense layer keeps its last pack, and every plan compiled while
+// the weights keep those bits shares it, so a model costs one W^T copy per
+// Dense layer however many plans are alive; a plan compiled after a weight
+// change holds a new copy, and the old one lives on while older plans hold
+// it. Width may vary per call in [1, capacity]; compiling a larger batch
+// later means a new plan.
 //
 // Not thread-safe: one plan per execution context (the batched executor
 // pools one plan set per concurrent chunk).
@@ -52,6 +66,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -198,6 +213,9 @@ class ExecutionPlan {
   // per-sample outputs and run batched in BackwardRows (num_layers when
   // the output layer itself is spatial).
   int first_flat_;
+  // Each layer's forward pack, taken at construction (null for layers
+  // without one): the plan's snapshot of the parameters its forward reads.
+  std::vector<std::shared_ptr<const Tensor>> packs_;
   // (offset, count) of each layer's slice of the flat param-grad vector,
   // cached at compile time for the optional param-grads backward mode.
   std::vector<std::pair<int, int>> param_slices_;

@@ -25,25 +25,57 @@ constexpr int kNR = 2 * simd::kLanes;
 // scalar work.
 constexpr int64_t kIntraOpMinWork = int64_t{1} << 20;
 
-// One MR x (NV vectors) tile: each element is bias + an ascending-k FMA
-// chain, the MR·NV chains independent. The full kMR x kNR tile is
-// TileKernel<kMR, 2>. The last row block of every GEMM whose M is not a
-// multiple of kMR has fewer rows; it takes more column vectors so the FMA
-// unit still sees 4-8 independent chains instead of stalling on one
-// chain's latency. Such blocks run in the batched backward's dense
-// grad-input (M = the 2-3 active rows), in conv forward when the output
-// channels are not a multiple of 4 (LeNet-4/5's first conv: M = 6), and in
-// conv grad-input, whose M is the patch size (25 for a 5x5 kernel on one
-// channel, 150 on six). N decides whether any whole tile fits: dense
-// forward at a batch of at most one vector never takes these tiles.
-template <int MR, int NV>
-void TileKernel(int K, const float* A, int lda, const float* B, int ldb,
-                const float* bias, float* C, int ldc) {
+// Where each output element's FMA chain starts: bias[m] of its row (conv
+// forward and the backward GEMMs), bias[n] of its column (dense forward,
+// one bias per output feature), or +0 when bias is null. Only the start
+// moves; the chain after it is the same ascending-k FMA chain either way.
+// The kind of start is a type (RowStart, ColumnStart) the kernels are
+// instantiated on, so choosing it costs them no branch: with a run-time
+// flag the LeNet conv GEMMs ran 2-6% slower.
+template <bool kPerColumn>
+struct ChainStart {
+  const float* bias;
+
+  // Row m's start for the vector of columns n..n+kLanes-1.
+  VecF Vec(int m, int n) const {
+    if (bias == nullptr) {
+      return VecF::Broadcast(0.0f);
+    }
+    if constexpr (kPerColumn) {
+      return VecF::Load(bias + n);
+    } else {
+      return VecF::Broadcast(bias[m]);
+    }
+  }
+  float At(int m, int n) const {
+    return bias == nullptr ? 0.0f : bias[kPerColumn ? n : m];
+  }
+  // The starts of the block whose corner is (m0, n0).
+  ChainStart Block(int m0, int n0) const {
+    return {bias == nullptr ? nullptr : bias + (kPerColumn ? n0 : m0)};
+  }
+};
+using RowStart = ChainStart<false>;
+using ColumnStart = ChainStart<true>;
+
+// One MR x (NV vectors) tile: each element is its chain start + an
+// ascending-k FMA chain, the MR·NV chains independent. The full kMR x kNR
+// tile is TileKernel<kMR, 2>. The last row block of every GEMM whose M is
+// not a multiple of kMR has fewer rows; it takes more column vectors so the
+// FMA unit still sees 4-8 independent chains instead of stalling on one
+// chain's latency. Such blocks run in dense forward, whose M is the batch
+// width (the executor's narrow chunks run 1-3 rows), in the batched
+// backward's dense grad-input (M = the 2-3 active rows), in conv forward
+// when the output channels are not a multiple of 4 (LeNet-4/5's first conv:
+// M = 6), and in conv grad-input, whose M is the patch size (25 for a 5x5
+// kernel on one channel, 150 on six).
+template <int MR, int NV, typename Start>
+void TileKernel(int K, const float* A, int lda, const float* B, int ldb, Start start,
+                float* C, int ldc) {
   VecF acc[MR][NV];
   for (int m = 0; m < MR; ++m) {
-    const VecF b = VecF::Broadcast(bias != nullptr ? bias[m] : 0.0f);
     for (int v = 0; v < NV; ++v) {
-      acc[m][v] = b;
+      acc[m][v] = start.Vec(m, v * simd::kLanes);
     }
   }
   for (int k = 0; k < K; ++k) {
@@ -69,13 +101,13 @@ void TileKernel(int K, const float* A, int lda, const float* B, int ldb,
 
 // TileKernel<MR, NV> over every whole tile of an MR-row block's N columns;
 // returns the first column left for EdgeKernel.
-template <int MR, int NV>
-int RunTiles(int N, int K, const float* A, int lda, const float* B, int ldb,
-             const float* bias, float* C, int ldc) {
+template <int MR, int NV, typename Start>
+int RunTiles(int N, int K, const float* A, int lda, const float* B, int ldb, Start start,
+             float* C, int ldc) {
   constexpr int kWidth = NV * simd::kLanes;
   int n0 = 0;
   for (; n0 + kWidth <= N; n0 += kWidth) {
-    TileKernel<MR, NV>(K, A, lda, B + n0, ldb, bias, C + n0, ldc);
+    TileKernel<MR, NV>(K, A, lda, B + n0, ldb, start.Block(0, n0), C + n0, ldc);
   }
   return n0;
 }
@@ -85,15 +117,17 @@ int RunTiles(int N, int K, const float* A, int lda, const float* B, int ldb,
 // element, so tile shape never changes a result. The rows' chains are
 // interleaved inside one k-loop: each chain is serial by contract, but the
 // (up to kMR) chains are independent, which keeps the FMA unit fed and
-// shares each B load across rows. This matters most for the N == 1 GEMV
-// case (dense forward at batch 1), which never sees the full microkernel.
+// shares each B load across rows. It serves the columns past the last
+// whole tile: in dense forward, a layer's last output features (all of
+// them for a two-class head, N == 1 for a one-output head).
+template <typename Start>
 void EdgeKernel(int mr, int nr, int K, const float* A, int lda, const float* B,
-                int ldb, const float* bias, float* C, int ldc) {
+                int ldb, Start start, float* C, int ldc) {
   int n = 0;
   for (; n + simd::kLanes <= nr; n += simd::kLanes) {
     VecF acc[kMR];
     for (int m = 0; m < mr; ++m) {
-      acc[m] = VecF::Broadcast(bias != nullptr ? bias[m] : 0.0f);
+      acc[m] = start.Vec(m, n);
     }
     for (int k = 0; k < K; ++k) {
       const VecF b = VecF::Load(B + static_cast<size_t>(k) * ldb + n);
@@ -109,7 +143,7 @@ void EdgeKernel(int mr, int nr, int K, const float* A, int lda, const float* B,
   for (; n < nr; ++n) {
     float acc[kMR];
     for (int m = 0; m < mr; ++m) {
-      acc[m] = bias != nullptr ? bias[m] : 0.0f;
+      acc[m] = start.At(m, n);
     }
     const float* b_col = B + n;
     for (int k = 0; k < K; ++k) {
@@ -158,32 +192,58 @@ void Gemv(int N, int K, const float* A, const float* B, int ldb,
   }
 }
 
+template <typename Start>
 void GemmRows(int m_begin, int m_end, int N, int K, const float* A, int lda,
-              const float* B, int ldb, const float* bias, float* C, int ldc) {
+              const float* B, int ldb, Start start, float* C, int ldc) {
   for (int m0 = m_begin; m0 < m_end; m0 += kMR) {
     const int mr = std::min(kMR, m_end - m0);
     const float* a_blk = A + static_cast<size_t>(m0) * lda;
-    const float* bias_blk = bias != nullptr ? bias + m0 : nullptr;
+    const Start start_blk = start.Block(m0, 0);
     float* c_blk = C + static_cast<size_t>(m0) * ldc;
     int n0 = 0;
     switch (mr) {
       case kMR:
-        n0 = RunTiles<kMR, kNR / simd::kLanes>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        n0 = RunTiles<kMR, kNR / simd::kLanes>(N, K, a_blk, lda, B, ldb, start_blk, c_blk, ldc);
         break;
       case 3:
-        n0 = RunTiles<3, 2>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        n0 = RunTiles<3, 2>(N, K, a_blk, lda, B, ldb, start_blk, c_blk, ldc);
         break;
       case 2:
-        n0 = RunTiles<2, 4>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        n0 = RunTiles<2, 4>(N, K, a_blk, lda, B, ldb, start_blk, c_blk, ldc);
         break;
       default:
-        n0 = RunTiles<1, 4>(N, K, a_blk, lda, B, ldb, bias_blk, c_blk, ldc);
+        n0 = RunTiles<1, 4>(N, K, a_blk, lda, B, ldb, start_blk, c_blk, ldc);
         break;
     }
     if (n0 < N) {
-      EdgeKernel(mr, N - n0, K, a_blk, lda, B + n0, ldb, bias_blk, c_blk + n0,
-                 ldc);
+      EdgeKernel(mr, N - n0, K, a_blk, lda, B + n0, ldb, start_blk.Block(0, n0),
+                 c_blk + n0, ldc);
     }
+  }
+}
+
+// The blocked GEMM under either chain start, fanned out over row blocks
+// when the product is large enough to pay for it.
+template <typename Start>
+void Gemm(int M, int N, int K, const float* A, int lda, const float* B, int ldb,
+          Start start, float* C, int ldc) {
+  const int64_t work = static_cast<int64_t>(M) * N * K;
+  if (work >= kIntraOpMinWork && M >= 2 * kMR && IntraOpParallelismAvailable()) {
+    // Partition over row blocks only: each output element is still produced
+    // by exactly one ascending-k chain, so the thread count cannot change a
+    // bit of the result.
+    const int threads = ThreadPool::Global().num_threads() + 1;
+    const int max_blocks = (M + kMR - 1) / kMR;
+    const int blocks = std::min(max_blocks, threads);
+    const int rows_per_block = ((M + blocks - 1) / blocks + kMR - 1) / kMR * kMR;
+    const int actual_blocks = (M + rows_per_block - 1) / rows_per_block;
+    ParallelFor(actual_blocks, [&](int64_t blk) {
+      const int m_begin = static_cast<int>(blk) * rows_per_block;
+      const int m_end = std::min(M, m_begin + rows_per_block);
+      GemmRows(m_begin, m_end, N, K, A, lda, B, ldb, start, C, ldc);
+    });
+  } else {
+    GemmRows(0, M, N, K, A, lda, B, ldb, start, C, ldc);
   }
 }
 
@@ -198,24 +258,15 @@ void GemmBias(int M, int N, int K, const float* A, int lda, const float* B,
     Gemv(N, K, A, B, ldb, bias, C);
     return;
   }
-  const int64_t work = static_cast<int64_t>(M) * N * K;
-  if (work >= kIntraOpMinWork && M >= 2 * kMR && IntraOpParallelismAvailable()) {
-    // Partition over row blocks only: each output element is still produced
-    // by exactly one ascending-k chain, so the thread count cannot change a
-    // bit of the result.
-    const int threads = ThreadPool::Global().num_threads() + 1;
-    const int max_blocks = (M + kMR - 1) / kMR;
-    const int blocks = std::min(max_blocks, threads);
-    const int rows_per_block = ((M + blocks - 1) / blocks + kMR - 1) / kMR * kMR;
-    const int actual_blocks = (M + rows_per_block - 1) / rows_per_block;
-    ParallelFor(actual_blocks, [&](int64_t blk) {
-      const int m_begin = static_cast<int>(blk) * rows_per_block;
-      const int m_end = std::min(M, m_begin + rows_per_block);
-      GemmRows(m_begin, m_end, N, K, A, lda, B, ldb, bias, C, ldc);
-    });
-  } else {
-    GemmRows(0, M, N, K, A, lda, B, ldb, bias, C, ldc);
+  Gemm(M, N, K, A, lda, B, ldb, RowStart{bias}, C, ldc);
+}
+
+void GemmColumnBias(int M, int N, int K, const float* A, int lda, const float* B,
+                    int ldb, const float* bias, float* C, int ldc) {
+  if (M <= 0 || N <= 0) {
+    return;
   }
+  Gemm(M, N, K, A, lda, B, ldb, ColumnStart{bias}, C, ldc);
 }
 
 void Im2Col(const float* x, int channels, int in_h, int in_w, int kernel_h,

@@ -1,7 +1,9 @@
 // Tiled float32 GEMM microkernel + im2col/col2im, the shared compute core of
 // the Conv2D and Dense ExecutionPlan forward AND backward paths.
 //
-// Forward:  y = GemmBias(W, Im2Col(x), bias).
+// Forward:  conv y = GemmBias(W, Im2Col(x), bias), one output channel per
+// row; dense y = GemmColumnBias(x, W^T, bias), batch-major, one sample per
+// row and one output feature per column.
 // Backward: grad-input is the transposed-weight GEMM — dense writes
 // GemmBias(grad_pre, W) straight into the gradient buffer; conv GEMMs
 // W^T · grad_pre into a column matrix and Col2Im scatter-accumulates it back
@@ -13,7 +15,8 @@
 //   C[m,n] = fma(A[m,K-1], B[K-1,n], ... fma(A[m,1], B[1,n],
 //                fma(A[m,0], B[0,n], bias[m])) ...)
 //
-// i.e. a fused multiply-add chain over ascending k starting from the bias.
+// i.e. a fused multiply-add chain over ascending k starting from the bias
+// (bias[n] instead of bias[m] for GemmColumnBias).
 // The microkernel vectorizes over n (independent output columns) and unrolls
 // over m (independent output rows) but NEVER splits or reorders the k
 // accumulation, and intra-op threading partitions only over m — so results
@@ -36,6 +39,14 @@ namespace dx {
 // the call performs no heap allocation either way.
 void GemmBias(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, const float* bias, float* C, int ldc);
+
+// C[m, n] = bias[n] + sum_k A[m, k] * B[k, n]: GemmBias with one bias per
+// column. Dense forward runs it as x[batch, in] · W^T[in, out], so each
+// output is fma(x[b, i], W^T[i, o], ·) over ascending i from bias[o] — the
+// chain GemmBias(W, x^T, bias) computes, since fma's two factors commute.
+// Every M, 1 included, runs the register tiles.
+void GemmColumnBias(int M, int N, int K, const float* A, int lda, const float* B,
+                    int ldb, const float* bias, float* C, int ldc);
 
 // Unpacks one CHW sample into the [channels * kernel_h * kernel_w,
 // out_h * out_w] patch matrix GemmBias consumes as B: row (c, ky, kx),
@@ -61,8 +72,8 @@ void Col2Im(const float* col, int channels, int in_h, int in_w, int kernel_h,
 
 // out[j, i] = in[i, j] for a row-major [rows, cols] matrix (pure data
 // movement — bit-exact by construction). Shared scratch step of the
-// backward GEMMs: W^T for conv grad-input, grad_pre^T / im2col^T for the
-// grad-weight reductions.
+// GEMMs: W^T for dense forward and conv grad-input, grad_pre^T / im2col^T
+// for the grad-weight reductions.
 void TransposeMatrix(const float* in, int rows, int cols, float* out);
 
 }  // namespace dx

@@ -85,6 +85,25 @@ class Layer {
   virtual void ForwardBatchInto(const Tensor& input, int batch, bool training, Rng* rng,
                                 Tensor* output, Tensor* aux, Workspace* ws) const = 0;
 
+  // A forward pack is a copy of the layer's parameters laid out for its
+  // forward kernel (Dense: W^T plus the bias row). A plan takes one per
+  // layer at Compile (ExecutionPlan's constructor calls ForwardPack) and
+  // hands it back to every forward it runs through ForwardBatchPacked, so
+  // the plan computes with the parameters as they were at Compile. A layer
+  // without a pack returns null and ignores the argument. ForwardBatchInto,
+  // the call without a plan, builds its pack in `ws` on every call.
+  // ForwardPack may run on several threads at once: workers compile
+  // concurrently.
+  virtual std::shared_ptr<const Tensor> ForwardPack() const { return nullptr; }
+
+  // ForwardBatchInto computing from `pack`, which ForwardPack() returned,
+  // instead of the live parameters.
+  virtual void ForwardBatchPacked(const Tensor* /*pack*/, const Tensor& input, int batch,
+                                  bool training, Rng* rng, Tensor* output, Tensor* aux,
+                                  Workspace* ws) const {
+    ForwardBatchInto(input, batch, training, rng, output, aux, ws);
+  }
+
   // Writes dLoss/dInput into `grad_input`, which holds batch * |input
   // sample| elements; implementations treat it (and `grad_output`, which
   // only promises numel == output.numel()) as flat storage — geometry comes

@@ -72,7 +72,8 @@ class Model {
   // Compiles a zero-allocation execution context for batches of up to
   // `max_batch` samples: pre-sized layer slabs, backward scratch, and trace
   // storage reused across iterations (src/nn/execution_plan.h). The plan
-  // borrows this model and is invalidated by structural changes (Add).
+  // borrows this model and is invalidated by structural changes (Add) and by
+  // weight changes: it snapshots each Dense layer's forward weights here.
   ExecutionPlan Compile(int max_batch) const;
 
   // Backpropagates `seed` (shaped like layer `from_layer`'s output) down to

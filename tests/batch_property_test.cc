@@ -36,9 +36,9 @@ Activation RandAct(Rng& rng) {
   return static_cast<Activation>(RandInt(rng, 0, 3));  // kNone..kSigmoid.
 }
 
-// Batch sizes straddle the 8-float SIMD vector (Dense runs the batch as the
-// GEMM's column dimension): singletons, partial vectors, exact vectors, and
-// vectors-plus-tail all occur across trials.
+// Batch sizes 1-19: Dense runs the batch as the GEMM's rows, so the 1-3-row
+// tiles, whole 4-row tiles and 4-row tiles plus a short block all occur
+// across trials.
 int RandBatch(Rng& rng) { return RandInt(rng, 1, 19); }
 
 TEST(BatchPropertyTest, Dense) {
@@ -50,10 +50,9 @@ TEST(BatchPropertyTest, Dense) {
   }
 }
 
-// Dense pads a batch to whole SIMD vectors before its GEMM. Sweep every width
-// from 1 to 2 * kLanes + 1 (below, at and past each vector boundary) over the
-// layers of a TAB_C1-shaped stack and of a stack whose out_features are not
-// multiples of 8.
+// Every width from 1 to 2 * kLanes + 1, each a different set of row blocks in
+// Dense's batch-major GEMM, over the layers of a TAB_C1-shaped stack and of a
+// stack whose out_features are not multiples of 8 (column tails).
 TEST(BatchPropertyTest, DenseEveryWidthAcrossTheLaneBoundary) {
   const std::tuple<int, int, Activation> kLayers[] = {
       {32, 64, Activation::kRelu}, {64, 64, Activation::kRelu}, {64, 2, Activation::kNone},

@@ -18,7 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/nn/batchnorm.h"
@@ -358,6 +361,88 @@ TEST(ExecutionPlanTest, AcquireSeedIsZeroed) {
   const Tensor& again = plan.AcquireSeed(model.num_layers() - 1);
   for (int64_t i = 0; i < again.numel(); ++i) {
     EXPECT_EQ(again[i], 0.0f);
+  }
+}
+
+// ---- Dense forward packs -----------------------------------------------------------
+//
+// A plan runs dense forward on the W^T + bias pack it took at Compile. Plans
+// compiled from unchanged weights share the layer's one pack (so a
+// shared_ptr count of layer cache + plans + the caller's copy shows the
+// sharing); a Compile after a weight change builds a fresh pack and leaves
+// older plans on theirs.
+
+Model MakeMlp(uint64_t seed) {
+  Model m("mlp", {6});
+  Rng rng(seed);
+  m.Emplace<Dense>(6, 9, Activation::kRelu).InitParams(rng);
+  m.Emplace<Dense>(9, 4).InitParams(rng);
+  m.Emplace<SoftmaxLayer>();
+  return m;
+}
+
+TEST(ExecutionPlanTest, PlansShareOneDensePackPerLayer) {
+  const Model model = MakeMlp(31);
+  const ExecutionPlan a = model.Compile(2);
+  const ExecutionPlan b = model.Compile(5);
+  for (int l = 0; l < 2; ++l) {
+    // The layer's cache, plans a and b, and this copy.
+    EXPECT_EQ(model.layer(l).ForwardPack().use_count(), 4) << "layer " << l;
+  }
+  EXPECT_EQ(model.layer(2).ForwardPack(), nullptr);
+}
+
+// The Trainer's pattern: parameters taken before the first Compile and
+// changed through those pointers.
+TEST(ExecutionPlanTest, PlanKeepsItsPackAcrossAWeightChange) {
+  Model model = MakeMlp(32);
+  const std::vector<Tensor*> params = model.MutableParams();
+  const Tensor input = RandomBatch(model, 3, 33);
+  ExecutionPlan before = model.Compile(3);
+  const Tensor old_out = before.ForwardBatch(input, 3).Output();
+
+  (*params[0])[5] += 0.75f;  // A layer-0 weight and bias.
+  (*params[1])[0] += 1.0f;
+  ExecutionPlan after = model.Compile(3);
+  const BatchTrace& got = after.ForwardBatch(input, 3);
+  ExpectTracesNear(got, OracleForwardBatch(model, input), kKernelForwardTolerance,
+                   "plan compiled after the change");
+  EXPECT_NE(got.Output().values(), old_out.values());
+
+  const Tensor& kept = before.ForwardBatch(input, 3).Output();
+  ASSERT_EQ(kept.numel(), old_out.numel());
+  EXPECT_EQ(std::memcmp(kept.data(), old_out.data(), sizeof(float) * kept.numel()), 0);
+  // Layer 0 has a new pack held by its cache and `after` (plus this copy);
+  // layer 1 did not change, so both plans still share its pack.
+  EXPECT_EQ(model.layer(0).ForwardPack().use_count(), 3);
+  EXPECT_EQ(model.layer(1).ForwardPack().use_count(), 4);
+}
+
+// Session workers compile concurrently; however their compiles interleave,
+// they end up on one pack per layer. Runs under ThreadSanitizer in CI.
+TEST(ExecutionPlanTest, ConcurrentCompilesShareOnePack) {
+  const Model model = MakeMlp(34);
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<ExecutionPlan>> plans(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      plans[static_cast<size_t>(t)] = std::make_unique<ExecutionPlan>(model.Compile(2));
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int l = 0; l < 2; ++l) {
+    EXPECT_EQ(model.layer(l).ForwardPack().use_count(), kThreads + 2) << "layer " << l;
+  }
+  const Tensor input = RandomBatch(model, 2, 35);
+  const Tensor want = plans[0]->ForwardBatch(input, 2).Output();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(plans[static_cast<size_t>(t)]->ForwardBatch(input, 2).Output().values(),
+              want.values());
   }
 }
 

@@ -15,15 +15,25 @@
 //   3. Conv2D / Dense ForwardBatchInto (the im2col+GEMM plan path) match
 //      the per-sample scalar oracle within tolerance at batch 1 and 8, and
 //      Im2Col itself matches a direct gather exactly (pure data movement).
+//
+// Dense forward is also pinned bit for bit: every output is one std::fma
+// chain from its bias over ascending inputs, on a compiled plan and on the
+// call without one, at every batch width.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/nn/activation.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
+#include "src/nn/execution_plan.h"
 #include "src/nn/gemm.h"
+#include "src/nn/model.h"
+#include "src/tensor/simd.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/workspace.h"
 #include "src/util/rng.h"
@@ -252,6 +262,85 @@ TEST(GemmKernelTest, DenseForwardIntoSweepsRandomShapes) {
     layer.InitParams(rng);
     for (const int batch : {1, 8}) {
       ExpectForwardIntoNearOracle(layer, {layer.in_features()}, batch, rng.NextU64());
+    }
+  }
+}
+
+// The dense forward's chain, written out: y[b, o] = act(fma(x[b, in-1],
+// W[o, in-1], ... fma(x[b, 0], W[o, 0], bias[o]) ...)).
+Tensor DenseFmaChain(const Dense& layer, const Tensor& input, int batch) {
+  const int in = layer.in_features();
+  const int out = layer.out_features();
+  const float* w = layer.Params()[0]->data();
+  const float* bias = layer.Params()[1]->data();
+  Tensor y({batch, out});
+  for (int b = 0; b < batch; ++b) {
+    for (int o = 0; o < out; ++o) {
+      float acc = bias[o];
+      for (int i = 0; i < in; ++i) {
+        acc = std::fma(input.data()[static_cast<size_t>(b) * in + i],
+                       w[static_cast<size_t>(o) * in + i], acc);
+      }
+      y.data()[static_cast<size_t>(b) * out + o] = acc;
+    }
+  }
+  ApplyActivation(layer.activation(), &y);
+  return y;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const std::string& label) {
+  ASSERT_EQ(got.numel(), want.numel()) << label;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << label << " element " << i << ": got " << got[i] << ", want " << want[i];
+  }
+}
+
+TEST(GemmKernelTest, DenseForwardIsOneFmaChainFromTheBias) {
+  std::vector<int> widths;
+  for (int w = 1; w <= 2 * simd::kLanes + 1; ++w) {
+    widths.push_back(w);
+  }
+  widths.push_back(16);
+  widths.push_back(17);
+  const int max_width = 2 * simd::kLanes + 1 > 17 ? 2 * simd::kLanes + 1 : 17;
+  Rng rng(0x73);
+  for (const int out : {1, 2, 7, 8, 9, 10, 16, 17, 33, 84}) {
+    for (const int in : {1, 3, 32, 135}) {
+      for (const Activation act : {Activation::kNone, Activation::kRelu}) {
+        Model model("fma_chain", {in});
+        Dense& layer = model.Emplace<Dense>(in, out, act);
+        layer.InitParams(rng);
+        Tensor& bias = layer.bias();
+        for (int o = 0; o < out; ++o) {
+          bias[o] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+        }
+        bias[out / 2] = -0.0f;  // A chain over all-zero inputs must keep it.
+        Tensor input = Tensor::RandUniform({max_width, in}, rng, -1.0f, 1.0f);
+        for (int64_t i = 0; i < input.numel(); ++i) {
+          if (rng.Bernoulli(0.25)) {
+            input[i] = 0.0f;
+          }
+        }
+        for (int i = 0; i < in; ++i) {
+          input[static_cast<int64_t>(in) + i] = 0.0f;  // Sample 1 is all zeros.
+        }
+        ExecutionPlan plan = model.Compile(max_width);
+        Workspace ws;
+        for (const int width : widths) {
+          const Tensor x({width, in},
+                         std::vector<float>(input.data(),
+                                            input.data() + static_cast<size_t>(width) * in));
+          const Tensor want = DenseFmaChain(layer, x, width);
+          const std::string label = layer.Describe() + " width " + std::to_string(width);
+          ExpectSameBits(plan.ForwardBatch(x, width).Output(), want, "plan " + label);
+          Tensor got({width, out});
+          Tensor aux;
+          ws.Rewind();
+          layer.ForwardBatchInto(x, width, false, nullptr, &got, &aux, &ws);
+          ExpectSameBits(got, want, "no plan " + label);
+        }
+      }
     }
   }
 }

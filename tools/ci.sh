@@ -11,10 +11,12 @@
 #   mode "tsan": build with ThreadSanitizer and run the multi-worker /
 #   corpus test subset — the tests whose Sessions run parallel workers over
 #   shared coverage trackers, which is exactly the surface a data race
-#   would corrupt.
+#   would corrupt — plus execution_plan_test, whose concurrent compiles
+#   share one Dense forward pack.
 #
 #   mode "release": build the benches and the bit-identity tests
-#   (execution_plan_test, batch_exec_test, alloc_test, core_test) with
+#   (execution_plan_test, gemm_kernel_test, batch_exec_test, alloc_test,
+#   core_test) with
 #   CMAKE_BUILD_TYPE=Release, run those tests — the e2e digests come from a
 #   Release build — then run each bench once as a smoke test (the plan
 #   bench's inline tolerance checks keep the GEMM/SIMD path honest where
@@ -98,7 +100,7 @@ cmake -B "$BUILD_DIR" -S . ${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}
 if [ "$MODE" = "release" ]; then
   # The bit-identity tests also run here: the e2e digests come from a
   # Release (-O3) build, while the default ctest build is RelWithDebInfo.
-  RELEASE_TESTS=(execution_plan_test batch_exec_test alloc_test core_test)
+  RELEASE_TESTS=(execution_plan_test gemm_kernel_test batch_exec_test alloc_test core_test)
   echo "==> build (Release: bench suite + bit-identity tests)"
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target bench_plan_steady_state bench_session_scaling "${RELEASE_TESTS[@]}"
@@ -350,9 +352,10 @@ if ctest --help | grep -q -- --output-junit; then
   CTEST_ARGS+=(--output-junit ctest-junit.xml)
 fi
 if [ "$MODE" = "tsan" ]; then
-  # Multi-worker Sessions + corpus resume are the race-prone surface; the
-  # rest of the suite is single-threaded and would only slow TSan down.
-  CTEST_ARGS+=(-R 'session_test|batch_exec_test|corpus_test|corpus_maintenance_test|util_test')
+  # Multi-worker Sessions + corpus resume are the race-prone surface, and
+  # execution_plan_test compiles one model from several threads; the rest
+  # of the suite is single-threaded and would only slow TSan down.
+  CTEST_ARGS+=(-R 'session_test|batch_exec_test|corpus_test|corpus_maintenance_test|util_test|execution_plan_test')
 fi
 
 echo "==> ctest"
