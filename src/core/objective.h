@@ -15,7 +15,8 @@
 // implement the same interface — see src/baselines/ — so every strategy runs
 // through the one Session loop instead of forked code paths. Objectives are
 // selected by name through MakeObjective ("joint", "differential", "fgsm",
-// "random") or injected directly via Session::SetObjective.
+// "random"); a new one is added with RegisterObjective, so the key a corpus
+// manifest records always names the objective that ran.
 //
 // Order contract (what keeps results bit-identical to per-seed evaluation):
 //   * Plan is called once per (active seed, model), models in ascending k,

@@ -69,20 +69,6 @@ Session::Session(std::vector<Model*> models, const Constraint* constraint,
 
 Session::~Session() = default;
 
-void Session::SetObjective(std::unique_ptr<Objective> objective) {
-  if (objective == nullptr) {
-    throw std::invalid_argument("Session: objective must not be null");
-  }
-  objective_ = std::move(objective);
-}
-
-void Session::SetScheduler(std::unique_ptr<SeedScheduler> scheduler) {
-  if (scheduler == nullptr) {
-    throw std::invalid_argument("Session: scheduler must not be null");
-  }
-  scheduler_ = std::move(scheduler);
-}
-
 std::vector<const Tensor*> TestInputs(const std::vector<GeneratedTest>& tests) {
   std::vector<const Tensor*> inputs;
   inputs.reserve(tests.size());
@@ -249,20 +235,18 @@ ReplayResult Session::Replay(const Corpus& corpus) {
     // re-deriving the checkpointed coverage state from scratch.
     return VerifyDerivedCorpus(*this, corpus);
   }
-  const CorpusMeta& meta = corpus.meta();
-  RunOptions options;
-  options.max_tests = meta.max_tests;
-  options.max_seed_passes = meta.max_seed_passes;
-  options.coverage_goal = meta.coverage_goal;
+  CheckWiring(corpus);
+  RunOptions options = RecordedBounds(corpus.meta());
   // Stop exactly where the recorded campaign stopped, complete or not.
   options.max_sync_batches = static_cast<int64_t>(corpus.journal().size());
-  ValidateCorpus(corpus, meta.seeds, options);
+  // Seed profiling is left to the run, so that its forward passes count
+  // toward the replayed forward_passes just as they did when recorded.
   ResetRunState();
 
   ReplayResult result;
   ReplayCursor cursor;
   cursor.corpus = &corpus;
-  result.stats = RunLoop(meta.seeds, options, nullptr, &cursor);
+  result.stats = RunLoop(corpus.meta().seeds, options, nullptr, &cursor);
   result.ok = cursor.ok;
   result.mismatch = std::move(cursor.mismatch);
   if (!result.ok) {
@@ -326,6 +310,39 @@ std::string Session::StoredStateMismatch(const Corpus& corpus) const {
   return "";
 }
 
+void Session::CheckWiring(const Corpus& corpus) const {
+  const CorpusMeta& meta = corpus.meta();
+  const auto fail = [&](const std::string& what) {
+    throw std::invalid_argument("Session: corpus " + corpus.dir() +
+                                " does not match this session: " + what);
+  };
+  if (meta.metric != config_.metric || meta.objective != config_.objective ||
+      meta.scheduler != config_.scheduler) {
+    fail("metric/objective/scheduler wiring differs");
+  }
+  if (meta.constraint != constraint_->name()) {
+    fail("constraint is " + constraint_->name() + ", corpus recorded " + meta.constraint);
+  }
+  if (meta.engine.coverage != config_.engine.coverage) {
+    fail("coverage options differ");
+  }
+  if (meta.engine != config_.engine) {
+    fail("engine hyperparameters differ");
+  }
+  if (meta.sync_interval != config_.sync_interval) {
+    fail("sync_interval differs");
+  }
+  if (meta.model_names.size() != models_.size()) {
+    fail("model count differs");
+  }
+  for (size_t k = 0; k < models_.size(); ++k) {
+    if (meta.model_names[k] != models_[k]->name()) {
+      fail("model " + std::to_string(k) + " is " + models_[k]->name() +
+           ", corpus recorded " + meta.model_names[k]);
+    }
+  }
+}
+
 void Session::ValidateCorpus(const Corpus& corpus, const std::vector<Tensor>& seeds,
                              const RunOptions& options) const {
   const CorpusMeta& meta = corpus.meta();
@@ -337,46 +354,11 @@ void Session::ValidateCorpus(const Corpus& corpus, const std::vector<Tensor>& se
     fail("corpus is a derived maintenance artifact (transform=" + *transform +
          ") — derived corpora replay for verification but never resume");
   }
-  if (meta.metric != config_.metric || meta.objective != config_.objective ||
-      meta.scheduler != config_.scheduler) {
-    fail("metric/objective/scheduler wiring differs");
-  }
-  if (meta.constraint != constraint_->name()) {
-    fail("constraint is " + constraint_->name() + ", corpus recorded " + meta.constraint);
-  }
-  const EngineConfig& a = meta.engine;
-  const EngineConfig& b = config_.engine;
-  if (a.lambda1 != b.lambda1 || a.lambda2 != b.lambda2 || a.step != b.step ||
-      a.max_iterations_per_seed != b.max_iterations_per_seed ||
-      a.steering_eps != b.steering_eps || a.normalize_gradient != b.normalize_gradient ||
-      a.forced_target_model != b.forced_target_model || a.rng_seed != b.rng_seed) {
-    fail("engine hyperparameters differ");
-  }
-  if (a.coverage.threshold != b.coverage.threshold ||
-      a.coverage.scale_per_layer != b.coverage.scale_per_layer ||
-      a.coverage.exclude_dense != b.coverage.exclude_dense ||
-      a.coverage.exclude_output_layer != b.coverage.exclude_output_layer ||
-      a.coverage.kmc_sections != b.coverage.kmc_sections ||
-      a.coverage.top_k != b.coverage.top_k) {
-    fail("coverage options differ");
-  }
-  if (meta.sync_interval != config_.sync_interval ||
-      meta.profile_from_seeds != config_.profile_from_seeds) {
-    fail("sync_interval/profile_from_seeds differ");
-  }
+  CheckWiring(corpus);
   if (meta.max_tests != options.max_tests ||
       meta.max_seed_passes != options.max_seed_passes ||
       meta.coverage_goal != options.coverage_goal) {
     fail("campaign bounds (max_tests/max_seed_passes/coverage_goal) differ");
-  }
-  if (meta.model_names.size() != models_.size()) {
-    fail("model count differs");
-  }
-  for (size_t k = 0; k < models_.size(); ++k) {
-    if (meta.model_names[k] != models_[k]->name()) {
-      fail("model " + std::to_string(k) + " is " + models_[k]->name() +
-           ", corpus recorded " + meta.model_names[k]);
-    }
   }
   if (meta.seeds.size() != seeds.size()) {
     fail("seed pool size differs");
@@ -438,6 +420,12 @@ void Session::ResetRunState() {
   profiled_ = false;
 }
 
+void Session::ResetForCorpus(const Corpus& corpus) {
+  CheckWiring(corpus);
+  ResetRunState();
+  ProfileSeeds(corpus.meta().seeds);
+}
+
 RunStats Session::RunLoop(const std::vector<Tensor>& seeds, const RunOptions& options,
                           Corpus* corpus, ReplayCursor* replay) {
   // All run state lives in the SessionRun; this loop (like any other caller
@@ -484,7 +472,6 @@ SessionRun::SessionRun(Session* session, const std::vector<Tensor>* seeds,
       meta.constraint = s.constraint_->name();
       meta.engine = s.config_.engine;
       meta.sync_interval = s.config_.sync_interval;
-      meta.profile_from_seeds = s.config_.profile_from_seeds;
       meta.max_tests = options_.max_tests;
       meta.max_seed_passes = options_.max_seed_passes;
       meta.coverage_goal = options_.coverage_goal;
@@ -509,7 +496,7 @@ SessionRun::SessionRun(Session* session, const std::vector<Tensor>* seeds,
   }
 
   if (!resumed) {
-    if (s.config_.profile_from_seeds && !s.profiled_) {
+    if (!s.profiled_) {
       s.ProfileSeeds(*seeds_);
     }
     s.scheduler_->Reset(static_cast<int>(seeds_->size()), options_.max_seed_passes);

@@ -70,10 +70,14 @@ struct EngineConfig {
   // per-DNN difference counts, which targets each model in turn.
   int forced_target_model = -1;
   uint64_t rng_seed = 1234;
+
+  // Field-wise, coverage options included (Session::CheckWiring).
+  bool operator==(const EngineConfig&) const = default;
 };
 
 // Full session wiring: engine hyperparameters plus the pluggable components
-// (by factory name) and the parallelism knobs.
+// (by factory name) and the parallelism knobs. A corpus manifest records all
+// but workers, batch_size and profile_phases (RecordedConfig in corpus.h).
 struct SessionConfig {
   EngineConfig engine;
   // CoverageMetric factory key: "neuron", "kmultisection", "topk", ...
@@ -99,9 +103,6 @@ struct SessionConfig {
   // see the coverage of all seeds before it), larger values expose more
   // parallelism. Must be >= 1.
   int sync_interval = 64;
-  // Run the metric's ProfileSeed pass over the seed pool at the start of
-  // Run (k-multisection range profiling); no-op for metrics that don't ask.
-  bool profile_from_seeds = true;
   // Collect per-phase wall-time in the batched executor (stack / forward /
   // backward layers / objective accumulate / constraint / coverage — see
   // ExecutorProfile and the CLI's --profile flag). Purely observational:
@@ -239,11 +240,6 @@ class Session {
   Session(std::vector<Model*> models, const Constraint* constraint, SessionConfig config);
   ~Session();  // Out of line: Executor is an incomplete type here.
 
-  // Replaces the factory-built plug-ins (extension point for custom
-  // strategies; call before Run).
-  void SetObjective(std::unique_ptr<Objective> objective);
-  void SetScheduler(std::unique_ptr<SeedScheduler> scheduler);
-
   bool regression() const { return regression_; }
   int num_models() const { return static_cast<int>(models_.size()); }
   const Model& model(int k) const { return *models_[static_cast<size_t>(k)]; }
@@ -308,9 +304,14 @@ class Session {
   // then runs StoredStateMismatch on the result. A derived maintenance
   // corpus (no journal) is verified by VerifyDerivedCorpus instead
   // (src/corpus/maintenance.h). Resets this session's coverage state. The
-  // session must be constructed with the corpus' config
-  // (std::invalid_argument otherwise; batch_size/workers free).
+  // session must be wired like the corpus (CheckWiring; build it from
+  // RecordedConfig — batch_size/workers are free).
   ReplayResult Replay(const Corpus& corpus);
+
+  // The check wherever a session meets a manifest (replay, resume, the
+  // maintenance passes): throws std::invalid_argument unless the plug-in
+  // keys, constraint, EngineConfig, sync_interval and model names match.
+  void CheckWiring(const Corpus& corpus) const;
 
   // The stored-state check shared by Replay and VerifyDerivedCorpus. Every
   // corpus entry must re-predict (Predict) to its stored labels/outputs,
@@ -320,11 +321,11 @@ class Session {
   // divergence, or an empty string when the corpus checks out.
   std::string StoredStateMismatch(const Corpus& corpus) const;
 
-  // Feeds every seed's trace to the metrics' ProfileSeed (k-multisection
-  // range calibration). The traces come from a compiled ExecutionPlan — the
-  // kernels the executor later buckets with — so the profile is the same at
-  // any batch_size. Run() calls this automatically once when the metric asks
-  // for it and config().profile_from_seeds is set.
+  // Feeds every seed's trace to the ProfileSeed of each metric whose
+  // WantsSeedProfile() asks for it (k-multisection range calibration). The
+  // traces come from a compiled ExecutionPlan — the kernels the executor
+  // later buckets with — so the profile is the same at any batch_size. A
+  // fresh Run() calls this once; a resume restores the profile instead.
   void ProfileSeeds(const std::vector<Tensor>& seeds);
 
   // Mean coverage across the per-model trackers.
@@ -334,10 +335,10 @@ class Session {
   // config().profile_phases is set; zeros otherwise).
   ExecutorProfile ExecutorPhases() const;
 
-  // Rebuilds fresh (empty, unprofiled) coverage trackers. Replay and the
-  // corpus maintenance passes (src/corpus/maintenance.h) call this before
-  // re-deriving coverage state from scratch.
-  void ResetRunState();
+  // CheckWiring, then fresh coverage trackers profiled on the manifest's
+  // seeds: the state the maintenance passes and derived-corpus verification
+  // (src/corpus/maintenance.h) re-derive coverage from.
+  void ResetForCorpus(const Corpus& corpus);
 
  private:
   friend class SessionRun;  // The lifted run state drives the private parts.
@@ -346,14 +347,16 @@ class Session {
 
   std::vector<std::unique_ptr<CoverageMetric>> CloneMetrics() const;
   int EffectiveWorkers() const;
+  // Rebuilds fresh (empty, unprofiled) coverage trackers.
+  void ResetRunState();
   // The one run loop behind Run/Replay: steps a SessionRun until a bound is
   // hit. `corpus` (optional) receives entries/journal/checkpoints, `replay`
   // (optional) verifies generated tests against a recorded corpus as they
   // appear.
   RunStats RunLoop(const std::vector<Tensor>& seeds, const RunOptions& options,
                    Corpus* corpus, ReplayCursor* replay);
-  // Throws std::invalid_argument unless the corpus manifest matches this
-  // session's result-affecting config, the campaign bounds, and the seeds.
+  // The resume check: refuses derived corpora (no journal), then runs
+  // CheckWiring and compares the campaign bounds and the seed pool.
   void ValidateCorpus(const Corpus& corpus, const std::vector<Tensor>& seeds,
                       const RunOptions& options) const;
   // Restores coverage state + counters from the corpus checkpoint and the

@@ -158,6 +158,33 @@ const std::string* CorpusMeta::FindMetadata(const std::string& key) const {
   return nullptr;
 }
 
+SessionConfig RecordedConfig(const CorpusMeta& meta) {
+  SessionConfig config;
+  config.engine = meta.engine;
+  config.metric = meta.metric;
+  config.objective = meta.objective;
+  config.scheduler = meta.scheduler;
+  config.sync_interval = meta.sync_interval;
+  return config;
+}
+
+RunOptions RecordedBounds(const CorpusMeta& meta) {
+  RunOptions options;
+  options.max_tests = meta.max_tests;
+  options.max_seed_passes = meta.max_seed_passes;
+  options.coverage_goal = meta.coverage_goal;
+  return options;
+}
+
+DomainAndConstraint RecordedDomain(const CorpusMeta& meta) {
+  const std::string* domain = meta.FindMetadata("domain");
+  const std::string* constraint = meta.FindMetadata("constraint");
+  if (domain == nullptr || constraint == nullptr) {
+    throw std::invalid_argument("manifest lacks domain/constraint metadata");
+  }
+  return {*domain, *constraint};
+}
+
 Corpus::Corpus(std::string dir) : dir_(std::move(dir)) {
   if (std::filesystem::exists(ManifestPath())) {
     Load();
@@ -201,7 +228,7 @@ void Corpus::Initialize(CorpusMeta meta) {
     w.WriteString(meta.constraint);
     WriteEngine(w, meta.engine);
     w.WriteI64(meta.sync_interval);
-    w.WriteU32(meta.profile_from_seeds ? 1 : 0);
+    w.WriteU32(1);  // Seeds are profiled (see CorpusMeta).
     w.WriteI64(meta.max_tests);
     w.WriteI64(meta.max_seed_passes);
     w.WriteF32(meta.coverage_goal);
@@ -248,7 +275,13 @@ void Corpus::Load() {
     meta_.constraint = r.ReadString();
     meta_.engine = ReadEngine(r);
     meta_.sync_interval = static_cast<int>(r.ReadI64());
-    meta_.profile_from_seeds = r.ReadU32() != 0;
+    if (r.ReadU32() == 0) {
+      // Every session profiles the seeds its metric asks for, so resuming
+      // or replaying this campaign would silently diverge.
+      throw std::runtime_error("Corpus: " + ManifestPath() +
+                               " records a campaign run without seed profiling, "
+                               "which is no longer supported");
+    }
     meta_.max_tests = static_cast<int>(r.ReadI64());
     meta_.max_seed_passes = static_cast<int>(r.ReadI64());
     meta_.coverage_goal = r.ReadF32();

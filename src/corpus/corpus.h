@@ -5,11 +5,12 @@
 //
 //   manifest.bin    campaign identity, written once at Initialize: the
 //                   result-affecting session wiring (metric/objective/
-//                   scheduler names, full EngineConfig incl. rng_seed,
-//                   sync_interval), the campaign bounds (max_tests,
-//                   max_seed_passes, coverage_goal), the model names, the
-//                   full seed pool, and free-form metadata (domain,
-//                   constraint, ...).
+//                   scheduler names, constraint name, full EngineConfig
+//                   incl. rng_seed, sync_interval), the campaign bounds
+//                   (max_tests, max_seed_passes, coverage_goal), the model
+//                   names, the full seed pool, and free-form metadata
+//                   (domain, constraint, ...). The Recorded* functions
+//                   below map it back to a session.
 //   entries.bin     append-only stream of difference-inducing inputs with
 //                   provenance (seed index, iteration count, deviating
 //                   model, per-model labels/outputs, task ordinal — which
@@ -80,7 +81,8 @@ struct CorpusMeta {
   std::string constraint;
   EngineConfig engine;
   int sync_interval = 0;
-  bool profile_from_seeds = true;
+  // manifest.bin stores a seed-profiling byte here, always 1 (the metric
+  // decides); an open refuses a 0, since that campaign would diverge.
   // Campaign bounds (the result-affecting subset of RunOptions; max_seconds
   // and max_sync_batches are per-leg knobs and deliberately not stored).
   int max_tests = 0;
@@ -94,6 +96,22 @@ struct CorpusMeta {
 
   const std::string* FindMetadata(const std::string& key) const;
 };
+
+// The session wiring a manifest records; workers, batch_size and
+// profile_phases keep their defaults (results are invariant to them).
+SessionConfig RecordedConfig(const CorpusMeta& meta);
+
+// The campaign bounds a manifest records; the per-leg knobs keep defaults.
+RunOptions RecordedBounds(const CorpusMeta& meta);
+
+// The domain and constraint registry keys the CLI and the daemon store as
+// metadata (resolve them with src/core/domain.h). Throws
+// std::invalid_argument when the manifest lacks either.
+struct DomainAndConstraint {
+  std::string domain;
+  std::string constraint;
+};
+DomainAndConstraint RecordedDomain(const CorpusMeta& meta);
 
 struct CorpusCheckpoint {
   struct JournalRecord {
@@ -152,7 +170,8 @@ class Corpus {
   // directory is an uninitialized corpus). An existing manifest is loaded
   // along with the snapshot and the entries and journal batches it covers
   // (see the note above). Throws std::runtime_error on corrupt or
-  // version-mismatched files, including a pre-chain checkpoint.bin.
+  // version-mismatched files, including a pre-chain checkpoint.bin and a
+  // manifest whose seed-profiling byte is 0.
   explicit Corpus(std::string dir);
 
   const std::string& dir() const { return dir_; }

@@ -166,17 +166,13 @@ MaintenanceReport DedupCorpus(Session& session, const Corpus& corpus,
     throw std::invalid_argument("DedupCorpus: out_dir must be set");
   }
   Timer timer;
-  const CorpusMeta& meta = corpus.meta();
   DeduperContext context;
-  context.meta = &meta;
+  context.meta = &corpus.meta();
   context.threshold = options.threshold;
   const std::unique_ptr<CorpusDeduper> deduper =
       MakeCorpusDeduper(options.deduper, context);
 
-  session.ResetRunState();
-  if (meta.profile_from_seeds) {
-    session.ProfileSeeds(meta.seeds);
-  }
+  session.ResetForCorpus(corpus);
   const std::vector<GeneratedTest>& entries = corpus.entries();
   std::vector<CoverageFootprint> footprints;
   if (options.preserve_coverage) {

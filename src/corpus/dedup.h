@@ -75,8 +75,9 @@ struct DedupOptions {
 };
 
 // Runs the near-duplicate pass of `corpus` through `session` and writes the
-// deduplicated corpus to options.out_dir. Resets the session's coverage
-// state. Returns the report.
+// deduplicated corpus to options.out_dir. The session must be wired like the
+// corpus (checked as in DistillCorpus); its coverage state is reset. Returns
+// the report.
 MaintenanceReport DedupCorpus(Session& session, const Corpus& corpus,
                               const DedupOptions& options);
 

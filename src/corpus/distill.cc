@@ -12,11 +12,7 @@ MaintenanceReport DistillCorpus(Session& session, const Corpus& corpus,
     throw std::invalid_argument("DistillCorpus: out_dir must be set");
   }
   Timer timer;
-  const CorpusMeta& meta = corpus.meta();
-  session.ResetRunState();
-  if (meta.profile_from_seeds) {
-    session.ProfileSeeds(meta.seeds);
-  }
+  session.ResetForCorpus(corpus);
 
   const std::vector<GeneratedTest>& entries = corpus.entries();
   std::vector<CoverageFootprint> footprints = ComputeFootprints(session, TestInputs(entries));

@@ -24,10 +24,11 @@ struct DistillOptions {
   std::string out_dir;
 };
 
-// Runs the distillation pass of `corpus` through `session` (which must be
-// built with the corpus' config — models, metric, coverage options) and
-// writes the compacted corpus to options.out_dir. Resets the session's
-// coverage state. Returns the distillation report.
+// Runs the distillation pass of `corpus` through `session` and writes the
+// compacted corpus to options.out_dir. The session must be wired like the
+// corpus (Session::ResetForCorpus checks it, and throws
+// std::invalid_argument before anything is written); its coverage state is
+// reset. Returns the distillation report.
 MaintenanceReport DistillCorpus(Session& session, const Corpus& corpus,
                                 const DistillOptions& options);
 

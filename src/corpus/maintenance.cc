@@ -182,33 +182,10 @@ ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus) {
     result.ok = false;
     result.mismatch = what;
   };
-  const CorpusMeta& meta = corpus.meta();
-  if (meta.model_names.size() != static_cast<size_t>(session.num_models())) {
-    throw std::invalid_argument("VerifyDerivedCorpus: corpus records " +
-                                std::to_string(meta.model_names.size()) +
-                                " models, session has " +
-                                std::to_string(session.num_models()));
-  }
-  for (int k = 0; k < session.num_models(); ++k) {
-    if (meta.model_names[static_cast<size_t>(k)] != session.model(k).name()) {
-      throw std::invalid_argument("VerifyDerivedCorpus: model " + std::to_string(k) +
-                                  " is " + session.model(k).name() +
-                                  ", corpus recorded " +
-                                  meta.model_names[static_cast<size_t>(k)]);
-    }
-  }
-  if (meta.metric != session.config().metric) {
-    throw std::invalid_argument("VerifyDerivedCorpus: corpus metric " + meta.metric +
-                                " != session metric " + session.config().metric);
-  }
-
   // Re-derive coverage from scratch: fresh trackers, seed calibration, then
   // every entry's activations per model in entry order — exactly what the
   // maintenance pass serialized into the checkpoint.
-  session.ResetRunState();
-  if (meta.profile_from_seeds) {
-    session.ProfileSeeds(meta.seeds);
-  }
+  session.ResetForCorpus(corpus);
   const std::vector<GeneratedTest>& entries = corpus.entries();
   const std::vector<const Tensor*> inputs = TestInputs(entries);
   for (int k = 0; k < session.num_models(); ++k) {

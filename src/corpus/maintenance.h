@@ -61,9 +61,8 @@ struct MaintenanceReport {
 };
 
 // Computes one footprint per input: each starts from Clone()s of the
-// session's CURRENT per-model metrics (call Session::ResetRunState +
-// ProfileSeeds first so they are empty but calibrated) and observes exactly
-// one input. Forward passes are batched per model through
+// session's CURRENT per-model metrics (call Session::ResetForCorpus first so
+// they are empty but calibrated) and observes exactly one input. Forward passes are batched per model through
 // ExecutionPlan::ForwardChunks at the session's batch_size.
 std::vector<CoverageFootprint> ComputeFootprints(Session& session,
                                                  const std::vector<const Tensor*>& inputs);
@@ -106,12 +105,13 @@ void WriteDerivedCorpus(const Corpus& source, const std::string& transform,
                         const CoverageFootprint& merged, const std::string& out_dir);
 
 // Verification backend of Session::Replay for derived corpora: re-derives
-// the coverage state from scratch (seed calibration, then every entry in
-// order), then requires Session::StoredStateMismatch to pass — each entry
+// the coverage state from scratch (Session::ResetForCorpus, then every entry
+// in order), then requires Session::StoredStateMismatch to pass — each entry
 // re-predicts to its stored labels/outputs, is still difference-inducing
 // and names the deviator the oracle picks, and the re-derived coverage
 // serializes to the checkpoint's metric blobs byte for byte — and the mean
-// coverage to match. The session must be built with the corpus' config; its
+// coverage to match. The session must be wired like the corpus
+// (Session::CheckWiring throws std::invalid_argument otherwise); its
 // coverage state is reset.
 ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus);
 

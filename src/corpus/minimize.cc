@@ -45,10 +45,7 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
   }
   Timer timer;
   const CorpusMeta& meta = corpus.meta();
-  session.ResetRunState();
-  if (meta.profile_from_seeds) {
-    session.ProfileSeeds(meta.seeds);
-  }
+  session.ResetForCorpus(corpus);
 
   const std::vector<GeneratedTest>& entries = corpus.entries();
   for (const GeneratedTest& entry : entries) {

@@ -49,10 +49,10 @@ struct MinimizeOptions {
   int max_rounds = 4;
 };
 
-// Runs the minimization pass of `corpus` through `session` (built with the
-// corpus' config) and writes the minimized corpus to options.out_dir. Every
-// entry is retained; only inputs (and regression outputs and deviators)
-// change. Resets the session's coverage state. Returns the report —
+// Runs the minimization pass of `corpus` through `session` (wired like the
+// corpus, checked as in DistillCorpus) and writes the minimized corpus to
+// options.out_dir. Every entry is retained; only inputs (and regression
+// outputs and deviators) change. Resets the session's coverage state. Returns the report —
 // modified_entries and reverted_values say how much perturbation the pass
 // clawed back.
 MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,

@@ -53,6 +53,8 @@ struct CoverageOptions {
   int kmc_sections = 10;
   // "topk": how many most-activated neurons per layer count as covered.
   int top_k = 2;
+
+  bool operator==(const CoverageOptions&) const = default;
 };
 
 class CoverageMetric {

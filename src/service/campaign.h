@@ -31,9 +31,10 @@ enum class CampaignState {
 
 const char* CampaignStateName(CampaignState state);
 
-// Everything a `submit` carries. Mirrors the CLI's fresh-run flags; with
-// `resume` set, all result-affecting fields are read from the corpus
-// manifest instead (the same source of truth the CLI's --resume uses).
+// Everything a `submit` carries. Mirrors the CLI's fresh-run flags. With
+// `resume` set, the corpus manifest decides the rest, as for the CLI's
+// --resume: only corpus_dir and batch_size are read, and Submit sets domain
+// and constraint to the recorded keys that status and list report.
 struct CampaignSpec {
   std::string domain;          // registry key, e.g. "mnist"
   std::string constraint;      // variant name; "" or "default" = spec default

@@ -57,6 +57,10 @@ CampaignManager::~CampaignManager() {
 }
 
 uint64_t CampaignManager::Submit(CampaignSpec spec) {
+  // Even a resumed campaign takes its batch_size from the request.
+  if (spec.batch_size < 1) {
+    throw std::invalid_argument("submit: batch_size must be >= 1");
+  }
   if (spec.resume) {
     if (spec.corpus_dir.empty()) {
       throw std::invalid_argument("submit: resume requires corpus_dir");
@@ -66,25 +70,10 @@ uint64_t CampaignManager::Submit(CampaignSpec spec) {
       throw std::invalid_argument("submit: " + spec.corpus_dir +
                                   " holds no recorded campaign to resume");
     }
-    const CorpusMeta& meta = probe.meta();
-    const std::string* domain = meta.FindMetadata("domain");
-    const std::string* constraint = meta.FindMetadata("constraint");
-    if (domain == nullptr || constraint == nullptr) {
-      throw std::invalid_argument("submit: " + spec.corpus_dir +
-                                  " manifest lacks domain/constraint metadata");
-    }
-    // The manifest is the source of truth; reflect it into the spec so
-    // status/list report the real campaign parameters.
-    spec.domain = *domain;
-    spec.constraint = *constraint;
-    spec.metric = meta.metric;
-    spec.objective = meta.objective;
-    spec.scheduler = meta.scheduler;
-    spec.max_tests = meta.max_tests;
-    spec.max_seed_passes = meta.max_seed_passes;
-    spec.coverage_goal = meta.coverage_goal;
-    spec.sync_interval = meta.sync_interval;
-    spec.seeds = static_cast<int>(meta.seeds.size());
+    // Status and list report the recorded domain and constraint.
+    DomainAndConstraint recorded = RecordedDomain(probe.meta());
+    spec.domain = std::move(recorded.domain);
+    spec.constraint = std::move(recorded.constraint);
   } else {
     if (spec.seeds < 1) {
       throw std::invalid_argument("submit: seeds must be >= 1");
@@ -92,6 +81,15 @@ uint64_t CampaignManager::Submit(CampaignSpec spec) {
     if (spec.sync_interval < 1) {
       throw std::invalid_argument("submit: sync_interval must be >= 1");
     }
+    const auto check_key = [](const std::string& key, const std::vector<std::string>& names,
+                              const std::string& what) {
+      if (std::find(names.begin(), names.end(), key) == names.end()) {
+        throw std::invalid_argument("submit: unknown " + what + " '" + key + "'");
+      }
+    };
+    check_key(spec.metric, CoverageMetricNames(), "metric");
+    check_key(spec.objective, ObjectiveNames(), "objective");
+    check_key(spec.scheduler, SeedSchedulerNames(), "scheduler");
   }
   bool fresh_dir_initialized = false;
   if (!spec.resume && !spec.corpus_dir.empty()) {
@@ -308,29 +306,17 @@ CompactResult CampaignManager::Compact(uint64_t id, const CompactOptions& option
       throw std::invalid_argument("compact: " + corpus_dir +
                                   " holds no recorded campaign yet");
     }
-    const CorpusMeta& meta = source.meta();
-    const std::string* domain_key = meta.FindMetadata("domain");
-    const std::string* constraint_key = meta.FindMetadata("constraint");
-    if (domain_key == nullptr || constraint_key == nullptr) {
-      throw std::invalid_argument("compact: " + corpus_dir +
-                                  " manifest lacks domain/constraint metadata");
-    }
-    const DomainSpec& domain = GetDomain(*domain_key);
-    std::unique_ptr<Constraint> constraint = MakeDomainConstraint(
-        domain, ResolveDomainConstraint(domain, *constraint_key));
+    const DomainAndConstraint recorded = RecordedDomain(source.meta());
+    const DomainSpec& domain = GetDomain(recorded.domain);
+    std::unique_ptr<Constraint> constraint =
+        MakeDomainConstraint(domain, recorded.constraint);
     std::vector<Model> models = LoadModels(domain.key);
     std::vector<Model*> ptrs;
     ptrs.reserve(models.size());
     for (Model& m : models) {
       ptrs.push_back(&m);
     }
-    SessionConfig config;
-    config.engine = meta.engine;
-    config.metric = meta.metric;
-    config.objective = meta.objective;
-    config.scheduler = meta.scheduler;
-    config.sync_interval = meta.sync_interval;
-    config.profile_from_seeds = meta.profile_from_seeds;
+    SessionConfig config = RecordedConfig(source.meta());
     config.workers = 1;
     Session session(ptrs, constraint.get(), config);
     session.SetWorkerPool(compute_pool_.get());
@@ -510,14 +496,13 @@ void CampaignManager::InitializeLocked(Campaign& c) {
     // The recorded manifest decides everything result-affecting, exactly as
     // the CLI's --resume does.
     const CorpusMeta& meta = c.corpus->meta();
-    config.engine = meta.engine;
-    config.sync_interval = meta.sync_interval;
-    config.profile_from_seeds = meta.profile_from_seeds;
+    config = RecordedConfig(meta);
+    opts = RecordedBounds(meta);
     c.seed_pool = meta.seeds;
-    opts.max_tests = meta.max_tests;
-    opts.max_seed_passes = meta.max_seed_passes;
-    opts.coverage_goal = meta.coverage_goal;
   } else {
+    config.metric = spec.metric;
+    config.objective = spec.objective;
+    config.scheduler = spec.scheduler;
     config.engine = domain.engine_defaults;
     config.engine.rng_seed = spec.rng_seed;
     if (spec.max_iterations_per_seed > 0) {
@@ -537,9 +522,6 @@ void CampaignManager::InitializeLocked(Campaign& c) {
     opts.max_seed_passes = spec.max_seed_passes;
     opts.coverage_goal = spec.coverage_goal;
   }
-  config.metric = spec.metric;
-  config.objective = spec.objective;
-  config.scheduler = spec.scheduler;
   config.batch_size = spec.batch_size;
   config.workers = 1;  // parallelism comes from the shared pool below
   config.profile_phases = true;

@@ -64,8 +64,9 @@ class CampaignManager {
   CampaignManager(const CampaignManager&) = delete;
   CampaignManager& operator=(const CampaignManager&) = delete;
 
-  // Validates the spec cheaply (domain registered, corpus dir not already
-  // claimed / holds the right campaign) and queues the campaign. Model
+  // Validates the spec cheaply (domain and plug-in keys registered,
+  // batch_size >= 1, corpus dir not already claimed / holds the right
+  // campaign) and queues the campaign. Model
   // loading and training happen on a worker at first pick-up. Throws
   // std::invalid_argument on a bad spec or when draining.
   uint64_t Submit(CampaignSpec spec);

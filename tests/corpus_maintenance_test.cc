@@ -130,18 +130,20 @@ class MaintenanceTest : public ::testing::Test {
   }
 
   // Records a full toy campaign into `dir` and returns its stats.
-  RunStats Record(const std::string& dir) {
+  RunStats Record(const std::string& dir, const std::string& metric = "neuron") {
     UnconstrainedImage constraint;
-    Session session(ModelPtrs(), &constraint, BaseConfig());
+    Session session(ModelPtrs(), &constraint, BaseConfig(metric));
     Corpus corpus(dir);
     return session.Run(*seeds_, Bounds(), &corpus);
   }
 
   // Per-model covered_items() of the merged coverage footprint over ALL of
   // the corpus' stored entries — the quantity every maintenance pass must
-  // preserve exactly.
-  static std::vector<int> MergedEntryCoverage(Session& session, const Corpus& corpus) {
-    session.ResetRunState();
+  // preserve exactly. Computed on a fresh session profiled here, not through
+  // Session::ResetForCorpus, so that it checks what the passes start from.
+  static std::vector<int> MergedEntryCoverage(const Corpus& corpus) {
+    UnconstrainedImage constraint;
+    Session session(ModelPtrs(), &constraint, RecordedConfig(corpus.meta()));
     session.ProfileSeeds(corpus.meta().seeds);
     std::vector<const Tensor*> inputs;
     for (const GeneratedTest& entry : corpus.entries()) {
@@ -212,7 +214,7 @@ TEST_F(MaintenanceTest, RoundTripVerifiesAndPreservesMergedCoverage) {
   UnconstrainedImage constraint;
   Session session(ModelPtrs(), &constraint, BaseConfig());
   Corpus source(dir);
-  const std::vector<int> original = MergedEntryCoverage(session, source);
+  const std::vector<int> original = MergedEntryCoverage(source);
   ASSERT_EQ(original.size(), 3u);
 
   // Distill: retained coverage must equal the full corpus' — greedy-in-order
@@ -276,6 +278,85 @@ TEST_F(MaintenanceTest, RoundTripVerifiesAndPreservesMergedCoverage) {
   Corpus reopened(minimize.out_dir);
   EXPECT_THROW(fresh.Run(reopened.meta().seeds, Bounds(), &reopened),
                std::invalid_argument);
+}
+
+// Every pass checks the session's wiring against its corpus before it writes
+// anything. Run under another metric or other coverage options, a pass would
+// write a derived corpus whose manifest names the source's wiring but whose
+// coverage came from the session, and which then fails its own replay.
+TEST_F(MaintenanceTest, PassesRefuseASessionWiredUnlikeTheirCorpus) {
+  const std::string dir = TempCorpusDir("src");
+  ASSERT_GT(Record(dir).tests.size(), 3u);
+  Corpus source(dir);
+
+  UnconstrainedImage constraint;
+  const SessionConfig other_metric = BaseConfig("kmultisection");
+  SessionConfig other_threshold = BaseConfig();
+  other_threshold.engine.coverage.threshold = 0.75f;
+  for (const SessionConfig& config : {other_metric, other_threshold}) {
+    SCOPED_TRACE(config.metric + ", threshold " +
+                 std::to_string(config.engine.coverage.threshold));
+    Session session(ModelPtrs(), &constraint, config);
+    DistillOptions distill;
+    distill.out_dir = TempCorpusDir("distilled");
+    EXPECT_THROW(DistillCorpus(session, source, distill), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(distill.out_dir));
+    DedupOptions dedup;
+    dedup.out_dir = TempCorpusDir("deduped");
+    EXPECT_THROW(DedupCorpus(session, source, dedup), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(dedup.out_dir));
+    MinimizeOptions minimize;
+    minimize.out_dir = TempCorpusDir("minimized");
+    EXPECT_THROW(MinimizeCorpus(session, source, minimize), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(minimize.out_dir));
+  }
+
+  // A derived corpus, like its source, replays only under the wiring it
+  // records.
+  Session matching(ModelPtrs(), &constraint, BaseConfig());
+  DistillOptions distill;
+  distill.out_dir = TempCorpusDir("distilled");
+  DistillCorpus(matching, source, distill);
+  Corpus distilled(distill.out_dir);
+  const ReplayResult result = matching.Replay(distilled);
+  EXPECT_TRUE(result.ok) << result.mismatch;
+  Session other(ModelPtrs(), &constraint, other_threshold);
+  EXPECT_THROW(other.Replay(source), std::invalid_argument);
+  EXPECT_THROW(other.Replay(distilled), std::invalid_argument);
+}
+
+// k-multisection profiles the seeds before it buckets anything, so each pass
+// and each derived-corpus verification must start from the profiled state
+// (Session::ResetForCorpus): every derived corpus keeps the source's merged
+// coverage and replays clean.
+TEST_F(MaintenanceTest, SeedProfilingCorpusRoundTripsThroughEveryPass) {
+  const std::string dir = TempCorpusDir("src");
+  ASSERT_GT(Record(dir, "kmultisection").tests.size(), 3u);
+
+  UnconstrainedImage constraint;
+  Session session(ModelPtrs(), &constraint, BaseConfig("kmultisection"));
+  ASSERT_TRUE(session.metric(0).WantsSeedProfile());
+  Corpus source(dir);
+  const std::vector<int> original = MergedEntryCoverage(source);
+
+  DistillOptions distill;
+  distill.out_dir = TempCorpusDir("distilled");
+  DistillCorpus(session, source, distill);
+  Corpus distilled(distill.out_dir);
+  DedupOptions dedup;
+  dedup.out_dir = TempCorpusDir("deduped");
+  DedupCorpus(session, distilled, dedup);
+  Corpus deduped(dedup.out_dir);
+  MinimizeOptions minimize;
+  minimize.out_dir = TempCorpusDir("minimized");
+  MinimizeCorpus(session, deduped, minimize);
+  Corpus minimized(minimize.out_dir);
+
+  for (const Corpus* corpus : {&distilled, &deduped, &minimized}) {
+    EXPECT_EQ(CheckpointCoverage(*corpus), original) << corpus->dir();
+    const ReplayResult result = session.Replay(*corpus);
+    EXPECT_TRUE(result.ok) << corpus->dir() << ": " << result.mismatch;
+  }
 }
 
 // Minimizing a regression entry rewrites its stored outputs, and the model

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/constraints/image_constraints.h"
@@ -443,33 +446,131 @@ TEST_F(CorpusTest, ResumingACompleteCampaignRunsNothing) {
 
 // ---- Validation --------------------------------------------------------------------------
 
+// A resume refuses a change to any field the manifest records. Each row
+// changes one; the resuming Run must throw before it executes anything.
 TEST_F(CorpusTest, MismatchedConfigIsRejected) {
   const std::string dir = TempCorpusDir("reject");
   {
     UnconstrainedImage constraint;
     Session session(ModelPtrs(), &constraint, BaseConfig());
     Corpus corpus(dir);
-    session.Run(*seeds_, Bounds(), &corpus);
+    RunOptions options = Bounds();
+    options.max_sync_batches = 1;
+    session.Run(*seeds_, options, &corpus);
+    ASSERT_FALSE(corpus.checkpoint().complete);
   }
 
+  // What a resuming caller supplies beside the corpus.
+  struct Leg {
+    SessionConfig config = BaseConfig();
+    bool lighting = false;       // LightingConstraint instead of none.
+    bool rename_model = false;   // Another name for model 0.
+    std::vector<Tensor> seeds;
+    RunOptions options = Bounds();
+  };
+  const std::vector<std::pair<std::string, std::function<void(Leg&)>>> changes = {
+      {"metric", [](Leg& l) { l.config.metric = "topk"; }},
+      {"objective", [](Leg& l) { l.config.objective = "differential"; }},
+      {"scheduler", [](Leg& l) { l.config.scheduler = "coverage-gain"; }},
+      {"constraint", [](Leg& l) { l.lighting = true; }},
+      {"lambda1", [](Leg& l) { l.config.engine.lambda1 += 1.0f; }},
+      {"lambda2", [](Leg& l) { l.config.engine.lambda2 += 0.1f; }},
+      {"step", [](Leg& l) { l.config.engine.step *= 2.0f; }},
+      {"max_iterations_per_seed", [](Leg& l) { ++l.config.engine.max_iterations_per_seed; }},
+      {"steering_eps", [](Leg& l) { l.config.engine.steering_eps += 0.1f; }},
+      {"normalize_gradient",
+       [](Leg& l) { l.config.engine.normalize_gradient = !l.config.engine.normalize_gradient; }},
+      {"forced_target_model", [](Leg& l) { l.config.engine.forced_target_model = 1; }},
+      {"rng_seed", [](Leg& l) { l.config.engine.rng_seed = 20; }},
+      {"coverage.threshold", [](Leg& l) { l.config.engine.coverage.threshold = 0.75f; }},
+      {"coverage.scale_per_layer",
+       [](Leg& l) {
+         l.config.engine.coverage.scale_per_layer = !l.config.engine.coverage.scale_per_layer;
+       }},
+      {"coverage.exclude_dense",
+       [](Leg& l) {
+         l.config.engine.coverage.exclude_dense = !l.config.engine.coverage.exclude_dense;
+       }},
+      {"coverage.exclude_output_layer",
+       [](Leg& l) {
+         l.config.engine.coverage.exclude_output_layer =
+             !l.config.engine.coverage.exclude_output_layer;
+       }},
+      {"coverage.kmc_sections", [](Leg& l) { ++l.config.engine.coverage.kmc_sections; }},
+      {"coverage.top_k", [](Leg& l) { ++l.config.engine.coverage.top_k; }},
+      {"sync_interval", [](Leg& l) { l.config.sync_interval = 4; }},
+      {"max_tests", [](Leg& l) { l.options.max_tests = 5; }},
+      {"max_seed_passes", [](Leg& l) { l.options.max_seed_passes = 3; }},
+      {"coverage_goal", [](Leg& l) { l.options.coverage_goal = 0.9f; }},
+      {"model name", [](Leg& l) { l.rename_model = true; }},
+      {"seed pool size", [](Leg& l) { l.seeds.pop_back(); }},
+      {"seed value", [](Leg& l) { l.seeds[3][0] += 0.01f; }},
+  };
+  for (const auto& [field, change] : changes) {
+    SCOPED_TRACE(field);
+    Leg leg;
+    leg.seeds = *seeds_;
+    change(leg);
+    UnconstrainedImage unconstrained;
+    LightingConstraint lighting;
+    Model renamed = MakeToyClassifier("cp_renamed", 16, 41);
+    std::vector<Model*> ptrs = ModelPtrs();
+    if (leg.rename_model) {
+      ptrs[0] = &renamed;
+    }
+    Session session(ptrs, leg.lighting ? static_cast<const Constraint*>(&lighting)
+                                       : &unconstrained,
+                    leg.config);
+    Corpus corpus(dir);
+    EXPECT_THROW(session.Run(leg.seeds, leg.options, &corpus), std::invalid_argument);
+  }
+
+  // The unchanged leg resumes, so each refusal above came from its one change.
   UnconstrainedImage constraint;
-  SessionConfig other = BaseConfig();
-  other.engine.rng_seed = 20;  // Different stream => different campaign.
-  Session session(ModelPtrs(), &constraint, other);
+  Session session(ModelPtrs(), &constraint, BaseConfig());
   Corpus corpus(dir);
-  EXPECT_THROW(session.Run(*seeds_, Bounds(), &corpus), std::invalid_argument);
+  EXPECT_NO_THROW(session.Run(*seeds_, Bounds(), &corpus));
+}
 
-  // Same config but a different seed pool is rejected too.
-  Session same(ModelPtrs(), &constraint, BaseConfig());
-  std::vector<Tensor> other_seeds = *seeds_;
-  other_seeds.pop_back();
-  EXPECT_THROW(same.Run(other_seeds, Bounds(), &corpus), std::invalid_argument);
+// Every session profiles the seeds its metric asks for, so a manifest whose
+// seed-profiling byte is 0 (a campaign run without profiling) must fail to
+// open rather than resume with profiling on and diverge.
+TEST_F(CorpusTest, ManifestWithoutSeedProfilingIsRejected) {
+  const std::string dir = TempCorpusDir("unprofiled");
+  UnconstrainedImage constraint;
+  const SessionConfig config = BaseConfig("kmultisection");
+  {
+    Session session(ModelPtrs(), &constraint, config);
+    Corpus corpus(dir);
+    session.Run(*seeds_, Bounds(), &corpus);
+  }
+  // manifest.bin: magic and version, four length-prefixed strings (metric,
+  // objective, scheduler, constraint), the 68-byte EngineConfig and the i64
+  // sync_interval; then the u32 profiling byte.
+  size_t offset = 8;
+  for (const std::string& key :
+       {config.metric, config.objective, config.scheduler, constraint.name()}) {
+    offset += 8 + key.size();
+  }
+  offset += 68 + 8;
+  const std::string path = dir + "/manifest.bin";
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  char word[4] = {};
+  file.seekg(static_cast<std::streamoff>(offset));
+  file.read(word, 4);
+  ASSERT_EQ(std::string(word, 4), std::string("\x01\x00\x00\x00", 4));
+  const char zero = 0;
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(&zero, 1);
+  file.close();
 
-  // A different constraint rewrites gradients differently — rejected before
-  // anything executes.
-  LightingConstraint lighting;
-  Session diff_constraint(ModelPtrs(), &lighting, BaseConfig());
-  EXPECT_THROW(diff_constraint.Run(*seeds_, Bounds(), &corpus), std::invalid_argument);
+  try {
+    Corpus corpus(dir);
+    FAIL() << "a manifest without seed profiling opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("manifest.bin"), std::string::npos) << e.what();
+  }
 }
 
 TEST_F(CorpusTest, PreChainCheckpointIsRejected) {

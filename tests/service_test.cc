@@ -447,6 +447,15 @@ TEST(ServiceTest, MalformedRequestsAreRejected) {
   expect_error(R"({"cmd":"pause","id":"one"})", "expected number");
   expect_error(R"({"cmd":"submit","domain":"no_such_domain"})", "unknown domain");
   expect_error(R"({"cmd":"submit","domain":"svc_toy_a","seeds":0})", "seeds");
+  // Plug-in keys and batch_size are checked at submit, not by the worker that
+  // would build the session later and fail the campaign.
+  expect_error(R"({"cmd":"submit","domain":"svc_toy_a","metric":"no-such-metric"})",
+               "metric");
+  expect_error(R"({"cmd":"submit","domain":"svc_toy_a","objective":"no-such-objective"})",
+               "objective");
+  expect_error(R"({"cmd":"submit","domain":"svc_toy_a","scheduler":"no-such-scheduler"})",
+               "scheduler");
+  expect_error(R"({"cmd":"submit","domain":"svc_toy_a","batch_size":0})", "batch_size");
   expect_error(R"({"cmd":"submit","resume":true})", "corpus_dir");
   expect_error(R"({"cmd":"results","id":12345})", "unknown campaign");
 }

@@ -318,14 +318,6 @@ TEST_F(SessionToyTest, ObjectivesContributeOnlyWhereTheyApply) {
   }
 }
 
-TEST_F(SessionToyTest, CustomObjectiveInjection) {
-  SessionConfig config = ToyConfig();
-  Session session(ModelPtrs(), &constraint_, config);
-  session.SetObjective(std::make_unique<FgsmObjective>());
-  EXPECT_EQ(session.objective().name(), "fgsm");
-  EXPECT_THROW(session.SetObjective(nullptr), std::invalid_argument);
-}
-
 TEST_F(SessionToyTest, InvalidPluginNamesThrow) {
   auto ptrs = ModelPtrs();
   SessionConfig config = ToyConfig();

@@ -487,4 +487,13 @@ wait "$CAMPAIGN_PID"
 echo "    $POLLS stats polls, none failed"
 "$BUILD_DIR/dxplore" --replay --corpus-dir "$POLLED_CORPUS_DIR"
 
+echo "==> smoke: corpus distill + dedup of a metric that profiles seeds (tabular kmultisection)"
+# Each pass and each verification must start from the profiled seed ranges;
+# every verb replay-verifies its derived corpus or exits nonzero.
+rm -rf "$POLLED_CORPUS_DIR.distilled" "$POLLED_CORPUS_DIR.deduped"
+"$BUILD_DIR/dxplore" corpus distill --corpus-dir "$POLLED_CORPUS_DIR" \
+  --out "$POLLED_CORPUS_DIR.distilled"
+"$BUILD_DIR/dxplore" corpus dedup --corpus-dir "$POLLED_CORPUS_DIR.distilled" \
+  --out "$POLLED_CORPUS_DIR.deduped"
+
 echo "==> OK"

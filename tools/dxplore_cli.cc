@@ -317,30 +317,17 @@ int CorpusMain(int argc, char** argv) {
     std::cerr << corpus_dir << " has no checkpoint to transform\n";
     return 2;
   }
-  const CorpusMeta& meta = corpus.meta();
-  const std::string* stored_domain = meta.FindMetadata("domain");
-  const std::string* stored_constraint = meta.FindMetadata("constraint");
-  if (stored_domain == nullptr || stored_constraint == nullptr) {
-    std::cerr << corpus_dir << ": manifest lacks domain/constraint metadata\n";
-    return 2;
-  }
   // The same registry-keyed reconstruction --resume/--replay use.
-  const DomainSpec& domain = GetDomain(*stored_domain);
-  const std::string constraint_key = ResolveDomainConstraint(domain, *stored_constraint);
-  std::unique_ptr<Constraint> constraint = MakeDomainConstraint(domain, constraint_key);
+  const DomainAndConstraint recorded = RecordedDomain(corpus.meta());
+  const DomainSpec& domain = GetDomain(recorded.domain);
+  std::unique_ptr<Constraint> constraint = MakeDomainConstraint(domain, recorded.constraint);
   std::cerr << "loading models (trains and caches on first use)...\n";
   std::vector<Model> models = ModelZoo::TrainedDomain(domain.key);
   std::vector<Model*> ptrs;
   for (Model& m : models) {
     ptrs.push_back(&m);
   }
-  SessionConfig config;
-  config.engine = meta.engine;
-  config.metric = meta.metric;
-  config.objective = meta.objective;
-  config.scheduler = meta.scheduler;
-  config.sync_interval = meta.sync_interval;
-  config.profile_from_seeds = meta.profile_from_seeds;
+  SessionConfig config = RecordedConfig(corpus.meta());
   config.workers = workers;
   config.batch_size = batch_size;
   Session session(ptrs, constraint.get(), config);
@@ -536,18 +523,9 @@ int Main(int argc, char** argv) {
     // results; only --workers / --batch-size / --max-batches apply (results
     // are invariant to them). The stored domain/constraint registry keys are
     // resolved below — through the same registry lookups as fresh runs.
-    const CorpusMeta& meta = corpus->meta();
-    const std::string* stored_domain = meta.FindMetadata("domain");
-    const std::string* stored_constraint = meta.FindMetadata("constraint");
-    if (stored_domain == nullptr || stored_constraint == nullptr) {
-      std::cerr << corpus_dir << ": manifest lacks domain/constraint metadata\n";
-      return 2;
-    }
-    domain_name = *stored_domain;
-    constraint_name = *stored_constraint;
-    metric_name = meta.metric;
-    objective_name = meta.objective;
-    scheduler_name = meta.scheduler;
+    DomainAndConstraint recorded = RecordedDomain(corpus->meta());
+    domain_name = std::move(recorded.domain);
+    constraint_name = std::move(recorded.constraint);
   }
 
   if (domain_name.empty()) {
@@ -579,10 +557,11 @@ int Main(int argc, char** argv) {
 
   SessionConfig config;
   if (resume || replay) {
-    config.engine = corpus->meta().engine;
-    config.sync_interval = corpus->meta().sync_interval;
-    config.profile_from_seeds = corpus->meta().profile_from_seeds;
+    config = RecordedConfig(corpus->meta());
   } else {
+    config.metric = metric_name;
+    config.objective = objective_name;
+    config.scheduler = scheduler_name;
     config.engine = domain.engine_defaults;
     if (lambda1) config.engine.lambda1 = *lambda1;
     if (lambda2) config.engine.lambda2 = *lambda2;
@@ -592,9 +571,6 @@ int Main(int argc, char** argv) {
     config.engine.forced_target_model = target;
     config.engine.rng_seed = rng_seed;
   }
-  config.metric = metric_name;
-  config.objective = objective_name;
-  config.scheduler = scheduler_name;
   config.workers = workers;
   config.batch_size = batch_size;
   config.profile_phases = profile;
@@ -621,9 +597,7 @@ int Main(int argc, char** argv) {
       (resume || replay) ? corpus->meta().seeds : flag_pool;
   RunOptions opts;
   if (resume) {
-    opts.max_tests = corpus->meta().max_tests;
-    opts.max_seed_passes = corpus->meta().max_seed_passes;
-    opts.coverage_goal = corpus->meta().coverage_goal;
+    opts = RecordedBounds(corpus->meta());
   } else {
     opts.max_tests = max_tests;
   }
@@ -680,9 +654,9 @@ int Main(int argc, char** argv) {
   report.AddRow({"constraint", constraint_key == constraint->name()
                                    ? constraint_key
                                    : constraint_key + " (" + constraint->name() + ")"});
-  report.AddRow({"coverage metric", metric_name});
-  report.AddRow({"objective", objective_name});
-  report.AddRow({"scheduler", scheduler_name});
+  report.AddRow({"coverage metric", config.metric});
+  report.AddRow({"objective", config.objective});
+  report.AddRow({"scheduler", config.scheduler});
   report.AddRow({"workers", std::to_string(workers)});
   report.AddRow({"batch size", std::to_string(batch_size)});
   report.AddRow({"seeds tried", std::to_string(stats.seeds_tried)});
