@@ -4,7 +4,7 @@
 // active seed. An objective does not backpropagate itself: it *plans* terms.
 // A term is a LayerSeed (src/nn/execution_plan.h) — a seed on one layer's
 // output of one model — and the executor runs one batched
-// ExecutionPlan::BackwardRows per (model, term) over every seed of the chunk,
+// ExecutionPlan::BackwardRows per (model, term) over every seed of the step,
 // then adds each seed's row into that seed's gradient. The paper's joint
 // objective (Equation 4) is the composition of two plug-ins:
 //

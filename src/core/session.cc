@@ -60,6 +60,9 @@ Session::Session(std::vector<Model*> models, const Constraint* constraint,
   if (config_.batch_size < 1) {
     throw std::invalid_argument("Session: batch_size must be >= 1");
   }
+  if (config_.workers < 0) {
+    throw std::invalid_argument("Session: workers must be >= 0 (0 = hardware concurrency)");
+  }
   objective_ = MakeObjective(config_.objective);
   scheduler_ = MakeSeedScheduler(config_.scheduler);
   executor_ = std::make_unique<Executor>(models_, constraint_, regression_,
@@ -436,7 +439,7 @@ RunStats Session::RunLoop(const std::vector<Tensor>& seeds, const RunOptions& op
          leg_batches < options.max_sync_batches && run.Step()) {
     ++leg_batches;
   }
-  return run.Snapshot();
+  return std::move(run).Snapshot();
 }
 
 std::unique_ptr<SessionRun> Session::BeginRun(const std::vector<Tensor>& seeds,
@@ -542,11 +545,11 @@ bool SessionRun::Step() {
     }
     pool = s.pool_.get();
   }
-  const int batch_size = s.config_.sync_interval;
+  const int sync_interval = s.config_.sync_interval;
 
   std::vector<int> batch;
-  batch.reserve(static_cast<size_t>(batch_size));
-  while (static_cast<int>(batch.size()) < batch_size) {
+  batch.reserve(static_cast<size_t>(sync_interval));
+  while (static_cast<int>(batch.size()) < sync_interval) {
     const int index = s.scheduler_->Next();
     if (index < 0) {
       break;
@@ -579,85 +582,64 @@ bool SessionRun::Step() {
     return false;
   }
 
-  struct TaskResult {
-    std::optional<GeneratedTest> test;
-    std::vector<std::unique_ptr<CoverageMetric>> metrics;
-  };
-
-  // Every task keeps its own RNG stream and tracker clones, then contiguous
-  // runs of `batch_size` tasks ascend in lockstep on the executor. Chunk
-  // boundaries depend only on batch_size — never on the worker count — and
-  // chunk composition cannot change any task's values, so results stay
-  // invariant to both knobs.
-  std::vector<TaskResult> results(batch.size());
+  // Every task keeps its own RNG stream and tracker clones, and the whole
+  // batch goes to one executor Run: its drainers (at most one per
+  // `batch_size` tasks, and at most one per worker) step up to `batch_size`
+  // rows at a time. Which rows share a step, and which drainer runs a row,
+  // cannot change any task's values, so results stay invariant to both
+  // knobs.
+  const size_t n = batch.size();
   std::vector<Rng> task_rngs;
-  task_rngs.reserve(batch.size());
-  for (size_t t = 0; t < batch.size(); ++t) {
+  task_rngs.reserve(n);
+  std::vector<std::vector<std::unique_ptr<CoverageMetric>>> task_metrics(n);
+  std::vector<Executor::SeedTask> tasks(n);
+  for (size_t t = 0; t < n; ++t) {
     task_rngs.emplace_back(TaskRngSeed(s.config_.engine.rng_seed,
                                        task_counter_ + static_cast<uint64_t>(t)));
-    results[t].metrics = s.CloneMetrics();
+    task_metrics[t] = s.CloneMetrics();
+    Executor::SeedTask& task = tasks[t];
+    task.seed = &seeds[static_cast<size_t>(batch[t])];
+    task.seed_index = batch[t];
+    task.ordinal = task_counter_ + static_cast<uint64_t>(t);
+    task.rng = &task_rngs[t];
+    task.metrics = &task_metrics[t];
   }
-  const size_t chunk_width = static_cast<size_t>(s.config_.batch_size);
-  const int64_t num_chunks =
-      static_cast<int64_t>((batch.size() + chunk_width - 1) / chunk_width);
-  const auto run_chunk = [&](int64_t c) {
-    const size_t begin = static_cast<size_t>(c) * chunk_width;
-    const size_t end = std::min(batch.size(), begin + chunk_width);
-    std::vector<Executor::SeedTask> tasks;
-    tasks.reserve(end - begin);
-    for (size_t t = begin; t < end; ++t) {
-      Executor::SeedTask task;
-      task.seed = &seeds[static_cast<size_t>(batch[t])];
-      task.seed_index = batch[t];
-      task.ordinal = task_counter_ + static_cast<uint64_t>(t);
-      task.rng = &task_rngs[t];
-      task.metrics = &results[t].metrics;
-      tasks.push_back(task);
-    }
-    auto outcomes = s.executor_->Run(tasks, *s.objective_);
-    for (size_t t = begin; t < end; ++t) {
-      results[t].test = std::move(outcomes[t - begin]);
-    }
-  };
-  if (workers > 1 && num_chunks > 1) {
-    pool->ParallelFor(num_chunks, run_chunk);
-  } else {
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      run_chunk(c);
-    }
-  }
-  task_counter_ += batch.size();
+  const int width = s.config_.batch_size;
+  const int drainers =
+      std::min(workers, static_cast<int>((n + static_cast<size_t>(width) - 1) / width));
+  std::vector<std::optional<GeneratedTest>> outcomes =
+      s.executor_->Run(tasks, *s.objective_, width, drainers, pool);
+  task_counter_ += n;
 
   // Merge + report in schedule order: deterministic for any worker count.
   // The journal mirrors the Report stream so a resumed (or replayed)
   // campaign can reconstruct the scheduler exactly.
   std::vector<CorpusCheckpoint::JournalRecord> journal_batch;
-  journal_batch.reserve(batch.size());
+  journal_batch.reserve(n);
   const size_t tests_before = stats_.tests.size();
-  for (size_t t = 0; t < batch.size() && !done_; ++t) {
-    TaskResult& result = results[t];
+  for (size_t t = 0; t < n && !done_; ++t) {
+    std::optional<GeneratedTest>& test = outcomes[t];
     ++stats_.seeds_tried;
-    if (!result.test.has_value()) {
+    if (!test.has_value()) {
       ++stats_.seeds_skipped;
       s.scheduler_->Report(batch[t], false, 0.0f);
       journal_batch.push_back({batch[t], false, 0.0f});
       continue;
     }
-    if (replay_ != nullptr && !replay_->Check(*result.test, stats_.tests.size())) {
+    if (replay_ != nullptr && !replay_->Check(*test, stats_.tests.size())) {
       --stats_.seeds_tried;  // Divergence: abort before counting this task.
       done_ = true;
       break;
     }
     const float before = s.MeanCoverage();
     for (int k = 0; k < s.num_models(); ++k) {
-      s.metrics_[static_cast<size_t>(k)]->Merge(
-          *result.metrics[static_cast<size_t>(k)]);
+      s.metrics_[static_cast<size_t>(k)]->Merge(*task_metrics[t][static_cast<size_t>(k)]);
     }
     const float gain = s.MeanCoverage() - before;
     s.scheduler_->Report(batch[t], true, gain);
     journal_batch.push_back({batch[t], true, gain});
-    stats_.total_iterations += result.test->iterations;
-    stats_.tests.push_back(std::move(*result.test));
+    stats_.total_iterations += test->iterations;
+    stats_.tests.push_back(std::move(*test));
     if (static_cast<int>(stats_.tests.size()) >= options_.max_tests) {
       done_ = true;
       break;
@@ -713,11 +695,19 @@ int64_t SessionRun::CumulativeForwardPasses() const {
   return forwards;
 }
 
-RunStats SessionRun::Snapshot() const {
+RunStats SessionRun::Snapshot() const& {
   RunStats stats = stats_;
   stats.seconds = active_seconds_;
   stats.mean_coverage = session_->MeanCoverage();
   stats.forward_passes = CumulativeForwardPasses();
+  return stats;
+}
+
+RunStats SessionRun::Snapshot() && {
+  std::vector<GeneratedTest> tests = std::move(stats_.tests);
+  stats_.tests.clear();
+  RunStats stats = Snapshot();
+  stats.tests = std::move(tests);
   return stats;
 }
 

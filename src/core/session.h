@@ -3,12 +3,14 @@
 // optional seed-level parallelism.
 //
 // A session runs Algorithm 1's outer loop over the seed stream the scheduler
-// emits. Seeds execute on the batched Executor (src/core/executor.h):
-// chunks of `batch_size` seeds ascend in lockstep, so each iteration is one
-// batched forward pass per model whose activations are shared by the
-// objective gradient, the difference check, and the coverage update —
-// exactly one forward per (seed, model, iteration). Results are
-// bit-identical for any batch size.
+// emits. Seeds execute on the batched Executor (src/core/executor.h): each
+// sync batch is one pool of rows, and drainers step up to `batch_size` rows
+// at a time, so each step is one batched forward pass per model whose
+// activations are shared by the difference check, the coverage update and
+// the objective gradient — exactly one forward per (seed, model,
+// iteration). Rows that finish leave a step and waiting rows join the next,
+// so no drainer idles while another holds the batch's longest ascents.
+// Results are bit-identical for any batch size.
 //
 // Seeds are processed in fixed-size sync batches (`sync_interval`),
 // optionally on a thread pool: every task in a batch runs against Clone()d
@@ -86,21 +88,22 @@ struct SessionConfig {
   std::string objective = "joint";
   // SeedScheduler factory key: "roundrobin", "coverage-gain".
   std::string scheduler = "roundrobin";
-  // Parallel seed workers; 1 = serial, 0 = hardware concurrency.
+  // Parallel seed workers; 1 = serial, 0 = hardware concurrency. Must be
+  // >= 0.
   int workers = 1;
-  // Seeds per lockstep executor chunk: the width of the batched forward
+  // Most rows an executor step holds: the width of the batched forward
   // passes (src/core/executor.h). Results are bit-identical for ANY value
   // (batched kernels never reorder a per-sample reduction; asserted by
-  // tests), so this is purely a throughput knob. Parallel runs split each
-  // sync batch into ceil(sync_interval / batch_size) chunks — keep
+  // tests), so this is purely a throughput knob. A sync batch runs on
+  // min(workers, ceil(sync_interval / batch_size)) drainers — keep
   // sync_interval >= workers * batch_size to saturate the workers.
   int batch_size = 8;
   // Seeds per batch between coverage sync points. Fixed (never derived from
-  // `workers`) so results are invariant to the worker count; sized to hold
-  // sync_interval / batch_size executor chunks, which is the parallel
-  // granularity — the default supports 8 workers at the default batch_size.
-  // Smaller values tighten scheduler/coverage feedback (1 makes every seed
-  // see the coverage of all seeds before it), larger values expose more
+  // `workers`) so results are invariant to the worker count; it bounds the
+  // parallelism, since a batch's rows are all a drainer can take — the
+  // default supports 8 workers at the default batch_size. Smaller values
+  // tighten scheduler/coverage feedback (1 makes every seed see the
+  // coverage of all seeds before it), larger values expose more
   // parallelism. Must be >= 1.
   int sync_interval = 64;
   // Collect per-phase wall-time in the batched executor (stack / forward /
@@ -121,10 +124,10 @@ struct GeneratedTest {
   // with the engine rng_seed it pins the task's RNG stream — the provenance
   // a corpus needs to replay the test deterministically (src/corpus/).
   uint64_t task_ordinal = 0;
-  // Wall time from the start of this seed's executor chunk until the test
-  // was found. Under batching (batch_size > 1) the chunk ascends several
-  // seeds in lockstep, so this includes the co-scheduled seeds' compute —
-  // comparable across runs at a fixed batch_size, not across batch sizes.
+  // Wall time from the start of its sync batch's executor Run until the
+  // test was found. The Run steps the batch's other seeds alongside it, so
+  // this includes their compute — comparable across runs at fixed
+  // batch_size and workers, not across either.
   double seconds = 0.0;
 };
 
@@ -219,7 +222,7 @@ struct ReplayResult {
 
 // Seed of the RNG stream owned by the task at global schedule position
 // `ordinal` (GeneratedTest::task_ordinal) in a campaign with engine
-// `rng_seed`. It depends on nothing else — not the worker, chunk, or batch
+// `rng_seed`. It depends on nothing else — not the worker, drainer, or step
 // width that runs the task — so results are invariant to those knobs and a
 // corpus entry's provenance pins its stream.
 uint64_t TaskRngSeed(uint64_t rng_seed, uint64_t ordinal);
@@ -236,7 +239,8 @@ class Session {
   // Classification models must end in softmax; a 1-element output without
   // softmax is treated as regression. Metric/objective/scheduler are built
   // from the factory names in `config`; throws std::invalid_argument on
-  // unknown names, invalid model sets, or sync_interval / batch_size < 1.
+  // unknown names, invalid model sets, sync_interval / batch_size < 1 or
+  // workers < 0.
   Session(std::vector<Model*> models, const Constraint* constraint, SessionConfig config);
   ~Session();  // Out of line: Executor is an incomplete type here.
 
@@ -335,6 +339,10 @@ class Session {
   // config().profile_phases is set; zeros otherwise).
   ExecutorProfile ExecutorPhases() const;
 
+  // Threads a run's sync batches execute on without a borrowed pool:
+  // config().workers, or the hardware concurrency when that is 0.
+  int EffectiveWorkers() const;
+
   // CheckWiring, then fresh coverage trackers profiled on the manifest's
   // seeds: the state the maintenance passes and derived-corpus verification
   // (src/corpus/maintenance.h) re-derive coverage from.
@@ -346,7 +354,6 @@ class Session {
   struct ReplayCursor;  // Entry-by-entry verifier state (session.cc).
 
   std::vector<std::unique_ptr<CoverageMetric>> CloneMetrics() const;
-  int EffectiveWorkers() const;
   // Rebuilds fresh (empty, unprofiled) coverage trackers.
   void ResetRunState();
   // The one run loop behind Run/Replay: steps a SessionRun until a bound is
@@ -400,7 +407,7 @@ class SessionRun {
   SessionRun(const SessionRun&) = delete;
   SessionRun& operator=(const SessionRun&) = delete;
 
-  // Executes one sync batch (scheduling, lockstep chunks, merge/report,
+  // Executes one sync batch (scheduling, the executor Run, merge/report,
   // corpus append + checkpoint, on_batch callback). Returns true when the
   // batch ran, false when the campaign is complete (scheduler exhausted or a
   // terminal bound was already hit) — after false, done() is true and the
@@ -418,7 +425,10 @@ class SessionRun {
 
   // The stats a completed Run call would return right now: counters plus the
   // freshly stamped seconds, mean coverage, and cumulative forward passes.
-  RunStats Snapshot() const;
+  RunStats Snapshot() const&;
+  // The same, moving the tests out instead of copying them — for a caller
+  // done with the run, which keeps its counters but no longer its tests.
+  RunStats Snapshot() &&;
 
   // Lightweight counters-only snapshot (what on_batch receives).
   RunProgress Progress() const;

@@ -30,7 +30,8 @@ void CoverageMetric::Deserialize(BinaryReader& reader) {
 
 NeuronValueMetric::NeuronValueMetric(const Model& model, CoverageOptions options)
     : options_(options) {
-  layer_offset_.assign(static_cast<size_t>(model.num_layers()), -1);
+  auto layout = std::make_shared<Layout>();
+  layout->layer_offset.assign(static_cast<size_t>(model.num_layers()), -1);
   int last_neuron_layer = -1;
   for (int l = 0; l < model.num_layers(); ++l) {
     if (model.layer(l).NumNeurons() > 0) {
@@ -49,12 +50,13 @@ NeuronValueMetric::NeuronValueMetric(const Model& model, CoverageOptions options
     if (options_.exclude_output_layer && l == last_neuron_layer) {
       continue;
     }
-    layer_offset_[static_cast<size_t>(l)] = total_;
+    layout->layer_offset[static_cast<size_t>(l)] = total_;
     for (int i = 0; i < n; ++i) {
-      neurons_.push_back({l, i});
+      layout->neurons.push_back({l, i});
     }
     total_ += n;
   }
+  layout_ = std::move(layout);
   OpenAll();
 }
 
@@ -65,7 +67,7 @@ std::vector<float> NeuronValueMetric::NeuronValues(const Model& model,
   }
   std::vector<float> values(static_cast<size_t>(total_), 0.0f);
   for (int l = 0; l < model.num_layers(); ++l) {
-    const int offset = layer_offset_[static_cast<size_t>(l)];
+    const int offset = layout_->layer_offset[static_cast<size_t>(l)];
     if (offset < 0) {
       continue;
     }
@@ -101,20 +103,22 @@ std::vector<float> NeuronValueMetric::NeuronValues(const Model& model,
 }
 
 int NeuronValueMetric::FlatIndex(const NeuronId& id) const {
-  if (id.layer < 0 || id.layer >= static_cast<int>(layer_offset_.size()) ||
-      layer_offset_[static_cast<size_t>(id.layer)] < 0) {
+  const std::vector<int>& layer_offset = layout_->layer_offset;
+  if (id.layer < 0 || id.layer >= static_cast<int>(layer_offset.size()) ||
+      layer_offset[static_cast<size_t>(id.layer)] < 0) {
     throw std::out_of_range("NeuronValueMetric: layer not tracked");
   }
-  const int flat = layer_offset_[static_cast<size_t>(id.layer)] + id.index;
+  const int flat = layer_offset[static_cast<size_t>(id.layer)] + id.index;
   if (id.index < 0 || flat >= total_ ||
-      neurons_[static_cast<size_t>(flat)].layer != id.layer) {
+      TrackedNeurons()[static_cast<size_t>(flat)].layer != id.layer) {
     throw std::out_of_range("NeuronValueMetric: neuron index out of range");
   }
   return flat;
 }
 
 void NeuronValueMetric::CheckMergeCompatible(const NeuronValueMetric& other) const {
-  if (other.total_ != total_ || other.neurons_ != neurons_) {
+  if (other.layout_ != layout_ &&
+      (other.total_ != total_ || other.TrackedNeurons() != TrackedNeurons())) {
     throw std::invalid_argument("CoverageMetric::Merge: trackers cover different neurons");
   }
 }
@@ -149,7 +153,7 @@ bool NeuronValueMetric::PickUncovered(Rng& rng, NeuronId* id) const {
       for (; r > 0; --r) {
         word &= word - 1;  // Drop the lowest set bit.
       }
-      *id = neurons_[w * 64 + static_cast<size_t>(std::countr_zero(word))];
+      *id = TrackedNeurons()[w * 64 + static_cast<size_t>(std::countr_zero(word))];
       return true;
     }
     r -= bits;

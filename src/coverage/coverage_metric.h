@@ -108,9 +108,11 @@ class CoverageMetric {
   virtual void Deserialize(BinaryReader& reader);
 };
 
-// Base for metrics defined over per-neuron activation values: owns the
+// Base for metrics defined over per-neuron activation values: holds the
 // neuron enumeration (Dense units / Conv channels, minus the configured
 // exclusions) and the per-layer value extraction + optional min-max scaling.
+// The enumeration is fixed at construction and shared, not copied, by every
+// Clone(), so a clone costs only its covered state.
 class NeuronValueMetric : public CoverageMetric {
  public:
   NeuronValueMetric(const Model& model, CoverageOptions options);
@@ -121,7 +123,7 @@ class NeuronValueMetric : public CoverageMetric {
   // analysis). Each entry parallels TrackedNeurons().
   std::vector<float> NeuronValues(const Model& model, const BatchTrace& trace, int b) const;
   // All tracked neuron ids in canonical order.
-  const std::vector<NeuronId>& TrackedNeurons() const { return neurons_; }
+  const std::vector<NeuronId>& TrackedNeurons() const { return layout_->neurons; }
 
   const CoverageOptions& options() const { return options_; }
 
@@ -161,12 +163,16 @@ class NeuronValueMetric : public CoverageMetric {
   void IntersectOpen(const NeuronValueMetric& other);
 
   CoverageOptions options_;
-  std::vector<NeuronId> neurons_;
-  // Maps layer -> offset into neurons_ (-1 when not tracked).
-  std::vector<int> layer_offset_;
   int total_ = 0;
 
  private:
+  struct Layout {
+    std::vector<NeuronId> neurons;  // Canonical order.
+    // Maps layer -> offset into neurons (-1 when not tracked).
+    std::vector<int> layer_offset;
+  };
+
+  std::shared_ptr<const Layout> layout_;  // Shared by every clone.
   std::vector<uint64_t> open_;  // One bit per tracked neuron; bits past total_ stay 0.
   int open_count_ = 0;          // Popcount of open_.
 };

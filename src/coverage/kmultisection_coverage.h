@@ -36,14 +36,14 @@ class KMultisectionCoverage : public NeuronValueMetric {
   // True once at least one seed has been profiled.
   bool profiled() const { return profiled_; }
   // Profiled per-neuron range, indexed like NeuronValues (exposed for tests).
-  const std::vector<float>& low() const { return low_; }
-  const std::vector<float>& high() const { return high_; }
+  const std::vector<float>& low() const { return ranges_->low; }
+  const std::vector<float>& high() const { return ranges_->high; }
 
   void UpdateBatch(const Model& model, const BatchTrace& trace) override;
 
   float Coverage() const override;
   int total_items() const override { return total_ * k_; }
-  int covered_items() const override;
+  int covered_items() const override { return covered_count_; }
 
   // Section index (0..k-1) the value of neuron `id` would fall into; -1 when
   // the neuron is unprofiled or the value has no finite position in its
@@ -52,15 +52,26 @@ class KMultisectionCoverage : public NeuronValueMetric {
   // True when section `section` of neuron `id` has been hit.
   bool IsSectionCovered(const NeuronId& id, int section) const;
 
+  // ORs the other tracker's section words into this one's.
   void Merge(const CoverageMetric& other) override;
+  // Copies the covered state only: the clone shares the profiled ranges
+  // (and the neuron layout) with this tracker.
   std::unique_ptr<CoverageMetric> Clone() const override;
 
-  // Persists the covered sections AND the profiled [low, high] ranges, so a
-  // resumed campaign needs no re-profiling pass.
+  // Persists the covered sections (one flag byte each, neuron-major) AND
+  // the profiled [low, high] ranges, so a resumed campaign needs no
+  // re-profiling pass.
   void Serialize(BinaryWriter& writer) const override;
   void Deserialize(BinaryReader& reader) override;
 
  private:
+  struct Ranges {
+    std::vector<float> low;   // Per-neuron profiled minimum.
+    std::vector<float> high;  // Per-neuron profiled maximum.
+  };
+
+  // SectionOf for tracked neuron `i`.
+  int SectionAt(int i, float value) const;
   // Marks section `section` of tracked neuron `i` covered, closing the
   // neuron once all of its sections are.
   void Cover(int i, int section);
@@ -68,12 +79,15 @@ class KMultisectionCoverage : public NeuronValueMetric {
   size_t Slot(int i, int section) const {
     return static_cast<size_t>(i) * static_cast<size_t>(k_) + static_cast<size_t>(section);
   }
+  bool IsSlotCovered(size_t slot) const { return (covered_[slot / 64] >> (slot % 64)) & 1; }
 
   int k_;
   bool profiled_ = false;
-  std::vector<float> low_;   // Per-neuron profiled minimum.
-  std::vector<float> high_;  // Per-neuron profiled maximum.
-  std::vector<bool> covered_;  // total_ * k_ sections, neuron-major.
+  // Shared with clones: ProfileSeed copies the ranges before its first
+  // write while another tracker still shares them; Deserialize replaces them.
+  std::shared_ptr<Ranges> ranges_;
+  std::vector<uint64_t> covered_;  // total_ * k_ section bits, neuron-major.
+  int covered_count_ = 0;          // Popcount of covered_.
 };
 
 }  // namespace dx

@@ -62,7 +62,7 @@ std::vector<NeuronId> NeuronCoverageTracker::Activated(const Model& model,
   std::vector<NeuronId> activated;
   for (int i = 0; i < total_; ++i) {
     if (values[static_cast<size_t>(i)] > options_.threshold) {
-      activated.push_back(neurons_[static_cast<size_t>(i)]);
+      activated.push_back(TrackedNeurons()[static_cast<size_t>(i)]);
     }
   }
   return activated;

@@ -16,10 +16,11 @@ void TopKNeuronCoverage::UpdateBatch(const Model& model, const BatchTrace& trace
   for (int b = 0; b < trace.batch; ++b) {
     const std::vector<float> values = NeuronValues(model, trace, b);
     // Walk the per-layer slices of the canonical neuron order.
+    const std::vector<NeuronId>& neurons = TrackedNeurons();
     for (int begin = 0; begin < total_;) {
-      const int layer = neurons_[static_cast<size_t>(begin)].layer;
+      const int layer = neurons[static_cast<size_t>(begin)].layer;
       int end = begin;
-      while (end < total_ && neurons_[static_cast<size_t>(end)].layer == layer) {
+      while (end < total_ && neurons[static_cast<size_t>(end)].layer == layer) {
         ++end;
       }
       const int n = end - begin;

@@ -607,7 +607,9 @@ void CampaignManager::RunSlice(uint64_t id) {
     profile = c->session->ExecutorPhases();
     done = c->run->done();
     if (done) {
-      final_stats = std::make_unique<RunStats>(c->run->Snapshot());
+      // The run is released below: move its tests out rather than hold a
+      // second copy of them while it still lives.
+      final_stats = std::make_unique<RunStats>(std::move(*c->run).Snapshot());
     }
     if (c->corpus != nullptr && c->corpus->initialized()) {
       // Cheap in-memory summary, cached for /metrics (which must never touch

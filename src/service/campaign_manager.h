@@ -20,8 +20,8 @@ namespace dx {
 struct ManagerOptions {
   // Campaigns stepped concurrently (each gets one manager worker thread).
   int campaign_workers = 2;
-  // Threads in the shared compute pool every campaign's executor chunks run
-  // on (ParallelFor adds the calling worker, so parallelism is this + 1).
+  // Threads in the shared compute pool every campaign's executor drainers
+  // run on (ParallelFor adds the calling worker, so parallelism is this + 1).
   // 0 sizes it to hardware concurrency - 1 (at least 1).
   int compute_threads = 0;
   // Sync batches per scheduling slice: a campaign steps this many batches,

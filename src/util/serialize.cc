@@ -36,6 +36,15 @@ void BinaryWriter::WriteBools(const std::vector<bool>& v) {
   out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+void BinaryWriter::WriteBits(const std::vector<uint64_t>& words, uint64_t n) {
+  WriteU64(n);
+  std::string bytes(n, '\0');
+  for (uint64_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<char>((words[i / 64] >> (i % 64)) & 1);
+  }
+  out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 void BinaryWriter::WriteTensor(const Tensor& t) {
   WriteInts(t.shape());
   WriteFloats(t.values());
@@ -96,6 +105,16 @@ std::vector<bool> BinaryReader::ReadBools() {
     v[i] = bytes[i] != 0;
   }
   return v;
+}
+
+std::vector<uint64_t> BinaryReader::ReadBits(uint64_t* n) {
+  const std::vector<bool> flags = ReadBools();
+  *n = flags.size();
+  std::vector<uint64_t> words((flags.size() + 63) / 64, 0);
+  for (size_t i = 0; i < flags.size(); ++i) {
+    words[i / 64] |= static_cast<uint64_t>(flags[i]) << (i % 64);
+  }
+  return words;
 }
 
 Tensor BinaryReader::ReadTensor() {

@@ -31,6 +31,9 @@ class BinaryWriter {
   void WriteInts(const std::vector<int>& v);
   // One byte per element (bit-packing is not worth it at coverage-state sizes).
   void WriteBools(const std::vector<bool>& v);
+  // WriteBools' format for a bitset: elements 0..n-1, element i being bit
+  // i % 64 of words[i / 64].
+  void WriteBits(const std::vector<uint64_t>& words, uint64_t n);
   // Shape extents + flat values; round-trips through ReadTensor.
   void WriteTensor(const Tensor& t);
 
@@ -55,6 +58,9 @@ class BinaryReader {
   std::vector<float> ReadFloats();
   std::vector<int> ReadInts();
   std::vector<bool> ReadBools();
+  // ReadBools into a bitset laid out as WriteBits takes it (bits past the
+  // count stay 0); `*n` receives the element count.
+  std::vector<uint64_t> ReadBits(uint64_t* n);
   Tensor ReadTensor();
 
  private:

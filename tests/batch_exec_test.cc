@@ -2,15 +2,22 @@
 // across batch widths and match the per-sample oracle (exactly, or within the
 // kernel tolerances for the GEMM-backed layers), the compiled plan must
 // reproduce the scalar trace and gradients, Session results must be
-// invariant to batch size and worker count, and the executor must forward
-// each (seed, model, iteration) exactly once (the single-pass guarantee).
+// invariant to batch size, worker count and drainer count (rows that change
+// drainers mid-ascent included), and the executor must forward each (seed,
+// model, iteration) exactly once (the single-pass guarantee).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/constraints/constraint.h"
@@ -35,6 +42,7 @@
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
 #include "src/util/serialize.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace dx {
@@ -363,6 +371,221 @@ TEST_F(BatchSessionTest, RunStatsForwardPassesAccountsAllModels) {
   // least one consensus pass per tried seed.
   EXPECT_GE(stats.forward_passes,
             3 * (stats.total_iterations + static_cast<int64_t>(stats.seeds_tried)));
+}
+
+// A pool of rows that finish at very different steps: the fixture's
+// near-boundary seeds (most find a test within a few steps), far seeds that
+// exhaust a short budget, and seeds on the boundary the models may already
+// disagree on.
+std::vector<Tensor> MixedSeeds(const std::vector<Tensor>& near) {
+  std::vector<Tensor> seeds;
+  Rng rng(45);
+  for (size_t i = 0; i < near.size(); ++i) {
+    seeds.push_back(near[i]);
+    if (i % 3 == 0) {
+      Tensor far({2});
+      far[0] = 0.9f * rng.NextFloat();
+      far[1] = std::min(1.0f, far[0] + 0.7f * rng.NextFloat() + 0.1f);
+      seeds.push_back(std::move(far));
+    }
+    if (i % 5 == 0) {
+      Tensor edge({2});
+      edge[0] = rng.NextFloat();
+      edge[1] = edge[0] + 0.01f;
+      seeds.push_back(std::move(edge));
+    }
+  }
+  return seeds;
+}
+
+// Notes which threads step each row, keyed by the row's RNG (task-private,
+// so one per row), and spins a few microseconds per step so that the
+// drainers of a Run overlap and trade rows even on toy models. Armed, it
+// throws from its Nth call on.
+class RowTracker : public UnconstrainedImage {
+ public:
+  void ApplyInto(const Tensor& grad, const Tensor& x, Rng& rng,
+                 Tensor* direction) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_[&rng].insert(std::this_thread::get_id());
+      if (throw_at > 0 && ++calls_ >= throw_at) {
+        throw std::runtime_error("constraint failure");
+      }
+    }
+    const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+    UnconstrainedImage::ApplyInto(grad, x, rng, direction);
+  }
+  // Whether some row was stepped on two threads since the last call (a row
+  // that changed drainers); forgets the rows seen.
+  bool TakeMoved() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool moved = std::any_of(threads_.begin(), threads_.end(),
+                                   [](const auto& entry) { return entry.second.size() > 1; });
+    threads_.clear();
+    return moved;
+  }
+  int throw_at = 0;  // 0: never throw.
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::map<const Rng*, std::set<std::thread::id>> threads_;
+  mutable int calls_ = 0;
+};
+
+TEST_F(BatchSessionTest, RowsThatChangeDrainersStayBitIdentical) {
+  const std::vector<Tensor> seeds = MixedSeeds(*seeds_);
+  struct Outcome {
+    RunStats stats;
+    std::vector<std::string> blobs;
+    bool moved = false;
+  };
+  const auto run = [&](int workers, int batch_size) {
+    SessionConfig config = BaseConfig();
+    config.metric = "kmultisection";  // Clones share ranges across threads.
+    config.engine.max_iterations_per_seed = 40;
+    config.sync_interval = 24;
+    config.workers = workers;
+    config.batch_size = batch_size;
+    RowTracker constraint;
+    Session session(ModelPtrs(), &constraint, config);
+    Outcome out;
+    RunOptions options;
+    // Task RNGs live for one sync batch, so rows are told apart per batch.
+    options.on_batch = [&](const RunProgress&) { out.moved = constraint.TakeMoved() || out.moved; };
+    out.stats = session.Run(seeds, options);
+    for (int k = 0; k < session.num_models(); ++k) {
+      out.blobs.push_back(StateBlob(session.metric(k)));
+    }
+    return out;
+  };
+  const Outcome reference = run(/*workers=*/1, /*batch_size=*/1);
+  const std::vector<GeneratedTest>& want = reference.stats.tests;
+  ASSERT_GT(want.size(), 0u);
+  ASSERT_GT(reference.stats.seeds_skipped, 0);
+  const auto [fewest, most] = std::minmax_element(
+      want.begin(), want.end(),
+      [](const GeneratedTest& a, const GeneratedTest& b) { return a.iterations < b.iterations; });
+  EXPECT_LE(fewest->iterations, 5) << "no row finishes within a few steps";
+  EXPECT_GE(most->iterations, 10) << "no row ascends for long";
+  int runs_with_moves = 0;
+  for (const int workers : {1, 2, 3, 4}) {
+    for (const int batch_size : {1, 3, 8}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " batch_size=" + std::to_string(batch_size));
+      const Outcome other = run(workers, batch_size);
+      const std::vector<GeneratedTest>& got = other.stats.tests;
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(other.stats.seeds_tried, reference.stats.seeds_tried);
+      EXPECT_EQ(other.stats.seeds_skipped, reference.stats.seeds_skipped);
+      EXPECT_EQ(other.stats.total_iterations, reference.stats.total_iterations);
+      EXPECT_EQ(other.stats.forward_passes, reference.stats.forward_passes);
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].input.values(), want[i].input.values()) << "test " << i;
+        EXPECT_EQ(got[i].labels, want[i].labels) << "test " << i;
+        EXPECT_EQ(got[i].iterations, want[i].iterations) << "test " << i;
+        EXPECT_EQ(got[i].task_ordinal, want[i].task_ordinal) << "test " << i;
+        EXPECT_EQ(got[i].deviating_model, want[i].deviating_model) << "test " << i;
+      }
+      EXPECT_EQ(other.blobs, reference.blobs);
+      runs_with_moves += other.moved ? 1 : 0;
+    }
+  }
+  EXPECT_GT(runs_with_moves, 0) << "no row ever changed drainers";
+}
+
+// Executor level: three drainers on a two-thread pool trade 24 rows and
+// must match one drainer stepping them all; a row that throws ends the Run
+// (no hang), and the pooled state it borrowed still runs the next Run.
+TEST_F(BatchSessionTest, DrainersMatchOneDrainerAndSurviveAThrow) {
+  const std::vector<Tensor> pool_seeds = MixedSeeds(*seeds_);
+  ASSERT_GE(pool_seeds.size(), 24u);
+  const std::vector<Model*> models = ModelPtrs();
+  RowTracker constraint;
+  EngineConfig engine = BaseConfig().engine;
+  engine.max_iterations_per_seed = 40;
+  const Executor executor(models, &constraint, /*regression=*/false, &engine);
+  const auto objective = MakeObjective("joint");
+  ThreadPool pool(2);
+
+  struct Setup {
+    std::vector<Rng> rngs;
+    std::vector<std::vector<std::unique_ptr<CoverageMetric>>> metrics;
+    std::vector<Executor::SeedTask> tasks;
+  };
+  const auto make_setup = [&] {
+    Setup setup;
+    setup.rngs.reserve(24);
+    setup.metrics.resize(24);
+    for (int t = 0; t < 24; ++t) {
+      setup.rngs.emplace_back(700 + static_cast<uint64_t>(t));
+      for (const Model* m : models) {
+        setup.metrics[static_cast<size_t>(t)].push_back(
+            MakeCoverageMetric("neuron", *m, engine.coverage));
+      }
+    }
+    for (int t = 0; t < 24; ++t) {
+      Executor::SeedTask task;
+      task.seed = &pool_seeds[static_cast<size_t>(t)];
+      task.seed_index = t;
+      task.ordinal = static_cast<uint64_t>(t);
+      task.rng = &setup.rngs[static_cast<size_t>(t)];
+      task.metrics = &setup.metrics[static_cast<size_t>(t)];
+      setup.tasks.push_back(task);
+    }
+    return setup;
+  };
+  const auto expect_same = [&](const std::vector<std::optional<GeneratedTest>>& got,
+                               const Setup& got_setup,
+                               const std::vector<std::optional<GeneratedTest>>& want,
+                               const Setup& want_setup) {
+    int found = 0;
+    for (size_t t = 0; t < 24; ++t) {
+      SCOPED_TRACE("task " + std::to_string(t));
+      ASSERT_EQ(got[t].has_value(), want[t].has_value());
+      if (got[t].has_value()) {
+        ++found;
+        EXPECT_EQ(got[t]->input.values(), want[t]->input.values());
+        EXPECT_EQ(got[t]->iterations, want[t]->iterations);
+        EXPECT_EQ(got[t]->labels, want[t]->labels);
+        EXPECT_EQ(got[t]->deviating_model, want[t]->deviating_model);
+      }
+      Rng got_rng = got_setup.rngs[t];
+      Rng want_rng = want_setup.rngs[t];
+      EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+      for (size_t k = 0; k < models.size(); ++k) {
+        EXPECT_EQ(StateBlob(*got_setup.metrics[t][k]), StateBlob(*want_setup.metrics[t][k]));
+      }
+    }
+    EXPECT_GT(found, 0);
+    EXPECT_LT(found, 24);
+  };
+
+  const Setup one = make_setup();
+  const auto alone = executor.Run(one.tasks, *objective);
+  // Whether rows change drainers depends on timing: within a few Runs some do.
+  bool moved = false;
+  for (int attempt = 0; attempt < 5 && !moved; ++attempt) {
+    constraint.TakeMoved();
+    const Setup three = make_setup();
+    const auto drained =
+        executor.Run(three.tasks, *objective, /*width=*/8, /*drainers=*/3, &pool);
+    moved = constraint.TakeMoved();
+    expect_same(drained, three, alone, one);
+  }
+  EXPECT_TRUE(moved) << "no row changed drainers in five Runs";
+
+  Setup failing = make_setup();
+  constraint.throw_at = 150;
+  EXPECT_THROW(executor.Run(failing.tasks, *objective, 8, 3, &pool), std::runtime_error);
+  constraint.throw_at = 0;
+
+  const Setup again = make_setup();
+  const auto after = executor.Run(again.tasks, *objective, 8, 3, &pool);
+  expect_same(after, again, alone, one);
 }
 
 // ---- Executor: the batched gradient half ---------------------------------------------------

@@ -4,6 +4,7 @@
 // worker merging relies on), and Serialize/Deserialize round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -527,6 +528,192 @@ TEST_P(PickPinTest, MatchesCountThenSelectOverUpdatesMergesAndRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, PickPinTest,
                          ::testing::Values("neuron", "kmultisection", "topk"));
+
+// ---- k-multisection words against a flag-vector reference --------------------------------
+
+// Every observable of a k-multisection tracker against a plain flag vector
+// (neuron-major, the layout its 64-bit words replaced): the counts, every
+// section's flag, PickUncovered's draws and Serialize's bytes.
+void ExpectMatchesFlags(const KMultisectionCoverage& metric, const std::vector<bool>& flags,
+                        uint64_t pick_seed, const std::string& where) {
+  const int k = metric.sections();
+  const std::vector<NeuronId>& neurons = metric.TrackedNeurons();
+  ASSERT_EQ(flags.size(), neurons.size() * static_cast<size_t>(k)) << where;
+  const int covered = static_cast<int>(std::count(flags.begin(), flags.end(), true));
+  EXPECT_EQ(metric.covered_items(), covered) << where;
+  EXPECT_EQ(metric.Coverage(),
+            static_cast<float>(covered) / static_cast<float>(flags.size()))
+      << where;
+  std::vector<NeuronId> open;
+  for (size_t i = 0; i < neurons.size(); ++i) {
+    bool any_open = false;
+    for (int s = 0; s < k; ++s) {
+      const bool flag = flags[i * static_cast<size_t>(k) + static_cast<size_t>(s)];
+      EXPECT_EQ(metric.IsSectionCovered(neurons[i], s), flag)
+          << where << " neuron " << i << " section " << s;
+      any_open = any_open || !flag;
+    }
+    if (any_open) {
+      open.push_back(neurons[i]);
+    }
+  }
+  Rng got_rng(pick_seed);
+  Rng want_rng(pick_seed);
+  for (int draw = 0; draw < 3; ++draw) {
+    NeuronId got;
+    ASSERT_EQ(metric.PickUncovered(got_rng, &got), !open.empty()) << where;
+    if (!open.empty()) {
+      const int64_t r = want_rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1);
+      EXPECT_EQ(got, open[static_cast<size_t>(r)]) << where << " draw " << draw;
+    }
+  }
+  std::ostringstream want(std::ios::binary);
+  BinaryWriter writer(want);
+  writer.WriteString("kmultisection");
+  writer.WriteU32(1);  // Version.
+  writer.WriteU32(static_cast<uint32_t>(neurons.size()));
+  writer.WriteU32(static_cast<uint32_t>(k));
+  writer.WriteU32(metric.profiled() ? 1 : 0);
+  writer.WriteFloats(metric.low());
+  writer.WriteFloats(metric.high());
+  writer.WriteBools(flags);
+  EXPECT_EQ(StateBlob(metric), want.str()) << where;
+}
+
+// Sets the flags an UpdateBatch of `trace` covers, by the metric's own
+// section math.
+void UpdateFlags(const KMultisectionCoverage& metric, const Model& model, const BatchTrace& trace,
+                 std::vector<bool>* flags) {
+  const size_t k = static_cast<size_t>(metric.sections());
+  const std::vector<NeuronId>& neurons = metric.TrackedNeurons();
+  for (int b = 0; b < trace.batch; ++b) {
+    const std::vector<float> values = metric.NeuronValues(model, trace, b);
+    for (size_t i = 0; i < neurons.size(); ++i) {
+      const int section = metric.SectionOf(neurons[i], values[i]);
+      if (section >= 0) {
+        (*flags)[i * k + static_cast<size_t>(section)] = true;
+      }
+    }
+  }
+}
+
+// 9 + 5 tracked neurons: at k = 7, 10, 64 and 65 some neurons' sections
+// straddle a 64-bit word boundary.
+Model SectionNet() {
+  Model m("sections", {3});
+  Rng init(21);
+  m.Emplace<Dense>(3, 9, Activation::kRelu).InitParams(init);
+  m.Emplace<Dense>(9, 5, Activation::kTanh).InitParams(init);
+  m.Emplace<Dense>(5, 2).InitParams(init);
+  return m;
+}
+
+TEST(KMultisectionWordsTest, MatchFlagVectorReference) {
+  const Model model = SectionNet();
+  for (const int k : {1, 7, 10, 64, 65}) {
+    CoverageOptions opts;
+    opts.kmc_sections = k;
+    Rng rng(300 + static_cast<uint64_t>(k));
+    // Narrow profiling inputs, wider test inputs: both boundary sections
+    // and the interior get hit over the run, yet not all of them at once.
+    const auto random_trace = [&](float range) {
+      const int batch = static_cast<int>(rng.UniformInt(1, 3));
+      return testing::OracleForwardBatch(
+          model, Tensor::RandUniform(BatchedShape(batch, model.input_shape()), rng, -range,
+                                     range));
+    };
+    auto metric = std::make_unique<KMultisectionCoverage>(model, opts);
+    for (int p = 0; p < 3; ++p) {
+      const BatchTrace trace = random_trace(0.5f);
+      for (int b = 0; b < trace.batch; ++b) {
+        metric->ProfileSeed(model, trace, b);
+      }
+    }
+    std::vector<bool> flags(static_cast<size_t>(metric->total_items()), false);
+    ExpectMatchesFlags(*metric, flags, 1, "k=" + std::to_string(k) + " start");
+    int merges = 0;
+    for (int step = 0; step < 40; ++step) {
+      const int kind = static_cast<int>(rng.UniformInt(0, 2));
+      if (kind == 0) {
+        const BatchTrace trace = random_trace(1.0f);
+        metric->UpdateBatch(model, trace);
+        UpdateFlags(*metric, model, trace, &flags);
+      } else if (kind == 1) {
+        // Both sides gain sections the other lacks before the merge.
+        auto clone = metric->Clone();
+        auto& other = dynamic_cast<KMultisectionCoverage&>(*clone);
+        std::vector<bool> other_flags = flags;
+        for (int u = 0; u < 2; ++u) {
+          const BatchTrace trace = random_trace(1.0f);
+          other.UpdateBatch(model, trace);
+          UpdateFlags(other, model, trace, &other_flags);
+        }
+        const BatchTrace trace = random_trace(1.0f);
+        metric->UpdateBatch(model, trace);
+        UpdateFlags(*metric, model, trace, &flags);
+        metric->Merge(other);
+        for (size_t i = 0; i < flags.size(); ++i) {
+          flags[i] = flags[i] || other_flags[i];
+        }
+        ++merges;
+      } else {
+        auto restored = RoundTrip(*metric, model, opts);
+        metric.reset(dynamic_cast<KMultisectionCoverage*>(restored.release()));
+      }
+      ExpectMatchesFlags(*metric, flags, 1000 + static_cast<uint64_t>(step),
+                         "k=" + std::to_string(k) + " step " + std::to_string(step) +
+                             " kind " + std::to_string(kind));
+    }
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(metric->covered_items(), 0);
+  }
+}
+
+TEST(KMultisectionWordsTest, CloneWritesLeaveTheSourceRangesAlone) {
+  const Model model = SectionNet();
+  CoverageOptions opts;
+  opts.kmc_sections = 7;
+  Rng rng(5);
+  const BatchTrace narrow = testing::OracleForwardBatch(
+      model, Tensor::RandUniform(BatchedShape(3, model.input_shape()), rng, -0.3f, 0.3f));
+  const BatchTrace wide = testing::OracleForwardBatch(
+      model, Tensor::RandUniform(BatchedShape(3, model.input_shape()), rng, -3.0f, 3.0f));
+  KMultisectionCoverage source(model, opts);
+  for (int b = 0; b < narrow.batch; ++b) {
+    source.ProfileSeed(model, narrow, b);
+  }
+  const std::vector<float> low = source.low();
+  const std::vector<float> high = source.high();
+
+  // ProfileSeed on a clone widens the clone's ranges only.
+  auto profiled = source.Clone();
+  auto& profiled_kmc = dynamic_cast<KMultisectionCoverage&>(*profiled);
+  for (int b = 0; b < wide.batch; ++b) {
+    profiled_kmc.ProfileSeed(model, wide, b);
+  }
+  EXPECT_NE(profiled_kmc.low(), low);
+  EXPECT_EQ(source.low(), low);
+  EXPECT_EQ(source.high(), high);
+
+  // Deserialize on a clone replaces the clone's ranges only.
+  auto restored = source.Clone();
+  const std::string blob = StateBlob(profiled_kmc);
+  std::istringstream in(blob);
+  BinaryReader reader(in);
+  restored->Deserialize(reader);
+  EXPECT_EQ(dynamic_cast<const KMultisectionCoverage&>(*restored).low(), profiled_kmc.low());
+  EXPECT_EQ(source.low(), low);
+  EXPECT_EQ(source.high(), high);
+
+  // And profiling the source leaves its earlier clones as they were.
+  auto before = source.Clone();
+  for (int b = 0; b < wide.batch; ++b) {
+    source.ProfileSeed(model, wide, b);
+  }
+  EXPECT_EQ(dynamic_cast<const KMultisectionCoverage&>(*before).low(), low);
+  EXPECT_EQ(dynamic_cast<const KMultisectionCoverage&>(*before).high(), high);
+  EXPECT_NE(source.low(), low);
+}
 
 TEST(MergeSemanticsTest, TypeMismatchThrows) {
   const Model m = LinearModel({1.0f, 2.0f});

@@ -331,5 +331,16 @@ TEST_F(SessionToyTest, InvalidPluginNamesThrow) {
   EXPECT_THROW(Session(ptrs, &constraint_, config), std::invalid_argument);
 }
 
+TEST_F(SessionToyTest, NegativeWorkersAreRejected) {
+  auto ptrs = ModelPtrs();
+  SessionConfig config = ToyConfig();
+  for (const int workers : {-1, -3}) {
+    config.workers = workers;
+    EXPECT_THROW(Session(ptrs, &constraint_, config), std::invalid_argument) << workers;
+  }
+  config.workers = 0;  // Hardware concurrency.
+  EXPECT_NO_THROW(Session(ptrs, &constraint_, config));
+}
+
 }  // namespace
 }  // namespace dx

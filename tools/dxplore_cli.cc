@@ -147,7 +147,7 @@ void PrintVersion() {
   --objective O   )" << Join(ObjectiveNames()) << R"(  (default: joint)
   --scheduler S   )" << Join(SeedSchedulerNames()) << R"(  (default: roundrobin)
   --workers N     parallel seed workers; 0 = all cores        (default: 1)
-  --batch-size N  seeds per batched-executor chunk            (default: 8)
+  --batch-size N  most seeds one executor step holds          (default: 8)
   --constraint C  per-domain constraint variant; "default" picks the
                   domain's default (--list-domains enumerates them)
   --seeds N       seed inputs drawn from the domain test set  (default: 100)
@@ -692,13 +692,18 @@ int Main(int argc, char** argv) {
     add("objective accumulate", phases.objective_accumulate_seconds);
     add("constraint", phases.constraint_seconds);
     add("coverage", phases.coverage_seconds);
-    // Mean rows per iteration: the width the batched backward runs at.
-    const double rows_per_iteration =
+    // Mean rows per step: the width the batched kernels run at.
+    const double rows_per_step =
         phases.iterations > 0
             ? static_cast<double>(phases.rows) / static_cast<double>(phases.iterations)
             : 0.0;
-    std::cout << "executor phases (" << phases.iterations << " batched iterations, "
-              << TablePrinter::Num(rows_per_iteration, 2) << " rows per iteration):\n"
+    // The share of the workers' run time spent outside the executor phases:
+    // waiting for other workers, merging and reporting, set-up.
+    const double worker_seconds = stats.seconds * engine.EffectiveWorkers();
+    const double wait_share = worker_seconds > 0.0 ? 1.0 - total / worker_seconds : 0.0;
+    std::cout << "executor phases (" << phases.iterations << " drainer steps, "
+              << TablePrinter::Num(rows_per_step, 2) << " rows per step, wait share "
+              << TablePrinter::Num(wait_share, 2) << "):\n"
               << prof_table.ToString();
   }
   if (!out_dir.empty()) {
