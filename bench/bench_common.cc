@@ -60,20 +60,6 @@ SessionConfig PaperConfig(const EngineConfig& engine) {
   return config;
 }
 
-SessionConfig DefaultSessionConfig(const std::string& domain_key, const std::string& metric,
-                                   int workers) {
-  SessionConfig config;
-  config.engine = DefaultConfig(domain_key);
-  config.metric = metric;
-  config.workers = workers;
-  // Fixed (worker-independent, so results stay identical across scaling
-  // rows) but sized for the scaling bench: 32 seeds per sync batch in
-  // executor chunks of 4 gives 8 parallel units per batch.
-  config.sync_interval = 32;
-  config.batch_size = 4;
-  return config;
-}
-
 std::string HyperparamString(const EngineConfig& config, const std::string& domain_key) {
   const std::string s =
       domain_key == "drebin" ? "N/A" : (domain_key == "pdf" ? "0.1" : "10/255");

@@ -44,11 +44,6 @@ EngineConfig DefaultConfig(const std::string& domain_key);
 // before it and a run bounded by max_tests stops right after the last hit.
 SessionConfig PaperConfig(const EngineConfig& engine);
 
-// Session wiring over the domain's Table 2 defaults: named coverage metric
-// and worker count, joint objective, round-robin scheduling.
-SessionConfig DefaultSessionConfig(const std::string& domain_key, const std::string& metric,
-                                   int workers);
-
 // Human-readable hyperparameter string for table rows, e.g. "1 / 0.1 / 10 / 0".
 std::string HyperparamString(const EngineConfig& config, const std::string& domain_key);
 

@@ -361,7 +361,7 @@ int Executor::StepRows(Drain& drain, ChunkState& cs, ExecutorProfile& prof) cons
         row.consensus = cs.prediction.labels[0];
       }
       rs.inputs[static_cast<size_t>(t)] = *task.seed;  // Reuses the slot's storage.
-      row.target = engine_->forced_target_model >= 0 && engine_->forced_target_model < num_k
+      row.target = engine_->forced_target_model >= 0
                        ? engine_->forced_target_model
                        : static_cast<int>(task.rng->UniformInt(0, num_k - 1));
     } else if (disagree) {

@@ -63,6 +63,12 @@ Session::Session(std::vector<Model*> models, const Constraint* constraint,
   if (config_.workers < 0) {
     throw std::invalid_argument("Session: workers must be >= 0 (0 = hardware concurrency)");
   }
+  const int num_models = static_cast<int>(models_.size());
+  if (config_.engine.forced_target_model < -1 ||
+      config_.engine.forced_target_model >= num_models) {
+    throw std::invalid_argument("Session: forced_target_model must be -1 (random) or in [0, " +
+                                std::to_string(num_models) + ")");
+  }
   objective_ = MakeObjective(config_.objective);
   scheduler_ = MakeSeedScheduler(config_.scheduler);
   executor_ = std::make_unique<Executor>(models_, constraint_, regression_,

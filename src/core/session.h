@@ -69,7 +69,8 @@ struct EngineConfig {
   bool normalize_gradient = true;
   // Fix j (the model pushed away from the consensus) instead of picking one
   // uniformly per seed; -1 keeps Algorithm 1's random choice. Table 2 reports
-  // per-DNN difference counts, which targets each model in turn.
+  // per-DNN difference counts, which targets each model in turn. The Session
+  // rejects a value outside [-1, number of models).
   int forced_target_model = -1;
   uint64_t rng_seed = 1234;
 

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "src/service/metrics.h"
 #include "src/tensor/simd.h"
@@ -59,6 +61,16 @@ Json StatusJson(const CampaignStatus& status) {
   return j;
 }
 
+// An int field of a submit request. A value outside int is an error naming
+// the field, not a silent wrap (4294967297 seeds is not 1 seed).
+int IntField(const Json& request, const std::string& key, int fallback) {
+  const int64_t value = request.GetInt(key, fallback);
+  if (value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(key + " " + std::to_string(value) + " is out of range");
+  }
+  return static_cast<int>(value);
+}
+
 CampaignSpec SpecFromRequest(const Json& request) {
   CampaignSpec spec;
   spec.domain = request.GetString("domain", "");
@@ -66,18 +78,16 @@ CampaignSpec SpecFromRequest(const Json& request) {
   spec.metric = request.GetString("metric", spec.metric);
   spec.objective = request.GetString("objective", spec.objective);
   spec.scheduler = request.GetString("scheduler", spec.scheduler);
-  spec.seeds = static_cast<int>(request.GetInt("seeds", spec.seeds));
-  spec.max_tests = static_cast<int>(request.GetInt("max_tests", spec.max_tests));
-  spec.max_seed_passes =
-      static_cast<int>(request.GetInt("max_seed_passes", spec.max_seed_passes));
+  spec.seeds = IntField(request, "seeds", spec.seeds);
+  spec.max_tests = IntField(request, "max_tests", spec.max_tests);
+  spec.max_seed_passes = IntField(request, "max_seed_passes", spec.max_seed_passes);
   spec.coverage_goal = static_cast<float>(
       request.GetNumber("coverage_goal", static_cast<double>(spec.coverage_goal)));
-  spec.max_iterations_per_seed = static_cast<int>(
-      request.GetInt("max_iterations_per_seed", spec.max_iterations_per_seed));
+  spec.max_iterations_per_seed =
+      IntField(request, "max_iterations_per_seed", spec.max_iterations_per_seed);
   spec.rng_seed = static_cast<uint64_t>(request.GetInt("rng_seed", 1234));
-  spec.batch_size = static_cast<int>(request.GetInt("batch_size", spec.batch_size));
-  spec.sync_interval =
-      static_cast<int>(request.GetInt("sync_interval", spec.sync_interval));
+  spec.batch_size = IntField(request, "batch_size", spec.batch_size);
+  spec.sync_interval = IntField(request, "sync_interval", spec.sync_interval);
   spec.corpus_dir = request.GetString("corpus_dir", "");
   spec.resume = request.GetBool("resume", false);
   return spec;

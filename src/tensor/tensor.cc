@@ -16,7 +16,9 @@ int64_t NumElements(const Shape& shape) {
     if (d < 0) {
       throw std::invalid_argument("negative dimension in shape " + ShapeToString(shape));
     }
-    n *= d;
+    if (__builtin_mul_overflow(n, d, &n)) {
+      throw std::invalid_argument("shape " + ShapeToString(shape) + " overflows int64");
+    }
   }
   return n;
 }

@@ -18,7 +18,8 @@ class Rng;
 
 using Shape = std::vector<int>;
 
-// Number of elements implied by a shape (1 for the empty shape).
+// Number of elements implied by a shape (1 for the empty shape). Throws
+// std::invalid_argument on a negative dimension or a product past int64.
 int64_t NumElements(const Shape& shape);
 // Human-readable "[2, 3, 4]".
 std::string ShapeToString(const Shape& shape);

@@ -330,7 +330,17 @@ double Json::AsNumber() const {
   return number_;
 }
 
-int64_t Json::AsInt() const { return static_cast<int64_t>(AsNumber()); }
+int64_t Json::AsInt() const {
+  // Casting a double outside int64 (or NaN/inf) is undefined, so anything
+  // but a finite integral number in [-2^63, 2^63) is a type error too.
+  const double v = AsNumber();
+  if (!(v >= -0x1p63 && v < 0x1p63) || v != std::trunc(v)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    throw std::runtime_error(std::string("json: expected an int64 integer, got ") + buf);
+  }
+  return static_cast<int64_t>(v);
+}
 
 const std::string& Json::AsString() const {
   if (type_ != Type::kString) TypeError("string", type_);

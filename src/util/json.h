@@ -47,7 +47,8 @@ class Json {
   bool is_object() const { return type_ == Type::kObject; }
 
   // Typed accessors throw std::runtime_error on type mismatch: the daemon
-  // turns that into a malformed-request error reply.
+  // turns that into a malformed-request error reply. AsInt also throws on a
+  // number that is not integral or does not fit in int64.
   bool AsBool() const;
   double AsNumber() const;
   int64_t AsInt() const;

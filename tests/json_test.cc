@@ -3,6 +3,9 @@
 // (the daemon turns these into error replies, so they must throw reliably).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/util/json.h"
 
 namespace dx {
@@ -96,6 +99,16 @@ TEST(JsonTest, TypeMismatchThrows) {
   EXPECT_THROW(doc.At("n").AsString(), std::runtime_error);
   EXPECT_THROW(doc.At("missing"), std::runtime_error);
   EXPECT_THROW(Json::Parse("[1]").AsObject(), std::runtime_error);
+}
+
+TEST(JsonTest, AsIntRejectsNumbersOutsideInt64) {
+  // Casting any of these to int64 would be undefined behaviour.
+  EXPECT_THROW(Json::Parse("1e300").AsInt(), std::runtime_error);
+  EXPECT_THROW(Json::Parse("1e400").AsInt(), std::runtime_error);  // Parses to inf.
+  EXPECT_THROW(Json::Parse("9223372036854775808").AsInt(), std::runtime_error);  // 2^63.
+  EXPECT_THROW(Json::Parse("1.5").AsInt(), std::runtime_error);
+  EXPECT_EQ(Json::Parse("-9223372036854775808").AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Json::Parse("9007199254740992").AsInt(), int64_t{1} << 53);
 }
 
 TEST(JsonTest, OptionalLookupsFallBack) {

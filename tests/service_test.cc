@@ -458,6 +458,10 @@ TEST(ServiceTest, MalformedRequestsAreRejected) {
   expect_error(R"({"cmd":"submit","domain":"svc_toy_a","batch_size":0})", "batch_size");
   expect_error(R"({"cmd":"submit","resume":true})", "corpus_dir");
   expect_error(R"({"cmd":"results","id":12345})", "unknown campaign");
+  // Numbers an integer field cannot hold are errors, never wrapped values.
+  expect_error(R"({"cmd":"status","id":1e300})", "int64 integer");
+  expect_error(R"({"cmd":"submit","domain":"svc_toy_a","seeds":4294967297})", "seeds");
+  expect_error(R"({"cmd":"submit","domain":"svc_toy_a","batch_size":1.5})", "int64 integer");
 }
 
 TEST(ServiceTest, DoubleSubmitOnOneCorpusIsRejected) {

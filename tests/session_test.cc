@@ -342,5 +342,19 @@ TEST_F(SessionToyTest, NegativeWorkersAreRejected) {
   EXPECT_NO_THROW(Session(ptrs, &constraint_, config));
 }
 
+TEST_F(SessionToyTest, OutOfRangeTargetModelIsRejected) {
+  auto ptrs = ModelPtrs();
+  SessionConfig config = ToyConfig();
+  const int num_models = static_cast<int>(ptrs.size());
+  for (const int target : {num_models, -2}) {
+    config.engine.forced_target_model = target;
+    EXPECT_THROW(Session(ptrs, &constraint_, config), std::invalid_argument) << target;
+  }
+  for (int target = -1; target < num_models; ++target) {  // -1 = random per seed.
+    config.engine.forced_target_model = target;
+    EXPECT_NO_THROW(Session(ptrs, &constraint_, config)) << target;
+  }
+}
+
 }  // namespace
 }  // namespace dx

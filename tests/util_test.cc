@@ -9,9 +9,11 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "src/tensor/tensor.h"
 #include "src/util/cache.h"
 #include "src/util/image_io.h"
 #include "src/util/rng.h"
@@ -375,6 +377,21 @@ TEST(SerializeTest, ThrowsOnTruncation) {
   std::istringstream in("xy", std::ios::binary);
   BinaryReader r(in);
   EXPECT_THROW(r.ReadU64(), std::runtime_error);
+}
+
+TEST(SerializeTest, ReadTensorRejectsAShapeWhoseSizeOverflows) {
+  // 65536^4 wraps int64 to 0, which would match an empty value list;
+  // INT_MAX^3 overflows to garbage. Neither shape may decode.
+  for (const Shape& shape : {Shape{65536, 65536, 65536, 65536},
+                             Shape{2147483647, 2147483647, 2147483647}}) {
+    std::ostringstream out(std::ios::binary);
+    BinaryWriter w(out);
+    w.WriteInts(shape);
+    w.WriteFloats({});
+    std::istringstream in(out.str(), std::ios::binary);
+    BinaryReader r(in);
+    EXPECT_THROW(r.ReadTensor(), std::invalid_argument) << ShapeToString(shape);
+  }
 }
 
 // ---- Cache -------------------------------------------------------------------------------

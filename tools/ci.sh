@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify sequence: configure, build, ctest, smoke benches.
 #
-# Usage: tools/ci.sh [build-dir] [mode]   (default: build "")
+# Usage: tools/ci.sh [build-dir] [mode] [base]   (default: build "")
 #
 #   mode "sanitize": build with ASan + UBSan, float-cast-overflow included
 #   (halt on any report), and run
@@ -14,17 +14,19 @@
 #   would corrupt — plus execution_plan_test, whose concurrent compiles
 #   share one Dense forward pack.
 #
-#   mode "release": build the benches and the bit-identity tests
-#   (execution_plan_test, gemm_kernel_test, batch_exec_test, alloc_test,
-#   core_test) with
-#   CMAKE_BUILD_TYPE=Release, run those tests — the e2e digests come from a
-#   Release build — then run each bench once as a smoke test (the plan
-#   bench's inline tolerance checks keep the GEMM/SIMD path honest where
-#   asserts vanish), compare the
-#   artifacts against bench/baselines with compare_baselines.py --strict
-#   (files recorded on a different host core count are skipped, not
-#   failed), and consolidate every artifact into BENCH_results.json at the
-#   repo root.
+#   mode "release": build with CMAKE_BUILD_TYPE=Release and run the
+#   bit-identity tests (execution_plan_test, gemm_kernel_test,
+#   batch_exec_test, alloc_test, core_test; the e2e digests come from a
+#   Release build) and domain_conformance_test (every domain's plan against
+#   the per-sample oracle, where asserts vanish). Then gate performance on
+#   this host: build dxbench_e2e at the base commit (the third argument,
+#   default HEAD~1, checked out in a git worktree under the build dir that
+#   is removed on exit) and from this checkout, run tools/e2e_ab.py over
+#   every workload with 5 alternating pairs, and fail when a run fails its
+#   correctness checks or bench/e2e/run.py --compare reports an end-to-end
+#   metric WORSE under BENCHMARK.json's bounds. The runs are kept in
+#   <build-dir>/e2e_base.json and <build-dir>/e2e_change.json. An empty
+#   base ("") runs the Release tests only.
 #
 #   mode "simd-off": configure with -DDX_SIMD=OFF (scalar kernel fallback —
 #   the build any non-AVX2/NEON host gets) and run ctest. Guards the
@@ -82,11 +84,14 @@ elif [ "$MODE" = "simd-off" ]; then
   CMAKE_EXTRA+=(-DDX_SIMD=OFF)
 fi
 
+build_e2e() {  # <source dir> <build dir>
+  cmake -S "$1/bench/e2e" -B "$2" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$2" -j "$(nproc)" --target dxbench_e2e
+}
+
 if [ "$MODE" = "e2e-smoke" ]; then
-  echo "==> configure (bench/e2e -> $BUILD_DIR)"
-  cmake -S bench/e2e -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release
-  echo "==> build (dxbench_e2e)"
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target dxbench_e2e
+  echo "==> configure + build (bench/e2e -> $BUILD_DIR: dxbench_e2e)"
+  build_e2e . "$BUILD_DIR"
   echo "==> smoke: dxbench_e2e_smoke"
   ctest --test-dir "$BUILD_DIR" -R dxbench_e2e_smoke --output-on-failure
   echo "==> OK (e2e-smoke)"
@@ -98,39 +103,46 @@ echo "==> configure ($BUILD_DIR${MODE:+, $MODE})"
 cmake -B "$BUILD_DIR" -S . ${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"}
 
 if [ "$MODE" = "release" ]; then
-  # The bit-identity tests also run here: the e2e digests come from a
-  # Release (-O3) build, while the default ctest build is RelWithDebInfo.
-  RELEASE_TESTS=(execution_plan_test gemm_kernel_test batch_exec_test alloc_test core_test)
-  echo "==> build (Release: bench suite + bit-identity tests)"
-  cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target bench_plan_steady_state bench_session_scaling "${RELEASE_TESTS[@]}"
+  RELEASE_TESTS=(execution_plan_test gemm_kernel_test batch_exec_test alloc_test core_test
+    domain_conformance_test)
+  echo "==> build (Release: bit-identity and plan-vs-oracle tests)"
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${RELEASE_TESTS[@]}"
   echo "==> ctest (Release): ${RELEASE_TESTS[*]}"
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -R "^($(IFS='|'; echo "${RELEASE_TESTS[*]}"))\$"
-  ARTIFACTS="$BUILD_DIR/bench_artifacts"
-  echo "==> smoke: plan steady-state bench (Release)"
-  DEEPXPLORE_ARTIFACT_DIR="$ARTIFACTS" "$BUILD_DIR/bench_plan_steady_state"
-  echo "==> smoke: session scaling bench (Release)"
-  DEEPXPLORE_ARTIFACT_DIR="$ARTIFACTS" "$BUILD_DIR/bench_session_scaling" --seeds 10
-  echo "==> baseline vs current comparison (strict)"
-  if command -v python3 > /dev/null; then
-    python3 tools/compare_baselines.py --strict bench/baselines "$ARTIFACTS"
-    echo "==> consolidated bench results -> BENCH_results.json"
-    python3 - "$ARTIFACTS" << 'EOF'
-import json, os, sys
-artifacts = sys.argv[1]
-merged = {}
-for name in sorted(os.listdir(artifacts)):
-    if name.endswith(".json"):
-        with open(os.path.join(artifacts, name)) as f:
-            merged[name[: -len(".json")]] = json.load(f)
-with open("BENCH_results.json", "w") as f:
-    json.dump(merged, f, indent=2)
-    f.write("\n")
-print(f"BENCH_results.json: {', '.join(merged)}")
-EOF
-  else
-    echo "python3 not found; skipping strict comparison + consolidation"
+
+  BASE="${3-HEAD~1}"
+  if [ -z "$BASE" ]; then
+    echo "==> OK (release; no base commit, so no e2e gate)"
+    exit 0
+  fi
+  BASE_SHA=$(git rev-parse --verify "$BASE^{commit}")
+  BASE_SRC="$BUILD_DIR/e2e_base_src"
+  remove_base_worktree() {
+    git worktree remove --force "$BASE_SRC" 2> /dev/null || rm -rf "$BASE_SRC"
+    git worktree prune
+  }
+  trap remove_base_worktree EXIT
+  remove_base_worktree  # A run that was killed may have left one behind.
+  git worktree add --detach "$BASE_SRC" "$BASE_SHA"
+  echo "==> build dxbench_e2e at the base ($BASE_SHA)"
+  build_e2e "$BASE_SRC" "$BASE_SRC/build-e2e"
+  echo "==> build dxbench_e2e from this checkout"
+  build_e2e . "$BUILD_DIR/e2e"
+
+  echo "==> e2e gate: 5 alternating pairs per workload, base against this checkout"
+  OUT_BASE="$BUILD_DIR/e2e_base.json"
+  OUT_CHANGE="$BUILD_DIR/e2e_change.json"
+  rm -f "$OUT_BASE" "$OUT_CHANGE"
+  AB_RC=0
+  python3 tools/e2e_ab.py --base "$BASE_SRC/build-e2e/dxbench_e2e" \
+    --change "$BUILD_DIR/e2e/dxbench_e2e" --pairs 5 \
+    --out-base "$OUT_BASE" --out-change "$OUT_CHANGE" || AB_RC=$?
+  COMPARE_RC=0
+  python3 bench/e2e/run.py --compare "$OUT_BASE" "$OUT_CHANGE" || COMPARE_RC=$?
+  if [ "$AB_RC" -ne 0 ] || [ "$COMPARE_RC" -ne 0 ]; then
+    echo "==> FAILED (e2e gate: e2e_ab.py exit $AB_RC, run.py --compare exit $COMPARE_RC)"
+    exit 1
   fi
   echo "==> OK (release)"
   exit 0
@@ -420,21 +432,6 @@ if [ -x "$BUILD_DIR/micro_nn" ]; then
   "$BUILD_DIR/micro_nn" --benchmark_min_time=0.01s
 else
   echo "micro_nn not built (Google Benchmark not found); skipping"
-fi
-
-echo "==> smoke: session scaling bench"
-DEEPXPLORE_ARTIFACT_DIR="$BUILD_DIR/bench_artifacts" \
-  "$BUILD_DIR/bench_session_scaling" --seeds 10
-
-echo "==> smoke: plan steady-state bench"
-DEEPXPLORE_ARTIFACT_DIR="$BUILD_DIR/bench_artifacts" \
-  "$BUILD_DIR/bench_plan_steady_state"
-
-echo "==> baseline vs current comparison (informational)"
-if command -v python3 > /dev/null; then
-  python3 tools/compare_baselines.py bench/baselines "$BUILD_DIR/bench_artifacts" || true
-else
-  echo "python3 not found; skipping comparison"
 fi
 
 echo "==> smoke: corpus record + resume + replay (paper domain: pdf)"

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Same-host A/B of two dxbench_e2e binaries on one workload and seed.
+"""Same-host A/B of two dxbench_e2e binaries on one seed.
 
-Runs N pairs, alternating which binary goes first, so drift on the host
-lands on both sides alike. For every end-to-end metric it prints both
-medians and quartiles and the number of pairs the change won. It fails when
-any run fails its correctness gate, or when the two binaries disagree on
-the digest or on an exact metric: a performance change must not change
+Runs N pairs per workload, alternating which binary goes first, so drift on
+the host lands on both sides alike. For every end-to-end metric it prints
+both medians and quartiles and the number of pairs the change won. It fails
+when any run fails its correctness gate, or when the two binaries disagree
+on a digest or on an exact metric: a performance change must not change
 what the engine finds.
 
   python3 tools/e2e_ab.py --base PARENT/.bench_build/e2e/dxbench_e2e \\
@@ -13,8 +13,10 @@ what the engine finds.
   python3 tools/e2e_ab.py ... --out-base a.json --out-change b.json
   python3 bench/e2e/run.py --compare a.json b.json
 
-Runs use bench/e2e/run.py's environment and its model cache; the --out
-files are in its --out format.
+--workload may be given more than once; without it every workload in
+BENCHMARK.json runs. Runs use bench/e2e/run.py's environment and its model
+cache; each --out file holds the runs of every workload, in run.py's --out
+format.
 """
 
 import argparse
@@ -69,48 +71,56 @@ def report(base, change, spec):
 
 def main():
     spec, _ = load_spec()
+    names = [w["name"] for w in spec["workloads"]]
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--base", required=True, type=Path, help="dxbench_e2e of the parent")
     p.add_argument("--change", required=True, type=Path, help="dxbench_e2e of the change")
-    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    p.add_argument("--workload", action="append", choices=names,
+                   help="a workload to run (repeatable; default: every workload)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--out-base", help="write the base runs to this JSON file")
     p.add_argument("--out-change", help="write the change runs to this JSON file")
     args = p.parse_args()
+    workloads = args.workload or names
 
     sides = {"base": (args.base.resolve(), []), "change": (args.change.resolve(), [])}
     for binary, _ in sides.values():
         warm(binary)
     gits = {side: git_of(binary) for side, (binary, _) in sides.items()}
-    for i in range(args.pairs):
-        order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-        for side in order:
-            binary, runs = sides[side]
-            print(f"e2e_ab: pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
-            runs.append(run_one(binary, args.workload, args.seed, args.seconds, False,
-                                gits[side]))
+    for workload in workloads:
+        for i in range(args.pairs):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            for side in order:
+                binary, runs = sides[side]
+                print(f"e2e_ab: {workload} pair {i + 1}/{args.pairs}: {side}", file=sys.stderr,
+                      flush=True)
+                runs.append(run_one(binary, workload, args.seed, args.seconds, False,
+                                    gits[side]))
 
     base, change = sides["base"][1], sides["change"][1]
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; "
+    print(f"seed {args.seed}, {args.pairs} pairs per workload; "
           f"base {label(gits['base'])}, change {label(gits['change'])}")
-    report(base, change, spec)
+    for workload in workloads:
+        a = [r for r in base if r["workload"] == workload]
+        print(f"\n{workload}")
+        report(a, [r for r in change if r["workload"] == workload], spec)
+        print(f"  digest {a[0]['digest']}; " + ", ".join(
+            f"{n} {a[0]['metrics'][n]['value']:.6g}" for n in EXACT))
     errors = []
     for side, (_, runs) in sides.items():
         errors += [f"{side} run: {e}" for r in runs for e in r["errors"]]
         errors += [f"{side} run: {r['failed']}/{r['attempted']} operations failed"
                    for r in runs if r["failed"]]
     errors += check_repeats(base + change)
-    print(f"\ndigest {base[0]['digest']}; " + ", ".join(
-        f"{n} {base[0]['metrics'][n]['value']:.6g}" for n in EXACT))
     for path, runs in ((args.out_base, base), (args.out_change, change)):
         if path:
             Path(path).write_text(json.dumps({"runs": runs}, indent=1))
     for e in errors:
         print(f"e2e_ab: {e}", file=sys.stderr)
-    print(f"correctness: {'FAIL' if errors else 'ok'}")
+    print(f"\ncorrectness: {'FAIL' if errors else 'ok'}")
     return 1 if errors else 0
 
 
