@@ -165,11 +165,6 @@ ExecutorProfile Executor::profile() const {
   return profile_;
 }
 
-void Executor::ResetProfile() {
-  std::lock_guard<std::mutex> lock(profile_mu_);
-  profile_ = ExecutorProfile{};
-}
-
 std::vector<std::optional<GeneratedTest>> Executor::Run(
     const std::vector<SeedTask>& tasks, const Objective& objective) const {
   return Run(tasks, objective, std::max(1, static_cast<int>(tasks.size())), 1, nullptr);

@@ -139,7 +139,6 @@ class Executor {
   void EnableProfiling(bool enabled) { profiling_ = enabled; }
   bool profiling_enabled() const { return profiling_; }
   ExecutorProfile profile() const;
-  void ResetProfile();
 
  private:
   struct ChunkState;  // Pooled per-drainer buffers + plans (executor.cc).

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <map>
 #include <stdexcept>
 
 #include "src/analysis/ssim.h"
-#include "src/util/registry.h"
-#include "src/util/timer.h"
 
 namespace dx {
 
@@ -100,146 +98,83 @@ class FeatureBoxDeduper : public CorpusDeduper {
   std::vector<float> range_;
 };
 
-NamedRegistry<CorpusDeduperFactory>& DeduperRegistry() {
-  static auto* registry = new NamedRegistry<CorpusDeduperFactory>({
-      {"ssim",
-       [](const DeduperContext& ctx) -> std::unique_ptr<CorpusDeduper> {
-         return std::make_unique<SsimDeduper>(ctx.threshold);
-       }},
-      {"l2",
-       [](const DeduperContext& ctx) -> std::unique_ptr<CorpusDeduper> {
-         return std::make_unique<L2Deduper>(ctx.threshold);
-       }},
-      {"feature-box",
-       [](const DeduperContext& ctx) -> std::unique_ptr<CorpusDeduper> {
-         return std::make_unique<FeatureBoxDeduper>(ctx, ctx.threshold);
-       }},
-  });
-  return *registry;
+// Whether Ssim can compare two inputs of `shape`: an HW or CHW image whose
+// plane holds its 8x8 window.
+bool FitsSsimWindow(const Shape& shape) {
+  const size_t n = shape.size();
+  return (n == 2 || n == 3) && shape[n - 2] >= 8 && shape[n - 1] >= 8;
 }
 
 // The disagreement signature: inputs exposing different disagreements are
-// never duplicates, so candidates only compare within their signature class.
-std::string Signature(const GeneratedTest& entry, bool regression) {
-  std::ostringstream key;
-  if (regression) {
-    key << "dev:" << entry.deviating_model;
-  } else {
-    for (int label : entry.labels) {
-      key << label << ',';
-    }
-  }
-  return key.str();
+// never duplicates, so candidates only compare within their signature group.
+std::vector<int> Signature(const GeneratedTest& entry, bool regression) {
+  return regression ? std::vector<int>{entry.deviating_model} : entry.labels;
 }
 
 }  // namespace
 
-void RegisterCorpusDeduper(const std::string& name, CorpusDeduperFactory factory) {
-  DeduperRegistry().Register(name, std::move(factory));
-}
-
 std::unique_ptr<CorpusDeduper> MakeCorpusDeduper(const std::string& name,
                                                  const DeduperContext& context) {
+  const bool has_seeds = context.meta != nullptr && !context.meta->seeds.empty();
   std::string key = name;
-  if (!DeduperRegistry().Contains(key) && name == "auto") {
-    // Perceptual similarity for image-shaped inputs, seed-profiled feature
-    // boxes for flat (tabular / speech) inputs.
-    const bool image_shaped = context.meta != nullptr &&
-                              !context.meta->seeds.empty() &&
-                              context.meta->seeds[0].ndim() >= 2;
-    key = image_shaped ? "ssim" : "feature-box";
+  if (name == "auto") {
+    // Perceptual similarity for images SSIM can window, seed-profiled feature
+    // boxes for everything else (tabular rows, speech waveforms).
+    key = has_seeds && FitsSsimWindow(context.meta->seeds[0].shape()) ? "ssim"
+                                                                       : "feature-box";
   }
-  return DeduperRegistry().Get(key, "corpus deduper")(context);
+  if (key == "ssim") {
+    if (has_seeds && !FitsSsimWindow(context.meta->seeds[0].shape())) {
+      throw std::invalid_argument(
+          "ssim deduper needs HW or CHW inputs of at least 8x8; the corpus seeds are " +
+          ShapeToString(context.meta->seeds[0].shape()));
+    }
+    return std::make_unique<SsimDeduper>(context.threshold);
+  }
+  if (key == "l2") {
+    return std::make_unique<L2Deduper>(context.threshold);
+  }
+  if (key == "feature-box") {
+    return std::make_unique<FeatureBoxDeduper>(context, context.threshold);
+  }
+  throw std::invalid_argument("unknown corpus deduper: " + name);
 }
 
 std::vector<std::string> CorpusDeduperNames() {
-  std::vector<std::string> names = DeduperRegistry().Names();
-  if (!DeduperRegistry().Contains("auto")) {
-    names.insert(names.begin(), "auto");
-  }
-  return names;
+  return {"auto", "feature-box", "l2", "ssim"};
 }
 
 MaintenanceReport DedupCorpus(Session& session, const Corpus& corpus,
                               const DedupOptions& options) {
-  if (options.out_dir.empty()) {
-    throw std::invalid_argument("DedupCorpus: out_dir must be set");
-  }
-  Timer timer;
   DeduperContext context;
   context.meta = &corpus.meta();
   context.threshold = options.threshold;
   const std::unique_ptr<CorpusDeduper> deduper =
       MakeCorpusDeduper(options.deduper, context);
-
-  session.ResetForCorpus(corpus);
-  const std::vector<GeneratedTest>& entries = corpus.entries();
-  std::vector<CoverageFootprint> footprints;
-  if (options.preserve_coverage) {
-    footprints = ComputeFootprints(session, TestInputs(entries));
-  }
-
-  CoverageFootprint retained_cov;
-  for (int k = 0; k < session.num_models(); ++k) {
-    retained_cov.push_back(session.metric(k).Clone());
-  }
-  std::vector<GeneratedTest> retained;
-  std::vector<size_t> retained_index;  // Indices into `entries`.
-  const bool regression = session.regression();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const std::string sig = Signature(entries[i], regression);
-    bool duplicate = false;
-    for (size_t r : retained_index) {
-      if (Signature(entries[r], regression) == sig &&
-          deduper->NearDuplicate(entries[i].input, entries[r].input)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate && options.preserve_coverage &&
-        AddsCoverage(retained_cov, footprints[i])) {
-      // A "duplicate" that still covers something new is not redundant.
-      duplicate = false;
-    }
-    if (!duplicate) {
-      if (options.preserve_coverage) {
-        MergeFootprint(retained_cov, footprints[i]);
-      }
-      retained_index.push_back(i);
-      retained.push_back(entries[i]);
-    }
-  }
-  if (!options.preserve_coverage) {
-    // The checkpoint must still describe the retained set's coverage.
-    for (CoverageFootprint& fp : ComputeFootprints(session, TestInputs(retained))) {
-      MergeFootprint(retained_cov, fp);
-    }
-  }
-
-  MaintenanceReport report;
-  report.transform = "dedup";
-  report.input_entries = entries.size();
-  report.retained_entries = retained.size();
-  for (int k = 0; k < session.num_models(); ++k) {
-    ModelCoverageDelta delta;
-    delta.model = session.model(k).name();
-    delta.covered_after = retained_cov[static_cast<size_t>(k)]->covered_items();
-    delta.total_items = retained_cov[static_cast<size_t>(k)]->total_items();
-    if (options.preserve_coverage) {
-      auto all = retained_cov[static_cast<size_t>(k)]->Clone();
-      for (const CoverageFootprint& fp : footprints) {
-        all->Merge(*fp[static_cast<size_t>(k)]);
-      }
-      delta.covered_before = all->covered_items();
-    } else {
-      delta.covered_before = delta.covered_after;
-    }
-    report.coverage.push_back(delta);
-  }
-
-  WriteDerivedCorpus(corpus, "dedup", retained, retained_cov, options.out_dir);
-  report.seconds = timer.ElapsedSeconds();
-  return report;
+  return RunMaintenancePass(
+      session, corpus, "dedup", options.out_dir,
+      [&](std::vector<CoverageFootprint>& footprints) {
+        const std::vector<GeneratedTest>& entries = corpus.entries();
+        PassOutcome out;
+        out.coverage = EmptyFootprint(session);
+        // Retained entries (indices into `entries`, corpus order) per
+        // signature: the only ones a candidate is compared with.
+        std::map<std::vector<int>, std::vector<size_t>> retained;
+        for (size_t i = 0; i < entries.size(); ++i) {
+          std::vector<size_t>& group = retained[Signature(entries[i], session.regression())];
+          const bool duplicate = std::any_of(group.begin(), group.end(), [&](size_t r) {
+            return deduper->NearDuplicate(entries[i].input, entries[r].input);
+          });
+          // A "duplicate" that still covers something new is not redundant.
+          if (duplicate && !AddsCoverage(out.coverage, footprints[i])) {
+            continue;
+          }
+          MergeFootprint(out.coverage, footprints[i]);
+          group.push_back(i);
+          out.entries.push_back(entries[i]);
+        }
+        return out;
+      });
 }
 
 }  // namespace dx

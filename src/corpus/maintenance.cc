@@ -1,8 +1,12 @@
 #include "src/corpus/maintenance.h"
 
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
+#include "src/corpus/dedup.h"
+#include "src/corpus/distill.h"
+#include "src/corpus/minimize.h"
 #include "src/nn/execution_plan.h"
 #include "src/util/serialize.h"
 #include "src/util/timer.h"
@@ -44,11 +48,8 @@ std::vector<CoverageFootprint> ComputeFootprints(Session& session,
     predictions->assign(inputs.size(), Prediction{});
   }
   std::vector<CoverageFootprint> footprints(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    footprints[i].reserve(static_cast<size_t>(session.num_models()));
-    for (int k = 0; k < session.num_models(); ++k) {
-      footprints[i].push_back(session.metric(k).Clone());
-    }
+  for (CoverageFootprint& fp : footprints) {
+    fp = EmptyFootprint(session);
   }
   for (int k = 0; k < session.num_models(); ++k) {
     const Model& model = session.model(k);
@@ -71,6 +72,15 @@ std::vector<CoverageFootprint> ComputeFootprints(Session& session,
   return footprints;
 }
 
+CoverageFootprint EmptyFootprint(const Session& session) {
+  CoverageFootprint fp;
+  fp.reserve(static_cast<size_t>(session.num_models()));
+  for (int k = 0; k < session.num_models(); ++k) {
+    fp.push_back(session.metric(k).Clone());
+  }
+  return fp;
+}
+
 CoverageFootprint CloneFootprint(const CoverageFootprint& fp) {
   CoverageFootprint clone;
   clone.reserve(fp.size());
@@ -87,14 +97,6 @@ void MergeFootprint(CoverageFootprint& acc, const CoverageFootprint& fp) {
   for (size_t k = 0; k < acc.size(); ++k) {
     acc[k]->Merge(*fp[k]);
   }
-}
-
-int64_t CoveredItems(const CoverageFootprint& fp) {
-  int64_t covered = 0;
-  for (const auto& metric : fp) {
-    covered += metric->covered_items();
-  }
-  return covered;
 }
 
 bool AddsCoverage(const CoverageFootprint& acc, const CoverageFootprint& fp) {
@@ -173,6 +175,112 @@ void WriteDerivedCorpus(const Corpus& source, const std::string& transform,
     cp.metric_blobs.push_back(blob.str());
   }
   out.WriteCheckpoint(cp);
+}
+
+MaintenanceReport RunMaintenancePass(Session& session, const Corpus& corpus,
+                                     const std::string& transform,
+                                     const std::string& out_dir, const PassBody& body) {
+  if (out_dir.empty()) {
+    throw std::invalid_argument(transform + ": out_dir must be set");
+  }
+  Timer timer;
+  session.ResetForCorpus(corpus);
+  const std::vector<GeneratedTest>& entries = corpus.entries();
+  std::vector<CoverageFootprint> footprints = ComputeFootprints(session, TestInputs(entries));
+  CoverageFootprint before = EmptyFootprint(session);
+  for (const CoverageFootprint& fp : footprints) {
+    MergeFootprint(before, fp);
+  }
+  const PassOutcome outcome = body(footprints);
+
+  MaintenanceReport report;
+  report.transform = transform;
+  report.input_entries = entries.size();
+  report.retained_entries = outcome.entries.size();
+  report.modified_entries = outcome.modified_entries;
+  report.reverted_values = outcome.reverted_values;
+  for (int k = 0; k < session.num_models(); ++k) {
+    const CoverageMetric& after = *outcome.coverage[static_cast<size_t>(k)];
+    ModelCoverageDelta delta;
+    delta.model = session.model(k).name();
+    delta.covered_before = before[static_cast<size_t>(k)]->covered_items();
+    delta.covered_after = after.covered_items();
+    delta.total_items = after.total_items();
+    report.coverage.push_back(delta);
+  }
+  WriteDerivedCorpus(corpus, transform, outcome.entries, outcome.coverage, out_dir);
+  report.seconds = timer.ElapsedSeconds();
+  return report;
+}
+
+void CheckCompactOptions(const CompactOptions& options) {
+  if (options.out_dir.empty()) {
+    throw std::invalid_argument("compact: out_dir must be set");
+  }
+  if (!options.distill && !options.dedup && !options.minimize) {
+    throw std::invalid_argument("compact: select at least one pass");
+  }
+}
+
+CompactResult CompactCorpus(Session& session, const Corpus& source,
+                            const CompactOptions& options) {
+  CheckCompactOptions(options);
+  Timer timer;
+  std::vector<std::string> passes;
+  if (options.distill) passes.push_back("distill");
+  if (options.dedup) passes.push_back("dedup");
+  if (options.minimize) passes.push_back("minimize");
+
+  CompactResult result;
+  result.out_dir = options.out_dir;
+  result.entries_before = source.entries().size();
+  std::unique_ptr<Corpus> stage;  // The previous pass's output.
+  std::vector<std::string> intermediates;
+  const auto remove_intermediates = [&intermediates] {
+    for (const std::string& dir : intermediates) {
+      std::filesystem::remove_all(dir);
+    }
+  };
+  try {
+    for (const std::string& pass : passes) {
+      const Corpus& input = stage != nullptr ? *stage : source;
+      const std::string dst =
+          pass == passes.back() ? options.out_dir : options.out_dir + ".stage-" + pass;
+      if (pass == "distill") {
+        DistillOptions distill;
+        distill.out_dir = dst;
+        result.reports.push_back(DistillCorpus(session, input, distill));
+      } else if (pass == "dedup") {
+        DedupOptions dedup;
+        dedup.out_dir = dst;
+        dedup.deduper = options.deduper;
+        dedup.threshold = options.threshold;
+        result.reports.push_back(DedupCorpus(session, input, dedup));
+      } else {
+        MinimizeOptions minimize;
+        minimize.out_dir = dst;
+        minimize.regions = options.regions;
+        minimize.max_rounds = options.rounds;
+        result.reports.push_back(MinimizeCorpus(session, input, minimize));
+      }
+      stage = std::make_unique<Corpus>(dst);
+      if (dst != options.out_dir) {
+        intermediates.push_back(dst);
+      }
+    }
+  } catch (...) {
+    // A failed pass leaves no staging directory to block a retry.
+    remove_intermediates();
+    throw;
+  }
+  remove_intermediates();
+  result.entries_after = stage->entries().size();
+
+  const ReplayResult verify = session.Replay(*stage);
+  result.verified = verify.ok;
+  result.mismatch = verify.mismatch;
+  result.seconds = timer.ElapsedSeconds();
+  return result;
 }
 
 ReplayResult VerifyDerivedCorpus(Session& session, const Corpus& corpus) {

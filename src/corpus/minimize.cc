@@ -8,7 +8,6 @@
 
 #include "src/nn/execution_plan.h"
 #include "src/tensor/ops.h"
-#include "src/util/timer.h"
 
 namespace dx {
 
@@ -30,47 +29,26 @@ int64_t PerturbedValues(const Tensor& input, const Tensor& seed) {
   return count;
 }
 
-}  // namespace
-
-MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
-                                 const MinimizeOptions& options) {
-  if (options.out_dir.empty()) {
-    throw std::invalid_argument("MinimizeCorpus: out_dir must be set");
-  }
-  if (options.regions < 1) {
-    throw std::invalid_argument("MinimizeCorpus: regions must be >= 1");
-  }
-  if (options.max_rounds < 1) {
-    throw std::invalid_argument("MinimizeCorpus: max_rounds must be >= 1");
-  }
-  Timer timer;
+// The pass body: walks each entry back toward its seed, block by block,
+// under the two invariants in minimize.h.
+PassOutcome MinimizeEntries(Session& session, const Corpus& corpus,
+                            const MinimizeOptions& options,
+                            std::vector<CoverageFootprint>& footprints) {
   const CorpusMeta& meta = corpus.meta();
-  session.ResetForCorpus(corpus);
-
   const std::vector<GeneratedTest>& entries = corpus.entries();
-  for (const GeneratedTest& entry : entries) {
-    if (entry.seed_index < 0 ||
-        static_cast<size_t>(entry.seed_index) >= meta.seeds.size()) {
-      throw std::invalid_argument(
-          "MinimizeCorpus: entry references seed " +
-          std::to_string(entry.seed_index) + " outside the manifest pool");
-    }
-  }
-  std::vector<CoverageFootprint> footprints = ComputeFootprints(session, TestInputs(entries));
-
   // suffix[i] = merged original footprints of entries i..n-1; suffix[n] is
   // empty. base_i = minimized-prefix ⊕ suffix[i+1] is everything covered
   // around entry i while it is being reduced.
   const size_t n = entries.size();
   std::vector<CoverageFootprint> suffix(n + 1);
-  for (int k = 0; k < session.num_models(); ++k) {
-    suffix[n].push_back(session.metric(k).Clone());
-  }
+  suffix[n] = EmptyFootprint(session);
   for (size_t i = n; i-- > 0;) {
     suffix[i] = CloneFootprint(suffix[i + 1]);
     MergeFootprint(suffix[i], footprints[i]);
   }
-  CoverageFootprint acc = CloneFootprint(suffix[n]);
+  PassOutcome result;
+  CoverageFootprint& acc = result.coverage;
+  acc = CloneFootprint(suffix[n]);
 
   std::vector<ExecutionPlan> plans;
   plans.reserve(static_cast<size_t>(session.num_models()));
@@ -79,12 +57,7 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
   }
 
   const float eps = session.config().engine.steering_eps;
-  MaintenanceReport report;
-  report.transform = "minimize";
-  report.input_entries = n;
-  report.retained_entries = n;
-
-  std::vector<GeneratedTest> minimized;
+  std::vector<GeneratedTest>& minimized = result.entries;
   minimized.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const GeneratedTest& entry = entries[i];
@@ -217,8 +190,8 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
     }
 
     if (changed) {
-      ++report.modified_entries;
-      report.reverted_values += PerturbedValues(entry.input, seed) -
+      ++result.modified_entries;
+      result.reverted_values += PerturbedValues(entry.input, seed) -
                                 PerturbedValues(current, seed);
       out.input = std::move(current);
     }
@@ -226,18 +199,31 @@ MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
     minimized.push_back(std::move(out));
   }
 
-  for (int k = 0; k < session.num_models(); ++k) {
-    ModelCoverageDelta delta;
-    delta.model = session.model(k).name();
-    delta.covered_before = suffix[0][static_cast<size_t>(k)]->covered_items();
-    delta.covered_after = acc[static_cast<size_t>(k)]->covered_items();
-    delta.total_items = acc[static_cast<size_t>(k)]->total_items();
-    report.coverage.push_back(delta);
-  }
+  return result;
+}
 
-  WriteDerivedCorpus(corpus, "minimize", minimized, acc, options.out_dir);
-  report.seconds = timer.ElapsedSeconds();
-  return report;
+}  // namespace
+
+MaintenanceReport MinimizeCorpus(Session& session, const Corpus& corpus,
+                                 const MinimizeOptions& options) {
+  if (options.regions < 1) {
+    throw std::invalid_argument("MinimizeCorpus: regions must be >= 1");
+  }
+  if (options.max_rounds < 1) {
+    throw std::invalid_argument("MinimizeCorpus: max_rounds must be >= 1");
+  }
+  for (const GeneratedTest& entry : corpus.entries()) {
+    if (entry.seed_index < 0 ||
+        static_cast<size_t>(entry.seed_index) >= corpus.meta().seeds.size()) {
+      throw std::invalid_argument(
+          "MinimizeCorpus: entry references seed " +
+          std::to_string(entry.seed_index) + " outside the manifest pool");
+    }
+  }
+  return RunMaintenancePass(session, corpus, "minimize", options.out_dir,
+                            [&](std::vector<CoverageFootprint>& footprints) {
+                              return MinimizeEntries(session, corpus, options, footprints);
+                            });
 }
 
 }  // namespace dx

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/domain.h"
-#include "src/corpus/dedup.h"
-#include "src/corpus/distill.h"
-#include "src/corpus/minimize.h"
 #include "src/models/zoo.h"
-#include "src/util/timer.h"
 
 namespace dx {
 
@@ -246,12 +241,7 @@ RunStats CampaignManager::Results(uint64_t id) const {
 }
 
 CompactResult CampaignManager::Compact(uint64_t id, const CompactOptions& options) {
-  if (options.out_dir.empty()) {
-    throw std::invalid_argument("compact: out_dir must be set");
-  }
-  if (!options.distill && !options.dedup && !options.minimize) {
-    throw std::invalid_argument("compact: select at least one pass");
-  }
+  CheckCompactOptions(options);
   std::string corpus_dir;
   bool was_active = false;
   {
@@ -295,8 +285,6 @@ CompactResult CampaignManager::Compact(uint64_t id, const CompactOptions& option
   }
 
   CompactResult result;
-  result.out_dir = options.out_dir;
-  Timer timer;
   try {
     // A fresh read handle on the corpus: the paused campaign keeps its own
     // open handle, but no worker writes until it is requeued, and the
@@ -321,49 +309,10 @@ CompactResult CampaignManager::Compact(uint64_t id, const CompactOptions& option
     Session session(ptrs, constraint.get(), config);
     session.SetWorkerPool(compute_pool_.get());
 
-    std::vector<std::string> passes;
-    if (options.distill) passes.push_back("distill");
-    if (options.dedup) passes.push_back("dedup");
-    if (options.minimize) passes.push_back("minimize");
-    result.entries_before = source.entries().size();
-    std::unique_ptr<Corpus> current = std::make_unique<Corpus>(corpus_dir);
-    std::vector<std::string> intermediates;
-    for (size_t p = 0; p < passes.size(); ++p) {
-      const bool last = p + 1 == passes.size();
-      const std::string dst =
-          last ? options.out_dir : options.out_dir + ".stage-" + passes[p];
-      if (!last) {
-        intermediates.push_back(dst);
-      }
-      MaintenanceReport report;
-      if (passes[p] == "distill") {
-        DistillOptions pass;
-        pass.out_dir = dst;
-        report = DistillCorpus(session, *current, pass);
-      } else if (passes[p] == "dedup") {
-        DedupOptions pass;
-        pass.out_dir = dst;
-        pass.deduper = options.deduper;
-        pass.threshold = options.threshold;
-        report = DedupCorpus(session, *current, pass);
-      } else {
-        MinimizeOptions pass;
-        pass.out_dir = dst;
-        report = MinimizeCorpus(session, *current, pass);
-      }
-      result.reports.push_back(std::move(report));
-      current = std::make_unique<Corpus>(dst);
-    }
-    result.entries_after = current->entries().size();
-
-    const ReplayResult verify = session.Replay(*current);
-    result.verified = verify.ok;
-    if (!verify.ok) {
-      throw std::runtime_error("compact: verification of " + current->dir() +
-                               " failed: " + verify.mismatch);
-    }
-    for (const std::string& dir : intermediates) {
-      std::filesystem::remove_all(dir);
+    result = CompactCorpus(session, source, options);
+    if (!result.verified) {
+      throw std::runtime_error("compact: verification of " + result.out_dir +
+                               " failed: " + result.mismatch);
     }
   } catch (...) {
     if (was_active) {
@@ -371,7 +320,6 @@ CompactResult CampaignManager::Compact(uint64_t id, const CompactOptions& option
     }
     throw;
   }
-  result.seconds = timer.ElapsedSeconds();
   if (was_active) {
     result.resumed = Resume(id);
   }

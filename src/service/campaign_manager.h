@@ -29,27 +29,6 @@ struct ManagerOptions {
   int slice_batches = 1;
 };
 
-// What a `compact` ctl request carries: which maintenance passes to run over
-// a campaign's recorded corpus and where the derived corpus lands.
-struct CompactOptions {
-  std::string out_dir;       // required; must not already hold a corpus
-  bool distill = true;
-  bool dedup = true;
-  bool minimize = false;     // off by default: the most forward-heavy pass
-  std::string deduper = "auto";
-  float threshold = -1.0f;   // < 0: the deduper's default
-};
-
-struct CompactResult {
-  std::vector<MaintenanceReport> reports;  // one per pass, chain order
-  std::string out_dir;
-  uint64_t entries_before = 0;
-  uint64_t entries_after = 0;
-  bool verified = false;  // Session::Replay passed on the final artifact
-  bool resumed = false;   // the campaign was live and has been requeued
-  double seconds = 0.0;
-};
-
 // Multiplexes many concurrent campaigns over one shared compute pool and one
 // shared trained-model cache. Campaign workers pop ids off a queue, step the
 // campaign one slice (slice_batches sync batches), publish a progress
@@ -90,9 +69,8 @@ class CampaignManager {
   // against standalone Session::Run). Throws unless state == kDone.
   RunStats Results(uint64_t id) const;
 
-  // Runs the corpus-maintenance chain (distill -> dedup -> minimize, per
-  // `options`) over campaign `id`'s recorded corpus and verifies the result
-  // with Session::Replay. A live campaign is paused at its next sync-batch
+  // Runs CompactCorpus (src/corpus/maintenance.h) over campaign `id`'s
+  // recorded corpus. A live campaign is paused at its next sync-batch
   // boundary first (the corpus is only ever read between batches) and
   // requeued afterwards; paused/terminal campaigns are compacted in place of
   // wherever they stopped. Blocks the caller for the duration. Throws

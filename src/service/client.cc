@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/service/net.h"
+#include "src/util/parse.h"
 #include "src/util/timer.h"
 
 namespace dx {
@@ -70,16 +71,16 @@ Json ParseSubmitArgs(const std::vector<std::string>& args, size_t start) {
     const std::string& arg = args[i];
     const size_t eq = arg.find('=');
     if (eq == std::string::npos) {
-      throw std::runtime_error("submit arguments are KEY=VALUE; got \"" + arg + "\"");
+      throw std::invalid_argument("submit arguments are KEY=VALUE; got \"" + arg + "\"");
     }
     const std::string key = arg.substr(0, eq);
     const std::string value = arg.substr(eq + 1);
     if (key == "resume") {
       request[key] = Json(value == "true" || value == "1");
     } else if (key == "coverage_goal") {
-      request[key] = Json(std::strtod(value.c_str(), nullptr));
+      request[key] = Json(ParseNumber<double>(key, value));
     } else if (IsIntKey(key)) {
-      request[key] = Json(static_cast<int64_t>(std::strtoll(value.c_str(), nullptr, 10)));
+      request[key] = Json(ParseNumber<int64_t>(key, value));
     } else {
       request[key] = Json(value);
     }
@@ -148,37 +149,39 @@ int CtlMain(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     args.emplace_back(argv[i]);
   }
-  size_t pos = 0;
-  while (pos < args.size() && args[pos].rfind("--", 0) == 0) {
-    const std::string& flag = args[pos];
-    if (flag == "--help" || flag == "-h") {
-      std::cout << kUsage;
-      return 0;
-    }
-    if (pos + 1 >= args.size()) {
-      std::cerr << flag << " needs a value\n" << kUsage;
-      return 2;
-    }
-    const std::string value = args[pos + 1];
-    if (flag == "--host") {
-      host = value;
-    } else if (flag == "--port") {
-      port = std::atoi(value.c_str());
-    } else if (flag == "--http-port") {
-      http_port = std::atoi(value.c_str());
-    } else {
-      std::cerr << "unknown option " << flag << "\n" << kUsage;
-      return 2;
-    }
-    pos += 2;
-  }
-  if (pos >= args.size()) {
-    std::cerr << kUsage;
-    return 2;
-  }
-  const std::string command = args[pos];
-
+  // Every request is built, and every number in it parsed, before the first
+  // connection: a malformed value exits 2 without reaching the daemon.
   try {
+    size_t pos = 0;
+    while (pos < args.size() && args[pos].rfind("--", 0) == 0) {
+      const std::string& flag = args[pos];
+      if (flag == "--help" || flag == "-h") {
+        std::cout << kUsage;
+        return 0;
+      }
+      if (pos + 1 >= args.size()) {
+        std::cerr << flag << " needs a value\n" << kUsage;
+        return 2;
+      }
+      const std::string& value = args[pos + 1];
+      if (flag == "--host") {
+        host = value;
+      } else if (flag == "--port") {
+        port = ParseNumber<int>(flag, value);
+      } else if (flag == "--http-port") {
+        http_port = ParseNumber<int>(flag, value);
+      } else {
+        std::cerr << "unknown option " << flag << "\n" << kUsage;
+        return 2;
+      }
+      pos += 2;
+    }
+    if (pos >= args.size()) {
+      std::cerr << kUsage;
+      return 2;
+    }
+    const std::string command = args[pos];
+
     if (command == "get") {
       if (pos + 1 >= args.size()) {
         std::cerr << "get needs a PATH\n";
@@ -199,21 +202,20 @@ int CtlMain(int argc, char** argv) {
         return 2;
       }
       request["cmd"] = Json("compact");
-      request["id"] =
-          Json(static_cast<int64_t>(std::strtoll(args[pos + 1].c_str(), nullptr, 10)));
+      request["id"] = Json(ParseNumber<int64_t>("campaign ID", args[pos + 1]));
       for (size_t i = pos + 2; i < args.size(); ++i) {
         const std::string& arg = args[i];
         const size_t eq = arg.find('=');
         if (eq == std::string::npos) {
-          throw std::runtime_error("compact arguments are KEY=VALUE; got \"" +
-                                   arg + "\"");
+          throw std::invalid_argument("compact arguments are KEY=VALUE; got \"" +
+                                      arg + "\"");
         }
         const std::string key = arg.substr(0, eq);
         const std::string value = arg.substr(eq + 1);
         if (key == "distill" || key == "dedup" || key == "minimize") {
           request[key] = Json(value == "true" || value == "1");
         } else if (key == "threshold") {
-          request[key] = Json(std::strtod(value.c_str(), nullptr));
+          request[key] = Json(ParseNumber<double>(key, value));
         } else {
           request[key] = Json(value);
         }
@@ -225,17 +227,16 @@ int CtlMain(int argc, char** argv) {
         return 2;
       }
       request["cmd"] = Json(command);
-      request["id"] =
-          Json(static_cast<int64_t>(std::strtoll(args[pos + 1].c_str(), nullptr, 10)));
+      request["id"] = Json(ParseNumber<int64_t>("campaign ID", args[pos + 1]));
     } else if (command == "wait") {
       if (pos + 1 >= args.size()) {
         std::cerr << "wait needs a campaign ID\n";
         return 2;
       }
-      const int64_t id = std::strtoll(args[pos + 1].c_str(), nullptr, 10);
+      const int64_t id = ParseNumber<int64_t>("campaign ID", args[pos + 1]);
       double timeout_seconds = 300.0;
       if (pos + 3 < args.size() && args[pos + 2] == "--timeout-seconds") {
-        timeout_seconds = std::strtod(args[pos + 3].c_str(), nullptr);
+        timeout_seconds = ParseNumber<double>(args[pos + 2], args[pos + 3]);
       }
       Json status_request = Json::Object();
       status_request["cmd"] = Json("status");
@@ -267,6 +268,9 @@ int CtlMain(int argc, char** argv) {
     Json response = CtlRequest(host, port, request);
     std::cout << response.Dump() << "\n";
     return response.GetBool("ok", false) ? 0 : 1;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "dxplorectl: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "dxplorectl: " << e.what() << "\n";
     return 3;

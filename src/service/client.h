@@ -24,7 +24,8 @@ std::string HttpGet(const std::string& host, int port, const std::string& path);
 // results ID, wait ID [--timeout-seconds S], drain, get PATH.
 // Prints the JSON response (or HTTP body) to stdout. Returns 0 on success,
 // 1 when the daemon reports an error or `wait` ends non-DONE, 2 on usage
-// errors, 3 on transport failure.
+// errors (a malformed number among them, named with its key or flag and
+// rejected before any connection is made), 3 on transport failure.
 int CtlMain(int argc, char** argv);
 
 }  // namespace dx

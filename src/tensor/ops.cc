@@ -5,123 +5,6 @@
 #include <stdexcept>
 
 namespace dx {
-namespace {
-
-void CheckMatrix(const Tensor& t, const char* name) {
-  if (t.ndim() != 2) {
-    throw std::invalid_argument(std::string(name) + " must be 2-D, got " +
-                                ShapeToString(t.shape()));
-  }
-}
-
-}  // namespace
-
-Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out.AddInPlace(b);
-  return out;
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out.SubInPlace(b);
-  return out;
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out.MulInPlace(b);
-  return out;
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  CheckMatrix(a, "MatMul lhs");
-  CheckMatrix(b, "MatMul rhs");
-  const int m = a.dim(0);
-  const int k = a.dim(1);
-  if (b.dim(0) != k) {
-    throw std::invalid_argument("MatMul inner dimension mismatch: " +
-                                ShapeToString(a.shape()) + " x " + ShapeToString(b.shape()));
-  }
-  const int n = b.dim(1);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // i-k-j loop order: unit-stride inner loop over both B and C rows.
-  for (int i = 0; i < m; ++i) {
-    for (int kk = 0; kk < k; ++kk) {
-      const float aik = pa[static_cast<size_t>(i) * k + kk];
-      if (aik == 0.0f) {
-        continue;
-      }
-      const float* b_row = pb + static_cast<size_t>(kk) * n;
-      float* c_row = pc + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += aik * b_row[j];
-      }
-    }
-  }
-  return c;
-}
-
-Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
-  CheckMatrix(a, "MatMulTransposeA lhs");
-  CheckMatrix(b, "MatMulTransposeA rhs");
-  const int k = a.dim(0);
-  const int m = a.dim(1);
-  if (b.dim(0) != k) {
-    throw std::invalid_argument("MatMulTransposeA inner dimension mismatch");
-  }
-  const int n = b.dim(1);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int kk = 0; kk < k; ++kk) {
-    const float* a_row = pa + static_cast<size_t>(kk) * m;
-    const float* b_row = pb + static_cast<size_t>(kk) * n;
-    for (int i = 0; i < m; ++i) {
-      const float aki = a_row[i];
-      if (aki == 0.0f) {
-        continue;
-      }
-      float* c_row = pc + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += aki * b_row[j];
-      }
-    }
-  }
-  return c;
-}
-
-Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
-  CheckMatrix(a, "MatMulTransposeB lhs");
-  CheckMatrix(b, "MatMulTransposeB rhs");
-  const int m = a.dim(0);
-  const int k = a.dim(1);
-  if (b.dim(1) != k) {
-    throw std::invalid_argument("MatMulTransposeB inner dimension mismatch");
-  }
-  const int n = b.dim(0);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (int i = 0; i < m; ++i) {
-    const float* a_row = pa + static_cast<size_t>(i) * k;
-    float* c_row = pc + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* b_row = pb + static_cast<size_t>(j) * k;
-      double dot = 0.0;
-      for (int kk = 0; kk < k; ++kk) {
-        dot += static_cast<double>(a_row[kk]) * b_row[kk];
-      }
-      c_row[j] = static_cast<float>(dot);
-    }
-  }
-  return c;
-}
 
 void SoftmaxRowsInPlace(float* p, int rows, int cols) {
   for (int r = 0; r < rows; ++r) {

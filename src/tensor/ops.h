@@ -1,25 +1,12 @@
-// Free-function tensor operations: elementwise arithmetic, matrix products,
-// row softmax, and one-hot encoding. Matrix products come in the transpose
-// variants needed by dense-layer backprop so no explicit transpose copies are
-// made in the hot path.
+// Free-function tensor operations: row softmax, one-hot encoding, the L1
+// distance, and the batch layout helpers. (Matrix products live in the GEMM
+// kernel layer, src/nn/gemm.h.)
 #ifndef DX_SRC_TENSOR_OPS_H_
 #define DX_SRC_TENSOR_OPS_H_
 
 #include "src/tensor/tensor.h"
 
 namespace dx {
-
-// Elementwise; shapes must match.
-Tensor Add(const Tensor& a, const Tensor& b);
-Tensor Sub(const Tensor& a, const Tensor& b);
-Tensor Mul(const Tensor& a, const Tensor& b);
-
-// C[m,n] = A[m,k] * B[k,n].
-Tensor MatMul(const Tensor& a, const Tensor& b);
-// C[m,n] = A^T[m,k] * B[k,n] where A is stored as [k,m].
-Tensor MatMulTransposeA(const Tensor& a, const Tensor& b);
-// C[m,n] = A[m,k] * B^T[k,n] where B is stored as [n,k].
-Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 
 // Numerically stable softmax over the last axis of a 1-D or 2-D tensor.
 Tensor Softmax(const Tensor& logits);

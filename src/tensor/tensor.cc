@@ -68,10 +68,6 @@ Tensor Tensor::RandUniform(Shape shape, Rng& rng, float lo, float hi) {
   return t;
 }
 
-Tensor Tensor::FromList(std::initializer_list<float> values) {
-  return Tensor({static_cast<int>(values.size())}, std::vector<float>(values));
-}
-
 int Tensor::dim(int axis) const {
   if (axis < 0 || axis >= ndim()) {
     throw std::out_of_range("axis " + std::to_string(axis) + " out of range for shape " +

@@ -35,14 +35,11 @@ class Tensor {
   // Takes ownership of `values`; values.size() must equal NumElements(shape).
   Tensor(Shape shape, std::vector<float> values);
 
-  static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor Full(Shape shape, float value) { return Tensor(std::move(shape), value); }
   // I.i.d. N(0, stddev^2) entries.
   static Tensor Randn(Shape shape, Rng& rng, float stddev = 1.0f);
   // I.i.d. Uniform[lo, hi) entries.
   static Tensor RandUniform(Shape shape, Rng& rng, float lo = 0.0f, float hi = 1.0f);
-  // 1-D tensor from a list: Tensor::FromList({1, 2, 3}).
-  static Tensor FromList(std::initializer_list<float> values);
 
   const Shape& shape() const { return shape_; }
   int ndim() const { return static_cast<int>(shape_.size()); }
@@ -74,10 +71,6 @@ class Tensor {
   Tensor Reshape(Shape new_shape) const&;
   Tensor Reshape(Shape new_shape) &&;
 
-  // Pre-allocates capacity for at least `n` elements without changing the
-  // shape or contents (used by execution plans to make later ResizeInPlace
-  // calls allocation-free).
-  void Reserve(int64_t n) { data_.reserve(static_cast<size_t>(n)); }
   // Re-shapes this tensor in place, reusing its storage. Growing beyond the
   // current size zero-fills the new elements; within the reserved capacity
   // no heap allocation happens. Existing elements keep their values.

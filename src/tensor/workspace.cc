@@ -24,12 +24,4 @@ Tensor* Workspace::AcquireFlat(int64_t n) {
   return slot;
 }
 
-int64_t Workspace::CapacityElements() const {
-  int64_t total = 0;
-  for (const auto& slot : slots_) {
-    total += slot->Capacity();
-  }
-  return total;
-}
-
 }  // namespace dx

@@ -48,8 +48,6 @@ class Workspace {
 
   // Number of slots ever created (stable once warm).
   size_t slots() const { return slots_.size(); }
-  // Total float capacity across slots — the arena's memory footprint.
-  int64_t CapacityElements() const;
 
  private:
   std::vector<std::unique_ptr<Tensor>> slots_;

@@ -16,6 +16,11 @@ namespace {
                            kNames[static_cast<int>(got)]);
 }
 
+// Whether `json` is an object holding `key` (what the Get* fallbacks test).
+bool HasKey(const Json& json, const std::string& key) {
+  return json.is_object() && json.AsObject().count(key) > 0;
+}
+
 void EscapeTo(const std::string& s, std::string* out) {
   out->push_back('"');
   for (char c : s) {
@@ -357,10 +362,6 @@ const std::map<std::string, Json>& Json::AsObject() const {
   return object_;
 }
 
-bool Json::Has(const std::string& key) const {
-  return type_ == Type::kObject && object_.count(key) > 0;
-}
-
 const Json& Json::At(const std::string& key) const {
   const auto& obj = AsObject();
   auto it = obj.find(key);
@@ -371,20 +372,20 @@ const Json& Json::At(const std::string& key) const {
 }
 
 bool Json::GetBool(const std::string& key, bool fallback) const {
-  return Has(key) ? At(key).AsBool() : fallback;
+  return HasKey(*this, key) ? At(key).AsBool() : fallback;
 }
 
 double Json::GetNumber(const std::string& key, double fallback) const {
-  return Has(key) ? At(key).AsNumber() : fallback;
+  return HasKey(*this, key) ? At(key).AsNumber() : fallback;
 }
 
 int64_t Json::GetInt(const std::string& key, int64_t fallback) const {
-  return Has(key) ? At(key).AsInt() : fallback;
+  return HasKey(*this, key) ? At(key).AsInt() : fallback;
 }
 
 std::string Json::GetString(const std::string& key,
                             const std::string& fallback) const {
-  return Has(key) ? At(key).AsString() : fallback;
+  return HasKey(*this, key) ? At(key).AsString() : fallback;
 }
 
 Json& Json::operator[](const std::string& key) {

@@ -57,7 +57,6 @@ class Json {
   const std::map<std::string, Json>& AsObject() const;
 
   // Object helpers.
-  bool Has(const std::string& key) const;
   const Json& At(const std::string& key) const;  // throws if absent
   // Lookup with fallback for optional request fields.
   bool GetBool(const std::string& key, bool fallback) const;

@@ -1,9 +1,11 @@
 // Corpus maintenance subsystem: distill / dedup / minimize must produce
 // derived corpora that verify under Session::Replay with merged retained
-// coverage exactly equal to the source's, dedup must be deterministic,
-// minimized entries must still be difference-inducing, and a checkpointed
-// campaign must resume bit-identically — including after a crash that tore a
-// record appended to checkpoints.bin, which opening must leave untouched.
+// coverage exactly equal to the source's, dedup must be deterministic and
+// drop exact copies, CompactCorpus must chain the passes exactly as running
+// them one after another does, minimized entries must still be
+// difference-inducing, and a checkpointed campaign must resume
+// bit-identically — including after a crash that tore a record appended to
+// checkpoints.bin, which opening must leave untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/constraints/image_constraints.h"
@@ -228,7 +231,8 @@ TEST_F(MaintenanceTest, RoundTripVerifiesAndPreservesMergedCoverage) {
   Corpus distilled(distill.out_dir);
   EXPECT_EQ(CheckpointCoverage(distilled), original);
 
-  // Dedup: preserve_coverage (default) keeps the merged coverage exact.
+  // Dedup: a near-duplicate that covers something new is kept, so the merged
+  // coverage stays exact.
   DedupOptions dedup;
   dedup.out_dir = TempCorpusDir("deduped");
   const MaintenanceReport r2 = DedupCorpus(session, distilled, dedup);
@@ -460,13 +464,131 @@ TEST_F(MaintenanceTest, DedupIsDeterministic) {
   EXPECT_EQ(ca.checkpoint().metric_blobs, cb.checkpoint().metric_blobs);
 }
 
-// ---- Deduper registry --------------------------------------------------------------------
+// Every entry recorded twice: dedup must drop exactly the second copies,
+// keeping the originals in order, and the retained set's coverage is the
+// doubled corpus' coverage. The originals are a distilled k-multisection
+// recording: the raw one repeats some inputs exactly, and each distilled
+// entry adds coverage over the ones before it, so dedup keeps all of them.
+TEST_F(MaintenanceTest, DedupDropsEveryCopyOfADoubledCorpus) {
+  const std::string dir = TempCorpusDir("src");
+  ASSERT_GT(Record(dir, "kmultisection").tests.size(), 3u);
+  UnconstrainedImage constraint;
+  Session session(ModelPtrs(), &constraint, BaseConfig("kmultisection"));
+  DistillOptions distill;
+  distill.out_dir = TempCorpusDir("distilled");
+  DistillCorpus(session, Corpus(dir), distill);
+  Corpus source(distill.out_dir);
+  const std::vector<GeneratedTest>& originals = source.entries();
+  ASSERT_GT(originals.size(), 3u);
+
+  session.ResetForCorpus(source);
+  std::vector<GeneratedTest> doubled = originals;
+  doubled.insert(doubled.end(), originals.begin(), originals.end());
+  CoverageFootprint merged = EmptyFootprint(session);
+  for (const CoverageFootprint& fp : ComputeFootprints(session, TestInputs(doubled))) {
+    MergeFootprint(merged, fp);
+  }
+  const std::string doubled_dir = TempCorpusDir("doubled");
+  WriteDerivedCorpus(source, "double", doubled, merged, doubled_dir);
+  Corpus twice(doubled_dir);
+  ASSERT_EQ(twice.entries().size(), 2 * originals.size());
+
+  DedupOptions dedup;
+  dedup.out_dir = TempCorpusDir("deduped");
+  const MaintenanceReport report = DedupCorpus(session, twice, dedup);
+  EXPECT_EQ(report.input_entries, 2 * originals.size());
+  EXPECT_EQ(report.retained_entries, originals.size());
+  for (const ModelCoverageDelta& delta : report.coverage) {
+    EXPECT_EQ(delta.covered_before, delta.covered_after) << delta.model;
+  }
+
+  Corpus deduped(dedup.out_dir);
+  ASSERT_EQ(deduped.entries().size(), originals.size());
+  for (size_t i = 0; i < originals.size(); ++i) {
+    EXPECT_EQ(deduped.entries()[i].input.values(), originals[i].input.values()) << i;
+    EXPECT_EQ(deduped.entries()[i].labels, originals[i].labels) << i;
+    EXPECT_EQ(deduped.entries()[i].seed_index, originals[i].seed_index) << i;
+    EXPECT_EQ(deduped.entries()[i].task_ordinal, originals[i].task_ordinal) << i;
+  }
+  EXPECT_EQ(deduped.checkpoint().metric_blobs, twice.checkpoint().metric_blobs);
+  const ReplayResult result = session.Replay(deduped);
+  EXPECT_TRUE(result.ok) << result.mismatch;
+}
+
+// CompactCorpus is the chain both the CLI verbs and the daemon run: a
+// distill+dedup+minimize compaction lands on exactly what the three pass
+// functions produce one after another, verifies, and leaves no staging
+// directory behind.
+TEST_F(MaintenanceTest, CompactChainMatchesThePassesRunInTurn) {
+  const std::string dir = TempCorpusDir("src");
+  ASSERT_GT(Record(dir).tests.size(), 3u);
+  Corpus source(dir);
+  UnconstrainedImage constraint;
+  Session session(ModelPtrs(), &constraint, BaseConfig());
+
+  DistillOptions distill;
+  distill.out_dir = TempCorpusDir("distilled");
+  DistillCorpus(session, source, distill);
+  DedupOptions dedup;
+  dedup.out_dir = TempCorpusDir("deduped");
+  DedupCorpus(session, Corpus(distill.out_dir), dedup);
+  MinimizeOptions minimize;
+  minimize.out_dir = TempCorpusDir("minimized");
+  MinimizeCorpus(session, Corpus(dedup.out_dir), minimize);
+  const Corpus by_hand(minimize.out_dir);
+
+  CompactOptions options;
+  options.out_dir = TempCorpusDir("compacted");
+  options.minimize = true;
+  const CompactResult result = CompactCorpus(session, source, options);
+  EXPECT_TRUE(result.verified) << result.mismatch;
+  ASSERT_EQ(result.reports.size(), 3u);
+  EXPECT_EQ(result.reports[0].transform, "distill");
+  EXPECT_EQ(result.reports[1].transform, "dedup");
+  EXPECT_EQ(result.reports[2].transform, "minimize");
+  EXPECT_EQ(result.entries_before, source.entries().size());
+  EXPECT_EQ(result.entries_after, by_hand.entries().size());
+
+  const Corpus chained(options.out_dir);
+  ASSERT_EQ(chained.entries().size(), by_hand.entries().size());
+  for (size_t i = 0; i < by_hand.entries().size(); ++i) {
+    const GeneratedTest& a = chained.entries()[i];
+    const GeneratedTest& b = by_hand.entries()[i];
+    EXPECT_EQ(a.input.values(), b.input.values()) << i;
+    EXPECT_EQ(a.labels, b.labels) << i;
+    EXPECT_EQ(a.seed_index, b.seed_index) << i;
+    EXPECT_EQ(a.task_ordinal, b.task_ordinal) << i;
+    EXPECT_EQ(a.deviating_model, b.deviating_model) << i;
+  }
+  EXPECT_EQ(chained.checkpoint().metric_blobs, by_hand.checkpoint().metric_blobs);
+  const std::string* transform = chained.meta().FindMetadata("transform");
+  ASSERT_NE(transform, nullptr);
+  EXPECT_EQ(*transform, "distill+dedup+minimize");
+
+  const auto expect_no_stage_left = [](const std::string& out_dir) {
+    const std::filesystem::path out(out_dir);
+    const std::string stage_prefix = out.filename().string() + ".stage-";
+    for (const auto& item : std::filesystem::directory_iterator(out.parent_path())) {
+      EXPECT_NE(item.path().filename().string().rfind(stage_prefix, 0), 0u)
+          << item.path() << " was left behind";
+    }
+  };
+  expect_no_stage_left(options.out_dir);
+
+  // A pass that fails after an earlier one has written its stage removes
+  // that stage too, so a retry into the same out_dir is not blocked.
+  options.out_dir = TempCorpusDir("failed");
+  options.deduper = "no-such-deduper";
+  EXPECT_THROW(CompactCorpus(session, source, options), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(options.out_dir));
+  expect_no_stage_left(options.out_dir);
+}
+
+// ---- Deduper selection -------------------------------------------------------------------
 
 TEST(CorpusDeduperRegistry, AutoResolvesByShapeAndRejectsUnknownNames) {
-  const std::vector<std::string> names = CorpusDeduperNames();
-  for (const char* expected : {"auto", "feature-box", "l2", "ssim"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
-  }
+  EXPECT_EQ(CorpusDeduperNames(),
+            (std::vector<std::string>{"auto", "feature-box", "l2", "ssim"}));
 
   // Flat (1-D) seed inputs: "auto" is the per-dimension feature-box notion.
   CorpusMeta flat;
@@ -476,12 +598,32 @@ TEST(CorpusDeduperRegistry, AutoResolvesByShapeAndRejectsUnknownNames) {
   flat_ctx.meta = &flat;
   EXPECT_EQ(MakeCorpusDeduper("auto", flat_ctx)->name(), "feature-box");
 
-  // Image-shaped (ndim >= 2) seed inputs: "auto" is perceptual SSIM.
-  CorpusMeta image;
-  image.seeds.push_back(Tensor({3, 3}, 0.5f));
-  DeduperContext image_ctx;
-  image_ctx.meta = &image;
-  EXPECT_EQ(MakeCorpusDeduper("auto", image_ctx)->name(), "ssim");
+  // "auto" is perceptual SSIM only for images whose planes hold its 8x8
+  // window; smaller planes, and speech waveforms shaped {1, 1, T}, get the
+  // feature box, and an explicit "ssim" on them fails naming the shape.
+  const std::vector<std::pair<Shape, std::string>> cases = {
+      {{8, 8}, "ssim"},
+      {{3, 8, 9}, "ssim"},
+      {{3, 3}, "feature-box"},
+      {{1, 1, 128}, "feature-box"},
+  };
+  for (const auto& [shape, expected] : cases) {
+    CorpusMeta meta;
+    meta.seeds.push_back(Tensor(shape, 0.5f));
+    meta.seeds.push_back(Tensor(shape, 0.25f));
+    DeduperContext ctx;
+    ctx.meta = &meta;
+    EXPECT_EQ(MakeCorpusDeduper("auto", ctx)->name(), expected) << ShapeToString(shape);
+    if (expected != "ssim") {
+      try {
+        MakeCorpusDeduper("ssim", ctx);
+        ADD_FAILURE() << "ssim accepted " << ShapeToString(shape);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(ShapeToString(shape)), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 
   EXPECT_THROW(MakeCorpusDeduper("no-such-deduper", flat_ctx), std::invalid_argument);
 }

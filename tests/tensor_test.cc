@@ -163,58 +163,6 @@ TEST(TensorTest, RandUniformRange) {
   EXPECT_LT(t.Max(), 1.0f);
 }
 
-// ---- MatMul family -----------------------------------------------------------------------
-
-TEST(OpsTest, MatMulKnownValues) {
-  Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-  Tensor c = MatMul(a, b);
-  EXPECT_EQ(c.shape(), (Shape{2, 2}));
-  EXPECT_FLOAT_EQ(c.at({0, 0}), 58.0f);
-  EXPECT_FLOAT_EQ(c.at({0, 1}), 64.0f);
-  EXPECT_FLOAT_EQ(c.at({1, 0}), 139.0f);
-  EXPECT_FLOAT_EQ(c.at({1, 1}), 154.0f);
-}
-
-TEST(OpsTest, MatMulShapeErrors) {
-  Tensor a({2, 3});
-  Tensor b({2, 2});
-  EXPECT_THROW(MatMul(a, b), std::invalid_argument);
-  EXPECT_THROW(MatMul(Tensor({3}), b), std::invalid_argument);
-}
-
-TEST(OpsTest, TransposeVariantsAgreeWithExplicitTranspose) {
-  Rng rng(9);
-  Tensor a = Tensor::Randn({4, 5}, rng);
-  Tensor b = Tensor::Randn({4, 6}, rng);
-  // MatMulTransposeA(a, b) == a^T b.
-  Tensor at({5, 4});
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 5; ++j) {
-      at.at({j, i}) = a.at({i, j});
-    }
-  }
-  Tensor expected = MatMul(at, b);
-  Tensor got = MatMulTransposeA(a, b);
-  for (int64_t i = 0; i < expected.numel(); ++i) {
-    EXPECT_NEAR(got[i], expected[i], 1e-4f);
-  }
-
-  // MatMulTransposeB(a, c) == a c^T.
-  Tensor c = Tensor::Randn({7, 5}, rng);
-  Tensor ct({5, 7});
-  for (int i = 0; i < 7; ++i) {
-    for (int j = 0; j < 5; ++j) {
-      ct.at({j, i}) = c.at({i, j});
-    }
-  }
-  Tensor expected2 = MatMul(a, ct);
-  Tensor got2 = MatMulTransposeB(a, c);
-  for (int64_t i = 0; i < expected2.numel(); ++i) {
-    EXPECT_NEAR(got2[i], expected2[i], 1e-4f);
-  }
-}
-
 // ---- Softmax -----------------------------------------------------------------------------
 
 TEST(OpsTest, SoftmaxSumsToOne) {
@@ -255,14 +203,6 @@ TEST(OpsTest, L1Distance) {
   Tensor b({3}, std::vector<float>{2, 0, 3});
   EXPECT_FLOAT_EQ(L1Distance(a, b), 3.0f);
   EXPECT_THROW(L1Distance(a, Tensor({4})), std::invalid_argument);
-}
-
-TEST(OpsTest, ElementwiseFreeFunctions) {
-  Tensor a({2}, std::vector<float>{1, 2});
-  Tensor b({2}, std::vector<float>{3, 4});
-  EXPECT_FLOAT_EQ(Add(a, b)[1], 6.0f);
-  EXPECT_FLOAT_EQ(Sub(a, b)[0], -2.0f);
-  EXPECT_FLOAT_EQ(Mul(a, b)[1], 8.0f);
 }
 
 // ---- Reshape rvalue overload -------------------------------------------------------------

@@ -5,17 +5,21 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/tensor/tensor.h"
 #include "src/util/cache.h"
 #include "src/util/image_io.h"
+#include "src/util/parse.h"
 #include "src/util/rng.h"
 #include "src/util/serialize.h"
 #include "src/util/table.h"
@@ -433,6 +437,39 @@ TEST(TimerTest, MeasuresNonNegativeMonotonicTime) {
   EXPECT_GE(b, a);
   t.Reset();
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
+}
+
+// ---- ParseNumber -------------------------------------------------------------------------
+
+TEST(ParseNumberTest, AcceptsOnlyWholeInRangeFiniteValues) {
+  EXPECT_EQ(ParseNumber<int>("--seeds", "12"), 12);
+  EXPECT_EQ(ParseNumber<int64_t>("id", "-3"), -3);
+  EXPECT_EQ(ParseNumber<uint64_t>("--rng-seed", "18446744073709551615"),
+            18446744073709551615ULL);
+  EXPECT_DOUBLE_EQ(ParseNumber<double>("coverage_goal", "0.5"), 0.5);
+  EXPECT_FLOAT_EQ(ParseNumber<float>("--step", "1e-2"), 0.01f);
+
+  // Trailing junk, empty text, overflow, a sign on an unsigned type and
+  // non-finite floats all fail, naming the flag or key and the text.
+  const std::vector<std::pair<std::string, std::function<void()>>> bad = {
+      {"seeds", [] { ParseNumber<int64_t>("seeds", "12abc"); }},
+      {"--port", [] { ParseNumber<int>("--port", ""); }},
+      {"--port", [] { ParseNumber<int>("--port", "4294967296"); }},
+      {"--rng-seed", [] { ParseNumber<uint64_t>("--rng-seed", "-3"); }},
+      {"coverage_goal", [] { ParseNumber<double>("coverage_goal", "abc"); }},
+      {"--threshold", [] { ParseNumber<float>("--threshold", "nan"); }},
+      {"--step", [] { ParseNumber<float>("--step", "1e60"); }},
+  };
+  for (const auto& [name, parse] : bad) {
+    try {
+      parse();
+      ADD_FAILURE() << name << " accepted a malformed value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid value for " + name + ":"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -404,7 +404,7 @@ done
 # (domain_conformance_test covers every registered domain); the greps here
 # only guard the CLI registry surface.
 
-echo "==> smoke: malformed numeric flags exit 2 naming the flag"
+echo "==> smoke: malformed numeric flags and ctl values exit 2 naming the flag or key"
 for bad in "--step 0.O1" "--lambda1 1e" "--seeds 5x" "--rng-seed -3" \
   "--threshold nan" "--dedup-threshold x"; do
   flag="${bad%% *}"
@@ -417,6 +417,25 @@ for bad in "--step 0.O1" "--lambda1 1e" "--seeds 5x" "--rng-seed -3" \
   fi
   if [ "$RC" -ne 2 ] || ! echo "$OUT" | grep -q "invalid value for $flag"; then
     echo "==> FAILED ('dxplore $bad' exited $RC; want exit 2 naming $flag)"
+    echo "$OUT"
+    exit 1
+  fi
+done
+# No daemon listens on port 1: a request that got as far as connecting would
+# exit 3, so exit 2 also shows the value was rejected before any connection.
+for bad in "submit domain=tabular seeds=5x|seeds" \
+  "submit domain=tabular coverage_goal=abc|coverage_goal" \
+  "status 1x|campaign ID" "--port 70x ping|--port"; do
+  args="${bad%|*}"
+  name="${bad#*|}"
+  RC=0
+  if [ "${args%% *}" = "--port" ]; then
+    OUT=$("$BUILD_DIR/dxplorectl" $args 2>&1) || RC=$?
+  else
+    OUT=$("$BUILD_DIR/dxplorectl" --port 1 $args 2>&1) || RC=$?
+  fi
+  if [ "$RC" -ne 2 ] || ! echo "$OUT" | grep -q "invalid value for $name"; then
+    echo "==> FAILED ('dxplorectl $args' exited $RC; want exit 2 naming $name)"
     echo "$OUT"
     exit 1
   fi
@@ -451,12 +470,18 @@ rm -rf "$DRIVING_CORPUS_DIR"
   --corpus-dir "$DRIVING_CORPUS_DIR" > /dev/null
 "$BUILD_DIR/dxplore" --replay --corpus-dir "$DRIVING_CORPUS_DIR"
 
-echo "==> smoke: corpus record + replay on an out-of-paper registry domain (speech)"
+echo "==> smoke: corpus record + replay + dedup on an out-of-paper registry domain (speech)"
 SPEECH_CORPUS_DIR="$BUILD_DIR/smoke_corpus_speech"
 rm -rf "$SPEECH_CORPUS_DIR"
 "$BUILD_DIR/dxplore" --domain speech --seeds 40 --iters 20 \
   --corpus-dir "$SPEECH_CORPUS_DIR" > /dev/null
 "$BUILD_DIR/dxplore" --replay --corpus-dir "$SPEECH_CORPUS_DIR"
+# Speech waveforms ({1, 1, T}) are too flat for SSIM's 8x8 window, so the
+# "auto" deduper must pick the feature box; the verb replay-verifies its
+# output or exits nonzero.
+rm -rf "$SPEECH_CORPUS_DIR.deduped"
+"$BUILD_DIR/dxplore" corpus dedup --corpus-dir "$SPEECH_CORPUS_DIR" \
+  --out "$SPEECH_CORPUS_DIR.deduped"
 
 echo "==> smoke: corpus stats polling a recording campaign never damages its corpus (tabular)"
 # Opening a corpus never writes, so a reader polling every 20 ms must neither

@@ -31,13 +31,9 @@
 // manifest whose keys are no longer registered fails with a clear
 // "unknown domain 'X'; registered: ..." error (exit 2), never a crash or a
 // silent default.
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,14 +47,14 @@
 #include "src/core/session.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/dedup.h"
-#include "src/corpus/distill.h"
-#include "src/corpus/minimize.h"
+#include "src/corpus/maintenance.h"
 #include "src/coverage/coverage_metric.h"
 #include "src/service/client.h"
 #include "src/models/trainer.h"
 #include "src/models/zoo.h"
 #include "src/tensor/simd.h"
 #include "src/util/image_io.h"
+#include "src/util/parse.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 
@@ -70,59 +66,6 @@ std::string Join(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& name : names) {
     out += (out.empty() ? "" : " | ") + name;
-  }
-  return out;
-}
-
-// ---- Strict numeric flag parsing ---------------------------------------------------------
-//
-// std::atof/atoi return 0 on garbage, so a typo like `--step 0.O1` used to
-// run a full campaign with step=0 instead of failing. Every numeric flag
-// goes through these helpers: the whole value must parse (no trailing
-// junk), fit the target type, and — for floats — be finite. Anything else
-// exits 2 naming the flag and the offending value.
-
-[[noreturn]] void BadFlagValue(const std::string& flag, const char* value,
-                               const char* expected) {
-  std::cerr << "invalid value for " << flag << ": \"" << value << "\" (expected "
-            << expected << ")\n";
-  std::exit(2);
-}
-
-float ParseFloatFlag(const std::string& flag, const char* value) {
-  float out = 0.0f;
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    BadFlagValue(flag, value, "a finite number");
-  }
-  return out;
-}
-
-int64_t ParseInt64Flag(const std::string& flag, const char* value) {
-  int64_t out = 0;
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, out, 10);
-  if (ec != std::errc{} || ptr != end) {
-    BadFlagValue(flag, value, "an integer");
-  }
-  return out;
-}
-
-int ParseIntFlag(const std::string& flag, const char* value) {
-  const int64_t out = ParseInt64Flag(flag, value);
-  if (out < std::numeric_limits<int>::min() || out > std::numeric_limits<int>::max()) {
-    BadFlagValue(flag, value, "a 32-bit integer");
-  }
-  return static_cast<int>(out);
-}
-
-uint64_t ParseUint64Flag(const std::string& flag, const char* value) {
-  uint64_t out = 0;
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, out, 10);
-  if (ec != std::errc{} || ptr != end) {
-    BadFlagValue(flag, value, "an unsigned integer");
   }
   return out;
 }
@@ -197,7 +140,7 @@ corpora (see `dxplore corpus --help`).
   dxplore corpus stats    --corpus-dir DIR
   dxplore corpus distill  --corpus-dir SRC --out DST
   dxplore corpus dedup    --corpus-dir SRC --out DST [--deduper NAME]
-                          [--dedup-threshold F] [--no-preserve-coverage]
+                          [--dedup-threshold F]
   dxplore corpus minimize --corpus-dir SRC --out DST [--regions N] [--rounds N]
 
   --workers N / --batch-size N apply to every transform (results are
@@ -216,8 +159,7 @@ verified, 3 verification failed). Derived corpora replay but never resume.
             (merged coverage is preserved exactly)
   dedup     drop near-duplicate inputs with the same disagreement signature;
             dedupers: )" << Join(CorpusDeduperNames()) << R"(
-            (a duplicate that still covers something new is kept unless
-            --no-preserve-coverage)
+            (a duplicate that still covers something new is kept)
   minimize  walk each entry's input back toward its seed while the
             disagreement and the corpus' merged coverage survive
 )";
@@ -237,14 +179,9 @@ int CorpusMain(int argc, char** argv) {
     CorpusUsage(2);
   }
   std::string corpus_dir;
-  std::string out_dir;
-  std::string deduper = "auto";
-  float dedup_threshold = -1.0f;
-  int regions = 16;
-  int rounds = 4;
+  CompactOptions compact;
   int workers = 1;
   int batch_size = 8;
-  bool preserve_coverage = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -254,14 +191,13 @@ int CorpusMain(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--corpus-dir") corpus_dir = next();
-    else if (arg == "--out") out_dir = next();
-    else if (arg == "--deduper") deduper = next();
-    else if (arg == "--dedup-threshold") dedup_threshold = ParseFloatFlag(arg, next());
-    else if (arg == "--regions") regions = ParseIntFlag(arg, next());
-    else if (arg == "--rounds") rounds = ParseIntFlag(arg, next());
-    else if (arg == "--workers") workers = ParseIntFlag(arg, next());
-    else if (arg == "--batch-size") batch_size = ParseIntFlag(arg, next());
-    else if (arg == "--no-preserve-coverage") preserve_coverage = false;
+    else if (arg == "--out") compact.out_dir = next();
+    else if (arg == "--deduper") compact.deduper = next();
+    else if (arg == "--dedup-threshold") compact.threshold = ParseNumber<float>(arg, next());
+    else if (arg == "--regions") compact.regions = ParseNumber<int>(arg, next());
+    else if (arg == "--rounds") compact.rounds = ParseNumber<int>(arg, next());
+    else if (arg == "--workers") workers = ParseNumber<int>(arg, next());
+    else if (arg == "--batch-size") batch_size = ParseNumber<int>(arg, next());
     else if (arg == "--help" || arg == "-h") CorpusUsage(0);
     else {
       std::cerr << "unknown flag: " << arg << "\n";
@@ -309,7 +245,7 @@ int CorpusMain(int argc, char** argv) {
     return 0;
   }
 
-  if (out_dir.empty()) {
+  if (compact.out_dir.empty()) {
     std::cerr << "missing --out (transforms write a new derived corpus)\n";
     return 2;
   }
@@ -332,36 +268,19 @@ int CorpusMain(int argc, char** argv) {
   config.batch_size = batch_size;
   Session session(ptrs, constraint.get(), config);
 
-  MaintenanceReport report;
-  if (verb == "distill") {
-    DistillOptions options;
-    options.out_dir = out_dir;
-    report = DistillCorpus(session, corpus, options);
-  } else if (verb == "dedup") {
-    DedupOptions options;
-    options.out_dir = out_dir;
-    options.deduper = deduper;
-    options.threshold = dedup_threshold;
-    options.preserve_coverage = preserve_coverage;
-    report = DedupCorpus(session, corpus, options);
-  } else {
-    MinimizeOptions options;
-    options.out_dir = out_dir;
-    options.regions = regions;
-    options.max_rounds = rounds;
-    report = MinimizeCorpus(session, corpus, options);
-  }
-  std::cout << report.ToString();
-
-  // Every transform is verified end to end before the CLI calls it done.
-  Corpus derived(out_dir);
-  const ReplayResult verify = session.Replay(derived);
-  if (!verify.ok) {
-    std::cerr << "verification FAILED: " << verify.mismatch << "\n";
+  // Each verb is a chain of one pass, verified end to end before the CLI
+  // calls it done.
+  compact.distill = verb == "distill";
+  compact.dedup = verb == "dedup";
+  compact.minimize = verb == "minimize";
+  const CompactResult result = CompactCorpus(session, corpus, compact);
+  std::cout << result.reports[0].ToString();
+  if (!result.verified) {
+    std::cerr << "verification FAILED: " << result.mismatch << "\n";
     return 3;
   }
-  std::cout << "verified: " << derived.entries().size()
-            << " entries replay clean in " << out_dir << "\n";
+  std::cout << "verified: " << result.entries_after << " entries replay clean in "
+            << compact.out_dir << "\n";
   return 0;
 }
 
@@ -426,23 +345,23 @@ int Main(int argc, char** argv) {
     else if (arg == "--metric") metric_name = next();
     else if (arg == "--objective") objective_name = next();
     else if (arg == "--scheduler") scheduler_name = next();
-    else if (arg == "--workers") workers = ParseIntFlag(arg, next());
-    else if (arg == "--batch-size") batch_size = ParseIntFlag(arg, next());
-    else if (arg == "--rng-seed") rng_seed = ParseUint64Flag(arg, next());
-    else if (arg == "--seeds") seeds = ParseIntFlag(arg, next());
-    else if (arg == "--max-tests") max_tests = ParseIntFlag(arg, next());
-    else if (arg == "--lambda1") lambda1 = ParseFloatFlag(arg, next());
-    else if (arg == "--lambda2") lambda2 = ParseFloatFlag(arg, next());
-    else if (arg == "--step") step = ParseFloatFlag(arg, next());
-    else if (arg == "--threshold") threshold = ParseFloatFlag(arg, next());
-    else if (arg == "--iters") iters = ParseIntFlag(arg, next());
-    else if (arg == "--target") target = ParseIntFlag(arg, next());
+    else if (arg == "--workers") workers = ParseNumber<int>(arg, next());
+    else if (arg == "--batch-size") batch_size = ParseNumber<int>(arg, next());
+    else if (arg == "--rng-seed") rng_seed = ParseNumber<uint64_t>(arg, next());
+    else if (arg == "--seeds") seeds = ParseNumber<int>(arg, next());
+    else if (arg == "--max-tests") max_tests = ParseNumber<int>(arg, next());
+    else if (arg == "--lambda1") lambda1 = ParseNumber<float>(arg, next());
+    else if (arg == "--lambda2") lambda2 = ParseNumber<float>(arg, next());
+    else if (arg == "--step") step = ParseNumber<float>(arg, next());
+    else if (arg == "--threshold") threshold = ParseNumber<float>(arg, next());
+    else if (arg == "--iters") iters = ParseNumber<int>(arg, next());
+    else if (arg == "--target") target = ParseNumber<int>(arg, next());
     else if (arg == "--out") out_dir = next();
     else if (arg == "--corpus-dir") corpus_dir = next();
     else if (arg == "--resume") resume = true;
     else if (arg == "--replay") replay = true;
-    else if (arg == "--max-batches") max_batches = ParseInt64Flag(arg, next());
-    else if (arg == "--progress") progress_every = ParseInt64Flag(arg, next());
+    else if (arg == "--max-batches") max_batches = ParseNumber<int64_t>(arg, next());
+    else if (arg == "--progress") progress_every = ParseNumber<int64_t>(arg, next());
     else if (arg == "--profile") profile = true;
     else if (arg == "--list") list = true;
     else if (arg == "--list-domains") {

@@ -20,6 +20,7 @@
 
 #include "src/service/client.h"
 #include "src/service/daemon.h"
+#include "src/util/parse.h"
 
 namespace {
 
@@ -49,36 +50,41 @@ void HandleSignal(int) {
 int main(int argc, char** argv) {
   dx::DaemonOptions options;
   bool drain = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n" << kUsage;
-        std::exit(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n" << kUsage;
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        std::cout << kUsage;
+        return 0;
+      } else if (arg == "--drain") {
+        drain = true;
+      } else if (arg == "--host") {
+        options.host = next();
+      } else if (arg == "--port") {
+        options.port = dx::ParseNumber<int>(arg, next());
+      } else if (arg == "--http-port") {
+        options.http_port = dx::ParseNumber<int>(arg, next());
+      } else if (arg == "--campaign-workers") {
+        options.manager.campaign_workers = dx::ParseNumber<int>(arg, next());
+      } else if (arg == "--compute-threads") {
+        options.manager.compute_threads = dx::ParseNumber<int>(arg, next());
+      } else if (arg == "--slice") {
+        options.manager.slice_batches = dx::ParseNumber<int>(arg, next());
+      } else {
+        std::cerr << "unknown option " << arg << "\n" << kUsage;
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--drain") {
-      drain = true;
-    } else if (arg == "--host") {
-      options.host = next();
-    } else if (arg == "--port") {
-      options.port = std::atoi(next());
-    } else if (arg == "--http-port") {
-      options.http_port = std::atoi(next());
-    } else if (arg == "--campaign-workers") {
-      options.manager.campaign_workers = std::atoi(next());
-    } else if (arg == "--compute-threads") {
-      options.manager.compute_threads = std::atoi(next());
-    } else if (arg == "--slice") {
-      options.manager.slice_batches = std::atoi(next());
-    } else {
-      std::cerr << "unknown option " << arg << "\n" << kUsage;
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "dxplored: " << e.what() << "\n";
+    return 2;
   }
 
   if (drain) {
